@@ -1,4 +1,5 @@
-//! Experiment runner: regenerates every table/figure of EXPERIMENTS.md.
+//! Experiment runner: prints the tables of the requested experiments
+//! (default `all`) and writes their CSV copies to `results/`.
 //!
 //! ```text
 //! cargo run -p congest-bench --release --bin experiments -- all

@@ -1,5 +1,6 @@
-//! Experiment implementations T1–T5 / F1–F4 (see DESIGN.md §5 for the
-//! index and EXPERIMENTS.md for recorded results).
+//! Experiment implementations T1–T5 / F1–F4 and E1, one function per id;
+//! [`run`] dispatches by id, and each result's CSV lands in
+//! `results/<id>.csv`.
 
 use crate::stats::fit_exponent;
 use crate::workloads::{hop_deep, sparse_random};

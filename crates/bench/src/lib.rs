@@ -2,8 +2,7 @@
 //!
 //! Experiment harness regenerating the paper's round-complexity
 //! comparisons (the empiricized Table 1) and the per-lemma validation
-//! experiments T1–T5 / F1–F4 indexed in `DESIGN.md` and reported in
-//! `EXPERIMENTS.md`.
+//! experiments T1–T5 / F1–F4, one function each in [`experiments`].
 //!
 //! Run `cargo run -p congest-bench --release --bin experiments -- all`
 //! (or a single experiment id) to print the tables; CSV copies land in

@@ -97,22 +97,6 @@ impl<W: Weight> ApspOutcome<W> {
     }
 }
 
-/// Flood payload for Step 4: one (from-blocker, to-blocker, δ_h) entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct QPairItem<W> {
-    from_qi: u32,
-    to_qi: u32,
-    dist: W,
-}
-
-impl<W: Weight> std::hash::Hash for QPairItem<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.from_qi.hash(state);
-        self.to_qi.hash(state);
-        format!("{:?}", self.dist).hash(state);
-    }
-}
-
 /// Runs Algorithm 1 (the paper's Õ(n^{4/3}) APSP). `method` selects the
 /// Step-2 blocker construction, `step6` the Step-6 implementation; the
 /// paper's headline configuration is `(Derandomized, Pipelined)`.
@@ -125,7 +109,9 @@ pub(crate) fn run_ar20<W: Weight>(
     method: BlockerMethod,
     step6: Step6Method,
 ) -> Result<ApspOutcome<W>, SolverError> {
-    assert!(g.is_comm_connected(), "CONGEST algorithms need a connected network");
+    if !g.is_comm_connected() {
+        return Err(SolverError::Disconnected);
+    }
     let n = g.n();
     let topo = Topology::from_graph(g);
     let mut rec = Recorder::new();
@@ -212,31 +198,30 @@ pub(crate) fn run_ar20<W: Weight>(
         }
     }
 
-    // Step 4: every c broadcasts (c, c', δ_h(c, c')) — |Q|² values.
-    if !q.is_empty() {
-        let initial: Vec<Vec<QPairItem<W>>> = (0..n)
+    // Step 4: every c broadcasts (c, c', δ_h(c, c')) — |Q|² values, each
+    // keyed by its (from, to) blocker pair.
+    let qn = q.len();
+    if qn > 0 {
+        let initial: Vec<Vec<(u32, u32, W)>> = (0..n)
             .map(|v| {
                 if let Some(qi) = q.iter().position(|&c| c as usize == v) {
-                    (0..q.len())
+                    (0..qn)
                         .filter(|&qj| !to_q[qj][v].is_inf())
-                        .map(|qj| QPairItem {
-                            from_qi: qi as u32,
-                            to_qi: qj as u32,
-                            dist: to_q[qj][v],
-                        })
+                        .map(|qj| (qi as u32, qj as u32, to_q[qj][v]))
                         .collect()
                 } else {
                     Vec::new()
                 }
             })
             .collect();
+        let key = move |&(qi, qj, _): &(u32, u32, W)| qi as usize * qn + qj as usize;
         // A dropped frame starves every log behind it without any local
         // symptom, so the sentinel demands complete logs everywhere.
         let expected: usize = initial.iter().map(Vec::len).sum();
         let (_, rep) = rc.phase(
             "step4: QxQ matrix broadcast",
             sim,
-            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 3),
+            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 3, key),
             |logs| sentinels::flood_complete(logs, expected),
         )?;
         rec.record("step4: QxQ matrix broadcast", rep);
@@ -250,7 +235,6 @@ pub(crate) fn run_ar20<W: Weight>(
     // realizing path toward q_j — local knowledge at q_i (its Step-3
     // parents) combined with the broadcast matrix, so every node can still
     // compute its own rows without extra communication.
-    let qn = q.len();
     let mut closure = vec![vec![W::INF; qn]; qn];
     let mut closure_fh = if track { vec![vec![NO_SUCC; qn]; qn] } else { Vec::new() };
     for qi in 0..qn {
@@ -362,7 +346,7 @@ pub(crate) fn run_ar20<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Solver;
+    use crate::solver::{Algorithm, Solver};
     use congest_graph::generators::{gnm_connected, Family, WeightDist};
     use congest_graph::seq::apsp_dijkstra;
 
@@ -417,9 +401,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "connected")]
     fn disconnected_rejected() {
         let g: Graph<u64> = Graph::from_edges(4, true, vec![congest_graph::Edge::new(0, 1, 1)]);
-        let _ = Solver::builder(&g).run();
+        for alg in [Algorithm::Ar20, Algorithm::Ar18, Algorithm::Naive] {
+            let res = Solver::builder(&g).algorithm(alg).run();
+            assert!(matches!(res, Err(SolverError::Disconnected)), "{alg:?}");
+        }
     }
 }

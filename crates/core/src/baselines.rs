@@ -9,7 +9,7 @@
 //!   (O(nh + n|Q|)), one full in- and out-SSSP per blocker (O(n|Q|)), one
 //!   O(n|Q|)-round broadcast of the (x, c) distance table, local combine.
 //!   Measured rounds scale as Θ̃(n^{3/2}) — the bound the paper improves
-//!   to Õ(n^{4/3}). (See DESIGN.md §3.4 for the reconstruction notes.)
+//!   to Õ(n^{4/3}).
 
 use crate::apsp::{ApspMeta, ApspOutcome};
 use crate::bf::run_full_sssp;
@@ -33,7 +33,9 @@ pub(crate) fn run_naive<W: Weight>(
     g: &Graph<W>,
     cfg: &ApspConfig,
 ) -> Result<ApspOutcome<W>, SolverError> {
-    assert!(g.is_comm_connected(), "CONGEST algorithms need a connected network");
+    if !g.is_comm_connected() {
+        return Err(SolverError::Disconnected);
+    }
     let n = g.n();
     let topo = Topology::from_graph(g);
     let mut rec = Recorder::new();
@@ -67,29 +69,15 @@ pub(crate) fn run_naive<W: Weight>(
     Ok(ApspOutcome { dist, recorder: rec, meta: ApspMeta::default(), fault_report: rc.report() })
 }
 
-/// Flood payload for the (x, c, δ(x,c)) table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct TableItem<W> {
-    x: NodeId,
-    qi: u32,
-    dist: W,
-}
-
-impl<W: Weight> std::hash::Hash for TableItem<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.x.hash(state);
-        self.qi.hash(state);
-        format!("{:?}", self.dist).hash(state);
-    }
-}
-
 /// The Õ(n^{3/2})-round deterministic baseline (\[2\]-style). The engine
 /// behind [`crate::Solver`] with [`crate::Algorithm::Ar18`].
 pub(crate) fn run_ar18<W: Weight>(
     g: &Graph<W>,
     cfg: &ApspConfig,
 ) -> Result<ApspOutcome<W>, SolverError> {
-    assert!(g.is_comm_connected(), "CONGEST algorithms need a connected network");
+    if !g.is_comm_connected() {
+        return Err(SolverError::Disconnected);
+    }
     let n = g.n();
     let topo = Topology::from_graph(g);
     let mut rec = Recorder::new();
@@ -166,21 +154,24 @@ pub(crate) fn run_ar18<W: Weight>(
         }
     }
 
-    // Step 4: broadcast the n×|Q| table (O(n·|Q|) rounds, Lemma A.2).
-    if !q.is_empty() {
-        let initial: Vec<Vec<TableItem<W>>> = (0..n)
+    // Step 4: broadcast the n×|Q| table (O(n·|Q|) rounds, Lemma A.2), one
+    // (x, qi, δ(x, c)) item per cell, keyed by the cell.
+    let qn = q.len();
+    if qn > 0 {
+        let initial: Vec<Vec<(NodeId, u32, W)>> = (0..n)
             .map(|x| {
-                (0..q.len())
+                (0..qn)
                     .filter(|&qi| !to_q[qi][x].is_inf())
-                    .map(|qi| TableItem { x: x as NodeId, qi: qi as u32, dist: to_q[qi][x] })
+                    .map(|qi| (x as NodeId, qi as u32, to_q[qi][x]))
                     .collect()
             })
             .collect();
+        let key = move |&(x, qi, _): &(NodeId, u32, W)| x as usize * qn + qi as usize;
         let expected: usize = initial.iter().map(Vec::len).sum();
         let (_, rep) = rc.phase(
             "ar18/step4: (x, c) table broadcast",
             sim,
-            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 3),
+            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 3, key),
             |logs| sentinels::flood_complete(logs, expected),
         )?;
         rec.record("ar18/step4: (x, c) table broadcast", rep);

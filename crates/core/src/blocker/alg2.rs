@@ -11,13 +11,12 @@
 //!   Step 8 machinery) in [`crate::trees`];
 //! * Compute-Pi / Compute-Pij (Algorithms 3–4) — realized by the
 //!   ancestor-collection of Algorithm 7 Step 1 plus node-local checks
-//!   against broadcast score data (same information, same O(|S|·h) cost;
-//!   see DESIGN.md);
+//!   against broadcast score data (same information, same O(|S|·h) cost);
 //! * Compute-|Pij| (Algorithm 5) — pipelined aggregation to the leader
 //!   over a BFS tree (Algorithms 11/12) and a broadcast back;
 //! * Remove-Subtrees (Algorithm 6) — [`crate::trees::remove_subtrees`].
 //!
-//! One deliberate deviation is documented in DESIGN.md §3.3: score values
+//! Two deliberate deviations from the paper's text: score values
 //! are broadcast instead of Vi member ids (same O(n) cost, lets nodes skip
 //! empty stages/phases locally), and the biased pairwise-independent space
 //! is the classical affine GF(q)² space scanned lazily in blocks of n
@@ -124,7 +123,8 @@ impl<'a, W: Weight> Driver<'a, W> {
                     }
                 })
                 .collect();
-        let (_, report) = all_to_all_broadcast(self.topo, self.sim, initial, 2)?;
+        let (_, report) =
+            all_to_all_broadcast(self.topo, self.sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record(format!("{label}: score flood"), report);
         Ok(())
     }
@@ -225,7 +225,8 @@ impl<'a, W: Weight> Driver<'a, W> {
                     }
                 })
                 .collect();
-        let (_, report) = all_to_all_broadcast(self.topo, self.sim, initial, 2)?;
+        let (_, report) =
+            all_to_all_broadcast(self.topo, self.sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record("alg2: scoreij broadcast", report);
         Ok(scoreij)
     }
@@ -354,7 +355,8 @@ impl<'a, W: Weight> Driver<'a, W> {
                     let initial: Vec<Vec<NodeId>> = (0..self.coll.n() as NodeId)
                         .map(|v| if a.contains(&v) { vec![v] } else { Vec::new() })
                         .collect();
-                    let (_, rep) = all_to_all_broadcast(self.topo, self.sim, initial, 1)?;
+                    let (_, rep) =
+                        all_to_all_broadcast(self.topo, self.sim, initial, 1, |&v| v as usize)?;
                     rec.record("alg2: A-id broadcast", rep);
                     let (cov_pi, cov_pij) = self.coverage(&a, vi, thr_j, rec)?;
                     if self.is_good(a.len(), cov_pi, cov_pij, i, pij_size) {
@@ -431,8 +433,9 @@ impl<'a, W: Weight> Driver<'a, W> {
                 Ok(a)
             }
             None => {
-                // Guaranteed-progress fallback (tiny-instance constants;
-                // see DESIGN.md). Never observed with paper parameters.
+                // Guaranteed-progress fallback: on tiny instances the
+                // paper's constants can leave no good point within the
+                // scan budget. Never observed with paper parameters.
                 self.stats.fallbacks += 1;
                 self.commit(&[best], rec, "alg2: fallback pick")?;
                 Ok(vec![best])

@@ -69,7 +69,7 @@ pub fn greedy_blocker<W: Weight>(
         let initial: Vec<Vec<(u64, NodeId)>> = (0..n)
             .map(|v| if scores[v] > 0 { vec![(scores[v], v as NodeId)] } else { Vec::new() })
             .collect();
-        let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2)?;
+        let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record(format!("greedy: score broadcast #{iter}"), report);
         // Every node picks the same maximum (tie: smaller id).
         let Some(&(_, c)) = logs[0].iter().max_by_key(|&&(sc, id)| (sc, std::cmp::Reverse(id)))

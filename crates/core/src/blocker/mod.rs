@@ -13,7 +13,7 @@
 //! *non-root* vertices (§3.1: "each edge in F has exactly h vertices").
 //! This matters for correctness of the APSP decomposition — a blocker at
 //! depth ≥ 1 guarantees strict progress when shortest paths are split at
-//! blocker nodes (see DESIGN.md §4).
+//! blocker nodes.
 
 mod alg2;
 mod greedy;

@@ -106,7 +106,7 @@ pub fn compute_bottlenecks<W: Weight>(
         let initial: Vec<Vec<(u64, NodeId)>> = (0..n)
             .map(|v| if tc[v] > 0 { vec![(tc[v], v as NodeId)] } else { Vec::new() })
             .collect();
-        let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2)?;
+        let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record(format!("bottleneck: count broadcast #{}", b.len()), report);
         let &(_, node) = logs[0]
             .iter()

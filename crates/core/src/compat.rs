@@ -48,6 +48,7 @@ fn downgrade<T>(res: Result<T, SolverError>) -> Result<T, SimError> {
         SolverError::Unrecoverable { .. } => {
             unreachable!("recovery only arms with cfg.fault set, which the shims reject up front")
         }
+        SolverError::Disconnected => panic!("CONGEST algorithms need a connected network"),
     })
 }
 

@@ -3,7 +3,7 @@
 use congest_sim::fault::FaultSpec;
 use congest_sim::{RunUntil, SimConfig};
 
-/// How phase durations are charged (DESIGN.md §3.2).
+/// How phase durations are charged.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Charging {
     /// Run every phase for its analytical round budget — the faithful

@@ -219,6 +219,7 @@ pub fn build_csssp<W: Weight>(
         total.rounds += rep.rounds;
         total.messages += rep.messages;
         total.payload_words += rep.payload_words;
+        total.wall_ns += rep.wall_ns;
         total.faults.merge(&rep.faults);
         total.max_msg_words = total.max_msg_words.max(rep.max_msg_words);
         for (t, s2) in total.node_sent.iter_mut().zip(rep.node_sent.iter()) {
@@ -307,6 +308,30 @@ mod tests {
             let c = build(&g, &sources, 3, Direction::Out);
             c.check_consistency(&g).unwrap_or_else(|e| panic!("{}: {e}", fam.name()));
         }
+    }
+
+    #[test]
+    fn recorded_phase_carries_wall_time() {
+        let g = gnm_connected(16, 36, true, WeightDist::Uniform(0, 8), 21);
+        let topo = Topology::from_graph(&g);
+        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        let mut rec = Recorder::new();
+        build_csssp(
+            &g,
+            &topo,
+            &sources,
+            3,
+            Direction::Out,
+            false,
+            SimConfig::default(),
+            Charging::Quiesce,
+            &mut rec,
+            &mut Recovery::disabled(),
+            "csssp",
+        )
+        .unwrap();
+        let [phase] = rec.phases() else { panic!("one merged phase") };
+        assert!(phase.wall_ns > 0, "the merged phase keeps the trees' host time");
     }
 
     #[test]

@@ -298,9 +298,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
     )
     .map_err(|e| match e {
         crate::recovery::SolverError::Sim(e) => e,
-        crate::recovery::SolverError::Unrecoverable { .. } => {
-            unreachable!("disabled recovery never exhausts a retry budget")
-        }
+        other => unreachable!("with recovery disabled only the engine can fail: {other}"),
     })?;
 
     // ---------------- Algorithm 8 (far case) ----------------
@@ -440,15 +438,15 @@ fn apply_relay_set<W: Weight>(
                 .map(|ri| BroadcastItem {
                     x: x as NodeId,
                     ri: ri as u32,
-                    dist: DistKey(to_relay[ri][x]),
+                    dist: to_relay[ri][x],
                     first: if track { to_relay_next[ri][x] } else { NO_SUCC },
                 })
                 .collect()
         })
         .collect();
-    // W must be hashable for the flood; distances are compared exactly, so
-    // forward them as opaque payloads keyed by (x, ri).
-    let (_, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 })?;
+    let nr = relays.len();
+    let key = move |it: &BroadcastItem<W>| it.x as usize * nr + it.ri as usize;
+    let (_, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 }, key)?;
     rec.record(format!("step6/{label}: (x, r) table broadcast"), rep);
     // Local combine at each blocker (the orchestrator mirrors what node c
     // now knows: the broadcast delivered the full table everywhere).
@@ -483,36 +481,15 @@ fn apply_relay_set<W: Weight>(
     Ok(())
 }
 
-/// Flood payload: one (source, relay, distance, first hop) table entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Flood payload: one (source, relay, distance, first hop) table entry,
+/// keyed by its (x, ri) cell.
+#[derive(Clone, Debug)]
 struct BroadcastItem<W: Weight> {
     x: NodeId,
     ri: u32,
-    dist: DistKey<W>,
+    dist: W,
     /// First hop from `x` ([`NO_SUCC`] when untracked or zero-length).
     first: NodeId,
-}
-
-impl<W: Weight> std::hash::Hash for BroadcastItem<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.x.hash(state);
-        self.ri.hash(state);
-        self.dist.hash(state);
-        self.first.hash(state);
-    }
-}
-
-/// Hash/Eq adapter for weights (weights are `Ord + Eq`; hashing goes
-/// through the debug-stable byte representation of the ordering key).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct DistKey<W>(W);
-
-impl<W: Weight> std::hash::Hash for DistKey<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Weights are opaque; hash via their debug formatting, which is
-        // stable for the concrete types used (u32/u64/F64).
-        format!("{:?}", self.0).hash(state);
-    }
 }
 
 /// Trivial deterministic alternative to Algorithms 8+9: broadcast all
@@ -537,13 +514,15 @@ pub fn propagate_trivial_broadcast<W: Weight>(
                 .map(|qi| BroadcastItem {
                     x: x as NodeId,
                     ri: qi as u32,
-                    dist: DistKey(dvals.dist[x][qi]),
+                    dist: dvals.dist[x][qi],
                     first: dvals.first_at(x, qi),
                 })
                 .collect()
         })
         .collect();
-    let (logs, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 })?;
+    let qn = q.len();
+    let key = move |it: &BroadcastItem<W>| it.x as usize * qn + it.ri as usize;
+    let (logs, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 }, key)?;
     rec.record("step6-trivial: full broadcast", rep);
     let mut out = if track {
         RoutedTable::tracked(DistMatrix::filled(q.len(), n, W::INF))
@@ -553,8 +532,8 @@ pub fn propagate_trivial_broadcast<W: Weight>(
     for (qi, &c) in q.iter().enumerate() {
         out.dist[qi][c as usize] = W::ZERO;
         for item in &logs[c as usize] {
-            if item.ri as usize == qi && item.dist.0 < out.dist[qi][item.x as usize] {
-                out.dist[qi][item.x as usize] = item.dist.0;
+            if item.ri as usize == qi && item.dist < out.dist[qi][item.x as usize] {
+                out.dist[qi][item.x as usize] = item.dist;
                 out.set_first(qi, item.x as usize, item.first);
             }
         }

@@ -58,12 +58,16 @@ pub enum SolverError {
         /// to completing with injected faults or a tripped sentinel).
         last_error: Option<SimError>,
     },
+    /// The communication graph is disconnected. CONGEST algorithms need a
+    /// connected network: no message crosses between components.
+    Disconnected,
 }
 
 impl core::fmt::Display for SolverError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SolverError::Sim(e) => write!(f, "engine error: {e}"),
+            SolverError::Disconnected => write!(f, "the communication graph is disconnected"),
             SolverError::Unrecoverable { phase, attempts, last_error } => {
                 write!(f, "phase {phase:?} unrecoverable after {attempts} attempts")?;
                 if let Some(e) = last_error {
@@ -82,6 +86,7 @@ impl std::error::Error for SolverError {
             SolverError::Unrecoverable { last_error, .. } => {
                 last_error.as_ref().map(|e| e as &(dyn std::error::Error + 'static))
             }
+            SolverError::Disconnected => None,
         }
     }
 }

@@ -241,13 +241,11 @@ impl<'g, W: Weight> Solver<'g, W> {
     /// Runs the configured algorithm to completion.
     ///
     /// # Errors
-    /// [`SolverError::Sim`] on an engine abort without a fault plan;
-    /// [`SolverError::Unrecoverable`] when an armed fault plan defeats the
-    /// per-phase retry budget. Never damaged results: a successful outcome
-    /// is bit-identical to the fault-free run.
-    ///
-    /// # Panics
-    /// Panics if the communication graph is disconnected.
+    /// [`SolverError::Disconnected`] when the communication graph is
+    /// disconnected; [`SolverError::Sim`] on an engine abort without a
+    /// fault plan; [`SolverError::Unrecoverable`] when an armed fault plan
+    /// defeats the per-phase retry budget. Never damaged results: a
+    /// successful outcome is bit-identical to the fault-free run.
     pub fn run(&self) -> Result<ApspOutcome<W>, SolverError> {
         let span = congest_telemetry::with(|t| t.span_start("solver.run"));
         let result = match self.algorithm {
@@ -312,6 +310,7 @@ fn summarize(rec: &Recorder) -> Recorder {
         payload_words: rec.total_payload_words(),
         max_msg_words: rec.max_msg_words(),
         faults: rec.total_faults(),
+        wall_ns: rec.total_wall_ns(),
         ..Default::default()
     };
     total.peak_in_flight = rec.phases().iter().map(|p| p.peak_in_flight).max().unwrap_or(0);

@@ -325,6 +325,7 @@ pub fn collect_ancestors<W: Weight>(
         total.rounds += report.rounds;
         total.messages += report.messages;
         total.payload_words += report.payload_words;
+        total.wall_ns += report.wall_ns;
         total.max_msg_words = total.max_msg_words.max(report.max_msg_words);
         total.faults.merge(&report.faults);
         for (t, s2) in total.node_sent.iter_mut().zip(report.node_sent.iter()) {
@@ -552,5 +553,6 @@ mod tests {
             }
         }
         assert!(report.rounds > 0);
+        assert!(report.wall_ns > 0, "the merged report keeps the runs' host time");
     }
 }

@@ -16,8 +16,9 @@
 //!    Algorithm 2 samples with bias p = δ/(1+ε)^j < 1/2, which the GF(2)
 //!    space cannot express; the paper leaves the biased linear-size space
 //!    unspecified, so we use this classical q²-point space and enumerate it
-//!    lazily in blocks (see DESIGN.md §3.3 for why this preserves the
-//!    behaviour that matters).
+//!    lazily in blocks. Lemma 3.8's good-point argument needs only pairwise
+//!    independence and the bias, which this space provides, and the lazy
+//!    scan pays only for the blocks it examines before a good point.
 
 use crate::primes::next_prime;
 

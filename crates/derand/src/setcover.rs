@@ -137,7 +137,7 @@ pub struct BrsStats {
     /// Sample points examined across all selection steps.
     pub sample_points_examined: u64,
     /// Times no good point was found and the algorithm fell back to the
-    /// highest-score node (never observed in practice; see DESIGN.md).
+    /// highest-score node (never observed in practice).
     pub fallbacks: u64,
     /// Sizes |A| of each accepted good set.
     pub good_set_sizes: Vec<usize>,

@@ -216,8 +216,10 @@ fn serve(args: &[String]) -> i32 {
             return 1;
         }
     };
-    println!("serving {snapshot} on {} (generation {})", handle.local_addr(), handle.generation());
+    // Handlers first: a client may send SIGTERM as soon as it reads the
+    // address, and the default action would kill us without a drain.
     sig::install();
+    println!("serving {snapshot} on {} (generation {})", handle.local_addr(), handle.generation());
     while !sig::stopped() {
         std::thread::sleep(Duration::from_millis(50));
     }

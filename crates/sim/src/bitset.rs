@@ -1,6 +1,6 @@
-//! A small growable bitset used for per-neighbor "already knows item i"
-//! bookkeeping in the flooding primitive (dense, append-mostly workload
-//! where `Vec<bool>` would waste 8x memory).
+//! A small growable bitset used for the "already knows key k" bookkeeping
+//! of the flooding primitive (dense, append-mostly workload where
+//! `Vec<bool>` would waste 8x memory).
 
 /// Growable bitset over `u64` words.
 #[derive(Clone, Debug, Default)]
@@ -15,13 +15,16 @@ impl BitSet {
         BitSet::default()
     }
 
-    /// Sets bit `i`, growing as needed.
-    pub fn set(&mut self, i: usize) {
+    /// Sets bit `i`, growing as needed. Returns `true` if it was unset.
+    pub fn insert(&mut self, i: usize) -> bool {
         let w = i / 64;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
-        self.words[w] |= 1u64 << (i % 64);
+        let bit = 1u64 << (i % 64);
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        fresh
     }
 
     /// Tests bit `i` (unset bits beyond the end read as false).
@@ -47,19 +50,19 @@ mod tests {
         let mut b = BitSet::new();
         assert!(!b.get(0));
         assert!(!b.get(1000));
-        b.set(0);
-        b.set(63);
-        b.set(64);
-        b.set(1000);
+        for i in [0, 63, 64, 1000] {
+            assert!(b.insert(i), "bit {i} was unset");
+        }
         assert!(b.get(0) && b.get(63) && b.get(64) && b.get(1000));
         assert!(!b.get(65));
+        assert!(!b.insert(64), "bit 64 was already set");
         assert_eq!(b.count(), 4);
     }
 
     #[test]
     fn grows_on_demand() {
         let mut b = BitSet::new();
-        b.set(500);
+        b.insert(500);
         assert!(b.get(500));
         assert!(!b.get(499));
     }

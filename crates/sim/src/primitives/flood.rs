@@ -11,80 +11,91 @@
 //! peer is not yet known to have. With bandwidth B = 1 an item crosses each
 //! channel at most once per direction, so all K items reach all nodes
 //! within O(K + D) rounds — the standard pipelined-flooding bound.
+//!
+//! ## Keys
+//!
+//! Duplicate suppression goes through a caller-supplied `key: Fn(&T) ->
+//! usize`, never through the item's value. The key contract:
+//!
+//! * **dense** — keys are small integers (a node id, or a row-major index
+//!   into the table being broadcast), because per-node state is sized by
+//!   the largest key;
+//! * **one payload per key** — two items with equal keys are the same
+//!   item. A node keeps the first copy it learns and drops the rest.
+//!
+//! Per node the flood holds its log plus (1 + degree)·max-key bits: one
+//! "seen" set and, per channel, one "peer already has it" set.
 
 use crate::bitset::BitSet;
 use crate::engine::{Engine, Envelope, NodeEnv, NodeLogic, Outbox, RunUntil, SimConfig, Topology};
 use crate::error::SimError;
 use crate::metrics::PhaseReport;
-use std::collections::HashMap;
-use std::hash::Hash;
 
-/// Items that can be flooded: cheap to clone, hashable for dedup. One item
-/// models O(1) machine words.
-pub trait FloodItem: Clone + Eq + Hash + Send + Sync + 'static {}
-impl<T: Clone + Eq + Hash + Send + Sync + 'static> FloodItem for T {}
+/// Items that can be flooded: cheap to clone. One item models O(1)
+/// machine words; duplicates are recognised by the caller's key.
+pub trait FloodItem: Clone + Send + Sync + 'static {}
+impl<T: Clone + Send + Sync + 'static> FloodItem for T {}
 
-struct FloodNode<T> {
+struct FloodNode<T, K> {
     /// Known items in discovery order.
     log: Vec<T>,
-    index: HashMap<T, usize>,
-    /// Per neighbor (by position in the env neighbor list): which log items
-    /// the peer is known to have (either we sent them or they sent them).
+    /// Keys of the items in `log`.
+    seen: BitSet,
+    /// Per neighbor (by position in the env neighbor list): keys the peer
+    /// is known to have (either we sent them or they sent them).
     peer_knows: Vec<BitSet>,
     /// Per neighbor: scan cursor into `log`.
     cursor: Vec<usize>,
     /// On-wire width of one item, in machine words (protocol-wide).
     item_words: u32,
+    /// Dense item key (protocol-wide).
+    key: K,
 }
 
-impl<T: FloodItem> FloodNode<T> {
-    fn new(initial: Vec<T>, degree: usize, item_words: u32) -> Self {
+impl<T: FloodItem, K: Fn(&T) -> usize> FloodNode<T, K> {
+    fn new(initial: Vec<T>, degree: usize, item_words: u32, key: K) -> Self {
         let mut node = FloodNode {
             log: Vec::new(),
-            index: HashMap::new(),
-            peer_knows: (0..degree).map(|_| BitSet::new()).collect(),
+            seen: BitSet::new(),
+            peer_knows: vec![BitSet::new(); degree],
             cursor: vec![0; degree],
             item_words,
+            key,
         };
-        for item in initial {
+        for item in &initial {
             node.learn(item);
         }
         node
     }
 
-    fn learn(&mut self, item: T) -> usize {
-        if let Some(&i) = self.index.get(&item) {
-            return i;
+    /// Logs `item` unless its key is already known; returns the key.
+    fn learn(&mut self, item: &T) -> usize {
+        let k = (self.key)(item);
+        if self.seen.insert(k) {
+            self.log.push(item.clone());
         }
-        let i = self.log.len();
-        self.index.insert(item.clone(), i);
-        self.log.push(item);
-        i
+        k
     }
 }
 
-impl<T: FloodItem> NodeLogic for FloodNode<T> {
+impl<T: FloodItem, K: Fn(&T) -> usize + Send> NodeLogic for FloodNode<T, K> {
     type Msg = T;
 
     fn on_round(&mut self, env: &NodeEnv<'_>, inbox: &[Envelope<T>], out: &mut Outbox<'_, T>) {
         // Receive first: dedup and remember that the sender knows the item.
         for e in inbox {
-            let idx = self.learn(e.msg.clone());
+            let k = self.learn(&e.msg);
             let ni = env.neighbor_index(e.from).expect("sender is a neighbor");
-            self.peer_knows[ni].set(idx);
+            self.peer_knows[ni].insert(k);
         }
         // Send: for each channel, the first known item the peer lacks.
         for ni in 0..env.neighbors.len() {
-            while self.cursor[ni] < self.log.len() {
-                let i = self.cursor[ni];
-                if self.peer_knows[ni].get(i) {
-                    self.cursor[ni] += 1;
-                    continue;
-                }
-                out.send_nbr(ni, self.log[i].clone());
-                self.peer_knows[ni].set(i);
+            while let Some(item) = self.log.get(self.cursor[ni]) {
                 self.cursor[ni] += 1;
-                break;
+                if self.peer_knows[ni].insert((self.key)(item)) {
+                    out.send_nbr(ni, item.clone());
+                    break;
+                }
             }
         }
     }
@@ -92,8 +103,8 @@ impl<T: FloodItem> NodeLogic for FloodNode<T> {
     fn active(&self) -> bool {
         self.cursor
             .iter()
-            .enumerate()
-            .any(|(ni, &c)| (c..self.log.len()).any(|i| !self.peer_knows[ni].get(i)))
+            .zip(&self.peer_knows)
+            .any(|(&c, knows)| self.log[c..].iter().any(|item| !knows.get((self.key)(item))))
     }
 
     fn msg_words(&self, _msg: &T) -> u32 {
@@ -106,7 +117,9 @@ impl<T: FloodItem> NodeLogic for FloodNode<T> {
 ///
 /// `item_words` is the on-wire width of one item in O(log n)-bit machine
 /// words (each id/weight field counts as one word); it only affects the
-/// payload accounting, never the protocol.
+/// payload accounting, never the protocol. `key` maps every item to a
+/// small integer, one per distinct item: equal keys are the same item, and
+/// each node's state grows with the largest key.
 ///
 /// # Errors
 /// Propagates engine errors; `budget` bounds the rounds (callers typically
@@ -116,16 +129,17 @@ pub fn flood_broadcast<T: FloodItem>(
     cfg: SimConfig,
     initial: Vec<Vec<T>>,
     item_words: u32,
+    key: impl Fn(&T) -> usize + Copy + Send,
     until: RunUntil,
 ) -> Result<(Vec<Vec<T>>, PhaseReport), SimError> {
     let n = topo.n();
     assert_eq!(initial.len(), n);
     let engine = Engine::new(topo, cfg);
-    let mut nodes: Vec<FloodNode<T>> = initial
+    let mut nodes: Vec<_> = initial
         .into_iter()
         .enumerate()
         .map(|(i, items)| {
-            FloodNode::new(items, topo.neighbors(i as congest_graph::NodeId).len(), item_words)
+            FloodNode::new(items, topo.neighbors(i as congest_graph::NodeId).len(), item_words, key)
         })
         .collect();
     let report = engine.run(&mut nodes, until)?;
@@ -133,8 +147,8 @@ pub fn flood_broadcast<T: FloodItem>(
 }
 
 /// Convenience wrapper for the Lemma A.2 pattern (all-to-all broadcast with
-/// a quiescence budget of `O(total items + n)`); `item_words` as in
-/// [`flood_broadcast`].
+/// a quiescence budget of `O(total items + n)`); `item_words` and `key` as
+/// in [`flood_broadcast`].
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -143,10 +157,11 @@ pub fn all_to_all_broadcast<T: FloodItem>(
     cfg: SimConfig,
     initial: Vec<Vec<T>>,
     item_words: u32,
+    key: impl Fn(&T) -> usize + Copy + Send,
 ) -> Result<(Vec<Vec<T>>, PhaseReport), SimError> {
     let total: usize = initial.iter().map(Vec::len).sum();
     let budget = 4 * (total as u64 + topo.n() as u64) + 16;
-    flood_broadcast(topo, cfg, initial, item_words, RunUntil::Quiesce { max: budget })
+    flood_broadcast(topo, cfg, initial, item_words, key, RunUntil::Quiesce { max: budget })
 }
 
 #[cfg(test)]
@@ -154,6 +169,11 @@ mod tests {
     use super::*;
     use congest_graph::generators::{gnm_connected, path, star, WeightDist};
     use congest_graph::NodeId;
+
+    /// Key of items that are their own key.
+    fn id(x: &u32) -> usize {
+        *x as usize
+    }
 
     fn check_all_know_all(logs: &[Vec<u32>], expected: &mut Vec<u32>) {
         expected.sort_unstable();
@@ -171,7 +191,8 @@ mod tests {
         let k = 20u32;
         let mut initial: Vec<Vec<u32>> = vec![Vec::new(); 8];
         initial[0] = (0..k).collect();
-        let (logs, report) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+        let (logs, report) =
+            all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
         check_all_know_all(&logs, &mut (0..k).collect());
         // Lemma A.1 shape: O(k + D) rounds.
         assert!(report.rounds <= (k as u64 + 8) + 8, "rounds = {}", report.rounds);
@@ -182,7 +203,8 @@ mod tests {
         let g = gnm_connected(24, 48, false, WeightDist::Unit, 5);
         let topo = Topology::from_graph(&g);
         let initial: Vec<Vec<u32>> = (0..24).map(|i| vec![i as u32]).collect();
-        let (logs, report) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+        let (logs, report) =
+            all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
         check_all_know_all(&logs, &mut (0..24).collect());
         // Lemma A.2 shape: O(n) rounds.
         assert!(report.rounds <= 4 * 24, "rounds = {}", report.rounds);
@@ -192,9 +214,10 @@ mod tests {
     fn duplicates_deduplicated() {
         let g = star(6, false, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);
-        // every node starts with the same item plus one unique item
+        // every node starts with the same item (so the same key) plus one
+        // unique item
         let initial: Vec<Vec<u32>> = (0..6).map(|i| vec![999, i as u32]).collect();
-        let (logs, _) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+        let (logs, _) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
         check_all_know_all(&logs, &mut vec![999, 0, 1, 2, 3, 4, 5]);
     }
 
@@ -203,7 +226,7 @@ mod tests {
         let g = path(3, false, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);
         let initial = vec![vec![10u32, 11], vec![20], vec![30]];
-        let (logs, _) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+        let (logs, _) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
         assert_eq!(&logs[0][..2], &[10, 11]);
         assert_eq!(logs[1][0], 20);
     }
@@ -213,7 +236,8 @@ mod tests {
         let g = path(4, false, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);
         let initial: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        let (logs, report) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+        let (logs, report) =
+            all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
         assert!(logs.iter().all(Vec::is_empty));
         assert!(report.rounds <= 1);
         assert_eq!(report.messages, 0);
@@ -225,8 +249,8 @@ mod tests {
         let topo = Topology::from_graph(&g);
         let initial: Vec<Vec<u32>> = (0..16).map(|i| vec![i as u32 * 7]).collect();
         let (a, ra) =
-            all_to_all_broadcast(&topo, SimConfig::default(), initial.clone(), 1).unwrap();
-        let (b, rb) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+            all_to_all_broadcast(&topo, SimConfig::default(), initial.clone(), 1, id).unwrap();
+        let (b, rb) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
         assert_eq!(a, b);
         assert_eq!(ra.rounds, rb.rounds);
         assert_eq!(ra.messages, rb.messages);
@@ -240,7 +264,7 @@ mod tests {
         let initial: Vec<Vec<u32>> = (0..6).map(|i| vec![i as u32]).collect();
         let budget = 4 * (6 + 6) + 16;
         let (_, report) =
-            flood_broadcast(&topo, SimConfig::default(), initial, 1, RunUntil::Exact(budget))
+            flood_broadcast(&topo, SimConfig::default(), initial, 1, id, RunUntil::Exact(budget))
                 .unwrap();
         assert_eq!(report.rounds, budget);
     }
@@ -254,7 +278,9 @@ mod tests {
         let mut initial: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); 10];
         initial[0] = (0..50).map(|k| (0, k)).collect();
         initial[9] = (0..50).map(|k| (9, k)).collect();
-        let (logs, report) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+        let key = |&(v, k): &(NodeId, u32)| v as usize * 50 + k as usize;
+        let (logs, report) =
+            all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, key).unwrap();
         assert!(logs.iter().all(|l| l.len() == 100));
         assert!(report.rounds <= 2 * 50 + 3 * 10, "rounds = {}", report.rounds);
     }
@@ -289,7 +315,8 @@ mod proptests {
             expected.sort_unstable();
             expected.dedup();
             let (logs, report) =
-                all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+                all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, |&x| x as usize)
+                    .unwrap();
             for log in &logs {
                 let mut got = log.clone();
                 got.sort_unstable();
@@ -316,7 +343,8 @@ mod proptests {
                 .map(|v| topo.neighbors(v).len())
                 .sum();
             let (_, report) =
-                all_to_all_broadcast(&topo, SimConfig::default(), initial, 1).unwrap();
+                all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, |&x| x as usize)
+                    .unwrap();
             prop_assert!(report.messages <= (k * channels) as u64);
         }
     }

@@ -33,16 +33,21 @@ fn random_topo(n: usize, extra: usize, seed: u64) -> Topology {
     Topology::from_graph(&gnm_connected(n, extra, false, WeightDist::Unit, seed))
 }
 
+/// Flood key of items that are their own key.
+fn id(x: &u32) -> usize {
+    *x as usize
+}
+
 #[test]
 fn flood_parallel_matches_sequential() {
     for seed in 0..5u64 {
         let topo = random_topo(24, 40, seed);
         let initial: Vec<Vec<u32>> = (0..24).map(|i| vec![i as u32, 1000 + seed as u32]).collect();
         let (seq_logs, seq_rep) =
-            all_to_all_broadcast(&topo, seq_cfg(), initial.clone(), 1).unwrap();
+            all_to_all_broadcast(&topo, seq_cfg(), initial.clone(), 1, id).unwrap();
         for workers in [2, 3, 5] {
             let (par_logs, par_rep) =
-                all_to_all_broadcast(&topo, par_cfg(workers), initial.clone(), 1).unwrap();
+                all_to_all_broadcast(&topo, par_cfg(workers), initial.clone(), 1, id).unwrap();
             assert_eq!(seq_logs, par_logs, "seed {seed} workers {workers}: logs diverge");
             assert_eq!(seq_rep, par_rep, "seed {seed} workers {workers}: report diverges");
         }
@@ -268,8 +273,10 @@ proptest! {
         for (slot, item) in items {
             initial[slot % n].push(item);
         }
-        let (seq_logs, seq_rep) = all_to_all_broadcast(&topo, seq_cfg(), initial.clone(), 1).unwrap();
-        let (par_logs, par_rep) = all_to_all_broadcast(&topo, par_cfg(workers), initial, 1).unwrap();
+        let (seq_logs, seq_rep) =
+            all_to_all_broadcast(&topo, seq_cfg(), initial.clone(), 1, id).unwrap();
+        let (par_logs, par_rep) =
+            all_to_all_broadcast(&topo, par_cfg(workers), initial, 1, id).unwrap();
         prop_assert_eq!(seq_logs, par_logs);
         prop_assert_eq!(seq_rep, par_rep);
     }
@@ -281,8 +288,8 @@ proptest! {
 fn report_bookkeeping_matches_across_paths() {
     let topo = random_topo(12, 14, 2);
     let initial: Vec<Vec<u32>> = (0..12).map(|i| vec![i as u32]).collect();
-    let (_, seq) = all_to_all_broadcast(&topo, seq_cfg(), initial.clone(), 1).unwrap();
-    let (_, par) = all_to_all_broadcast(&topo, par_cfg(5), initial, 1).unwrap();
+    let (_, seq) = all_to_all_broadcast(&topo, seq_cfg(), initial.clone(), 1, id).unwrap();
+    let (_, par) = all_to_all_broadcast(&topo, par_cfg(5), initial, 1, id).unwrap();
     assert_eq!(seq.rounds, par.rounds);
     assert_eq!(seq.messages, par.messages);
     assert_eq!(seq.node_sent, par.node_sent);

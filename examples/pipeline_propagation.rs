@@ -72,7 +72,7 @@ fn main() {
             "\nat this small n the trivial broadcast is still {:.2}x cheaper — n·|Q| values \
              are few, while the pipeline pays its fixed substrate (CSSSP + relay SSSPs); \
              the pipeline's congestion bound (above) is what makes it win at scale \
-             (see EXPERIMENTS.md T3)",
+             (experiment t3 sweeps n)",
             1.0 / ratio
         );
     }

@@ -13,9 +13,9 @@
 //! flat `congest_graph::DistMatrix` arena flows from the solver into the
 //! oracle without a copy.
 //!
-//! See `README.md` for the tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the measured reproduction of the paper's
-//! round-complexity claims.
+//! The measured reproduction of the paper's round-complexity claims is the
+//! `experiments` binary of `congest_bench` (`cargo run --release -p
+//! congest_bench --bin experiments -- t1`).
 
 #![warn(missing_docs)]
 #![deny(deprecated)]

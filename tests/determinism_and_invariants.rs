@@ -1,10 +1,14 @@
 //! Cross-crate invariants: determinism of the deterministic algorithms,
-//! blocker validity through the public API, congestion bounds, and
-//! randomized-variant stability across seeds.
+//! pinned per-step communication counts, blocker validity through the
+//! public API, congestion bounds, and randomized-variant stability across
+//! seeds.
 
-use congest_apsp::{BlockerMethod, Charging, Solver, Step6Method};
+use congest_apsp::{Algorithm, BlockerMethod, Charging, Solver, Step6Method};
+use congest_bench::workloads::{hop_deep, sparse_random};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
+use congest_graph::Graph;
+use std::collections::BTreeMap;
 
 #[test]
 fn deterministic_runs_are_bit_identical() {
@@ -20,6 +24,99 @@ fn deterministic_runs_are_bit_identical() {
     let pa: Vec<_> = a.recorder.phases().iter().map(|p| (p.name.clone(), p.rounds)).collect();
     let pb: Vec<_> = b.recorder.phases().iter().map(|p| (p.name.clone(), p.rounds)).collect();
     assert_eq!(pa, pb);
+}
+
+/// The pipeline step of a recorded phase label (Ar18 labels carry an
+/// `ar18/` prefix; the bottleneck pruning runs inside Step 6).
+fn step_of(label: &str) -> &str {
+    let l = label.strip_prefix("ar18/").unwrap_or(label);
+    if l.starts_with("bottleneck: ") {
+        return "step6";
+    }
+    assert!(l.starts_with("step"), "unclassified phase {label:?}");
+    &l[..5]
+}
+
+/// Per-step `[rounds, messages, payload words]` of one default solve.
+fn step_counts(g: &Graph<u64>, alg: Algorithm) -> Vec<(String, [u64; 3])> {
+    let out = Solver::builder(g).algorithm(alg).run().unwrap();
+    let mut steps: BTreeMap<String, [u64; 3]> = BTreeMap::new();
+    for p in out.recorder.phases() {
+        let s = steps.entry(step_of(&p.name).to_string()).or_default();
+        s[0] += p.rounds;
+        s[1] += p.messages;
+        s[2] += p.payload_words;
+    }
+    steps.into_iter().collect()
+}
+
+/// Golden per-step counts for Ar20 and Ar18 on a hop-deep graph and a
+/// sparse one (blockers fire on both, for both algorithms). Every protocol
+/// is deterministic, so these move only when a protocol changes what it
+/// sends; a simulator-side refactor must leave them exactly as they are.
+#[test]
+fn per_step_counts_are_pinned() {
+    type Golden = &'static [(&'static str, [u64; 3])];
+    let cases: [(&str, Graph<u64>, Algorithm, Golden); 4] = [
+        (
+            "hop_deep(64, 1)",
+            hop_deep(64, 1),
+            Algorithm::Ar20,
+            &[
+                ("step1", [1216, 9408, 20586]),
+                ("step2", [2804, 69389, 108323]),
+                ("step3", [54, 284, 468]),
+                ("step4", [33, 1575, 4725]),
+                ("step5", [0, 0, 0]),
+                ("step6", [2064, 35544, 87189]),
+                ("step7", [384, 10973, 28633]),
+            ],
+        ),
+        (
+            "hop_deep(64, 1)",
+            hop_deep(64, 1),
+            Algorithm::Ar18,
+            &[
+                ("step1", [2240, 13528, 29666]),
+                ("step2", [522, 20396, 29216]),
+                ("step3", [650, 1890, 3780]),
+                ("step4", [316, 20160, 60480]),
+                ("step5", [0, 0, 0]),
+            ],
+        ),
+        (
+            "sparse_random(64, 1)",
+            sparse_random(64, 1),
+            Algorithm::Ar20,
+            &[
+                ("step1", [1216, 51764, 123532]),
+                ("step2", [4419, 343608, 567034]),
+                ("step3", [120, 5124, 9051]),
+                ("step4", [393, 74153, 222459]),
+                ("step5", [0, 0, 0]),
+                ("step6", [1990, 28699, 57930]),
+                ("step7", [384, 17516, 50554]),
+            ],
+        ),
+        (
+            "sparse_random(64, 1)",
+            sparse_random(64, 1),
+            Algorithm::Ar18,
+            &[
+                ("step1", [2240, 52208, 124880]),
+                ("step2", [538, 39474, 61394]),
+                ("step3", [390, 2713, 6230]),
+                ("step4", [190, 36495, 109485]),
+                ("step5", [0, 0, 0]),
+            ],
+        ),
+    ];
+    for (name, g, alg, golden) in cases {
+        let got = step_counts(&g, alg);
+        let want: Vec<(String, [u64; 3])> =
+            golden.iter().map(|&(s, c)| (s.to_string(), c)).collect();
+        assert_eq!(got, want, "{name} {alg:?}");
+    }
 }
 
 #[test]

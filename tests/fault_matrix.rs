@@ -72,6 +72,7 @@ fn recovered_or_refused(algorithm: Algorithm, seed: u64, spec: FaultSpec) -> boo
         Err(SolverError::Sim(e)) => {
             panic!("seed {seed}: armed plan must never leak a raw engine error: {e}")
         }
+        Err(SolverError::Disconnected) => unreachable!("matrix graphs are connected"),
     }
 }
 

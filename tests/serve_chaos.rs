@@ -569,10 +569,13 @@ fn watcher_catches_same_mtime_rewrite() {
     handle.join();
 }
 
-/// A plain echo upstream for proxy-only determinism tests.
-fn spawn_echo() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("echo bind");
-    let addr = listener.local_addr().expect("echo addr");
+/// A draining upstream for proxy-only determinism tests. It never answers:
+/// with no server→client bytes, no fault in that direction can close a
+/// connection while its client→server pump is still mid-stream, which
+/// would cut the live trace at a timing-dependent offset.
+fn spawn_sink() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("sink bind");
+    let addr = listener.local_addr().expect("sink addr");
     let h = std::thread::spawn(move || {
         // Serve until the listener errors out of accept (test end drops
         // nothing explicitly; the thread is detached by the caller).
@@ -585,16 +588,7 @@ fn spawn_echo() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
                     workers.push(std::thread::spawn(move || {
                         s.set_nonblocking(false).ok();
                         let mut buf = [0u8; 4096];
-                        loop {
-                            match s.read(&mut buf) {
-                                Ok(0) | Err(_) => break,
-                                Ok(k) => {
-                                    if s.write_all(&buf[..k]).is_err() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
+                        while let Ok(1..) = s.read(&mut buf) {}
                     }));
                     workers.retain(|w| !w.is_finished());
                     if workers.is_empty() && started.elapsed() > Duration::from_millis(500) {
@@ -634,8 +628,8 @@ fn live_trace_matches_schedule_across_runs_and_thread_counts() {
 
     let mut runs: Vec<Vec<congest_serve::chaos::TraceEvent>> = Vec::new();
     for &conns in &[1usize, 4, 4] {
-        let (echo_addr, echo) = spawn_echo();
-        let proxy = ChaosProxy::start(echo_addr, spec).expect("proxy");
+        let (sink_addr, sink) = spawn_sink();
+        let proxy = ChaosProxy::start(sink_addr, spec).expect("proxy");
         // Connect sequentially so accept order (and therefore conn ids)
         // is deterministic; then write concurrently so pump threads
         // actually interleave.
@@ -679,7 +673,7 @@ fn live_trace_matches_schedule_across_runs_and_thread_counts() {
         // Let the pumps finish scanning what they buffered.
         std::thread::sleep(Duration::from_millis(100));
         let trace = proxy.join();
-        let _ = echo.join();
+        let _ = sink.join();
 
         for conn in 0..conns as u64 {
             let got: Vec<_> = trace
