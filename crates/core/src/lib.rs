@@ -114,16 +114,7 @@
 //!
 //! With no plan armed the recovery layer is zero-cost: one attempt per
 //! phase on the exact configuration, no sentinel evaluation, byte-identical
-//! behavior — and the deprecated [`compat`] shims reject armed plans up
-//! front, so fault injection is exclusive to the builder API.
-//!
-//! ## Migrating from the free functions
-//!
-//! The pre-facade entry points (`apsp_agarwal_ramachandran`, `apsp_ar18`,
-//! `apsp_naive`) still exist as `#[deprecated]` shims in [`compat`] and
-//! behave bit-identically; see that module's table for the one-line
-//! replacements. New code — and everything inside this workspace, which
-//! builds with `deny(deprecated)` — uses the builder.
+//! behavior.
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
@@ -137,7 +128,6 @@ pub mod baselines;
 pub mod bf;
 pub mod blocker;
 pub mod bottleneck;
-pub mod compat;
 pub mod config;
 pub mod csssp;
 pub mod extension;
@@ -147,8 +137,6 @@ pub mod solver;
 pub mod trees;
 
 pub use apsp::{ApspMeta, ApspOutcome, BlockerMethod, Step6Method};
-#[allow(deprecated)]
-pub use compat::{apsp_agarwal_ramachandran, apsp_ar18, apsp_naive};
 pub use config::{ApspConfig, BlockerParams, Charging};
 pub use recovery::{FaultReport, Recovery, SolverError};
 pub use solver::{Algorithm, Solver, SolverBuilder, Verbosity};

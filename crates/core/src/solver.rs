@@ -1,9 +1,5 @@
 //! The unified [`Solver`] facade — one typed entry point for every APSP
-//! algorithm in the workspace.
-//!
-//! Historically the three algorithms were three disconnected free
-//! functions with ad-hoc signatures (`apsp_agarwal_ramachandran`,
-//! `apsp_ar18`, `apsp_naive`). The facade replaces them with a builder:
+//! algorithm in the workspace, configured through a builder:
 //!
 //! ```
 //! use congest_apsp::{Algorithm, BlockerMethod, Solver, Step6Method};

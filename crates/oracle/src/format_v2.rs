@@ -290,7 +290,7 @@ fn derive_plane<W: Weight>(
 /// Eagerly deserializes a v2 snapshot: validates header, footer, index
 /// and **every** block checksum, decodes both planes (re-deriving the
 /// successor plane from the embedded graph when it was dropped on disk),
-/// and enforces the same cross-arena invariants the v1 loader does.
+/// and enforces the cross-arena invariants the legacy v1 reader shares.
 pub(crate) fn from_bytes_v2<W: PortableWeight>(bytes: &[u8]) -> Result<Oracle<W>, SnapshotError> {
     let min = HEADER_V2_LEN + FOOTER_LEN;
     if bytes.len() < min {
@@ -500,8 +500,9 @@ impl<W: PortableWeight> Oracle<W> {
         Ok(())
     }
 
-    /// Writes the blocked v2 snapshot to `path` atomically (temp file +
-    /// fsync + rename, like [`save`](Oracle::save)).
+    /// Writes the blocked v2 snapshot to `path` atomically: temp file +
+    /// fsync + rename, so a concurrent reader sees the old file or the
+    /// new one, never a torn write.
     ///
     /// # Errors
     /// Rejects inconsistent configuration; propagates filesystem

@@ -18,14 +18,15 @@
 //!   snapshots.
 //! * snapshot persistence — a versioned, checksummed binary format with no
 //!   external dependencies; malformed input is always a [`SnapshotError`],
-//!   never a panic. Two formats share one loader: the monolithic v1
-//!   ([`Oracle::save`] / [`Oracle::load`] / [`Oracle::to_bytes`] /
-//!   [`Oracle::from_bytes`]) and the blocked, per-block-checksummed v2
-//!   ([`Oracle::save_v2`] with [`V2Config`]), which can drop the successor
-//!   plane on disk and embed the graph instead. Saves are atomic: temp
+//!   never a panic. Every writer emits the blocked, per-block-checksummed
+//!   v2 format: [`Oracle::save`] / [`Oracle::to_bytes`] with the default
+//!   [`V2Config`], [`Oracle::save_v2`] with any, e.g. one that drops the
+//!   successor plane on disk and embeds the graph instead. [`Oracle::load`]
+//!   / [`Oracle::from_bytes`] read it eagerly, and still read the legacy
+//!   monolithic v1 format as a migration path. Saves are atomic: temp
 //!   file + fsync + rename, so a crashed writer can never leave a torn
 //!   snapshot where a watcher might load it.
-//! * [`PagedOracle`] — the out-of-core backend: opens a v2 snapshot,
+//! * [`PagedOracle`] — the out-of-core backend: opens any saved snapshot,
 //!   validates only header + index eagerly, and pages blocks in lazily
 //!   under a byte budget ([`PagedConfig`]) with per-block checksum
 //!   verification on first touch — serving snapshots larger than RAM.

@@ -162,9 +162,9 @@ impl<W: PortableWeight> PagedOracle<W> {
     ///
     /// # Errors
     /// Every malformed-input condition surfaces as a [`SnapshotError`]
-    /// (a v1 file is `UnsupportedVersion { found: 1 }` — use the eager
-    /// [`Oracle::load`](crate::Oracle::load) for those), filesystem
-    /// failures as [`SnapshotError::Io`].
+    /// (a legacy v1 file is `UnsupportedVersion { found: 1 }` — convert
+    /// it with `congest-serve make-snapshot <out> --from <old>`),
+    /// filesystem failures as [`SnapshotError::Io`].
     pub fn open(path: impl AsRef<Path>, cfg: PagedConfig) -> Result<Self, SnapshotError> {
         let mut file = File::open(path).map_err(SnapshotError::Io)?;
         let file_len = file.metadata().map_err(SnapshotError::Io)?.len();

@@ -1,34 +1,20 @@
-//! Versioned binary snapshot formats for [`Oracle`] — compute once, serve
+//! Versioned binary snapshot format for [`Oracle`] — compute once, serve
 //! forever.
 //!
-//! No external dependencies (the build is offline): both formats are small
-//! hand-rolled little-endian layouts built on FNV-1a 64 checksums. Two
-//! versions coexist:
+//! No external dependencies (the build is offline): a small hand-rolled
+//! little-endian layout built on FNV-1a 64 checksums. Every writer
+//! produces the blocked v2 format below: [`Oracle::save`] and
+//! [`Oracle::to_bytes`] with [`V2Config::default`] (64-row blocks,
+//! successor plane on disk), [`Oracle::save_v2`] with any [`V2Config`].
 //!
-//! ## Format v1 — monolithic (the eager path)
-//!
-//! One contiguous image, one trailing checksum. [`Oracle::load`] /
-//! [`Oracle::from_bytes`] read it fully into RAM:
-//!
-//! ```text
-//! offset  size      field
-//! 0       8         magic  b"CGSTORCL"
-//! 8       2         format version (u16 LE) = 1
-//! 10      1         weight-type tag (PortableWeight::TAG)
-//! 11      1         flags (reserved, 0)
-//! 12      8         n (u64 LE)
-//! 20      n²·8      distance arena, row-major, 8 bytes per weight
-//! ..      n²·4      successor arena, target-major, u32 LE per entry
-//! end-8   8         FNV-1a 64 checksum of every preceding byte (u64 LE)
-//! ```
-//!
-//! ## Format v2 — blocked (the out-of-core path)
+//! ## Format v2 — blocked
 //!
 //! The arenas are cut into fixed-size blocks of whole rows, each with its
 //! own checksum, indexed from the tail of the file so a reader can
 //! validate the header + index eagerly and page blocks lazily (the
-//! [`PagedOracle`](crate::PagedOracle) backend). Written front-to-back
-//! with no seeks, so [`Oracle::save_v2_to`] streams to any `Write`:
+//! [`PagedOracle`](crate::PagedOracle) backend) or load every block at
+//! once ([`Oracle::load`]). Written front-to-back with no seeks, so
+//! [`Oracle::save_v2_to`] streams to any `Write`:
 //!
 //! ```text
 //! offset  size      field
@@ -63,20 +49,37 @@
 //! ([`SnapshotError::BlockCorrupt`] names the failing index entry) and
 //! keeping a byte-budgeted LRU resident set.
 //!
-//! **Migration:** `congest-serve make-snapshot --from old.snap --format
-//! v2` rewrites a v1 snapshot as v2 ([`Oracle::load`] accepts both, so
-//! the eager path needs no migration at all).
+//! ## Format v1 — legacy, read-only
+//!
+//! The monolithic image earlier builds wrote: one contiguous image, one
+//! trailing checksum. Nothing writes it any more; [`Oracle::from_bytes`]
+//! and [`Oracle::load`] still read it eagerly as a migration path.
+//! Convert old files with `congest-serve make-snapshot <out> --from
+//! <old>`, which writes v2:
+//!
+//! ```text
+//! offset  size      field
+//! 0       8         magic  b"CGSTORCL"
+//! 8       2         format version (u16 LE) = 1
+//! 10      1         weight-type tag (PortableWeight::TAG)
+//! 11      1         flags (reserved, 0)
+//! 12      8         n (u64 LE)
+//! 20      n²·8      distance arena, row-major, 8 bytes per weight
+//! ..      n²·4      successor arena, target-major, u32 LE per entry
+//! end-8   8         FNV-1a 64 checksum of every preceding byte (u64 LE)
+//! ```
 //!
 //! ## Durability
 //!
-//! Every `save` variant writes a same-directory temp file, fsyncs and
-//! atomically renames it over the target, so a concurrent reader (the
-//! serve-side snapshot watcher) can never observe a half-written file.
+//! Every save writes a same-directory temp file, fsyncs and atomically
+//! renames it over the target, so a concurrent reader (the serve-side
+//! snapshot watcher) can never observe a half-written file.
 //!
 //! Loading is strictly validated and never panics on malformed input:
 //! truncation, bad magic, unknown version, weight-type mismatch, checksum
 //! failure and out-of-range successor ids all surface as [`SnapshotError`].
 
+use crate::format_v2::V2Config;
 use crate::oracle::{Oracle, NO_SUCC};
 use congest_graph::{NodeId, Weight, F64};
 use std::io::Write;
@@ -85,11 +88,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes identifying an oracle snapshot.
 pub const MAGIC: &[u8; 8] = b"CGSTORCL";
-/// The monolithic (v1) snapshot format version.
+/// The legacy monolithic (v1) snapshot format version: read-only, still
+/// accepted by [`Oracle::from_bytes`] as a migration path, never written.
 pub const VERSION: u16 = 1;
-/// The blocked, out-of-core (v2) snapshot format version.
+/// The blocked, out-of-core (v2) snapshot format version: the one every
+/// writer produces.
 pub const VERSION_V2: u16 = 2;
-pub(crate) const HEADER_LEN: usize = 20;
+const HEADER_LEN: usize = 20;
 const CHECKSUM_LEN: usize = 8;
 
 /// A weight type with a canonical, portable 8-byte encoding, snapshottable
@@ -318,8 +323,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A [`Write`] adapter folding every byte it forwards into a running
-/// FNV-1a 64, so streaming encoders can emit a trailer checksum without
-/// buffering the whole image. Partial writes are absorbed internally
+/// FNV-1a 64, so the streaming encoder can checksum each block without
+/// buffering it. Partial writes are absorbed internally
 /// (`write` forwards via `write_all`), keeping the hash in lockstep with
 /// the stream.
 pub(crate) struct FnvWriter<Wr> {
@@ -335,12 +340,6 @@ impl<Wr: Write> FnvWriter<Wr> {
     /// The FNV-1a 64 of every byte written so far.
     pub(crate) fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// Bypasses hashing: writes trailer bytes (e.g. the checksum itself)
-    /// that must not fold into the running hash.
-    pub(crate) fn write_unhashed(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.inner.write_all(bytes)
     }
 }
 
@@ -405,59 +404,19 @@ pub(crate) fn atomic_write(
 pub(crate) const ENCODE_CHUNK: usize = 64 * 1024;
 
 impl<W: PortableWeight> Oracle<W> {
-    /// Serializes the oracle into the monolithic v1 snapshot format.
+    /// Serializes the oracle into the blocked v2 snapshot format with
+    /// [`V2Config::default`]: the bytes [`save`](Oracle::save) writes.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n();
-        let mut buf = Vec::with_capacity(HEADER_LEN + n * n * 12 + CHECKSUM_LEN);
-        self.save_to(&mut buf).expect("writing to a Vec cannot fail");
-        buf
+        self.to_bytes_v2(&V2Config::default())
+            .expect("every oracle has a node, and the default config embeds no graph")
     }
 
-    /// Streams the v1 snapshot into `w`, encoding block-by-block: peak
-    /// extra memory is one small chunk buffer instead of the full n²×12
-    /// image [`to_bytes`](Oracle::to_bytes) materializes — the shape that
-    /// matters at exactly the sizes the blocked v2 format targets.
-    ///
-    /// # Errors
-    /// Propagates `w`'s failures as [`SnapshotError::Io`].
-    pub fn save_to(&self, w: impl Write) -> Result<(), SnapshotError> {
-        let n = self.n();
-        let mut fw = FnvWriter::new(w);
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.push(W::TAG);
-        header.push(0); // flags, reserved
-        header.extend_from_slice(&(n as u64).to_le_bytes());
-        fw.write_all(&header).map_err(SnapshotError::Io)?;
-        let mut chunk: Vec<u8> = Vec::with_capacity(ENCODE_CHUNK);
-        for &d in self.dist_arena() {
-            chunk.extend_from_slice(&d.encode());
-            if chunk.len() >= ENCODE_CHUNK {
-                fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                chunk.clear();
-            }
-        }
-        for &s in self.succ_arena() {
-            chunk.extend_from_slice(&s.to_le_bytes());
-            if chunk.len() >= ENCODE_CHUNK {
-                fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                chunk.clear();
-            }
-        }
-        fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-        let sum = fw.hash();
-        fw.write_unhashed(&sum.to_le_bytes()).map_err(SnapshotError::Io)?;
-        Ok(())
-    }
-
-    /// Deserializes a snapshot in either format — monolithic v1
-    /// ([`to_bytes`](Oracle::to_bytes)) or blocked v2
-    /// ([`to_bytes_v2`](Oracle::to_bytes_v2)) — dispatching on the header
-    /// version. v2 input is loaded eagerly: every block checksum is
-    /// verified, and when the successor plane was dropped on disk it is
-    /// re-derived from the embedded graph (one
+    /// Deserializes a snapshot, dispatching on the header version: the
+    /// blocked v2 format every writer produces, or a legacy v1 image (the
+    /// read-only migration path). v2 input is loaded eagerly: every block
+    /// checksum is verified, and when the successor plane was dropped on
+    /// disk it is re-derived from the embedded graph (one
     /// [`successor_derivations`](crate::successor_derivations) tick).
     ///
     /// # Errors
@@ -484,7 +443,7 @@ impl<W: PortableWeight> Oracle<W> {
         let n_raw = u64::from_le_bytes(bytes[12..20].try_into().expect("8 header bytes"));
         let n = usize::try_from(n_raw)
             .ok()
-            .filter(|&n| n <= u32::MAX as usize / 4)
+            .filter(|&n| n >= 1 && n <= u32::MAX as usize / 4)
             .ok_or(SnapshotError::Corrupt("node count out of range"))?;
         let cells = n
             .checked_mul(n)
@@ -533,16 +492,16 @@ impl<W: PortableWeight> Oracle<W> {
         Ok(Oracle::from_parts(n, dist.into_boxed_slice(), succ.into_boxed_slice()))
     }
 
-    /// Writes the v1 snapshot to `path` **atomically**: the bytes are
-    /// streamed into a same-directory temp file, fsynced, then renamed
-    /// over the target. A concurrent reader — in particular the serve
-    /// watcher, which fingerprints and reloads on change — can never
-    /// observe a half-written snapshot.
+    /// Writes the v2 snapshot [`to_bytes`](Oracle::to_bytes) describes to
+    /// `path` **atomically**: the bytes are streamed into a same-directory
+    /// temp file, fsynced, then renamed over the target. A concurrent
+    /// reader — in particular the serve watcher, which fingerprints and
+    /// reloads on change — can never observe a half-written snapshot.
     ///
     /// # Errors
     /// Propagates filesystem failures as [`SnapshotError::Io`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        atomic_write(path.as_ref(), |w| self.save_to(w))
+        self.save_v2(path, &V2Config::default())
     }
 
     /// Reads a snapshot (either format; see
@@ -567,13 +526,35 @@ mod tests {
         Oracle::from_dist(&g, apsp_dijkstra(&g))
     }
 
+    /// The legacy v1 encoder, kept only to feed the migration reader:
+    /// header, row-major distances, target-major successors, then the
+    /// FNV-1a 64 of every preceding byte.
+    fn v1_image<W: PortableWeight>(o: &Oracle<W>) -> Vec<u8> {
+        let n = o.n();
+        let mut buf = Vec::with_capacity(HEADER_LEN + n * n * 12 + CHECKSUM_LEN);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(W::TAG);
+        buf.push(0); // flags, reserved
+        buf.extend_from_slice(&(n as u64).to_le_bytes());
+        for &d in o.dist_arena() {
+            buf.extend_from_slice(&d.encode());
+        }
+        for &s in o.succ_arena() {
+            buf.extend_from_slice(&s.to_le_bytes());
+        }
+        let sum = fnv1a(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
     #[test]
     fn round_trip_is_bit_identical() {
         let o = sample_oracle();
-        let bytes = o.to_bytes();
+        let bytes = v1_image(&o);
         let o2 = Oracle::<u64>::from_bytes(&bytes).unwrap();
         assert_eq!(o, o2);
-        assert_eq!(bytes, o2.to_bytes());
+        assert_eq!(bytes, v1_image(&o2));
     }
 
     #[test]
@@ -581,26 +562,28 @@ mod tests {
         let g = gnm_connected(8, 16, false, WeightDist::Uniform(1, 5), 4);
         let gf = g.map_weights(|w| F64::new(w as f64 * 0.5));
         let o = Oracle::from_dist(&gf, apsp_dijkstra(&gf));
-        let o2 = Oracle::<F64>::from_bytes(&o.to_bytes()).unwrap();
-        assert_eq!(o, o2);
+        for bytes in [v1_image(&o), o.to_bytes()] {
+            assert_eq!(Oracle::<F64>::from_bytes(&bytes).unwrap(), o);
+        }
     }
 
     #[test]
     fn truncation_is_an_error_at_every_length() {
-        let bytes = sample_oracle().to_bytes();
-        // Sample a spread of prefixes, including header-interior cuts.
-        for cut in [0, 1, 7, 8, 11, 19, 20, 21, bytes.len() / 2, bytes.len() - 1] {
-            let err = Oracle::<u64>::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Truncated { .. } | SnapshotError::BadMagic),
-                "cut at {cut}: unexpected error {err:?}"
-            );
+        let bytes = v1_image(&sample_oracle());
+        for cut in 0..bytes.len() {
+            match Oracle::<u64>::from_bytes(&bytes[..cut]) {
+                Err(SnapshotError::Truncated { expected, got }) => {
+                    assert_eq!(got, cut);
+                    assert!(expected > cut);
+                }
+                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn version_mismatch_rejected() {
-        let mut bytes = sample_oracle().to_bytes();
+        let mut bytes = v1_image(&sample_oracle());
         bytes[8] = 99;
         assert!(matches!(
             Oracle::<u64>::from_bytes(&bytes).unwrap_err(),
@@ -610,7 +593,7 @@ mod tests {
 
     #[test]
     fn weight_tag_mismatch_rejected() {
-        let bytes = sample_oracle().to_bytes();
+        let bytes = v1_image(&sample_oracle());
         assert!(matches!(
             Oracle::<F64>::from_bytes(&bytes).unwrap_err(),
             SnapshotError::WeightTypeMismatch { found: 1, expected: 3 }
@@ -619,18 +602,22 @@ mod tests {
 
     #[test]
     fn bit_flip_detected() {
-        let mut bytes = sample_oracle().to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(
-            Oracle::<u64>::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::ChecksumMismatch
-        ));
+        let good = v1_image(&sample_oracle());
+        for byte in 0..good.len() {
+            let mut bad = good.clone();
+            bad[byte] ^= 0x40;
+            match Oracle::<u64>::from_bytes(&bad) {
+                // Past the header only the trailer checksum can notice.
+                Err(SnapshotError::ChecksumMismatch) => {}
+                Err(other) => assert!(byte < HEADER_LEN, "byte {byte}: {other:?}"),
+                Ok(_) => panic!("flipping byte {byte} went undetected"),
+            }
+        }
     }
 
     #[test]
     fn trailing_data_rejected() {
-        let mut bytes = sample_oracle().to_bytes();
+        let mut bytes = v1_image(&sample_oracle());
         bytes.push(0);
         assert!(matches!(
             Oracle::<u64>::from_bytes(&bytes).unwrap_err(),
@@ -648,58 +635,54 @@ mod tests {
             Oracle::<u64>::from_bytes(b"short").unwrap_err(),
             SnapshotError::Truncated { .. }
         ));
+        // No graph has zero nodes, so neither may a snapshot.
+        let empty = Oracle::<u64>::from_parts(0, Box::new([]), Box::new([]));
+        assert!(matches!(
+            Oracle::<u64>::from_bytes(&v1_image(&empty)).unwrap_err(),
+            SnapshotError::Corrupt("node count out of range")
+        ));
+    }
+
+    /// An n = 2 oracle from forged arenas: every cell decodes, but a
+    /// cross-arena invariant may be broken.
+    fn forged(dist: [u64; 4], succ: [NodeId; 4]) -> Oracle<u64> {
+        Oracle::from_parts(2, Box::new(dist), Box::new(succ))
+    }
+
+    /// Checksum-valid v1 and v2 images of `o` must both fail to load with
+    /// `Corrupt(what)`.
+    fn assert_both_formats_reject(o: &Oracle<u64>, what: &str) {
+        let v2 = o.to_bytes_v2(&V2Config::default()).unwrap();
+        for (format, bytes) in [("v1", v1_image(o)), ("v2", v2)] {
+            match Oracle::<u64>::from_bytes(&bytes) {
+                Err(SnapshotError::Corrupt(got)) => assert_eq!(got, what, "{format}"),
+                other => panic!("{format}: expected Corrupt({what:?}), got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn nonzero_diagonal_snapshot_rejected() {
-        // Checksum-valid n = 2 snapshot claiming δ(0,0) = INF: per-cell
-        // fields are fine, but the diagonal invariant must be enforced.
-        let n = 2usize;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(<u64 as PortableWeight>::TAG);
-        buf.push(0);
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        for d in [u64::INF, 1, 1, 0] {
-            buf.extend_from_slice(&d.encode());
-        }
-        for s in [NO_SUCC, 0, 1, NO_SUCC] {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Oracle::<u64>::from_bytes(&buf).unwrap_err(),
-            SnapshotError::Corrupt("nonzero diagonal distance")
-        ));
+        // δ(0,0) = INF: per-cell fields are fine, but the diagonal
+        // invariant must be enforced.
+        let o = forged([u64::INF, 1, 1, 0], [NO_SUCC, 0, 1, NO_SUCC]);
+        assert_both_formats_reject(&o, "nonzero diagonal distance");
+    }
+
+    #[test]
+    fn successor_distance_mismatch_rejected() {
+        // δ(0,1) = INF, yet node 0 names a successor toward target 1.
+        let o = forged([0, u64::INF, 1, 0], [NO_SUCC, 0, 1, NO_SUCC]);
+        assert_both_formats_reject(&o, "successor/distance mismatch");
     }
 
     #[test]
     fn cyclic_successor_snapshot_rejected() {
-        // Hand-craft a checksum-valid n = 2 snapshot where node 0's
-        // successor toward target 1 is node 0 itself: structurally valid
-        // per-cell, but the path walk would never terminate.
-        let n = 2usize;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(<u64 as PortableWeight>::TAG);
-        buf.push(0);
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        for d in [0u64, 1, 1, 0] {
-            buf.extend_from_slice(&d.encode());
-        }
-        // Target-major: toward 0: [NO_SUCC, 0]; toward 1: [0 (cycle!), NO_SUCC].
-        for s in [NO_SUCC, 0, 0, NO_SUCC] {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Oracle::<u64>::from_bytes(&buf).unwrap_err(),
-            SnapshotError::Corrupt("successor chain does not reach its target")
-        ));
+        // Node 0's successor toward target 1 is node 0 itself: valid per
+        // cell, but the path walk would never terminate. Target-major:
+        // toward 0: [NO_SUCC, 0]; toward 1: [0 (cycle!), NO_SUCC].
+        let o = forged([0, 1, 1, 0], [NO_SUCC, 0, 0, NO_SUCC]);
+        assert_both_formats_reject(&o, "successor chain does not reach its target");
     }
 
     #[test]
@@ -707,8 +690,11 @@ mod tests {
         let o = sample_oracle();
         let path = std::env::temp_dir().join("congest_oracle_snapshot_test.bin");
         o.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         let o2 = Oracle::<u64>::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(bytes[8..10], VERSION_V2.to_le_bytes(), "save writes v2");
+        assert_eq!(bytes, o.to_bytes());
         assert_eq!(o, o2);
     }
 

@@ -3,17 +3,18 @@
 //! Subcommands:
 //!
 //! - `make-snapshot <out> [--nodes N] [--edges M] [--seed S] [--max-weight W]
-//!   [--format v1|v2] [--block-rows N] [--no-successors] [--from OLD]`
-//!   builds a random connected graph, solves APSP, and saves the oracle
-//!   snapshot (weight type `u64`). `--format v2` writes the blocked
-//!   format the paged backend can serve out-of-core; `--no-successors`
-//!   (v2 only) drops the successor plane and embeds the graph instead;
-//!   `--from OLD` converts an existing snapshot instead of generating.
+//!   [--block-rows N] [--no-successors] [--from OLD]` builds a random
+//!   connected graph, solves APSP, and saves the oracle as a blocked v2
+//!   snapshot (weight type `u64`, `--block-rows` rows per block, default
+//!   64) that `serve` can load eagerly or `--paged`. `--no-successors`
+//!   drops the successor plane and embeds the graph instead; `--from OLD`
+//!   converts an existing snapshot, legacy v1 included, instead of
+//!   generating one.
 //! - `serve <snapshot> [--addr A] [--watch-ms N] [--window N] [--max-conns N]
 //!   [--paged] [--resident-mb M]` serves the snapshot until
 //!   SIGTERM/SIGINT, then drains in-flight requests, closes the
 //!   listener, and exits 0 — the contract the CI smoke test checks.
-//!   `--paged` serves a v2 snapshot out-of-core under a `--resident-mb`
+//!   `--paged` serves the snapshot out-of-core under a `--resident-mb`
 //!   byte budget instead of loading it into RAM.
 //! - `probe <addr> [--requests N] [--batch B]` connects (with retry, so
 //!   it can race a starting server), pipelines query batches, verifies
@@ -22,6 +23,9 @@
 //!   self-report (generation, uptime, connections, shed counts, swap
 //!   history); exits 0 when the server answers, 1 otherwise — fit for a
 //!   liveness probe.
+//!
+//! An unknown flag, a flag missing its value or a number that does not
+//! parse prints the usage and exits 2.
 
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
@@ -72,7 +76,7 @@ fn usage() -> ! {
          \n\
          commands:\n\
          \x20 make-snapshot <out> [--nodes N] [--edges M] [--seed S] [--max-weight W]\n\
-         \x20               [--format v1|v2] [--block-rows N] [--no-successors] [--from OLD]\n\
+         \x20               [--block-rows N] [--no-successors] [--from OLD]\n\
          \x20 serve <snapshot> [--addr A] [--watch-ms N] [--window N] [--max-conns N]\n\
          \x20                  [--paged] [--resident-mb M]\n\
          \x20 probe <addr> [--requests N] [--batch B] [--k-nearest]\n\
@@ -81,41 +85,93 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Flags that take no value — everything else consumes the next arg.
-const BOOL_FLAGS: &[&str] = &["--paged", "--no-successors", "--k-nearest"];
+/// Prints `msg` and the usage, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("congest-serve: {msg}");
+    usage()
+}
 
-/// Pulls `--key value` pairs out of `args`; returns (positional, lookup).
-fn parse_flags(args: &[String]) -> (Vec<&str>, impl Fn(&str) -> Option<u64> + '_) {
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += if BOOL_FLAGS.contains(&args[i].as_str()) { 1 } else { 2 };
-        } else {
-            positional.push(args[i].as_str());
-            i += 1;
+/// What a flag takes after it.
+#[derive(Copy, Clone, PartialEq)]
+enum Takes {
+    /// Nothing: a bare switch.
+    Nothing,
+    /// A non-negative integer.
+    Number,
+    /// Any string.
+    Text,
+}
+
+const MAKE_SNAPSHOT_FLAGS: &[(&str, Takes)] = &[
+    ("nodes", Takes::Number),
+    ("edges", Takes::Number),
+    ("seed", Takes::Number),
+    ("max-weight", Takes::Number),
+    ("block-rows", Takes::Number),
+    ("no-successors", Takes::Nothing),
+    ("from", Takes::Text),
+];
+
+const SERVE_FLAGS: &[(&str, Takes)] = &[
+    ("addr", Takes::Text),
+    ("watch-ms", Takes::Number),
+    ("window", Takes::Number),
+    ("max-conns", Takes::Number),
+    ("paged", Takes::Nothing),
+    ("resident-mb", Takes::Number),
+];
+
+const PROBE_FLAGS: &[(&str, Takes)] =
+    &[("requests", Takes::Number), ("batch", Takes::Number), ("k-nearest", Takes::Nothing)];
+
+/// One subcommand's arguments, checked against its flag allowlist.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    /// `(name without the leading dashes, value)`; switches have no value.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args` into positionals and flags. A flag not in `allowed`,
+    /// a missing value or a number that does not parse as `u64` is a
+    /// usage error, so a mistyped flag never silently falls back to a
+    /// default.
+    fn parse(args: &'a [String], allowed: &[(&str, Takes)]) -> Self {
+        let mut parsed = Args { positional: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                parsed.positional.push(arg);
+                continue;
+            };
+            let Some(&(_, takes)) = allowed.iter().find(|(flag, _)| *flag == name) else {
+                usage_error(&format!("unknown flag {arg}"))
+            };
+            let value = if takes == Takes::Nothing {
+                None
+            } else {
+                let Some(value) = it.next() else { usage_error(&format!("{arg} needs a value")) };
+                if takes == Takes::Number && value.parse::<u64>().is_err() {
+                    usage_error(&format!("{arg} expects a non-negative integer, got {value:?}"));
+                }
+                Some(value.as_str())
+            };
+            parsed.flags.push((name, value));
         }
+        parsed
     }
-    let lookup = move |key: &str| -> Option<u64> {
-        let mut i = 0;
-        while i + 1 < args.len() {
-            if args[i] == format!("--{key}") {
-                return args[i + 1].parse().ok();
-            }
-            i += 1;
-        }
-        None
-    };
-    (positional, lookup)
-}
 
-/// Whether the bare boolean flag `--key` appears in `args`.
-fn flag_bool(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == &format!("--{key}"))
-}
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(flag, _)| *flag == name).and_then(|&(_, value)| value)
+    }
 
-fn flag_str<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.windows(2).find(|w| w[0] == format!("--{key}")).map(|w| w[1].as_str())
+    fn number(&self, name: &str) -> Option<u64> {
+        self.text(name).map(|v| v.parse().expect("parse checked every number"))
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
 }
 
 fn main() {
@@ -133,23 +189,14 @@ fn main() {
 }
 
 fn make_snapshot(args: &[String]) -> i32 {
-    let (pos, flag) = parse_flags(args);
-    let [out] = pos.as_slice() else { usage() };
-    let format = flag_str(args, "format").unwrap_or("v1");
-    if format != "v1" && format != "v2" {
-        eprintln!("unknown --format {format} (expected v1 or v2)");
-        return 2;
-    }
-    let no_succ = flag_bool(args, "no-successors");
-    if no_succ && format != "v2" {
-        eprintln!("--no-successors requires --format v2");
-        return 2;
-    }
-    let block_rows = flag("block-rows").unwrap_or(64).clamp(1, u64::from(u32::MAX)) as u32;
+    let args = Args::parse(args, MAKE_SNAPSHOT_FLAGS);
+    let [out] = args.positional.as_slice() else { usage() };
+    let no_succ = args.switch("no-successors");
+    let block_rows = args.number("block-rows").unwrap_or(64).clamp(1, u64::from(u32::MAX)) as u32;
     // Either convert an existing snapshot or generate a fresh one. A
     // converted snapshot has no graph to embed, so its successor plane
     // must ride along.
-    let (oracle, graph, describe) = if let Some(from) = flag_str(args, "from") {
+    let (oracle, graph, describe) = if let Some(from) = args.text("from") {
         if no_succ {
             eprintln!(
                 "--no-successors cannot be combined with --from: converting a snapshot \
@@ -165,23 +212,18 @@ fn make_snapshot(args: &[String]) -> i32 {
             }
         }
     } else {
-        let n = flag("nodes").unwrap_or(256) as usize;
-        let m = flag("edges").unwrap_or(4 * n as u64) as usize;
-        let seed = flag("seed").unwrap_or(7);
-        let max_w = flag("max-weight").unwrap_or(100);
+        let n = args.number("nodes").unwrap_or(256) as usize;
+        let m = args.number("edges").unwrap_or(4 * n as u64) as usize;
+        let seed = args.number("seed").unwrap_or(7);
+        let max_w = args.number("max-weight").unwrap_or(100);
         let g = gnm_connected(n, m, true, WeightDist::Uniform(1, max_w), seed);
         let oracle = Oracle::from_dist(&g, apsp_dijkstra(&g));
         (oracle, Some(g), format!("{n} nodes, {m} edges, seed {seed}"))
     };
-    let result = if format == "v2" {
-        oracle
-            .save_v2(out, &V2Config { block_rows, drop_successors: no_succ, graph: graph.as_ref() })
-    } else {
-        oracle.save(out)
-    };
-    match result {
+    let cfg = V2Config { block_rows, drop_successors: no_succ, graph: graph.as_ref() };
+    match oracle.save_v2(out, &cfg) {
         Ok(()) => {
-            println!("wrote {format} snapshot: {out} ({describe})");
+            println!("wrote snapshot: {out} ({describe}, {block_rows}-row blocks)");
             0
         }
         Err(e) => {
@@ -192,21 +234,21 @@ fn make_snapshot(args: &[String]) -> i32 {
 }
 
 fn serve(args: &[String]) -> i32 {
-    let (pos, flag) = parse_flags(args);
-    let [snapshot] = pos.as_slice() else { usage() };
-    let addr = flag_str(args, "addr").unwrap_or("127.0.0.1:7464");
+    let args = Args::parse(args, SERVE_FLAGS);
+    let [snapshot] = args.positional.as_slice() else { usage() };
+    let addr = args.text("addr").unwrap_or("127.0.0.1:7464");
     let mut cfg = ServerConfig::default();
-    if let Some(ms) = flag("watch-ms") {
+    if let Some(ms) = args.number("watch-ms") {
         cfg.watch_interval = Some(Duration::from_millis(ms));
     }
-    if let Some(w) = flag("window") {
+    if let Some(w) = args.number("window") {
         cfg.window = w as usize;
     }
-    if let Some(c) = flag("max-conns") {
+    if let Some(c) = args.number("max-conns") {
         cfg.max_connections = c as usize;
     }
-    if flag_bool(args, "paged") {
-        let resident_mb = flag("resident-mb").unwrap_or(64).max(1) as usize;
+    if args.switch("paged") {
+        let resident_mb = args.number("resident-mb").unwrap_or(64).max(1) as usize;
         cfg.backend = BackendMode::Paged { resident_bytes: resident_mb << 20 };
     }
     let handle = match Server::bind_snapshot::<u64>(addr, *snapshot, cfg) {
@@ -231,8 +273,8 @@ fn serve(args: &[String]) -> i32 {
 }
 
 fn health(args: &[String]) -> i32 {
-    let (pos, _flag) = parse_flags(args);
-    let [addr] = pos.as_slice() else { usage() };
+    let args = Args::parse(args, &[]);
+    let [addr] = args.positional.as_slice() else { usage() };
     let mut client = match Client::<u64>::connect(*addr) {
         Ok(c) => c,
         Err(e) => {
@@ -266,10 +308,10 @@ fn health(args: &[String]) -> i32 {
 }
 
 fn probe(args: &[String]) -> i32 {
-    let (pos, flag) = parse_flags(args);
-    let [addr] = pos.as_slice() else { usage() };
-    let requests = flag("requests").unwrap_or(256);
-    let batch_size = flag("batch").unwrap_or(32).max(1);
+    let args = Args::parse(args, PROBE_FLAGS);
+    let [addr] = args.positional.as_slice() else { usage() };
+    let requests = args.number("requests").unwrap_or(256);
+    let batch_size = args.number("batch").unwrap_or(32).max(1);
 
     // The smoke test starts the server and the probe together; retry the
     // connect briefly instead of racing.
@@ -303,7 +345,7 @@ fn probe(args: &[String]) -> i32 {
         }
     };
 
-    let knn = flag_bool(args, "k-nearest");
+    let knn = args.switch("k-nearest");
     let mut answered = 0u64;
     let mut x = 0x9e37_79b9u64; // cheap deterministic pair stream
     while answered < requests {

@@ -74,7 +74,9 @@ impl From<std::io::Error> for ServeError {
 /// backend the operator chose.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BackendMode {
-    /// Load the whole snapshot into RAM (v1 or v2 files).
+    /// Load the whole snapshot into RAM: any file
+    /// [`Oracle::load`](congest_oracle::Oracle::load) reads, legacy v1
+    /// images included.
     Eager,
     /// Serve straight from a v2 file via
     /// [`PagedOracle`], keeping at most
@@ -216,9 +218,10 @@ impl Metrics {
 /// within the filesystem's mtime granularity — same second, different
 /// bytes — still triggers a reload. The leading block covers the
 /// snapshot header and the start of the distance arena; the trailing
-/// block covers the checksum (v1) or the index + footer (v2), which
-/// change whenever **any** byte of the payload does — so a same-length
-/// edit past the first block can no longer slip past the watcher.
+/// block covers the index + footer (the trailer checksum on a legacy v1
+/// file), which change whenever **any** byte of the payload does — so a
+/// same-length edit past the first block can no longer slip past the
+/// watcher.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct SnapshotStamp {
     mtime: Option<SystemTime>,

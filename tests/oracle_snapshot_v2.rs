@@ -1,5 +1,6 @@
 //! v2 blocked-snapshot integration tests: bit-identical answers across
-//! the v1 eager, v2 eager, and v2 paged backends; per-block corruption
+//! the in-memory oracle and the eager and paged v2 readers, for every
+//! block size and for the file `Oracle::save` writes; per-block corruption
 //! that is typed and names the damaged block; graceful truncation at
 //! every length; hostile-index rejection; and eviction-under-load
 //! correctness with a resident budget a fraction of the file size.
@@ -82,9 +83,14 @@ fn assert_backends_agree(eager: &Oracle<u64>, paged: &PagedOracle<u64>) {
 #[test]
 fn v1_and_v2_agree_bit_for_bit_across_block_sizes() {
     let (g, oracle) = sample(23, 9);
-    // v1 round trip is the baseline.
-    let v1 = Oracle::<u64>::from_bytes(&oracle.to_bytes()).unwrap();
-    assert_eq!(v1, oracle);
+    // The in-memory oracle is the baseline; `Oracle::save` writes v2 with
+    // the default config, so its file must page like any other.
+    let path = temp("roundtrip_save");
+    oracle.save(&path).unwrap();
+    assert_eq!(Oracle::<u64>::load(&path).unwrap(), oracle, "eager load of Oracle::save");
+    let paged = PagedOracle::<u64>::open(&path, PagedConfig::default()).unwrap();
+    assert_backends_agree(&oracle, &paged);
+    std::fs::remove_file(&path).ok();
     for block_rows in [1u32, 3, 8, 23, 64] {
         // With the successor plane on disk.
         let cfg = V2Config { block_rows, ..V2Config::default() };

@@ -114,8 +114,8 @@ fn concurrent_loads_during_repeated_saves_always_see_whole_files() {
 /// whose bytes differ only *past* that block was invisible. A 512-node
 /// path graph with only its last edge reweighted produces exactly that
 /// shape: identical header and leading distance rows, changes confined
-/// to deep column-511 cells (first at byte offset 4108) and the trailing
-/// checksum.
+/// to deep column-511 cells (first at byte offset 4120) and the index
+/// and footer checksums.
 #[test]
 fn watcher_catches_same_mtime_rewrite_past_the_leading_block() {
     let path_graph = |last_w: u64| {

@@ -130,20 +130,3 @@ fn into_oracle_moves_the_arena() {
     assert_eq!(oracle.distance_row(0).as_ptr(), ptr, "arena must move, not copy");
     assert_eq!(oracle.distance(0, 15), apsp_dijkstra(&g)[0][15]);
 }
-
-/// The deprecated shims still work and agree with the builder (the one
-/// place outside `congest_apsp::compat` allowed to call them).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_agree() {
-    use congest_apsp::{apsp_agarwal_ramachandran, apsp_ar18, apsp_naive, ApspConfig};
-    let g = gnm_connected(12, 24, true, WeightDist::Uniform(0, 9), 13);
-    let cfg = ApspConfig::default();
-    let oracle = apsp_dijkstra(&g);
-    let shim =
-        apsp_agarwal_ramachandran(&g, &cfg, BlockerMethod::Derandomized, Step6Method::Pipelined)
-            .unwrap();
-    assert_eq!(shim.dist, oracle);
-    assert_eq!(apsp_ar18(&g, &cfg).unwrap().dist, oracle);
-    assert_eq!(apsp_naive(&g, &cfg).unwrap().dist, oracle);
-}
