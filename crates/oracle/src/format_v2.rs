@@ -1,6 +1,6 @@
-//! The blocked v2 snapshot format: writer, eager reader, and the layout
-//! parsing shared with the lazy [`PagedOracle`](crate::PagedOracle)
-//! backend.
+//! The blocked v2 snapshot format: the writer, and the one reader that
+//! both the eager loader and the lazy [`PagedOracle`](crate::PagedOracle)
+//! backend run.
 //!
 //! See the [`snapshot`](crate::snapshot) module docs for the wire layout.
 //! The design constraints, in order:
@@ -8,11 +8,12 @@
 //! * **Streamable writes** — blocks are emitted front-to-back and the
 //!   index lands at the tail, so [`Oracle::save_v2_to`] needs no seeks
 //!   and never materializes the n²×12 image.
-//! * **Eager header + index validation, lazy everything else** — a
-//!   reader can prove the file's *shape* (and that the index is not
+//! * **Header + index validation first, one block at a time after** — a
+//!   reader proves the file's *shape* (and that the index is not
 //!   hostile: entries must exactly tile the span between header and
-//!   index) from O(blocks) bytes, then fetch and checksum individual
-//!   blocks on demand.
+//!   index) from O(blocks) bytes, then fetches and checksums individual
+//!   blocks: on demand when paging, each once in file order when loading
+//!   eagerly.
 //! * **Optional successor plane** — the n²×4 plane is the pure
 //!   reconstruction accelerator; dropping it on disk shrinks the file by
 //!   a third, and readers re-derive per-target columns from the embedded
@@ -25,20 +26,21 @@ use crate::snapshot::{
 };
 use congest_graph::{Edge, Graph, NodeId, Weight};
 use congest_sim::parallel::par_indexed_map;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// v2 header length: v1's 20 bytes + block_rows (4) + header FNV (8).
-pub(crate) const HEADER_V2_LEN: usize = 32;
+/// v2 header length: magic, version, weight tag, flags and n (20 bytes),
+/// block_rows (4), header FNV (8).
+const HEADER_V2_LEN: usize = 32;
 /// Footer length: index offset + index len + index FNV + footer FNV.
-pub(crate) const FOOTER_LEN: usize = 32;
+const FOOTER_LEN: usize = 32;
 /// Index entry length: offset + len + FNV, 8 bytes each.
-pub(crate) const INDEX_ENTRY_LEN: usize = 24;
+const INDEX_ENTRY_LEN: usize = 24;
 /// Flag bit: the target-major successor plane is present on disk.
-pub(crate) const FLAG_SUCC: u8 = 1;
+const FLAG_SUCC: u8 = 1;
 /// Flag bit: the graph edge list is present on disk (enables successor
 /// re-derivation when the plane is absent).
-pub(crate) const FLAG_GRAPH: u8 = 2;
+const FLAG_GRAPH: u8 = 2;
 
 /// Knobs for writing a v2 snapshot.
 #[derive(Copy, Clone, Debug)]
@@ -101,9 +103,11 @@ pub(crate) struct LayoutV2 {
     pub(crate) graph: Option<(u32, IndexEntry)>,
 }
 
-/// Validates the fixed 32-byte v2 header (caller guarantees
-/// `bytes.len() >= HEADER_V2_LEN`).
-pub(crate) fn parse_header_v2(bytes: &[u8], expected_tag: u8) -> Result<HeaderV2, SnapshotError> {
+/// Validates the fixed 32-byte v2 header.
+fn parse_header_v2(
+    bytes: &[u8; HEADER_V2_LEN],
+    expected_tag: u8,
+) -> Result<HeaderV2, SnapshotError> {
     if &bytes[0..8] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
@@ -143,7 +147,7 @@ pub(crate) fn parse_header_v2(bytes: &[u8], expected_tag: u8) -> Result<HeaderV2
 
 /// Validates the 32-byte footer against the file length; returns
 /// `(index_offset, index_len, index_fnv)`.
-pub(crate) fn parse_footer(file_len: u64, bytes: &[u8]) -> Result<(u64, u64, u64), SnapshotError> {
+fn parse_footer(file_len: u64, bytes: &[u8; FOOTER_LEN]) -> Result<(u64, u64, u64), SnapshotError> {
     if fnv1a(&bytes[..24]) != u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")) {
         return Err(SnapshotError::ChecksumMismatch);
     }
@@ -163,7 +167,7 @@ pub(crate) fn parse_footer(file_len: u64, bytes: &[u8]) -> Result<(u64, u64, u64
 /// index defense — that the entries exactly tile `[32, index_offset)` in
 /// order with the exact per-block payload sizes, so no entry can overlap
 /// another, point outside the file, or leave unaccounted gaps.
-pub(crate) fn parse_index(
+fn parse_index(
     header: HeaderV2,
     index_bytes: &[u8],
     index_offset: u64,
@@ -227,6 +231,101 @@ pub(crate) fn parse_index(
     Ok(LayoutV2 { dist, succ, graph })
 }
 
+/// Reads and validates a v2 file's header, footer and index from `src`
+/// without touching any block: O(blocks) bytes whatever the file size.
+/// The one entry point both the eager loader and
+/// [`PagedOracle::open`](crate::PagedOracle::open) go through.
+pub(crate) fn read_layout<R: Read + Seek>(
+    src: &mut R,
+    expected_tag: u8,
+) -> Result<(HeaderV2, LayoutV2), SnapshotError> {
+    let file_len = src.seek(SeekFrom::End(0)).map_err(SnapshotError::Io)?;
+    let min = HEADER_V2_LEN + FOOTER_LEN;
+    if file_len < min as u64 {
+        return Err(SnapshotError::Truncated { expected: min, got: file_len as usize });
+    }
+    let mut head = [0u8; HEADER_V2_LEN];
+    read_exact_at(src, 0, &mut head).map_err(SnapshotError::Io)?;
+    let header = parse_header_v2(&head, expected_tag)?;
+    let mut foot = [0u8; FOOTER_LEN];
+    read_exact_at(src, file_len - FOOTER_LEN as u64, &mut foot).map_err(SnapshotError::Io)?;
+    let (ioff, ilen, ifnv) = parse_footer(file_len, &foot)?;
+    // `parse_footer` proved the index lies inside the file, so this
+    // allocation is bounded by the file's own size.
+    let mut ibytes = vec![0u8; ilen as usize];
+    read_exact_at(src, ioff, &mut ibytes).map_err(SnapshotError::Io)?;
+    let layout = parse_index(header, &ibytes, ioff, ifnv)?;
+    Ok((header, layout))
+}
+
+/// One positioned read: fills `buf` from `offset`.
+pub(crate) fn read_exact_at<R: Read + Seek>(
+    src: &mut R,
+    offset: u64,
+    buf: &mut [u8],
+) -> std::io::Result<()> {
+    src.seek(SeekFrom::Start(offset))?;
+    src.read_exact(buf)
+}
+
+/// Checks a block's bytes against its index entry's checksum; `pos`
+/// names the entry in the error.
+pub(crate) fn check_block(blob: &[u8], e: IndexEntry, pos: u32) -> Result<(), SnapshotError> {
+    if fnv1a(blob) != e.fnv {
+        return Err(SnapshotError::BlockCorrupt { block: pos, what: "checksum mismatch" });
+    }
+    Ok(())
+}
+
+/// Reads block `e` (index entry `pos`) into `buf`, reusing its
+/// allocation, and verifies the block checksum.
+pub(crate) fn read_block<R: Read + Seek>(
+    src: &mut R,
+    e: IndexEntry,
+    pos: u32,
+    buf: &mut Vec<u8>,
+) -> Result<(), SnapshotError> {
+    buf.resize(e.len as usize, 0);
+    read_exact_at(src, e.offset, buf).map_err(SnapshotError::Io)?;
+    check_block(buf, e, pos)
+}
+
+/// Decodes a (checksum-verified) dist block's 8-byte weights onto `out`.
+pub(crate) fn decode_dist<W>(
+    blob: &[u8],
+    decode: impl Fn([u8; 8]) -> Option<W>,
+    pos: u32,
+    out: &mut Vec<W>,
+) -> Result<(), SnapshotError> {
+    for chunk in blob.chunks_exact(8) {
+        let w = decode(chunk.try_into().expect("8-byte chunk"))
+            .ok_or(SnapshotError::BlockCorrupt { block: pos, what: "invalid weight encoding" })?;
+        out.push(w);
+    }
+    Ok(())
+}
+
+/// Decodes a (checksum-verified) successor block's ids onto `out`,
+/// rejecting any that names no node of an `n`-node oracle.
+pub(crate) fn decode_succ(
+    blob: &[u8],
+    n: usize,
+    pos: u32,
+    out: &mut Vec<NodeId>,
+) -> Result<(), SnapshotError> {
+    for chunk in blob.chunks_exact(4) {
+        let s = NodeId::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        if s != NO_SUCC && s as usize >= n {
+            return Err(SnapshotError::BlockCorrupt {
+                block: pos,
+                what: "successor id out of range",
+            });
+        }
+        out.push(s);
+    }
+    Ok(())
+}
+
 /// Decodes the (checksum-verified) graph section blob. `entry_pos` names
 /// the index entry in errors.
 pub(crate) fn parse_graph_section<W: PortableWeight>(
@@ -287,42 +386,34 @@ fn derive_plane<W: Weight>(
     Ok(succ)
 }
 
-/// Eagerly deserializes a v2 snapshot: validates header, footer, index
-/// and **every** block checksum, decodes both planes (re-deriving the
-/// successor plane from the embedded graph when it was dropped on disk),
-/// and enforces the cross-arena invariants the legacy v1 reader shares.
-pub(crate) fn from_bytes_v2<W: PortableWeight>(bytes: &[u8]) -> Result<Oracle<W>, SnapshotError> {
-    let min = HEADER_V2_LEN + FOOTER_LEN;
-    if bytes.len() < min {
-        return Err(SnapshotError::Truncated { expected: min, got: bytes.len() });
-    }
-    let header = parse_header_v2(bytes, W::TAG)?;
-    let (ioff, ilen, ifnv) = parse_footer(bytes.len() as u64, &bytes[bytes.len() - FOOTER_LEN..])?;
-    let layout = parse_index(header, &bytes[ioff as usize..(ioff + ilen) as usize], ioff, ifnv)?;
+/// Eagerly loads a v2 snapshot from `src`, paging in every block once,
+/// in file order. The arenas are allocated only after [`read_layout`]
+/// has proved their size, and every block goes through one reused
+/// buffer: read, checksum-verified, decoded straight into its arena, so
+/// peak memory is the arenas plus the largest block. The successor plane
+/// is re-derived from the embedded graph when it was dropped on disk,
+/// and the cross-arena invariants are enforced.
+pub(crate) fn read_v2<W: PortableWeight, R: Read + Seek>(
+    mut src: R,
+) -> Result<Oracle<W>, SnapshotError> {
+    let (header, layout) = read_layout(&mut src, W::TAG)?;
     let n = header.n;
-
-    let block = |e: &IndexEntry, pos: u32| -> Result<&[u8], SnapshotError> {
-        let blob = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-        if fnv1a(blob) != e.fnv {
-            return Err(SnapshotError::BlockCorrupt { block: pos, what: "checksum mismatch" });
-        }
-        Ok(blob)
-    };
+    let mut buf = Vec::new();
 
     let mut dist: Vec<W> = Vec::with_capacity(n * n);
-    for (b, e) in layout.dist.iter().enumerate() {
-        let blob = block(e, b as u32)?;
-        for chunk in blob.chunks_exact(8) {
-            let w = W::decode(chunk.try_into().expect("8-byte chunk")).ok_or(
-                SnapshotError::BlockCorrupt { block: b as u32, what: "invalid weight encoding" },
-            )?;
-            dist.push(w);
-        }
+    for (b, &e) in layout.dist.iter().enumerate() {
+        read_block(&mut src, e, b as u32, &mut buf)?;
+        decode_dist(&buf, W::decode, b as u32, &mut dist)?;
     }
-    for u in 0..n {
-        if dist[u * n + u] != W::ZERO {
-            return Err(SnapshotError::Corrupt("nonzero diagonal distance"));
-        }
+    if (0..n).any(|u| dist[u * n + u] != W::ZERO) {
+        return Err(SnapshotError::Corrupt("nonzero diagonal distance"));
+    }
+
+    let mut succ: Vec<NodeId> = Vec::with_capacity(if header.has_succ { n * n } else { 0 });
+    for (b, &e) in layout.succ.iter().enumerate() {
+        let pos = (layout.dist.len() + b) as u32;
+        read_block(&mut src, e, pos, &mut buf)?;
+        decode_succ(&buf, n, pos, &mut succ)?;
     }
 
     // The graph section is validated (checksum + structure) whenever
@@ -330,27 +421,14 @@ pub(crate) fn from_bytes_v2<W: PortableWeight>(bytes: &[u8]) -> Result<Oracle<W>
     // load: "every bit flip in the file is detected" must hold for the
     // whole file, not just the bytes this particular read path consumed.
     let graph: Option<Graph<W>> = match layout.graph {
-        Some((pos, ref e)) => Some(parse_graph_section(block(e, pos)?, n, pos)?),
+        Some((pos, e)) => {
+            read_block(&mut src, e, pos, &mut buf)?;
+            Some(parse_graph_section(&buf, n, pos)?)
+        }
         None => None,
     };
 
     let succ: Box<[NodeId]> = if header.has_succ {
-        let mut succ = Vec::with_capacity(n * n);
-        let base = layout.dist.len() as u32;
-        for (b, e) in layout.succ.iter().enumerate() {
-            let pos = base + b as u32;
-            let blob = block(e, pos)?;
-            for chunk in blob.chunks_exact(4) {
-                let s = NodeId::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-                if s != NO_SUCC && s as usize >= n {
-                    return Err(SnapshotError::BlockCorrupt {
-                        block: pos,
-                        what: "successor id out of range",
-                    });
-                }
-                succ.push(s);
-            }
-        }
         check_plane(n, &dist, &succ).map_err(SnapshotError::Corrupt)?;
         succ.into_boxed_slice()
     } else {

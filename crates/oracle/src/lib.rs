@@ -22,10 +22,9 @@
 //!   v2 format: [`Oracle::save`] / [`Oracle::to_bytes`] with the default
 //!   [`V2Config`], [`Oracle::save_v2`] with any, e.g. one that drops the
 //!   successor plane on disk and embeds the graph instead. [`Oracle::load`]
-//!   / [`Oracle::from_bytes`] read it eagerly, and still read the legacy
-//!   monolithic v1 format as a migration path. Saves are atomic: temp
-//!   file + fsync + rename, so a crashed writer can never leave a torn
-//!   snapshot where a watcher might load it.
+//!   / [`Oracle::from_bytes`] read it eagerly, one block at a time.
+//!   Saves are atomic: temp file + fsync + rename, so a crashed writer
+//!   can never leave a torn snapshot where a watcher might load it.
 //! * [`PagedOracle`] — the out-of-core backend: opens any saved snapshot,
 //!   validates only header + index eagerly, and pages blocks in lazily
 //!   under a byte budget ([`PagedConfig`]) with per-block checksum
@@ -85,4 +84,4 @@ pub use engine::{CacheStats, EngineConfig, QueryEngine, QueryError};
 pub use format_v2::V2Config;
 pub use oracle::{successor_derivations, IntoOracle, Oracle, NO_SUCC};
 pub use paged::{PagedConfig, PagedOracle, PagedStats};
-pub use snapshot::{PortableWeight, SnapshotError, MAGIC, VERSION, VERSION_V2};
+pub use snapshot::{PortableWeight, SnapshotError, MAGIC, VERSION_V2};

@@ -20,18 +20,17 @@
 
 use crate::engine::QueryError;
 use crate::format_v2::{
-    parse_footer, parse_graph_section, parse_header_v2, parse_index, IndexEntry, FOOTER_LEN,
-    HEADER_V2_LEN,
+    check_block, decode_dist, decode_succ, parse_graph_section, read_block, read_exact_at,
+    read_layout, IndexEntry,
 };
 use crate::lru::LruCache;
 use crate::oracle::{
     derive_target_from_col, k_nearest_in_row, tick_derivation, walk_succ_column, NO_SUCC,
 };
-use crate::snapshot::{fnv1a, PortableWeight, SnapshotError};
+use crate::snapshot::{PortableWeight, SnapshotError};
 use congest_graph::{Graph, NodeId, Weight};
 use congest_telemetry::{Counter, Gauge};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -161,39 +160,18 @@ impl<W: PortableWeight> PagedOracle<W> {
     /// distance or successor block — those page in on first use.
     ///
     /// # Errors
-    /// Every malformed-input condition surfaces as a [`SnapshotError`]
-    /// (a legacy v1 file is `UnsupportedVersion { found: 1 }` — convert
-    /// it with `congest-serve make-snapshot <out> --from <old>`),
+    /// Every malformed-input condition surfaces as a [`SnapshotError`],
     /// filesystem failures as [`SnapshotError::Io`].
     pub fn open(path: impl AsRef<Path>, cfg: PagedConfig) -> Result<Self, SnapshotError> {
         let mut file = File::open(path).map_err(SnapshotError::Io)?;
-        let file_len = file.metadata().map_err(SnapshotError::Io)?.len();
-        let min = HEADER_V2_LEN + FOOTER_LEN;
-        if file_len < min as u64 {
-            return Err(SnapshotError::Truncated { expected: min, got: file_len as usize });
-        }
-        let mut head = [0u8; HEADER_V2_LEN];
-        file.read_exact(&mut head).map_err(SnapshotError::Io)?;
-        let header = parse_header_v2(&head, W::TAG)?;
-        let mut foot = [0u8; FOOTER_LEN];
-        file.seek(SeekFrom::End(-(FOOTER_LEN as i64))).map_err(SnapshotError::Io)?;
-        file.read_exact(&mut foot).map_err(SnapshotError::Io)?;
-        let (ioff, ilen, ifnv) = parse_footer(file_len, &foot)?;
-        let mut ibytes = vec![0u8; ilen as usize];
-        file.seek(SeekFrom::Start(ioff)).map_err(SnapshotError::Io)?;
-        file.read_exact(&mut ibytes).map_err(SnapshotError::Io)?;
-        let layout = parse_index(header, &ibytes, ioff, ifnv)?;
-        let graph = if header.has_succ {
-            None
-        } else {
-            let (pos, e) = layout.graph.expect("flags guarantee a graph without successors");
-            let mut blob = vec![0u8; e.len as usize];
-            file.seek(SeekFrom::Start(e.offset)).map_err(SnapshotError::Io)?;
-            file.read_exact(&mut blob).map_err(SnapshotError::Io)?;
-            if fnv1a(&blob) != e.fnv {
-                return Err(SnapshotError::BlockCorrupt { block: pos, what: "checksum mismatch" });
+        let (header, layout) = read_layout(&mut file, W::TAG)?;
+        let graph = match layout.graph {
+            Some((pos, e)) if !header.has_succ => {
+                let mut blob = Vec::new();
+                read_block(&mut file, e, pos, &mut blob)?;
+                Some(parse_graph_section::<W>(&blob, header.n, pos)?)
             }
-            Some(parse_graph_section::<W>(&blob, header.n, pos)?)
+            _ => None,
         };
         Ok(PagedOracle {
             n: header.n,
@@ -321,23 +299,16 @@ impl<W: Weight> PagedOracle<W> {
         }
     }
 
-    /// One positioned read under the file lock; checksum verification
-    /// happens at the caller, outside the lock.
-    fn read_range(&self, e: IndexEntry) -> std::io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; e.len as usize];
-        let mut f = self.file.lock().expect("snapshot file poisoned");
-        f.seek(SeekFrom::Start(e.offset))?;
-        f.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
     /// Reads + validates block `e` (whose index position is `pos`),
-    /// ticking the validation counters.
+    /// ticking the validation counters. Only the positioned read holds
+    /// the file lock; the checksum runs outside it.
     fn read_block(&self, e: IndexEntry, pos: u32) -> Result<Vec<u8>, QueryError> {
-        let bytes = self.read_range(e).map_err(|_| QueryError::BlockUnavailable { block: pos })?;
-        if fnv1a(&bytes) != e.fnv {
-            return Err(QueryError::BlockUnavailable { block: pos });
-        }
+        let unavailable = QueryError::BlockUnavailable { block: pos };
+        let mut bytes = vec![0u8; e.len as usize];
+        let mut file = self.file.lock().expect("snapshot file poisoned");
+        read_exact_at(&mut *file, e.offset, &mut bytes).map_err(|_| unavailable)?;
+        drop(file);
+        check_block(&bytes, e, pos).map_err(|_| unavailable)?;
         self.validations.fetch_add(1, Ordering::Relaxed);
         if congest_telemetry::enabled() {
             self.tele.validations.inc();
@@ -351,13 +322,11 @@ impl<W: Weight> PagedOracle<W> {
         if let Some(Page::Dist(p)) = self.cache_get(key) {
             return Ok(p);
         }
-        let bytes = self.read_block(self.dist_index[b], b as u32)?;
+        let pos = b as u32;
+        let bytes = self.read_block(self.dist_index[b], pos)?;
         let mut cells: Vec<W> = Vec::with_capacity(bytes.len() / 8);
-        for chunk in bytes.chunks_exact(8) {
-            let w = (self.decode)(chunk.try_into().expect("8-byte chunk"))
-                .ok_or(QueryError::BlockUnavailable { block: b as u32 })?;
-            cells.push(w);
-        }
+        decode_dist(&bytes, self.decode, pos, &mut cells)
+            .map_err(|_| QueryError::BlockUnavailable { block: pos })?;
         let p: Arc<[W]> = cells.into();
         self.insert_page(key, Page::Dist(p.clone()));
         Ok(p)
@@ -372,13 +341,8 @@ impl<W: Weight> PagedOracle<W> {
         let pos = (self.blocks + b) as u32;
         let bytes = self.read_block(self.succ_index[b], pos)?;
         let mut cells: Vec<NodeId> = Vec::with_capacity(bytes.len() / 4);
-        for chunk in bytes.chunks_exact(4) {
-            let s = NodeId::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            if s != NO_SUCC && s as usize >= self.n {
-                return Err(QueryError::BlockUnavailable { block: pos });
-            }
-            cells.push(s);
-        }
+        decode_succ(&bytes, self.n, pos, &mut cells)
+            .map_err(|_| QueryError::BlockUnavailable { block: pos })?;
         let p: Arc<[NodeId]> = cells.into();
         self.insert_page(key, Page::Succ(p.clone()));
         Ok(p)

@@ -8,8 +8,7 @@
 //!   snapshot (weight type `u64`, `--block-rows` rows per block, default
 //!   64) that `serve` can load eagerly or `--paged`. `--no-successors`
 //!   drops the successor plane and embeds the graph instead; `--from OLD`
-//!   converts an existing snapshot, legacy v1 included, instead of
-//!   generating one.
+//!   re-blocks an existing snapshot instead of generating one.
 //! - `serve <snapshot> [--addr A] [--watch-ms N] [--window N] [--max-conns N]
 //!   [--paged] [--resident-mb M]` serves the snapshot until
 //!   SIGTERM/SIGINT, then drains in-flight requests, closes the

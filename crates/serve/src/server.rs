@@ -74,9 +74,10 @@ impl From<std::io::Error> for ServeError {
 /// backend the operator chose.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BackendMode {
-    /// Load the whole snapshot into RAM: any file
-    /// [`Oracle::load`](congest_oracle::Oracle::load) reads, legacy v1
-    /// images included.
+    /// Load the whole snapshot into RAM with
+    /// [`Oracle::load`](congest_oracle::Oracle::load): n²·12 bytes
+    /// resident (8-byte distances plus 4-byte successors), and a hot swap
+    /// briefly holds two generations while the old one drains.
     Eager,
     /// Serve straight from a v2 file via
     /// [`PagedOracle`], keeping at most
@@ -218,10 +219,9 @@ impl Metrics {
 /// within the filesystem's mtime granularity — same second, different
 /// bytes — still triggers a reload. The leading block covers the
 /// snapshot header and the start of the distance arena; the trailing
-/// block covers the index + footer (the trailer checksum on a legacy v1
-/// file), which change whenever **any** byte of the payload does — so a
-/// same-length edit past the first block can no longer slip past the
-/// watcher.
+/// block covers the index + footer, which change whenever **any** byte
+/// of the payload does — so a same-length edit past the first block can
+/// no longer slip past the watcher.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct SnapshotStamp {
     mtime: Option<SystemTime>,

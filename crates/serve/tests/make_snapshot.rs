@@ -1,14 +1,10 @@
 //! `congest-serve make-snapshot` writes only the blocked v2 format, every
-//! file it writes pages bit-identically to its eager load, it still
-//! converts legacy v1 files, and the binary rejects flags it does not
-//! know instead of falling back to a default.
+//! file it writes pages bit-identically to its eager load, it refuses
+//! legacy v1 files, and the binary rejects flags it does not know instead
+//! of falling back to a default.
 
-use congest_graph::generators::{gnm_connected, WeightDist};
-use congest_graph::seq::apsp_dijkstra;
 use congest_graph::NodeId;
-use congest_oracle::{
-    Oracle, PagedConfig, PagedOracle, PortableWeight, MAGIC, NO_SUCC, VERSION, VERSION_V2,
-};
+use congest_oracle::{Oracle, PagedConfig, PagedOracle, PortableWeight, MAGIC, VERSION_V2};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -30,34 +26,6 @@ fn path_str(p: &Path) -> &str {
     p.to_str().unwrap()
 }
 
-/// A legacy v1 image of `o`, encoded from its public queries rather than
-/// by the library: header, row-major distances, target-major successors,
-/// then the FNV-1a 64 of every preceding byte.
-fn v1_image(o: &Oracle<u64>) -> Vec<u8> {
-    let n = o.n() as NodeId;
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(<u64 as PortableWeight>::TAG);
-    buf.push(0); // flags, reserved
-    buf.extend_from_slice(&u64::from(n).to_le_bytes());
-    for u in 0..n {
-        for v in 0..n {
-            buf.extend_from_slice(&o.distance(u, v).to_le_bytes());
-        }
-    }
-    for v in 0..n {
-        for u in 0..n {
-            buf.extend_from_slice(&o.successor(u, v).unwrap_or(NO_SUCC).to_le_bytes());
-        }
-    }
-    let sum = buf.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    });
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
-}
-
 /// `path` must be a v2 file that a paged reader, under a budget of a
 /// quarter of the file, serves exactly like `eager`.
 fn assert_v2_pages_like(path: &Path, eager: &Oracle<u64>) {
@@ -77,20 +45,25 @@ fn assert_v2_pages_like(path: &Path, eager: &Oracle<u64>) {
 }
 
 #[test]
-fn make_snapshot_converts_a_v1_image_for_paged_serving() {
-    let dir = scratch("convert");
-    let g = gnm_connected(20, 60, true, WeightDist::Uniform(1, 30), 5);
-    let oracle = Oracle::from_dist(&g, apsp_dijkstra(&g));
+fn make_snapshot_refuses_a_v1_image() {
+    let dir = scratch("refuse_v1");
+    // A legacy v1 image of a 4-node oracle: magic, version 1, weight tag,
+    // flags, n, then the n²·12-byte arenas and an 8-byte trailer checksum.
+    let mut v1 = MAGIC.to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&[<u64 as PortableWeight>::TAG, 0]);
+    v1.extend_from_slice(&4u64.to_le_bytes());
+    v1.resize(20 + 4 * 4 * 12 + 8, 0);
     let old = dir.join("old.snap");
-    std::fs::write(&old, v1_image(&oracle)).unwrap();
-    assert_eq!(Oracle::<u64>::load(&old).unwrap(), oracle, "the v1 reader must still load it");
+    std::fs::write(&old, v1).unwrap();
 
     let new = dir.join("new.snap");
     let out =
         run(&["make-snapshot", path_str(&new), "--from", path_str(&old), "--block-rows", "4"]);
-    assert!(out.status.success(), "conversion failed: {out:?}");
-    assert_eq!(Oracle::<u64>::load(&new).unwrap(), oracle);
-    assert_v2_pages_like(&new, &oracle);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unsupported snapshot version 1"), "{stderr}");
+    assert!(!new.exists(), "a refused conversion must write nothing");
     std::fs::remove_dir_all(&dir).ok();
 }
 

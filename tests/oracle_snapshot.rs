@@ -2,8 +2,7 @@
 //! write: byte-exact round trips through memory and disk, and graceful
 //! `Err` (never a panic) on malformed input — version and weight-type
 //! mismatches, bit flips, and trailing garbage. Truncation at every
-//! prefix length is `oracle_snapshot_v2::v2_truncation_is_graceful_at_every_length`;
-//! the legacy v1 reader is covered by the oracle crate's unit tests.
+//! prefix length is `oracle_snapshot_v2::v2_truncation_is_graceful_at_every_length`.
 
 use congest_graph::generators::{gnm_connected, Family, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
@@ -53,12 +52,14 @@ fn version_mismatch_is_a_graceful_err() {
         Err(SnapshotError::UnsupportedVersion { found }) => assert_eq!(found, VERSION_V2 + 97),
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    // A v2 payload relabeled v1 must come back as a typed error from the
-    // v1 reader (its length and trailer checksum cannot match), not a panic.
+    // The legacy v1 format is refused by its header alone.
     let mut bytes = sample(6, 3).to_bytes();
     bytes[8] = 1;
     bytes[9] = 0;
-    assert!(Oracle::<u64>::from_bytes(&bytes).is_err());
+    assert!(matches!(
+        Oracle::<u64>::from_bytes(&bytes),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
+    ));
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! block size and for the file `Oracle::save` writes; per-block corruption
 //! that is typed and names the damaged block; graceful truncation at
 //! every length; hostile-index rejection; and eviction-under-load
-//! correctness with a resident budget a fraction of the file size.
+//! correctness with a resident budget a fraction of the file size. Every
+//! damaged image is also written to disk, where `Oracle::load` (which
+//! streams the file) must fail exactly as `Oracle::from_bytes` does.
 
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
@@ -57,6 +59,14 @@ fn patch_entry(bytes: &mut [u8], i: usize, entry: (u64, u64, u64)) {
     bytes[foot + 16..foot + 24].copy_from_slice(&ifnv.to_le_bytes());
     let ffnv = fnv1a(&bytes[foot..foot + 24]);
     bytes[foot + 24..foot + 32].copy_from_slice(&ffnv.to_le_bytes());
+}
+
+/// `Oracle::load` of `path`, which holds `bytes`, must fail with the same
+/// error as `Oracle::from_bytes(bytes)`.
+fn assert_load_fails_like_from_bytes(path: &std::path::Path, bytes: &[u8]) {
+    let from_bytes = Oracle::<u64>::from_bytes(bytes).expect_err("damaged image loaded");
+    let load = Oracle::<u64>::load(path).expect_err("damaged file loaded");
+    assert_eq!(format!("{load:?}"), format!("{from_bytes:?}"));
 }
 
 fn write_v2(oracle: &Oracle<u64>, cfg: &V2Config<u64>, name: &str) -> std::path::PathBuf {
@@ -192,6 +202,7 @@ fn per_block_bit_flip_is_typed_and_names_the_block() {
         // touch block b fail, and the error names it. Blocks live in
         // row-partition order, so block b covers rows [4b, 4b+4).
         std::fs::write(&path, &bad).unwrap();
+        assert_load_fails_like_from_bytes(&path, &bad);
         let paged = PagedOracle::<u64>::open(&path, PagedConfig::default()).unwrap();
         let row_in_block = (b % 5 * 4) as NodeId;
         let (hit, miss) = if b < 5 {
@@ -224,10 +235,16 @@ fn per_block_bit_flip_is_typed_and_names_the_block() {
 fn v2_truncation_is_graceful_at_every_length() {
     let (_, oracle) = sample(6, 2);
     let bytes = oracle.to_bytes_v2(&V2Config { block_rows: 2, ..V2Config::default() }).unwrap();
+    let path = temp("truncated");
     for cut in 0..bytes.len() {
         assert!(Oracle::<u64>::from_bytes(&bytes[..cut]).is_err(), "cut at {cut} must not load");
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        assert!(Oracle::<u64>::load(&path).is_err(), "file cut at {cut} must not load");
     }
     assert_eq!(Oracle::<u64>::from_bytes(&bytes).unwrap(), oracle);
+    std::fs::write(&path, &bytes).unwrap();
+    assert_eq!(Oracle::<u64>::load(&path).unwrap(), oracle);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -252,8 +269,9 @@ fn hostile_index_is_rejected_not_trusted() {
     patch_entry(&mut bad, 0, (clean.len() as u64, entries[0].1, entries[0].2));
     assert!(Oracle::<u64>::from_bytes(&bad).is_err(), "out-of-range offset accepted");
 
-    // Every variant must also be rejected by the lazy opener, which is
-    // exactly the codepath an attacker-controlled file would reach.
+    // Every variant must also be rejected from a file, by the lazy
+    // opener and the streaming loader: exactly the codepaths an
+    // attacker-controlled file would reach.
     for patch in [
         entries[0],
         (entries[0].0, u64::MAX / 2, entries[0].2),
@@ -263,6 +281,7 @@ fn hostile_index_is_rejected_not_trusted() {
         patch_entry(&mut bad, 1, patch);
         std::fs::write(&path, &bad).unwrap();
         assert!(PagedOracle::<u64>::open(&path, PagedConfig::default()).is_err());
+        assert_load_fails_like_from_bytes(&path, &bad);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -285,8 +304,8 @@ fn derivation_inconsistency_is_an_error_not_a_panic() {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz: the v2 loader, like v1, must never panic on mutated input, and
-// anything it accepts must serve the original answers.
+// Fuzz: the v2 loader must never panic on mutated input, and anything it
+// accepts must serve the original answers.
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
