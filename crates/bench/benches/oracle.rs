@@ -337,11 +337,11 @@ fn bench_oracle(c: &mut Criterion) {
     );
 
     // -------- build-from-outcome: the zero-copy compute → serve handoff --------
-    // Two variants of the boundary. A *plane-less* outcome (tracking off,
-    // or a pre-Step-7 snapshot) pays the reverse-BFS successor derivation;
-    // a *Step-7-tracked* outcome hands its successor plane over by move and
-    // only pays the plane-validation sweep — the derivation counter proves
-    // the reverse BFS never runs on that path.
+    // Two variants of the boundary. A *plane-less* outcome (a hand-built
+    // matrix, or a snapshot saved without its plane) pays the reverse-BFS
+    // successor derivation; a *Step-7-tracked* outcome hands its successor
+    // plane over by move and only pays the plane-validation sweep — the
+    // derivation counter proves the reverse BFS never runs on that path.
     let dist_for_supplied = dist.clone();
     let outcome = ApspOutcome {
         dist,

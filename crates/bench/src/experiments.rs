@@ -1,4 +1,4 @@
-//! Experiment implementations T1–T5 / F1–F4 and E1, one function per id;
+//! Experiment implementations T1–T5 / F2–F4, one function per id;
 //! [`run`] dispatches by id, and each result's CSV lands in
 //! `results/<id>.csv`.
 
@@ -15,12 +15,9 @@ use congest_apsp::{Algorithm, ApspConfig, BlockerMethod, Charging, Solver};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, dijkstra, Direction};
 use congest_graph::{DistMatrix, NodeId};
-use congest_oracle::{EngineConfig, IntoOracle, QueryEngine};
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::fmt::Write as _;
 use std::fs;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Output of one experiment: a rendered text table plus CSV lines.
 pub struct ExperimentOutput {
@@ -212,26 +209,6 @@ pub fn t1_deep(big: bool) -> ExperimentOutput {
     ExperimentOutput { id: "t1deep", table, csv }
 }
 
-/// F1 — the T1 data as log-log series (for plotting).
-#[must_use]
-pub fn f1(big: bool) -> ExperimentOutput {
-    let t = t1(big, Charging::Quiesce);
-    let mut table = String::from("F1: log-log series (ln n, ln rounds) per algorithm\n");
-    for line in t.csv.lines().skip(1) {
-        let fields: Vec<f64> = line.split(',').take(5).map(|x| x.parse().unwrap()).collect();
-        let _ = writeln!(
-            table,
-            "ln n = {:.3}: paper {:.3}, rand {:.3}, ar18 {:.3}, naive {:.3}",
-            fields[0].ln(),
-            fields[1].ln(),
-            fields[2].ln(),
-            fields[3].ln(),
-            fields[4].ln()
-        );
-    }
-    ExperimentOutput { id: "f1", table, csv: t.csv }
-}
-
 /// T2 — blocker constructions: size and rounds, greedy \[2\] vs Algorithm 2
 /// vs Algorithm 2′, on a hop-deep workload, h sweep.
 #[must_use]
@@ -259,7 +236,6 @@ pub fn t2(n: usize) -> ExperimentOutput {
             &sources,
             h,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -351,7 +327,6 @@ pub fn f2() -> ExperimentOutput {
             &sources,
             3,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -434,7 +409,7 @@ pub fn t3() -> ExperimentOutput {
         let cfg = ApspConfig::default();
         let q: Vec<NodeId> = (0..n as NodeId).step_by(5).collect();
         let exact = apsp_dijkstra(&g);
-        let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+        let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut rec = Recorder::new();
@@ -490,7 +465,7 @@ pub fn f3() -> ExperimentOutput {
     let cfg = ApspConfig::default();
     let q: Vec<NodeId> = (0..n as NodeId).step_by(4).collect();
     let exact = apsp_dijkstra(&g);
-    let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+    let dvals = RoutedTable::new(DistMatrix::from_rows(
         (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
     ));
     let mut rec = Recorder::new();
@@ -645,7 +620,7 @@ pub fn f4() -> ExperimentOutput {
     let cfg = ApspConfig::default();
     let q: Vec<NodeId> = (0..n as NodeId).step_by(4).collect();
     let exact = apsp_dijkstra(&g);
-    let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+    let dvals = RoutedTable::new(DistMatrix::from_rows(
         (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
     ));
     let _ = writeln!(table, "F4a: Step-9 queue discipline ablation (n={n}, |Q|={})", q.len());
@@ -696,7 +671,6 @@ pub fn f4() -> ExperimentOutput {
             &sources,
             3,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -714,7 +688,6 @@ pub fn f4() -> ExperimentOutput {
             &sources,
             3,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -741,7 +714,6 @@ pub fn f4() -> ExperimentOutput {
                     3,
                     None,
                     false,
-                    false,
                     SimConfig::default(),
                     Charging::Quiesce,
                 )
@@ -767,7 +739,6 @@ pub fn f4() -> ExperimentOutput {
                 parent,
                 children,
                 first,
-                tracked: false,
             };
             if plain_coll.check_consistency(&g).is_err() {
                 bad = true;
@@ -788,153 +759,21 @@ pub fn f4() -> ExperimentOutput {
     ExperimentOutput { id: "f4", table, csv }
 }
 
-/// E1 — the compute → serve vertical slice: `Solver` → `into_oracle()` →
-/// `QueryEngine`, end to end. Records simulated rounds, wall-clock compute
-/// time, oracle build time (the distance arena is *moved* into the oracle,
-/// so this is purely successor derivation), snapshot size, and served
-/// queries/sec for a mixed dist/path burst.
-#[must_use]
-pub fn e1_oracle(big: bool) -> ExperimentOutput {
-    use congest_telemetry::json::{obj, Json};
-    const QUERIES: u64 = 200_000;
-    let mut table = String::new();
-    let mut csv = String::from(
-        "n,rounds,q,compute_ms,oracle_build_ms,snapshot_bytes,queries,serve_qps,cache_hit_rate\n",
-    );
-    // The whole slice runs instrumented: solver spans, per-phase rows, op
-    // latency histograms, and shard-cache gauges all land in the run
-    // manifest written at the end.
-    congest_telemetry::enable();
-    let mut size_rows: Vec<Json> = Vec::new();
-    let _ = writeln!(
-        table,
-        "E1: compute -> serve vertical slice (Solver -> into_oracle -> QueryEngine, {QUERIES} mixed queries)"
-    );
-    let _ = writeln!(
-        table,
-        "{:>5} {:>9} {:>4} {:>11} {:>9} {:>10} {:>12} {:>9}",
-        "n", "rounds", "|Q|", "compute-ms", "build-ms", "snapshot", "serve-qps", "hit-rate"
-    );
-    let sizes: &[usize] = if big { &[32, 48, 64, 96] } else { &[32, 48, 64] };
-    for &n in sizes {
-        let g = sparse_random(n, 4000 + n as u64);
-        let t0 = Instant::now();
-        let out = Solver::builder(&g).run().unwrap();
-        let compute_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let rounds = out.recorder.total_rounds();
-        let q = out.meta.q.len();
-        let phase_rows = out.recorder.manifest_rows();
-        assert_eq!(out.dist, apsp_dijkstra(&g), "e2e slice must stay exact");
-
-        let t0 = Instant::now();
-        let oracle = out.into_oracle(&g);
-        let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let snapshot_bytes = oracle.to_bytes().len();
-
-        let engine =
-            QueryEngine::new(Arc::new(oracle), EngineConfig { shards: 8, cache_per_shard: 1024 });
-        let t0 = Instant::now();
-        let mut state = 0x5EED_u64 + n as u64;
-        for i in 0..QUERIES {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let u = (state % n as u64) as NodeId;
-            let v = ((state >> 32) % n as u64) as NodeId;
-            if i % 8 == 0 {
-                let _ = engine.path(u, v).expect("in range");
-            } else {
-                let _ = engine.dist(u, v).expect("in range");
-            }
-        }
-        let qps = QUERIES as f64 / t0.elapsed().as_secs_f64();
-        engine.publish_gauges();
-        let stats = engine.cache_stats();
-        let hit_rate = stats.hit_rate();
-        let shard_rows: Vec<Json> = engine
-            .shard_stats()
-            .iter()
-            .map(|s| {
-                obj(vec![
-                    ("hits", Json::U64(s.hits)),
-                    ("misses", Json::U64(s.misses)),
-                    ("hit_rate", Json::F64((s.hit_rate() * 1000.0).round() / 1000.0)),
-                ])
-            })
-            .collect();
-        size_rows.push(obj(vec![
-            ("n", Json::from(n)),
-            ("rounds", Json::U64(rounds)),
-            ("q", Json::from(q)),
-            ("compute_ms", Json::F64((compute_ms * 10.0).round() / 10.0)),
-            ("oracle_build_ms", Json::F64((build_ms * 100.0).round() / 100.0)),
-            ("snapshot_bytes", Json::from(snapshot_bytes)),
-            ("serve_qps", Json::F64(qps.round())),
-            ("cache_hit_rate", Json::F64((hit_rate * 1000.0).round() / 1000.0)),
-            ("shards", Json::Arr(shard_rows)),
-            ("phases", Json::Arr(phase_rows.iter().map(phase_row_json).collect())),
-        ]));
-        let _ = writeln!(
-            table,
-            "{n:>5} {rounds:>9} {q:>4} {compute_ms:>11.1} {build_ms:>9.2} {snapshot_bytes:>10} {qps:>12.0} {hit_rate:>9.3}"
-        );
-        let _ = writeln!(
-            csv,
-            "{n},{rounds},{q},{compute_ms:.1},{build_ms:.2},{snapshot_bytes},{QUERIES},{qps:.0},{hit_rate:.3}"
-        );
-    }
-    let manifest = congest_telemetry::Manifest::new("experiment-e1")
-        .field(
-            "experiment",
-            Json::from("compute -> serve vertical slice (Solver -> into_oracle -> QueryEngine)"),
-        )
-        .field(
-            "knobs",
-            obj(vec![
-                ("queries", Json::U64(QUERIES)),
-                ("shards", Json::U64(8)),
-                ("cache_per_shard", Json::U64(1024)),
-                ("big", Json::Bool(big)),
-                ("graph", Json::from("sparse_random(n, seed 4000+n)")),
-            ]),
-        )
-        .field("sizes", Json::Arr(size_rows))
-        .metrics(congest_telemetry::global().registry());
-    congest_telemetry::disable();
-    if let Ok(path) = manifest.write_run("results") {
-        let _ = writeln!(table, "\nrun manifest: {}", path.display());
-    }
-    let _ = writeln!(
-        table,
-        "\n(build-ms is plane validation only: the n^2 distance arena and the Step-7 successor plane move into the oracle with zero copies and zero reverse-BFS derivations)"
-    );
-    ExperimentOutput { id: "e1", table, csv }
-}
-
-/// [`congest_telemetry::PhaseRow`] as a manifest JSON object (the
-/// `Manifest::phases` section does the same for whole-run tables; here
-/// each e1 size carries its own).
-fn phase_row_json(r: &congest_telemetry::PhaseRow) -> congest_telemetry::json::Json {
-    use congest_telemetry::json::{obj, Json};
-    obj(vec![
-        ("name", Json::from(r.name.as_str())),
-        ("rounds", Json::U64(r.rounds)),
-        ("messages", Json::U64(r.messages)),
-        ("payload_words", Json::U64(r.payload_words)),
-        ("max_msg_words", Json::from(r.max_msg_words)),
-        ("max_node_congestion", Json::U64(r.max_node_congestion)),
-        ("wall_ns", Json::U64(r.wall_ns)),
-    ])
-}
+/// Every id [`run`] accepts. `all` runs each of the others except `t1wc`.
+pub const IDS: [&str; 11] =
+    ["t1", "t1wc", "t1deep", "t2", "f2", "t3", "f3", "t4", "t5", "f4", "all"];
 
 /// Runs one experiment by id.
+///
+/// # Panics
+/// Panics on an id not in [`IDS`], and when an experiment finds an
+/// inexact result.
 #[must_use]
 pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
     match id {
         "t1" => vec![t1(big, Charging::Quiesce).persist()],
         "t1wc" => vec![t1(false, Charging::WorstCase).persist()],
         "t1deep" => vec![t1_deep(big).persist()],
-        "f1" => vec![f1(big).persist()],
         "t2" => vec![t2(64).persist()],
         "f2" => vec![f2().persist()],
         "t3" => vec![t3().persist()],
@@ -942,14 +781,11 @@ pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
         "t4" => vec![t4().persist()],
         "t5" => vec![t5().persist()],
         "f4" => vec![f4().persist()],
-        "e1" | "oracle" => vec![e1_oracle(big).persist()],
-        "all" => {
-            let mut v = Vec::new();
-            for id in ["t1", "t1deep", "f1", "t2", "f2", "t3", "f3", "t4", "t5", "f4", "e1"] {
-                v.extend(run(id, big));
-            }
-            v
-        }
+        "all" => IDS
+            .into_iter()
+            .filter(|&id| id != "t1wc" && id != "all")
+            .flat_map(|id| run(id, big))
+            .collect(),
         other => panic!("unknown experiment id: {other}"),
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Experiment harness regenerating the paper's round-complexity
 //! comparisons (the empiricized Table 1) and the per-lemma validation
-//! experiments T1–T5 / F1–F4, one function each in [`experiments`].
+//! experiments T1–T5 / F2–F4, one function each in [`experiments`].
 //!
-//! Run `cargo run -p congest-bench --release --bin experiments -- all`
+//! Run `cargo run -p congest_bench --release --bin experiments -- all`
 //! (or a single experiment id) to print the tables; CSV copies land in
-//! `results/`. The `e1`/`oracle` experiment exercises the compute → serve
-//! vertical slice (`Solver` → `into_oracle()` → `QueryEngine`).
+//! `results/`.
 
 #![warn(missing_docs)]
 #![deny(deprecated)]

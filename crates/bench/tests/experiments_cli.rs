@@ -1,0 +1,33 @@
+//! The `experiments` binary checks every argument before it runs anything:
+//! an unknown id or flag prints the usage and the valid ids to stderr,
+//! exits 2 and leaves no `results/` behind.
+
+use std::process::Command;
+
+const BIN: &str = env!("CARGO_BIN_EXE_experiments");
+
+/// Runs the binary on `args` in a fresh working directory and checks the
+/// rejection contract. A valid id leads every case, so an argument check
+/// that ran after the experiments would leave `results/` behind.
+fn assert_rejected(test: &str, args: &[&str]) {
+    let dir =
+        std::env::temp_dir().join(format!("congest-experiments-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(BIN).args(args).current_dir(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+    assert!(stderr.contains("t1 t1wc t1deep t2 f2 t3 f3 t4 t5 f4 all"), "{args:?}: {stderr}");
+    assert!(!dir.join("results").exists(), "{args:?}: an experiment ran before the check");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_id_exits_2_before_any_experiment_runs() {
+    assert_rejected("id", &["t4", "t6"]);
+}
+
+#[test]
+fn unknown_flag_exits_2_before_any_experiment_runs() {
+    assert_rejected("flag", &["t4", "--bigg"]);
+}

@@ -60,9 +60,8 @@ pub struct ApspMeta {
 /// arena (`dist[x][t]`, `INF` when unreachable), per-phase round
 /// accounting, and run metadata.
 ///
-/// With successor tracking on (the [`crate::Solver`] default), `dist` also
-/// carries the target-major successor plane filled *during* the
-/// distributed phases — `dist.successor(u, v)` is the first hop from `u`
+/// `dist` also carries the target-major successor plane filled *during*
+/// the distributed phases — `dist.successor(u, v)` is the first hop from `u`
 /// toward `v` — which `congest_oracle::Oracle::from_dist` adopts by move,
 /// skipping its reverse-BFS derivation entirely.
 #[derive(Clone, Debug)]
@@ -119,10 +118,9 @@ pub(crate) fn run_ar20<W: Weight>(
     let mut meta = ApspMeta { h: cfg.hop_param(n), ..Default::default() };
     let h = meta.h;
     let sim = cfg.sim;
-    let track = cfg.track_successors;
 
-    // Step 1: h-CSSSP for V (tracking first hops when Step-7 successor
-    // tracking is on — the extension seeds reuse them).
+    // Step 1: h-CSSSP for V (its out-trees thread first hops — the
+    // extension seeds reuse them).
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
     let coll = build_csssp(
         g,
@@ -130,7 +128,6 @@ pub(crate) fn run_ar20<W: Weight>(
         &sources,
         h,
         Direction::Out,
-        track,
         sim,
         cfg.charging,
         &mut rec,
@@ -175,10 +172,9 @@ pub(crate) fn run_ar20<W: Weight>(
     // Step 3: h-in-SSSP per blocker; to_q[qi][x] = δ_h(x, q_qi) at x. An
     // in-direction parent pointer *is* the next hop from x toward the
     // blocker, so successor tracking needs no extra message traffic here —
-    // each node keeps its local parent as routing state (only materialized
-    // when tracking is on).
+    // each node keeps its local parent as routing state.
     let mut to_q: Vec<Vec<W>> = Vec::with_capacity(q.len());
-    let mut to_q_next: Vec<Vec<NodeId>> = Vec::with_capacity(if track { q.len() } else { 0 });
+    let mut to_q_next: Vec<Vec<NodeId>> = Vec::with_capacity(q.len());
     for &c in &q {
         // Sentinel note: these trees run without the repair sub-phase, so
         // only the hop budget and the root entry are checkable — stale
@@ -186,16 +182,12 @@ pub(crate) fn run_ar20<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("step3: h-in-SSSP({c})"),
             sim,
-            |sim| {
-                run_bf(g, &topo, c, Direction::In, h as u64, None, false, false, sim, cfg.charging)
-            },
+            |sim| run_bf(g, &topo, c, Direction::In, h as u64, None, false, sim, cfg.charging),
             |res| sentinels::bounded_tree(c, h as u64, res),
         )?;
         rec.record(format!("step3: h-in-SSSP({c})"), rep);
         to_q.push(res.entries.iter().map(|e| e.dist).collect());
-        if track {
-            to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
-        }
+        to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
     }
 
     // Step 4: every c broadcasts (c, c', δ_h(c, c')) — |Q|² values, each
@@ -229,23 +221,21 @@ pub(crate) fn run_ar20<W: Weight>(
 
     // Step 5 (local): min-plus closure of the Q×Q matrix, then
     // dvals[x][qi] = δ(x, q_qi). Every node performs the same closure on
-    // the broadcast matrix; the orchestrator mirrors it once. With
-    // tracking on, the closure also carries first-hop provenance:
+    // the broadcast matrix; the orchestrator mirrors it once. The closure
+    // also carries first-hop provenance:
     // `closure_fh[i][j]` is the first *graph* hop out of node q_i on the
     // realizing path toward q_j — local knowledge at q_i (its Step-3
     // parents) combined with the broadcast matrix, so every node can still
     // compute its own rows without extra communication.
     let mut closure = vec![vec![W::INF; qn]; qn];
-    let mut closure_fh = if track { vec![vec![NO_SUCC; qn]; qn] } else { Vec::new() };
+    let mut closure_fh = vec![vec![NO_SUCC; qn]; qn];
     for qi in 0..qn {
         closure[qi][qi] = W::ZERO;
         for qj in 0..qn {
             let d = to_q[qj][q[qi] as usize];
             if d < closure[qi][qj] {
                 closure[qi][qj] = d;
-                if track {
-                    closure_fh[qi][qj] = to_q_next[qj][q[qi] as usize];
-                }
+                closure_fh[qi][qj] = to_q_next[qj][q[qi] as usize];
             }
         }
     }
@@ -258,22 +248,16 @@ pub(crate) fn run_ar20<W: Weight>(
                 let via = closure[i][k].plus(closure[k][j]);
                 if via < closure[i][j] {
                     closure[i][j] = via;
-                    if track {
-                        closure_fh[i][j] = closure_fh[i][k];
-                    }
+                    closure_fh[i][j] = closure_fh[i][k];
                 }
             }
         }
     }
-    let mut dvals = if track {
-        RoutedTable::tracked(DistMatrix::filled(n, qn, W::INF))
-    } else {
-        RoutedTable::untracked(DistMatrix::filled(n, qn, W::INF))
-    };
+    let mut dvals = RoutedTable::new(DistMatrix::filled(n, qn, W::INF));
     for x in 0..n {
         for qi in 0..qn {
             let mut best = to_q[qi][x];
-            let mut first = if track { to_q_next[qi][x] } else { NO_SUCC };
+            let mut first = to_q_next[qi][x];
             for qj in 0..qn {
                 let seg = to_q[qj][x];
                 if seg.is_inf() {
@@ -285,10 +269,7 @@ pub(crate) fn run_ar20<W: Weight>(
                     // The combined path starts with the δ_h(x, q_j)
                     // segment, unless x *is* q_j — then it starts inside
                     // the closure.
-                    if track {
-                        first =
-                            if q[qj] as usize == x { closure_fh[qj][qi] } else { to_q_next[qj][x] };
-                    }
+                    first = if q[qj] as usize == x { closure_fh[qj][qi] } else { to_q_next[qj][x] };
                 }
             }
             dvals.dist.set(x, qi, best);
@@ -333,8 +314,7 @@ pub(crate) fn run_ar20<W: Weight>(
         )?,
     };
 
-    // Step 7: h-hop extension per source (assembles the successor plane
-    // when tracking is on).
+    // Step 7: h-hop extension per source (assembles the successor plane).
     let dist = extend_all_sources(g, &topo, cfg, &coll, &q, &at_blocker, &mut rec, &mut rc)?;
 
     // Final whole-matrix certificate (fault-active runs only): zero

@@ -1,5 +1,5 @@
 //! Baseline APSP algorithms from Table 1 of the paper, for the empirical
-//! round-complexity comparison (experiment T1/F1). Both are selected
+//! round-complexity comparison (experiment T1). Both are selected
 //! through [`crate::Solver`] via [`crate::Algorithm`].
 //!
 //! * `Naive` — one full Bellman–Ford per source: the folklore O(n²)
@@ -25,10 +25,9 @@ use congest_sim::{Recorder, Topology};
 /// One full Bellman–Ford per source (n sequential SSSPs). The engine
 /// behind [`crate::Solver`] with [`crate::Algorithm::Naive`].
 ///
-/// With successor tracking on, each SSSP threads first hops through its
-/// relax messages, so the outcome carries the same target-major successor
-/// plane the AR pipelines produce — an independent witness for the
-/// differential plane tests.
+/// Each SSSP threads first hops through its relax messages, so the outcome
+/// carries the same target-major successor plane the AR pipelines produce
+/// — an independent witness for the differential plane tests.
 pub(crate) fn run_naive<W: Weight>(
     g: &Graph<W>,
     cfg: &ApspConfig,
@@ -40,18 +39,14 @@ pub(crate) fn run_naive<W: Weight>(
     let topo = Topology::from_graph(g);
     let mut rec = Recorder::new();
     let mut rc = Recovery::from_config(cfg);
-    let track = cfg.track_successors;
-    let mut dist = DistMatrix::square(n, W::INF);
-    if track {
-        dist = dist.with_empty_successors();
-    }
+    let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n as NodeId {
         // A full-horizon SSSP admits a complete certificate: realizable
         // parents (telescoping) plus the relaxation fixed point.
         let (res, rep) = rc.phase(
             &format!("naive: SSSP({x})"),
             cfg.sim,
-            |sim| run_full_sssp(g, &topo, x, Direction::Out, track, sim, cfg.charging),
+            |sim| run_full_sssp(g, &topo, x, Direction::Out, sim, cfg.charging),
             |res| {
                 sentinels::repaired_tree(g, Direction::Out, x, res)?;
                 sentinels::exact_row(g, Direction::Out, x, |t| res.entries[t].dist)
@@ -60,9 +55,7 @@ pub(crate) fn run_naive<W: Weight>(
         rec.record(format!("naive: SSSP({x})"), rep);
         for t in 0..n {
             dist[x as usize][t] = res.entries[t].dist;
-            if track {
-                dist.set_successor(x, t as NodeId, res.entries[t].first.unwrap_or(NO_SUCC));
-            }
+            dist.set_successor(x, t as NodeId, res.entries[t].first.unwrap_or(NO_SUCC));
         }
     }
     crate::recovery::final_certificate(g, &dist, &rc)?;
@@ -86,7 +79,6 @@ pub(crate) fn run_ar18<W: Weight>(
     let h = (n as f64).sqrt().ceil() as usize;
     let mut meta = ApspMeta { h, ..Default::default() };
     let sim = cfg.sim;
-    let track = cfg.track_successors;
 
     // Step 1: h-CSSSP for V.
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
@@ -96,7 +88,6 @@ pub(crate) fn run_ar18<W: Weight>(
         &sources,
         h,
         Direction::Out,
-        track,
         sim,
         cfg.charging,
         &mut rec,
@@ -117,12 +108,12 @@ pub(crate) fn run_ar18<W: Weight>(
 
     // Step 3: full in-SSSP and out-SSSP per blocker (O(n) rounds each).
     // For successor tracking, an in-SSSP parent at x doubles as x's next
-    // hop toward the blocker, and the out-SSSP runs tracked so a blocker
-    // source x = c knows its own first hop toward every sink.
+    // hop toward the blocker, and the out-SSSP threads first hops so a
+    // blocker source x = c knows its own first hop toward every sink.
     let mut to_q: Vec<Vec<W>> = Vec::with_capacity(q.len()); // δ(x, c) at x
-    let mut to_q_next: Vec<Vec<NodeId>> = Vec::new(); // tracked only
+    let mut to_q_next: Vec<Vec<NodeId>> = Vec::with_capacity(q.len()); // next hop at x
     let mut from_q: Vec<Vec<W>> = Vec::with_capacity(q.len()); // δ(c, t) at t
-    let mut from_q_first: Vec<Vec<NodeId>> = Vec::new(); // tracked only
+    let mut from_q_first: Vec<Vec<NodeId>> = Vec::with_capacity(q.len()); // c's first hop
     for &c in &q {
         let full_cert = |dir: Direction| {
             move |res: &crate::bf::BfTreeResult<W>| {
@@ -133,25 +124,21 @@ pub(crate) fn run_ar18<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("ar18/step3: in-SSSP({c})"),
             sim,
-            |sim| run_full_sssp(g, &topo, c, Direction::In, false, sim, cfg.charging),
+            |sim| run_full_sssp(g, &topo, c, Direction::In, sim, cfg.charging),
             full_cert(Direction::In),
         )?;
         rec.record(format!("ar18/step3: in-SSSP({c})"), rep);
         to_q.push(res.entries.iter().map(|e| e.dist).collect());
-        if track {
-            to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
-        }
+        to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
         let (res, rep) = rc.phase(
             &format!("ar18/step3: out-SSSP({c})"),
             sim,
-            |sim| run_full_sssp(g, &topo, c, Direction::Out, track, sim, cfg.charging),
+            |sim| run_full_sssp(g, &topo, c, Direction::Out, sim, cfg.charging),
             full_cert(Direction::Out),
         )?;
         rec.record(format!("ar18/step3: out-SSSP({c})"), rep);
         from_q.push(res.entries.iter().map(|e| e.dist).collect());
-        if track {
-            from_q_first.push(res.entries.iter().map(|e| e.first.unwrap_or(NO_SUCC)).collect());
-        }
+        from_q_first.push(res.entries.iter().map(|e| e.first.unwrap_or(NO_SUCC)).collect());
     }
 
     // Step 4: broadcast the n×|Q| table (O(n·|Q|) rounds, Lemma A.2), one
@@ -179,16 +166,13 @@ pub(crate) fn run_ar18<W: Weight>(
 
     // Step 5 (local at every sink t): δ(x,t) = min(δ_h(x,t),
     // min_c δ(x,c) + δ(c,t)), tracking the first hop of the winning
-    // decomposition when successor tracking is on.
+    // decomposition.
     rec.record_local("ar18/step5: local combine");
-    let mut dist = DistMatrix::square(n, W::INF);
-    if track {
-        dist = dist.with_empty_successors();
-    }
+    let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n {
         for t in 0..n {
             let mut best = if x == t { W::ZERO } else { coll.dist[t][x] };
-            let mut first = if x == t || !track { NO_SUCC } else { coll.first[t][x] };
+            let mut first = if x == t { NO_SUCC } else { coll.first[t][x] };
             for qi in 0..q.len() {
                 let a = to_q[qi][x];
                 let b = from_q[qi][t];
@@ -200,23 +184,16 @@ pub(crate) fn run_ar18<W: Weight>(
                     best = via;
                     // Path x →(in-tree) c →(out-tree) t starts on the
                     // in-tree segment unless x is the blocker itself.
-                    if track {
-                        first = if q[qi] as usize == x {
-                            from_q_first[qi][t]
-                        } else {
-                            to_q_next[qi][x]
-                        };
-                    }
+                    first =
+                        if q[qi] as usize == x { from_q_first[qi][t] } else { to_q_next[qi][x] };
                 }
             }
             dist[x][t] = best;
-            if track {
-                dist.set_successor(
-                    x as NodeId,
-                    t as NodeId,
-                    if best.is_inf() { NO_SUCC } else { first },
-                );
-            }
+            dist.set_successor(
+                x as NodeId,
+                t as NodeId,
+                if best.is_inf() { NO_SUCC } else { first },
+            );
         }
     }
     crate::recovery::final_certificate(g, &dist, &rc)?;

@@ -43,10 +43,11 @@ pub struct BfEntry<W> {
     /// Parent toward the root (`None` at the root / unreached / seeded).
     pub parent: Option<NodeId>,
     /// First hop of the canonical path *as traversed from its origin*
-    /// (Step-7 successor tracking; only filled when the run tracks). For an
-    /// out-direction run this is the successor of the origin toward this
-    /// node. `None` at the origin, at seeded nodes whose path starts there,
-    /// when unreached, or when tracking is off.
+    /// (Step-7 successor tracking): the successor of the origin toward
+    /// this node. Only out-direction runs fill it; an in-direction entry's
+    /// `parent` already is its next hop toward the root. `None` at the
+    /// origin, at seeded nodes whose path starts there, when unreached,
+    /// and throughout in-direction runs.
     pub first: Option<NodeId>,
 }
 
@@ -63,25 +64,15 @@ impl<W: Weight> BfEntry<W> {
 }
 
 /// Seed values for an extension run (§5): per node an initial distance
-/// plus, when successor tracking is on, the first hop of the path the seed
-/// value summarizes (so downstream relaxations keep routing information
-/// anchored at the true path origin).
+/// plus the first hop of the path the seed value summarizes (so downstream
+/// relaxations keep routing information anchored at the true path origin).
 #[derive(Copy, Clone, Debug)]
 pub struct BfSeeds<'a, W> {
     /// Per-node initial distance; `W::INF` means "no seed".
     pub dist: &'a [W],
     /// Per-node first hop accompanying each seed value ([`NO_SUCC`] when
-    /// the path starts at the seeded node). `None` disables seed-level
-    /// tracking even if the run itself tracks.
-    pub first: Option<&'a [NodeId]>,
-}
-
-impl<'a, W> BfSeeds<'a, W> {
-    /// Distance-only seeds (tracking-off runs and legacy callers).
-    #[must_use]
-    pub fn dists(dist: &'a [W]) -> Self {
-        BfSeeds { dist, first: None }
-    }
+    /// the path starts at the seeded node).
+    pub first: &'a [NodeId],
 }
 
 /// Result of a single-source run.
@@ -101,10 +92,10 @@ pub struct BfTreeResult<W> {
 #[derive(Clone, Debug)]
 enum BfMsg<W> {
     /// Relaxation announcement: candidate (dist, hops) *including* the
-    /// connecting edge weight. When the run tracks successors, `first`
-    /// carries the first hop of the candidate path from its origin —
-    /// [`NO_SUCC`] meaning "the path starts at the sender, so *you* are the
-    /// first hop" — one extra id word on the wire.
+    /// connecting edge weight. In an out-direction run `first` carries the
+    /// first hop of the candidate path from its origin — [`NO_SUCC`]
+    /// meaning "the path starts at the sender, so *you* are the first hop"
+    /// — one extra id word on the wire.
     Relax { dist: W, hops: u32, first: NodeId },
     /// Post-run child adoption notification.
     Adopt,
@@ -133,7 +124,8 @@ struct BfNode<W> {
     /// Whether the horizon-repair phase runs (off for seeded extension
     /// runs, whose output is distances only).
     repair: bool,
-    /// Whether relax messages carry (and entries record) first hops.
+    /// Whether relax messages carry (and entries record) first hops: true
+    /// exactly for out-direction runs.
     track: bool,
     finished: bool,
 }
@@ -231,14 +223,8 @@ impl<W: Weight> NodeLogic for BfNode<W> {
 
     fn msg_words(&self, msg: &Self::Msg) -> u32 {
         match msg {
-            // dist + hops, plus one id word when the run tracks successors.
-            BfMsg::Relax { .. } => {
-                if self.track {
-                    3
-                } else {
-                    2
-                }
-            }
+            // dist + hops, plus one id word when the run tracks first hops.
+            BfMsg::Relax { .. } => 2 + u32::from(self.track),
             BfMsg::Confirm { .. } => 2,
             BfMsg::Adopt | BfMsg::Detach => 1,
         }
@@ -262,24 +248,21 @@ fn dedup_min_edges<W: Weight>(iter: impl Iterator<Item = (NodeId, W)>) -> Vec<(N
 /// relaxation rounds (so distances are `δ_rounds`), followed by the O(1)
 /// adopt/confirm and — when `repair` is set — the ≤`rounds` detach repair
 /// sub-phase. `init` optionally seeds distances (h-hop extension, §5),
-/// each optionally annotated with the first hop of the path its value
-/// summarizes.
+/// each annotated with the first hop of the path its value summarizes.
 ///
 /// Pass `repair: true` only when the *tree structure* will be consumed
 /// (CSSSP construction): distances are horizon-correct either way, but
 /// parent pointers can go stale at the relaxation horizon (module docs).
 ///
-/// Pass `track: true` to thread first hops through the relaxation (one
+/// An out-direction run threads first hops through the relaxation (one
 /// extra id word per relax message): every reached entry then reports in
 /// [`BfEntry::first`] the first hop of its canonical path from the origin.
-/// Tracking never changes distances, rounds, or message counts.
+/// An in-direction run carries none — its parent pointers already are the
+/// next hops toward the root. First hops never change distances, rounds,
+/// or message counts.
 ///
 /// # Errors
 /// Propagates engine errors.
-///
-/// # Panics
-/// Panics if `track` is set and `init` seeds carry no first hops — a
-/// tracked run over routing-less seeds would misattribute path origins.
 #[allow(clippy::too_many_arguments)]
 pub fn run_bf<W: Weight>(
     g: &Graph<W>,
@@ -289,22 +272,13 @@ pub fn run_bf<W: Weight>(
     rounds: u64,
     init: Option<BfSeeds<'_, W>>,
     repair: bool,
-    track: bool,
     sim: SimConfig,
     charging: Charging,
 ) -> Result<(BfTreeResult<W>, PhaseReport), SimError> {
     let n = g.n();
     let engine = Engine::new(topo, sim);
     let repair = repair && init.is_none();
-    if let Some(init) = init {
-        // A tracked run relaying first-hop-less seeds would mark every
-        // seeded node as a path origin — silently invalid routing. Callers
-        // must supply the seeds' first hops when tracking.
-        assert!(
-            !track || init.first.is_some(),
-            "tracked seeded runs need BfSeeds::first (NO_SUCC per origin-seeded node)"
-        );
-    }
+    let track = dir == Direction::Out;
     let detach_deadline = if repair { 2 * rounds + 2 } else { rounds };
     let mut nodes: Vec<BfNode<W>> = (0..n as NodeId)
         .map(|v| {
@@ -315,10 +289,7 @@ pub fn run_bf<W: Weight>(
             if let Some(init) = init {
                 let d = init.dist[v as usize];
                 if !d.is_inf() && d < entry.dist {
-                    let first = track
-                        .then(|| init.first.map(|f| f[v as usize]))
-                        .flatten()
-                        .filter(|&f| f != NO_SUCC);
+                    let first = Some(init.first[v as usize]).filter(|&f| track && f != NO_SUCC);
                     entry = BfEntry { dist: d, hops: 0, parent: None, first };
                 }
             }
@@ -378,7 +349,8 @@ pub fn run_bf<W: Weight>(
 /// here: every entry's (dist, parent) pair describes a real walk of weight
 /// exactly `dist`, so at the full horizon (`dist` = δ) the parent edge
 /// telescopes — δ(v) = w(v, parent) + δ(parent) — even if the parent later
-/// improved other fields. `track` as in [`run_bf`].
+/// improved other fields. Out-direction runs thread first hops as in
+/// [`run_bf`].
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -387,11 +359,10 @@ pub fn run_full_sssp<W: Weight>(
     topo: &Topology,
     source: NodeId,
     dir: Direction,
-    track: bool,
     sim: SimConfig,
     charging: Charging,
 ) -> Result<(BfTreeResult<W>, PhaseReport), SimError> {
-    run_bf(g, topo, source, dir, g.n() as u64 - 1, None, false, track, sim, charging)
+    run_bf(g, topo, source, dir, g.n() as u64 - 1, None, false, sim, charging)
 }
 
 #[cfg(test)]
@@ -418,7 +389,6 @@ mod tests {
                     h,
                     None,
                     true,
-                    false,
                     SimConfig::default(),
                     Charging::Quiesce,
                 )
@@ -454,7 +424,6 @@ mod tests {
             3,
             None,
             true,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -480,7 +449,6 @@ mod tests {
                 &topo,
                 2,
                 Direction::Out,
-                false,
                 SimConfig::default(),
                 Charging::Quiesce,
             )
@@ -505,7 +473,6 @@ mod tests {
             h,
             None,
             true,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -531,7 +498,6 @@ mod tests {
                 4,
                 None,
                 true,
-                false,
                 SimConfig::default(),
                 Charging::Quiesce,
             )
@@ -570,7 +536,6 @@ mod tests {
             4,
             None,
             true,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -599,8 +564,7 @@ mod tests {
             0,
             Direction::Out,
             1,
-            Some(BfSeeds::dists(&init)),
-            false,
+            Some(BfSeeds { dist: &init, first: &[congest_graph::NO_SUCC; 4] }),
             false,
             SimConfig::default(),
             Charging::Quiesce,
@@ -622,7 +586,6 @@ mod tests {
             5,
             None,
             true,
-            false,
             SimConfig::default(),
             Charging::WorstCase,
         )
@@ -651,7 +614,6 @@ mod tests {
             2,
             None,
             true,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -672,7 +634,6 @@ mod tests {
                 &topo,
                 0,
                 Direction::Out,
-                true,
                 SimConfig::default(),
                 Charging::Quiesce,
             )
@@ -701,39 +662,24 @@ mod tests {
     }
 
     #[test]
-    fn tracking_perturbs_nothing_but_payload() {
+    fn only_out_direction_runs_track() {
         let g = gnm_connected(18, 40, true, WeightDist::Uniform(0, 9), 4);
         let topo = setup(&g);
-        let run = |track: bool| {
-            run_bf(
-                &g,
-                &topo,
-                0,
-                Direction::Out,
-                4,
-                None,
-                true,
-                track,
-                SimConfig::default(),
-                Charging::Quiesce,
-            )
-            .unwrap()
+        let run = |dir: Direction| {
+            run_bf(&g, &topo, 0, dir, 4, None, true, SimConfig::default(), Charging::Quiesce)
+                .unwrap()
         };
-        let (tracked, rep_t) = run(true);
-        let (plain, rep_p) = run(false);
-        for v in 0..g.n() {
-            assert_eq!(tracked.entries[v].dist, plain.entries[v].dist);
-            assert_eq!(tracked.entries[v].hops, plain.entries[v].hops);
-            assert_eq!(tracked.entries[v].parent, plain.entries[v].parent);
-            assert!(plain.entries[v].first.is_none(), "untracked runs record no first hops");
+        let (out, rep_out) = run(Direction::Out);
+        let (inn, rep_in) = run(Direction::In);
+        for v in 1..g.n() {
+            let e = &out.entries[v];
+            assert_eq!(e.first.is_some(), e.reached(), "out entry {v} must carry its first hop");
+            assert!(inn.entries[v].first.is_none(), "in entry {v} must carry no first hop");
         }
-        assert_eq!(rep_t.rounds, rep_p.rounds);
-        assert_eq!(rep_t.messages, rep_p.messages);
-        assert_eq!(rep_t.node_sent, rep_p.node_sent);
-        // The only difference on the wire: one extra id word per relax.
-        assert_eq!(rep_t.max_msg_words, 3);
-        assert_eq!(rep_p.max_msg_words, 2);
-        assert!(rep_t.payload_words > rep_p.payload_words);
+        // An out relax carries dist + hops + first hop; an in relax only
+        // dist + hops (its parent already is the next hop).
+        assert_eq!(rep_out.max_msg_words, 3);
+        assert_eq!(rep_in.max_msg_words, 2);
     }
 
     #[test]
@@ -754,9 +700,8 @@ mod tests {
             0,
             Direction::Out,
             1,
-            Some(BfSeeds { dist: &init, first: Some(&first) }),
+            Some(BfSeeds { dist: &init, first: &first }),
             false,
-            true,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -783,7 +728,6 @@ mod tests {
             1,
             None,
             true,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
         )

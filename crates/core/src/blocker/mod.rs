@@ -159,7 +159,6 @@ mod tests {
             &sources,
             h,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,

@@ -156,7 +156,6 @@ mod tests {
             sources,
             h,
             Direction::In,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -253,7 +252,6 @@ mod threshold_sweep_tests {
             &sources,
             8,
             Direction::In,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,

@@ -55,13 +55,6 @@ pub struct ApspConfig {
     pub sim: SimConfig,
     /// Seed for the randomized variants (ignored by deterministic ones).
     pub seed: u64,
-    /// Step-7 successor tracking: when on (the default), every distance
-    /// improvement also records the first hop it arrived through, and the
-    /// outcome's `DistMatrix` carries a target-major successor plane the
-    /// serving layer adopts without re-derivation. Tracking widens message
-    /// payloads by one id word but never changes the computed distances,
-    /// round counts, or message counts.
-    pub track_successors: bool,
     /// Optional fault-injection plan: every pipeline phase runs under this
     /// spec (reseeded per phase and attempt) with phase-level
     /// detect-and-recover (see [`crate::recovery`]). `None` (the default)
@@ -84,7 +77,6 @@ impl Default for ApspConfig {
             blocker: BlockerParams::default(),
             sim: SimConfig::default(),
             seed: 0xC0FFEE,
-            track_successors: true,
             fault: None,
             max_phase_retries: 4,
         }

@@ -36,16 +36,12 @@ pub struct SsspCollection<W> {
     /// Children away from the root (members only).
     pub children: Vec<Vec<Vec<NodeId>>>,
     /// `first[v][si]`: the first hop out of the root on the canonical tree
-    /// path to `v` (Out direction; the root's successor toward `v`), as
-    /// threaded through the relax messages when the collection was built
-    /// with successor tracking. [`NO_SUCC`] at the root, for non-members,
-    /// or when the collection is untracked.
+    /// path to `v` (the root's successor toward `v`), as threaded through
+    /// the relax messages. Only out-direction collections fill it; in an
+    /// in-direction collection `parent` already is the next hop toward the
+    /// root. [`NO_SUCC`] at the root, for non-members, and throughout
+    /// in-direction collections.
     pub first: Vec<Vec<NodeId>>,
-    /// Whether the collection was built with successor tracking (i.e. the
-    /// `first` plane is meaningful). Consumers that thread routing
-    /// information further — the Step-7 extension — assert on this instead
-    /// of silently misattributing path origins.
-    pub tracked: bool,
 }
 
 impl<W: Weight> SsspCollection<W> {
@@ -175,10 +171,10 @@ impl<W: Weight> SsspCollection<W> {
 /// source in sequence and truncating at depth h (Lemma A.4; O(|S|·h)
 /// rounds). Phases are recorded into `rec` (one merged entry).
 ///
-/// With `track` on, the per-source runs thread first hops through the
-/// relaxation (one extra id word per relax message) and the collection's
-/// `first` plane reports, at every member `v`, the root's successor toward
-/// `v` — the routing seed Step 7 consumes.
+/// Out-direction runs thread first hops through the relaxation (one extra
+/// id word per relax message) and the collection's `first` plane reports,
+/// at every member `v`, the root's successor toward `v` — the routing seed
+/// Step 7 consumes.
 ///
 /// Every per-source tree runs through `rc` as its own recoverable phase
 /// (sentinel: [`sentinels::repaired_tree`] — the repair sub-phase restores
@@ -195,7 +191,6 @@ pub fn build_csssp<W: Weight>(
     sources: &[NodeId],
     h: usize,
     dir: Direction,
-    track: bool,
     sim: SimConfig,
     charging: Charging,
     rec: &mut Recorder,
@@ -213,7 +208,7 @@ pub fn build_csssp<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("{label} [tree {s}]"),
             sim,
-            |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, true, track, sim, charging),
+            |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, true, sim, charging),
             |res| sentinels::repaired_tree(g, dir, s, res),
         )?;
         total.rounds += rep.rounds;
@@ -253,17 +248,7 @@ pub fn build_csssp<W: Weight>(
         }
     }
     rec.record(label, total);
-    Ok(SsspCollection {
-        sources: sources.to_vec(),
-        h,
-        dir,
-        dist,
-        hops,
-        parent,
-        children,
-        first,
-        tracked: track,
-    })
+    Ok(SsspCollection { sources: sources.to_vec(), h, dir, dist, hops, parent, children, first })
 }
 
 #[cfg(test)]
@@ -271,13 +256,7 @@ mod tests {
     use super::*;
     use congest_graph::generators::{gnm_connected, Family, WeightDist};
 
-    fn build_with(
-        g: &Graph<u64>,
-        sources: &[NodeId],
-        h: usize,
-        dir: Direction,
-        track: bool,
-    ) -> SsspCollection<u64> {
+    fn build(g: &Graph<u64>, sources: &[NodeId], h: usize, dir: Direction) -> SsspCollection<u64> {
         let topo = Topology::from_graph(g);
         let mut rec = Recorder::new();
         build_csssp(
@@ -286,7 +265,6 @@ mod tests {
             sources,
             h,
             dir,
-            track,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -294,10 +272,6 @@ mod tests {
             "csssp",
         )
         .unwrap()
-    }
-
-    fn build(g: &Graph<u64>, sources: &[NodeId], h: usize, dir: Direction) -> SsspCollection<u64> {
-        build_with(g, sources, h, dir, false)
     }
 
     #[test]
@@ -322,7 +296,6 @@ mod tests {
             &sources,
             3,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -389,7 +362,7 @@ mod tests {
         for seed in [9u64, 21] {
             let g = gnm_connected(16, 36, true, WeightDist::Uniform(0, 6), seed);
             let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-            let c = build_with(&g, &sources, h, Direction::Out, true);
+            let c = build(&g, &sources, h, Direction::Out);
             for (si, &s) in c.sources.iter().enumerate() {
                 for v in 0..g.n() {
                     if !c.is_member(v as NodeId, si) || v == s as usize {
@@ -416,10 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn untracked_collection_has_empty_first_plane() {
+    fn in_collection_has_empty_first_plane() {
         let g = gnm_connected(12, 24, true, WeightDist::Uniform(1, 5), 3);
         let sources: Vec<NodeId> = (0..12).collect();
-        let c = build(&g, &sources, 2, Direction::Out);
+        let c = build(&g, &sources, 2, Direction::In);
         assert!(c.first.iter().flatten().all(|&f| f == NO_SUCC));
     }
 
@@ -436,7 +409,6 @@ mod tests {
             &sources,
             h,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::WorstCase,
             &mut rec,

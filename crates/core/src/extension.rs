@@ -6,13 +6,13 @@
 //! then reach every sink with the exact δ(x, t) (Lemma 5.1; O(nh) rounds
 //! total).
 //!
-//! With successor tracking on, every seed is *routed* — it carries the
-//! first hop out of x on the path its value summarizes (Step-1 trees for
-//! the δ_h seeds, the Step-6 delivery for the blocker seeds) — and the
-//! extension's relax messages keep threading that first hop forward. After
-//! the run for source x, node t's entry names x's successor toward t, and
-//! the per-source results aggregate into the target-major successor plane
-//! on the returned matrix: no reverse-BFS post-pass anywhere.
+//! Every seed is *routed* — it carries the first hop out of x on the path
+//! its value summarizes (Step-1 trees for the δ_h seeds, the Step-6
+//! delivery for the blocker seeds) — and the extension's relax messages
+//! keep threading that first hop forward. After the run for source x, node
+//! t's entry names x's successor toward t, and the per-source results
+//! aggregate into the target-major successor plane on the returned matrix:
+//! no reverse-BFS post-pass anywhere.
 
 use crate::bf::{run_bf, BfSeeds};
 use crate::config::ApspConfig;
@@ -24,15 +24,14 @@ use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::{Recorder, SimConfig, Topology};
 
 /// Runs the extension for every source and returns the full distance
-/// matrix `dist[x][t]` — carrying the target-major successor plane when
-/// `cfg.track_successors` is on.
+/// matrix `dist[x][t]` carrying the target-major successor plane.
 ///
-/// * `coll` — the Step-1 h-hop CSSSP (out direction, S = V; tracked when
-///   successor tracking is on).
+/// * `coll` — the Step-1 h-hop CSSSP (out direction, S = V, with its
+///   first-hop plane).
 /// * `q` / `at_blocker` — blocker ids and the `|Q| × n` table
 ///   `at_blocker.dist[qi][x] = δ(x, q_qi)` as delivered by Step 6 (each
 ///   blocker knows its own column, with the first hop out of x riding
-///   along when tracked).
+///   along).
 ///
 /// Every per-source extension runs through `rc` as its own recoverable
 /// phase (sentinel: [`sentinels::exact_row`] — the extension's output row
@@ -42,11 +41,6 @@ use congest_sim::{Recorder, SimConfig, Topology};
 /// # Errors
 /// Propagates engine errors; [`SolverError::Unrecoverable`] when a source
 /// exhausts the retry budget.
-///
-/// # Panics
-/// Panics when `cfg.track_successors` is on but `coll` or a non-empty
-/// `at_blocker` carries no routing information — tracking over
-/// routing-less inputs would produce an invalid plane.
 #[allow(clippy::too_many_arguments)]
 pub fn extend_all_sources<W: Weight>(
     g: &Graph<W>,
@@ -61,64 +55,39 @@ pub fn extend_all_sources<W: Weight>(
     let n = g.n();
     let h = coll.h as u64;
     let sim: SimConfig = cfg.sim;
-    let track = cfg.track_successors;
-    if track {
-        // Fail fast instead of silently misattributing path origins: a
-        // tracked extension over routing-less inputs would seed NO_SUCC
-        // first hops and record blocker/tree neighbors as the sources'
-        // successors — an invalid plane.
-        assert!(
-            coll.tracked,
-            "successor tracking needs a tracked Step-1 collection (build_csssp with track: true)"
-        );
-        assert!(
-            q.is_empty() || at_blocker.is_tracked(),
-            "successor tracking needs a routed blocker table (RoutedTable::tracked)"
-        );
-    }
-    let mut dist = DistMatrix::square(n, W::INF);
-    if track {
-        dist = dist.with_empty_successors();
-    }
+    let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n as NodeId {
         let xi = x as usize;
         // Initialization known locally at each node: blockers hold the
-        // Step-6 value; every tree member holds its Step-1 δ_h(x, ·).
-        // Seed selection is identical with tracking on or off — the first
-        // hops ride along without participating in any comparison.
+        // Step-6 value; every tree member holds its Step-1 δ_h(x, ·). The
+        // first hops ride along without participating in any comparison.
         let mut init = vec![W::INF; n];
-        let mut init_first = track.then(|| vec![NO_SUCC; n]);
+        let mut init_first = vec![NO_SUCC; n];
         for (qi, &c) in q.iter().enumerate() {
             init[c as usize] = at_blocker.dist[qi][xi];
-            if let Some(fi) = init_first.as_mut() {
-                fi[c as usize] = at_blocker.first_at(qi, xi);
-            }
+            init_first[c as usize] = at_blocker.first_at(qi, xi);
         }
         for t in 0..n {
             let d = coll.dist[t][xi];
             if d < init[t] {
                 init[t] = d;
-                if let Some(fi) = init_first.as_mut() {
-                    fi[t] = coll.first[t][xi];
-                }
+                init_first[t] = coll.first[t][xi];
             }
         }
         let (res, rep) = rc.phase(
             &format!("step7: extension from {x}"),
             sim,
             |sim| {
-                let seeds = BfSeeds { dist: &init, first: init_first.as_deref() };
-                run_bf(g, topo, x, Direction::Out, h, Some(seeds), false, track, sim, cfg.charging)
+                let seeds = BfSeeds { dist: &init, first: &init_first };
+                run_bf(g, topo, x, Direction::Out, h, Some(seeds), false, sim, cfg.charging)
             },
             |res| sentinels::exact_row(g, Direction::Out, x, |t| res.entries[t].dist),
         )?;
         rec.record(format!("step7: extension from {x}"), rep);
         for t in 0..n {
             dist[xi][t] = res.entries[t].dist;
-            if track {
-                // Target-major aggregation: x's successor toward t.
-                dist.set_successor(x, t as NodeId, res.entries[t].first.unwrap_or(NO_SUCC));
-            }
+            // Target-major aggregation: x's successor toward t.
+            dist.set_successor(x, t as NodeId, res.entries[t].first.unwrap_or(NO_SUCC));
         }
     }
     Ok(dist)
@@ -141,9 +110,9 @@ mod tests {
         let n = 14;
         let g = gnm_connected(n, 30, true, WeightDist::Uniform(0, 9), 4);
         let topo = Topology::from_graph(&g);
-        // This harness feeds oracle distances without routing info, so run
-        // the extension untracked.
-        let cfg = ApspConfig { h: Some(2), track_successors: false, ..Default::default() };
+        // This harness feeds oracle distances without first hops, so only
+        // the distances are checked.
+        let cfg = ApspConfig { h: Some(2), ..Default::default() };
         let mut rec = Recorder::new();
         let sources: Vec<NodeId> = (0..n as NodeId).collect();
         let coll = build_csssp(
@@ -152,7 +121,6 @@ mod tests {
             &sources,
             2,
             congest_graph::seq::Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -163,7 +131,7 @@ mod tests {
         let exact = apsp_dijkstra(&g);
         let q: Vec<NodeId> = (0..n as NodeId).collect();
         // at_blocker[qi][x] = δ(x, qi)
-        let at_blocker = RoutedTable::untracked(congest_graph::DistMatrix::from_rows(
+        let at_blocker = RoutedTable::new(congest_graph::DistMatrix::from_rows(
             (0..n).map(|c| (0..n).map(|x| exact[x][c]).collect()).collect(),
         ));
         let dist = extend_all_sources(
@@ -186,7 +154,7 @@ mod tests {
         let g = gnm_connected(n, 24, true, WeightDist::Uniform(1, 7), 6);
         let topo = Topology::from_graph(&g);
         let h = 3;
-        let cfg = ApspConfig { h: Some(h), track_successors: false, ..Default::default() };
+        let cfg = ApspConfig { h: Some(h), ..Default::default() };
         let mut rec = Recorder::new();
         let sources: Vec<NodeId> = (0..n as NodeId).collect();
         let coll = build_csssp(
@@ -195,7 +163,6 @@ mod tests {
             &sources,
             h,
             congest_graph::seq::Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -203,7 +170,7 @@ mod tests {
             "csssp",
         )
         .unwrap();
-        let empty = RoutedTable::untracked(congest_graph::DistMatrix::filled(0, n, u64::INF));
+        let empty = RoutedTable::new(congest_graph::DistMatrix::filled(0, n, u64::INF));
         let dist = extend_all_sources(
             &g,
             &topo,

@@ -13,7 +13,7 @@
 //! [`DistMatrix`](congest_graph::DistMatrix) arena:
 //!
 //! ```
-//! use congest_apsp::{Algorithm, BlockerMethod, Solver, Step6Method, Verbosity};
+//! use congest_apsp::{Algorithm, BlockerMethod, Solver, Step6Method};
 //! use congest_graph::generators::{gnm_connected, WeightDist};
 //!
 //! let g = gnm_connected(16, 32, true, WeightDist::Uniform(0, 9), 42);
@@ -25,8 +25,7 @@
 //!
 //! // Every knob is an explicit builder method.
 //! let compared = Solver::builder(&g)
-//!     .algorithm(Algorithm::Ar18)   // the Õ(n^{3/2}) predecessor
-//!     .verbosity(Verbosity::Summary) // collapse phase accounting
+//!     .algorithm(Algorithm::Ar18) // the Õ(n^{3/2}) predecessor
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(compared.dist, out.dist);
@@ -42,12 +41,15 @@
 //!
 //! ## Step-7 successor tracking (routing, not just distances)
 //!
-//! By default every algorithm also performs *distributed successor
-//! tracking*: each relax/push message carries the first hop of the path it
-//! summarizes (one extra O(log n)-bit id word, visible in the recorder's
-//! payload accounting), so as distances settle every node also learns its
-//! next hop, exactly as in the AR18 deterministic APSP construction. The
-//! outcome's `dist` then carries a target-major successor plane:
+//! Every algorithm also performs *distributed successor tracking*, as in
+//! the AR18 deterministic APSP construction the paper's §5 extension
+//! builds on. Each out-direction relax message and each Step-6 push or
+//! broadcast item carries the first hop of the path it summarizes. That is
+//! one extra O(log n)-bit id word, visible in the recorder's payload
+//! accounting. In-direction trees carry none: their parent pointers
+//! already are the next hops toward the root. So as distances settle every
+//! node also learns its next hop, and the outcome's `dist` carries a
+//! target-major successor plane:
 //!
 //! ```
 //! use congest_apsp::Solver;
@@ -55,20 +57,17 @@
 //!
 //! let g = gnm_connected(12, 24, true, WeightDist::Uniform(1, 9), 7);
 //! let out = Solver::builder(&g).run().unwrap();
-//! let plane = out.dist.successors().expect("tracking is on by default");
+//! let plane = out.dist.successors().expect("every outcome carries a plane");
 //! assert_eq!(plane.len(), 12 * 12);
 //! // dist.successor(u, v) = first hop from u toward v.
-//! let distances_only = Solver::builder(&g).track_successors(false).run().unwrap();
-//! assert!(distances_only.dist.successors().is_none());
-//! assert_eq!(out.dist, distances_only.dist); // tracking never perturbs distances
 //! ```
 //!
 //! The serving layer picks the result up without copying:
 //! `out.into_oracle(&g)` (via `congest_oracle::IntoOracle`) moves the n²
-//! arena — and the successor plane, when present — straight into a
-//! query-ready `Oracle`, skipping the oracle's reverse-BFS successor
-//! derivation entirely (`congest_oracle::successor_derivations` witnesses
-//! the zero-derivation handoff).
+//! arena and the successor plane straight into a query-ready `Oracle`,
+//! skipping the oracle's reverse-BFS successor derivation entirely
+//! (`congest_oracle::successor_derivations` witnesses the zero-derivation
+//! handoff).
 //!
 //! ## Fault model & recovery
 //!
@@ -139,4 +138,4 @@ pub mod trees;
 pub use apsp::{ApspMeta, ApspOutcome, BlockerMethod, Step6Method};
 pub use config::{ApspConfig, BlockerParams, Charging};
 pub use recovery::{FaultReport, Recovery, SolverError};
-pub use solver::{Algorithm, Solver, SolverBuilder, Verbosity};
+pub use solver::{Algorithm, Solver, SolverBuilder};

@@ -43,47 +43,34 @@ pub enum PushDiscipline {
     LongestFirst,
 }
 
-/// A value table paired with an optional first-hop plane of the same
-/// shape — the routing-aware currency of Steps 5–7.
+/// A value table paired with a first-hop plane of the same shape — the
+/// routing-aware currency of Steps 5–7.
 ///
 /// `dist[r][c]` is a distance whose path starts at some origin node
 /// (conventionally the *source* coordinate of the table: row `x` for the
 /// n×|Q| `dvals` table, column `x` for the |Q|×n blocker table), and
 /// `first_at(r, c)` is the first edge out of that origin on a path
 /// realizing the value ([`NO_SUCC`] for zero-length paths, unreachable
-/// pairs, or untracked tables). Keeping the two planes together is what
+/// pairs, or cells nobody routed). Keeping the two planes together is what
 /// lets Step 6 deliver *routed* distances to the blockers and Step 7 seed
 /// its extension runs with paths anchored at the true origin.
 #[derive(Clone, Debug)]
 pub struct RoutedTable<W> {
     /// The value table.
     pub dist: DistMatrix<W>,
-    /// The parallel first-hop plane (row-major, same shape); `None` when
-    /// the producing pipeline ran with successor tracking off.
-    pub first: Option<Box<[NodeId]>>,
+    /// The parallel first-hop plane (row-major, same shape).
+    pub first: Box<[NodeId]>,
 }
 
 impl<W: Weight> RoutedTable<W> {
-    /// Wraps a table without routing information (tracking off).
-    #[must_use]
-    pub fn untracked(dist: DistMatrix<W>) -> Self {
-        RoutedTable { dist, first: None }
-    }
-
     /// Wraps a table with an empty ([`NO_SUCC`]-filled) first-hop plane.
     #[must_use]
-    pub fn tracked(dist: DistMatrix<W>) -> Self {
+    pub fn new(dist: DistMatrix<W>) -> Self {
         let cells = dist.rows() * dist.cols();
-        RoutedTable { dist, first: Some(vec![NO_SUCC; cells].into_boxed_slice()) }
+        RoutedTable { dist, first: vec![NO_SUCC; cells].into_boxed_slice() }
     }
 
-    /// `true` iff the table carries a first-hop plane.
-    #[must_use]
-    pub fn is_tracked(&self) -> bool {
-        self.first.is_some()
-    }
-
-    /// First hop recorded for cell `(r, c)`; [`NO_SUCC`] when untracked.
+    /// First hop recorded for cell `(r, c)`.
     ///
     /// # Panics
     /// Panics if `(r, c)` is out of range.
@@ -92,10 +79,10 @@ impl<W: Weight> RoutedTable<W> {
     pub fn first_at(&self, r: usize, c: usize) -> NodeId {
         let (rows, cols) = (self.dist.rows(), self.dist.cols());
         assert!(r < rows && c < cols, "cell ({r}, {c}) out of range");
-        self.first.as_ref().map_or(NO_SUCC, |f| f[r * cols + c])
+        self.first[r * cols + c]
     }
 
-    /// Records `first` for cell `(r, c)`; no-op when untracked.
+    /// Records `first` for cell `(r, c)`.
     ///
     /// # Panics
     /// Panics if `(r, c)` is out of range.
@@ -103,9 +90,7 @@ impl<W: Weight> RoutedTable<W> {
     pub fn set_first(&mut self, r: usize, c: usize, first: NodeId) {
         let (rows, cols) = (self.dist.rows(), self.dist.cols());
         assert!(r < rows && c < cols, "cell ({r}, {c}) out of range");
-        if let Some(f) = self.first.as_mut() {
-            f[r * cols + c] = first;
-        }
+        self.first[r * cols + c] = first;
     }
 }
 
@@ -138,8 +123,8 @@ struct RrMsg<W> {
     qi: u32,
     x: NodeId,
     dist: W,
-    /// First hop from `x` on the path realizing `dist` ([`NO_SUCC`] when
-    /// the run does not track successors); one extra id word on the wire.
+    /// First hop from `x` on the path realizing `dist`; one extra id word
+    /// on the wire.
     first: NodeId,
 }
 
@@ -159,8 +144,6 @@ struct RrNode<W> {
     received: Vec<(u32, NodeId, W, NodeId)>,
     /// (round, nonempty-queue count) at power-of-two rounds.
     checkpoints: Vec<(u64, usize)>,
-    /// Whether the push carries first hops (affects payload accounting).
-    track: bool,
 }
 
 impl<W: Weight> NodeLogic for RrNode<W> {
@@ -211,21 +194,16 @@ impl<W: Weight> NodeLogic for RrNode<W> {
     }
 
     fn msg_words(&self, _msg: &Self::Msg) -> u32 {
-        // tree index + source id + distance, plus the first-hop id when
-        // successor tracking rides along.
-        if self.track {
-            4
-        } else {
-            3
-        }
+        // tree index + source id + distance + first-hop id.
+        4
     }
 }
 
 /// The reversed q-sink propagation: delivers the `n × |Q|` table
-/// `dvals.dist[x][qi] = δ(x, q[qi])` (with its first-hop plane, when
-/// tracked) from every x to blocker `q[qi]`. Returns the `|Q| × n` table
-/// `out.dist[qi][x]` as known at the blocker (INF where no path exists) —
-/// tracked iff `dvals` is — plus the stats.
+/// `dvals.dist[x][qi] = δ(x, q[qi])` with its first-hop plane from every x
+/// to blocker `q[qi]`. Returns the routed `|Q| × n` table
+/// `out.dist[qi][x]` as known at the blocker (INF where no path exists)
+/// plus the stats.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -259,13 +237,8 @@ pub fn propagate_to_blockers_with<W: Weight>(
     rec: &mut Recorder,
 ) -> Result<(RoutedTable<W>, Step6Stats), SimError> {
     let n = g.n();
-    let track = dvals.is_tracked();
     let mut stats = Step6Stats::default();
-    let mut out = if track {
-        RoutedTable::tracked(DistMatrix::filled(q.len(), n, W::INF))
-    } else {
-        RoutedTable::untracked(DistMatrix::filled(q.len(), n, W::INF))
-    };
+    let mut out = RoutedTable::new(DistMatrix::filled(q.len(), n, W::INF));
     // A blocker trivially knows its own row entry (a zero-length path: no
     // first hop).
     for (qi, &c) in q.iter().enumerate() {
@@ -278,8 +251,8 @@ pub fn propagate_to_blockers_with<W: Weight>(
     let sim = cfg.sim;
 
     // Shared substrate: the n^{2/3}-in-CSSSP for source set Q (Alg 8
-    // Step 1 / Alg 9 input). In-direction trees: no first-hop tracking
-    // needed, the push below forwards the origin's first hop verbatim.
+    // Step 1 / Alg 9 input). In-direction trees carry no first hops: the
+    // push below forwards the origin's first hop verbatim.
     // Recovery is disabled here on purpose: the solver retries Step 6 as
     // one compound unit, so nested per-tree retries would only skew the
     // per-attempt fault accounting.
@@ -289,7 +262,6 @@ pub fn propagate_to_blockers_with<W: Weight>(
         q,
         h2,
         Direction::In,
-        false,
         sim,
         cfg.charging,
         rec,
@@ -353,7 +325,6 @@ pub fn propagate_to_blockers_with<W: Weight>(
                 root_of: (0..q.len()).map(|qi| q[qi] == v as NodeId).collect(),
                 received: Vec::new(),
                 checkpoints: Vec::new(),
-                track,
             }
         })
         .collect();
@@ -387,11 +358,10 @@ pub fn propagate_to_blockers_with<W: Weight>(
 /// Steps 2-4): for each relay r, run full in- and out-SSSP, broadcast
 /// every (x, r, δ(x,r)) and let each blocker c combine δ(x,r) + δ(r,c).
 ///
-/// When `out` is tracked, the broadcast items additionally carry x's next
-/// hop toward the relay (its in-SSSP parent — local knowledge at x), so
-/// each blocker learns the *routed* value. When x is the relay itself the
-/// combined path starts on the relay's out-tree; the relay's out-SSSP runs
-/// with first-hop tracking for exactly that case.
+/// The broadcast items also carry x's next hop toward the relay (its
+/// in-SSSP parent — local knowledge at x), so each blocker learns the
+/// *routed* value. When x is the relay itself the combined path starts on
+/// the relay's out-tree, whose first hops the out-SSSP threads.
 #[allow(clippy::too_many_arguments)]
 fn apply_relay_set<W: Weight>(
     g: &Graph<W>,
@@ -408,26 +378,21 @@ fn apply_relay_set<W: Weight>(
     }
     let n = g.n();
     let sim = cfg.sim;
-    let track = out.is_tracked();
-    // δ(x, r) at x (in-SSSP) and δ(r, c) at c (out-SSSP), r in sequence.
-    // The routing side-tables are only materialized when tracking is on.
+    // δ(x, r) and x's next hop at x (in-SSSP), δ(r, c) and r's first hop
+    // at c (out-SSSP), r in sequence.
     let mut to_relay: Vec<Vec<W>> = Vec::with_capacity(relays.len()); // [ri][x]
-    let mut to_relay_next: Vec<Vec<NodeId>> = Vec::new(); // [ri][x], tracked only
+    let mut to_relay_next: Vec<Vec<NodeId>> = Vec::with_capacity(relays.len()); // [ri][x]
     let mut from_relay: Vec<Vec<W>> = Vec::with_capacity(relays.len()); // [ri][v]
-    let mut from_relay_first: Vec<Vec<NodeId>> = Vec::new(); // [ri][v], tracked only
+    let mut from_relay_first: Vec<Vec<NodeId>> = Vec::with_capacity(relays.len()); // [ri][v]
     for &r in relays {
-        let (res_in, rep) = run_full_sssp(g, topo, r, Direction::In, false, sim, cfg.charging)?;
+        let (res_in, rep) = run_full_sssp(g, topo, r, Direction::In, sim, cfg.charging)?;
         rec.record(format!("step6/{label}: in-SSSP({r})"), rep);
         to_relay.push(res_in.entries.iter().map(|e| e.dist).collect());
-        let (res_out, rep) = run_full_sssp(g, topo, r, Direction::Out, track, sim, cfg.charging)?;
+        let (res_out, rep) = run_full_sssp(g, topo, r, Direction::Out, sim, cfg.charging)?;
         rec.record(format!("step6/{label}: out-SSSP({r})"), rep);
         from_relay.push(res_out.entries.iter().map(|e| e.dist).collect());
-        if track {
-            to_relay_next
-                .push(res_in.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
-            from_relay_first
-                .push(res_out.entries.iter().map(|e| e.first.unwrap_or(NO_SUCC)).collect());
-        }
+        to_relay_next.push(res_in.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
+        from_relay_first.push(res_out.entries.iter().map(|e| e.first.unwrap_or(NO_SUCC)).collect());
     }
     // Broadcast (x, ri, δ(x, r_ri)) plus x's next hop toward the relay:
     // n·|relays| values in O(n·|relays|) rounds (Lemma A.2 / Alg 8 Step 4).
@@ -439,14 +404,14 @@ fn apply_relay_set<W: Weight>(
                     x: x as NodeId,
                     ri: ri as u32,
                     dist: to_relay[ri][x],
-                    first: if track { to_relay_next[ri][x] } else { NO_SUCC },
+                    first: to_relay_next[ri][x],
                 })
                 .collect()
         })
         .collect();
     let nr = relays.len();
     let key = move |it: &BroadcastItem<W>| it.x as usize * nr + it.ri as usize;
-    let (_, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 }, key)?;
+    let (_, rep) = all_to_all_broadcast(topo, sim, initial, 4, key)?;
     rec.record(format!("step6/{label}: (x, r) table broadcast"), rep);
     // Local combine at each blocker (the orchestrator mirrors what node c
     // now knows: the broadcast delivered the full table everywhere).
@@ -464,16 +429,14 @@ fn apply_relay_set<W: Weight>(
                 let via = xr.plus(rc);
                 if via < out.dist[qi][x] {
                     out.dist[qi][x] = via;
-                    if track {
-                        // Path x →(in-tree) r →(out-tree) c: it starts on
-                        // the in-tree segment unless x is the relay itself.
-                        let f = if x == r as usize {
-                            from_relay_first[ri][c as usize]
-                        } else {
-                            to_relay_next[ri][x]
-                        };
-                        out.set_first(qi, x, f);
-                    }
+                    // Path x →(in-tree) r →(out-tree) c: it starts on the
+                    // in-tree segment unless x is the relay itself.
+                    let f = if x == r as usize {
+                        from_relay_first[ri][c as usize]
+                    } else {
+                        to_relay_next[ri][x]
+                    };
+                    out.set_first(qi, x, f);
                 }
             }
         }
@@ -488,7 +451,7 @@ struct BroadcastItem<W: Weight> {
     x: NodeId,
     ri: u32,
     dist: W,
-    /// First hop from `x` ([`NO_SUCC`] when untracked or zero-length).
+    /// First hop from `x` ([`NO_SUCC`] for a zero-length path).
     first: NodeId,
 }
 
@@ -506,7 +469,6 @@ pub fn propagate_trivial_broadcast<W: Weight>(
     rec: &mut Recorder,
 ) -> Result<RoutedTable<W>, SimError> {
     let n = topo.n();
-    let track = dvals.is_tracked();
     let initial: Vec<Vec<BroadcastItem<W>>> = (0..n)
         .map(|x| {
             (0..q.len())
@@ -522,13 +484,9 @@ pub fn propagate_trivial_broadcast<W: Weight>(
         .collect();
     let qn = q.len();
     let key = move |it: &BroadcastItem<W>| it.x as usize * qn + it.ri as usize;
-    let (logs, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 }, key)?;
+    let (logs, rep) = all_to_all_broadcast(topo, sim, initial, 4, key)?;
     rec.record("step6-trivial: full broadcast", rep);
-    let mut out = if track {
-        RoutedTable::tracked(DistMatrix::filled(q.len(), n, W::INF))
-    } else {
-        RoutedTable::untracked(DistMatrix::filled(q.len(), n, W::INF))
-    };
+    let mut out = RoutedTable::new(DistMatrix::filled(q.len(), n, W::INF));
     for (qi, &c) in q.iter().enumerate() {
         out.dist[qi][c as usize] = W::ZERO;
         for item in &logs[c as usize] {
@@ -553,7 +511,7 @@ mod tests {
         let topo = Topology::from_graph(&g);
         let cfg = ApspConfig::default();
         let exact = apsp_dijkstra(&g);
-        let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+        let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut rec = Recorder::new();
@@ -589,7 +547,7 @@ mod tests {
         run_case(16, 8, 5, vec![3, 10]);
     }
 
-    /// A tracked dvals table (exact distances + any valid first hop per
+    /// A routed dvals table (exact distances + any valid first hop per
     /// value) must reach the blockers with first hops that telescope in the
     /// exact metric — whichever of the three delivery mechanisms (alg8
     /// relays, alg9 bottleneck relays, round-robin push) carried each value.
@@ -604,7 +562,7 @@ mod tests {
         let min_edge = |u: usize, f: NodeId| {
             g.out_edges(u as NodeId).filter(|&(t, _)| t == f).map(|(_, w)| w).min()
         };
-        let mut dvals = RoutedTable::tracked(DistMatrix::filled(n, q.len(), u64::INF));
+        let mut dvals = RoutedTable::new(DistMatrix::filled(n, q.len(), u64::INF));
         for x in 0..n {
             for (qi, &c) in q.iter().enumerate() {
                 let d = exact[x][c as usize];
@@ -626,7 +584,6 @@ mod tests {
         let (out, _) =
             propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
                 .unwrap();
-        assert!(out.is_tracked());
         for (qi, &c) in q.iter().enumerate() {
             for x in 0..n {
                 let d = out.dist[qi][x];
@@ -661,7 +618,7 @@ mod tests {
             &cfg,
             BlockerParams::default(),
             &[],
-            &RoutedTable::untracked(DistMatrix::filled(8, 0, u64::INF)),
+            &RoutedTable::new(DistMatrix::filled(8, 0, u64::INF)),
             &mut rec,
         )
         .unwrap();
@@ -676,7 +633,7 @@ mod tests {
         let topo = Topology::from_graph(&g);
         let q: Vec<NodeId> = vec![2, 7, 11];
         let exact = apsp_dijkstra(&g);
-        let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+        let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut rec = Recorder::new();
@@ -697,7 +654,7 @@ mod tests {
         let cfg = ApspConfig::default();
         let q: Vec<NodeId> = vec![1, 5, 9, 13];
         let exact = apsp_dijkstra(&g);
-        let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+        let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut rec = Recorder::new();
@@ -729,7 +686,7 @@ mod discipline_tests {
         let cfg = ApspConfig::default();
         let q: Vec<NodeId> = vec![0, 5, 9, 14];
         let exact = apsp_dijkstra(&g);
-        let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+        let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut reference: Option<DistMatrix<u64>> = None;

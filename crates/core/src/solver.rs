@@ -27,7 +27,7 @@ use crate::config::{ApspConfig, BlockerParams, Charging};
 use crate::recovery::SolverError;
 use congest_graph::{Graph, Weight};
 use congest_sim::fault::FaultSpec;
-use congest_sim::{PhaseReport, Recorder, SimConfig};
+use congest_sim::SimConfig;
 
 /// Which APSP algorithm the [`Solver`] runs.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -43,19 +43,6 @@ pub enum Algorithm {
     /// One full Bellman–Ford per source — the folklore O(n²) baseline.
     /// Ignores the blocker/Step-6 knobs.
     Naive,
-}
-
-/// How much phase-level detail the returned [`Recorder`] keeps.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Verbosity {
-    /// Keep every phase (the full per-step table) — the default.
-    #[default]
-    PerPhase,
-    /// Collapse all phases into a single `total` entry: totals survive,
-    /// per-phase breakdown does not (cheap to keep around in bulk runs).
-    Summary,
-    /// Drop all accounting; `total_rounds()` reads 0.
-    Silent,
 }
 
 /// Builder for a [`Solver`]; obtained via [`Solver::builder`].
@@ -154,28 +141,6 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
         self
     }
 
-    /// Toggles Step-7 successor tracking (default **on** for every
-    /// algorithm). When on, the distributed phases thread first hops
-    /// through their messages and the outcome's `dist` carries the
-    /// target-major successor plane, making
-    /// `congest_oracle::IntoOracle::into_oracle` a zero-derivation adopt.
-    /// When off, the outcome is distances-only and the oracle falls back
-    /// to its reverse-BFS derivation. Tracking never changes the computed
-    /// distances, round counts, or message counts — only the per-message
-    /// payload width (one extra id word on relax/push messages).
-    #[must_use]
-    pub fn track_successors(mut self, track: bool) -> Self {
-        self.solver.cfg.track_successors = track;
-        self
-    }
-
-    /// Sets the recorder verbosity (default [`Verbosity::PerPhase`]).
-    #[must_use]
-    pub fn verbosity(mut self, verbosity: Verbosity) -> Self {
-        self.solver.verbosity = verbosity;
-        self
-    }
-
     /// Finalizes the configuration into a reusable [`Solver`].
     #[must_use]
     pub fn build(self) -> Solver<'g, W> {
@@ -201,13 +166,12 @@ pub struct Solver<'g, W: Weight> {
     algorithm: Algorithm,
     blocker: BlockerMethod,
     step6: Step6Method,
-    verbosity: Verbosity,
 }
 
 impl<'g, W: Weight> Solver<'g, W> {
     /// Starts a builder over `g` with the paper's headline defaults:
     /// `Ar20` / `Derandomized` / `Pipelined`, h = ⌈n^{1/3}⌉, quiescence
-    /// charging, per-phase recording.
+    /// charging.
     #[must_use]
     pub fn builder(g: &'g Graph<W>) -> SolverBuilder<'g, W> {
         SolverBuilder {
@@ -217,7 +181,6 @@ impl<'g, W: Weight> Solver<'g, W> {
                 algorithm: Algorithm::default(),
                 blocker: BlockerMethod::Derandomized,
                 step6: Step6Method::Pipelined,
-                verbosity: Verbosity::default(),
             },
         }
     }
@@ -250,10 +213,9 @@ impl<'g, W: Weight> Solver<'g, W> {
             Algorithm::Naive => run_naive(self.g, &self.cfg),
         };
         if let Some(id) = span {
-            // Emit the per-phase slices from the *full* recorder (span
-            // names = `Recorder` phase labels), then close the solver
-            // span annotated with the algorithm, the knob set, and the
-            // recovery outcome — before any verbosity collapse.
+            // Emit the per-phase slices (span names = `Recorder` phase
+            // labels), then close the solver span annotated with the
+            // algorithm, the knob set, and the recovery outcome.
             let tele = congest_telemetry::global();
             match &result {
                 Ok(out) => {
@@ -263,13 +225,7 @@ impl<'g, W: Weight> Solver<'g, W> {
                 Err(e) => tele.span_end_with(id, vec![("error".to_string(), e.to_string())]),
             }
         }
-        let mut out = result?;
-        match self.verbosity {
-            Verbosity::PerPhase => {}
-            Verbosity::Summary => out.recorder = summarize(&out.recorder),
-            Verbosity::Silent => out.recorder = Recorder::new(),
-        }
-        Ok(out)
+        result
     }
 
     /// Solver-span annotations: algorithm, knob set, recovery outcome.
@@ -283,7 +239,6 @@ impl<'g, W: Weight> Solver<'g, W> {
             ("h".to_string(), out.meta.h.to_string()),
             ("charging".to_string(), format!("{:?}", self.cfg.charging)),
             ("seed".to_string(), self.cfg.seed.to_string()),
-            ("track_successors".to_string(), self.cfg.track_successors.to_string()),
             ("bandwidth".to_string(), self.cfg.sim.bandwidth.to_string()),
             ("retries".to_string(), fr.retries.to_string()),
             ("sentinel_trips".to_string(), fr.sentinel_trips.to_string()),
@@ -294,25 +249,6 @@ impl<'g, W: Weight> Solver<'g, W> {
         }
         attrs
     }
-}
-
-/// Collapses a recorder into a single `total` phase preserving the
-/// aggregate rounds/messages/congestion numbers.
-fn summarize(rec: &Recorder) -> Recorder {
-    let mut total = PhaseReport {
-        rounds: rec.total_rounds(),
-        messages: rec.total_messages(),
-        node_sent: rec.node_sent_totals(),
-        payload_words: rec.total_payload_words(),
-        max_msg_words: rec.max_msg_words(),
-        faults: rec.total_faults(),
-        wall_ns: rec.total_wall_ns(),
-        ..Default::default()
-    };
-    total.peak_in_flight = rec.phases().iter().map(|p| p.peak_in_flight).max().unwrap_or(0);
-    let mut out = Recorder::new();
-    out.record("total", total);
-    out
 }
 
 #[cfg(test)]
@@ -342,26 +278,6 @@ mod tests {
             let out = Solver::builder(&g).algorithm(algorithm).run().unwrap();
             assert_eq!(out.dist, oracle, "{algorithm:?}");
         }
-    }
-
-    #[test]
-    fn summary_verbosity_preserves_totals() {
-        let g = graph();
-        let full = Solver::builder(&g).run().unwrap();
-        let summary = Solver::builder(&g).verbosity(Verbosity::Summary).run().unwrap();
-        assert_eq!(summary.recorder.phases().len(), 1);
-        assert_eq!(summary.recorder.total_rounds(), full.recorder.total_rounds());
-        assert_eq!(summary.recorder.total_messages(), full.recorder.total_messages());
-        // One collapsed phase means congestion aggregates across the whole
-        // run, so it can only grow relative to the per-phase maximum.
-        assert_eq!(
-            summary.recorder.max_node_congestion(),
-            full.recorder.node_sent_totals().into_iter().max().unwrap_or(0)
-        );
-        assert!(summary.recorder.max_node_congestion() >= full.recorder.max_node_congestion());
-        let silent = Solver::builder(&g).verbosity(Verbosity::Silent).run().unwrap();
-        assert!(silent.recorder.phases().is_empty());
-        assert_eq!(silent.dist, full.dist);
     }
 
     #[test]

@@ -364,7 +364,6 @@ mod tests {
             &sources,
             h,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -435,7 +434,6 @@ mod tests {
             &[0],
             3,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,
@@ -472,7 +470,6 @@ mod tests {
             &sources,
             4,
             Direction::Out,
-            false,
             SimConfig::default(),
             Charging::Quiesce,
             &mut rec,

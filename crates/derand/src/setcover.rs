@@ -4,9 +4,12 @@
 //!
 //! This sequential implementation exists for three reasons: it is a
 //! substrate the paper depends on ("we adapt the efficient NC algorithm in
-//! Berger et al."); it provides an executable specification that the
-//! distributed Algorithm 2/2′ in `congest-apsp` is property-tested against;
-//! and it lets the sample-space machinery be exercised in isolation.
+//! Berger et al."); it is an executable specification of the distributed
+//! Algorithm 2/2′ in `congest_apsp`; and it lets the sample-space machinery
+//! be exercised in isolation. No test compares the two yet: only this
+//! crate's own tests, experiment T4 and the `blocker_set_cover` example
+//! call [`brs_cover`]. A differential test on the same hypergraph of h-hop
+//! paths is ROADMAP item 4.
 
 use crate::pairwise::{AffineSpace, SampleSpace};
 use rand::Rng;

@@ -10,12 +10,11 @@
 //! * [`Oracle`] — a compact query-ready snapshot: all `n²` distances in one
 //!   flat arena plus a target-major successor matrix, giving O(path-length)
 //!   shortest-path reconstruction (cycle-safe even with zero-weight edges;
-//!   see [`oracle`] module docs). A Step-7-tracking pipeline outcome (the
-//!   `congest_apsp::Solver` default) already carries the successor plane,
-//!   which the oracle validates and adopts **by move** — zero reverse-BFS
-//!   derivation, witnessed by [`successor_derivations`]; the derivation
-//!   survives only as the fallback for plane-less outcomes and old
-//!   snapshots.
+//!   see [`oracle`] module docs). Every `congest_apsp::Solver` outcome
+//!   already carries the Step-7 successor plane, which the oracle
+//!   validates and adopts **by move** — zero reverse-BFS derivation,
+//!   witnessed by [`successor_derivations`]; the derivation survives only
+//!   as the fallback for plane-less matrices and snapshots.
 //! * snapshot persistence — a versioned, checksummed binary format with no
 //!   external dependencies; malformed input is always a [`SnapshotError`],
 //!   never a panic. Every writer emits the blocked, per-block-checksummed

@@ -12,14 +12,14 @@
 //!
 //! ## Where successors come from
 //!
-//! A Step-7-tracking pipeline outcome (the `congest_apsp::Solver` default)
-//! already carries the target-major successor plane, filled while the
-//! distance messages propagated; [`Oracle::from_dist`] validates it
-//! (`check_plane` + a graph-consistency telescoping sweep) and adopts it
-//! by move. The reverse-BFS derivation below runs only for plane-less
-//! matrices — tracking-off runs, hand-built matrices, old snapshots — and
-//! every derivation ticks the process-wide [`successor_derivations`]
-//! counter, so the zero-derivation fast path is observable.
+//! Every `congest_apsp::Solver` outcome already carries the target-major
+//! Step-7 successor plane, filled while the distance messages propagated;
+//! [`Oracle::from_dist`] validates it (`check_plane` + a graph-consistency
+//! telescoping sweep) and adopts it by move. The reverse-BFS derivation
+//! below runs only for plane-less matrices — hand-built matrices and
+//! snapshots saved without their plane — and every derivation ticks the
+//! process-wide [`successor_derivations`] counter, so the zero-derivation
+//! fast path is observable.
 //!
 //! ## Why the fallback derives by reverse BFS, not greedy matching
 //!
@@ -44,8 +44,8 @@ pub use congest_graph::NO_SUCC;
 /// Process-wide count of reverse-BFS successor derivations performed by
 /// [`Oracle::from_dist`]: one increment per oracle built from a matrix
 /// *without* a successor plane. Adopting a producer-supplied plane never
-/// increments it — the observable witness that `into_oracle` on a tracked
-/// pipeline outcome is zero-derivation.
+/// increments it — the observable witness that `into_oracle` on a solver
+/// outcome is zero-derivation.
 static DERIVATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the process-wide derivation counter (see [`Oracle::from_dist`]).
@@ -99,8 +99,8 @@ impl<W: Weight> Oracle<W> {
     /// move.
     ///
     /// If the matrix carries a successor plane it is validated and adopted
-    /// (also by move) — the zero-derivation fast path a Step-7-tracking
-    /// pipeline run takes, observable via [`successor_derivations`];
+    /// (also by move) — the zero-derivation fast path every solver outcome
+    /// takes, observable via [`successor_derivations`];
     /// otherwise successors are derived from the distances plus `g`'s
     /// adjacency, parallelized over targets (one reverse BFS per target,
     /// O(n·m) total work).

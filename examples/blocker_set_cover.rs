@@ -33,7 +33,6 @@ fn main() {
         &sources,
         h,
         Direction::Out,
-        false,
         SimConfig::default(),
         Charging::Quiesce,
         &mut rec,

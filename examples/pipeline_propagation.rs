@@ -26,7 +26,7 @@ fn main() {
     // (in the full algorithm these come from Step 5).
     let q: Vec<NodeId> = (0..n as NodeId).step_by(5).collect();
     let exact = apsp_dijkstra(&g);
-    let dvals = RoutedTable::untracked(DistMatrix::from_rows(
+    let dvals = RoutedTable::new(DistMatrix::from_rows(
         (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
     ));
     println!("n = {n}, |Q| = {} blockers, {} (x, c) values to deliver\n", q.len(), n * q.len());

@@ -125,8 +125,8 @@ fn tracked_successor_planes_are_byte_identical_across_runs() {
     let solver = Solver::builder(&g).build();
     let a = solver.run().unwrap();
     let b = solver.run().unwrap();
-    let pa = a.dist.successors().expect("tracking is on by default");
-    let pb = b.dist.successors().expect("tracking is on by default");
+    let pa = a.dist.successors().expect("every outcome carries a plane");
+    let pb = b.dist.successors().expect("every outcome carries a plane");
     assert_eq!(pa, pb, "two runs must produce byte-identical successor planes");
     assert_eq!(a.dist.as_slice(), b.dist.as_slice());
     // Payload accounting is deterministic too.
@@ -170,7 +170,6 @@ fn blocker_set_reported_in_meta_is_valid() {
         &sources,
         out.meta.h,
         Direction::Out,
-        false,
         SimConfig::default(),
         Charging::Quiesce,
         &mut rec,

@@ -9,7 +9,7 @@
 //! and to the Dijkstra distances — across directed/undirected, zero-weight
 //! and real-valued (F64) graph classes, for all three algorithms.
 
-use congest_apsp::{Algorithm, Solver, Step6Method, Verbosity};
+use congest_apsp::{Algorithm, Solver, Step6Method};
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use congest_graph::{Graph, NodeId, Weight, F64};
@@ -47,7 +47,7 @@ fn check_plane_contract<W: Weight>(g: &Graph<W>, solver: Solver<'_, W>) {
     let _guard = lock();
     let exact = apsp_dijkstra(g);
     let out = solver.run().unwrap();
-    assert!(out.dist.successors().is_some(), "tracking must be on by default");
+    assert!(out.dist.successors().is_some(), "every outcome must carry a plane");
     assert!(out.dist == exact, "distances diverged");
 
     let before = successor_derivations();
@@ -98,7 +98,7 @@ proptest! {
     ) {
         let wd = if zero_weights { WeightDist::Uniform(0, 6) } else { WeightDist::Uniform(1, 9) };
         let g = gnm_connected(n, extra, directed, wd, seed);
-        check_plane_contract(&g, Solver::builder(&g).verbosity(Verbosity::Summary).build());
+        check_plane_contract(&g, Solver::builder(&g).build());
     }
 
     /// The baselines fill the plane too — an independent witness computed
@@ -113,10 +113,7 @@ proptest! {
     ) {
         let g = gnm_connected(n, extra, directed, WeightDist::Uniform(0, 9), seed);
         for algorithm in [Algorithm::Ar18, Algorithm::Naive] {
-            check_plane_contract(
-                &g,
-                Solver::builder(&g).algorithm(algorithm).verbosity(Verbosity::Summary).build(),
-            );
+            check_plane_contract(&g, Solver::builder(&g).algorithm(algorithm).build());
         }
     }
 }
@@ -145,24 +142,9 @@ fn plane_valid_under_step6_variants_and_small_h() {
     }
 }
 
-/// With tracking off the outcome is plane-less and the oracle falls back
-/// to its reverse-BFS derivation (the counter increments).
-#[test]
-fn tracking_off_falls_back_to_derivation() {
-    let _guard = lock();
-    let g = gnm_connected(14, 30, true, WeightDist::Uniform(0, 9), 3);
-    let out = Solver::builder(&g).track_successors(false).run().unwrap();
-    assert!(out.dist.successors().is_none(), "tracking off must not attach a plane");
-    let before = successor_derivations();
-    let oracle = out.into_oracle(&g);
-    assert_eq!(successor_derivations(), before + 1, "plane-less outcome must derive");
-    assert!(oracle.distance(0, 13) == apsp_dijkstra(&g)[0][13]);
-}
-
-/// CONGEST message-size budget: with tracking on, every phase's widest
-/// message stays within 4 machine words (tree/source ids, a distance, a
-/// first-hop id — each one O(log n) bits), and the per-phase payload
-/// accounting is populated.
+/// CONGEST message-size budget: every phase's widest message stays within
+/// 4 machine words (tree/source ids, a distance, a first-hop id — each one
+/// O(log n) bits), and the per-phase payload accounting is populated.
 #[test]
 fn message_size_within_congest_budget_with_tracking() {
     let g = gnm_connected(20, 44, true, WeightDist::Uniform(0, 9), 77);
