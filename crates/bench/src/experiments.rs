@@ -6,7 +6,7 @@ use crate::stats::fit_exponent;
 use crate::workloads::{hop_deep, sparse_random};
 use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx, Selection};
 use congest_apsp::config::BlockerParams;
-use congest_apsp::csssp::build_csssp;
+use congest_apsp::csssp::{build_csssp, SsspCollection};
 use congest_apsp::pipeline::{
     propagate_to_blockers, propagate_to_blockers_with, propagate_trivial_broadcast, PushDiscipline,
     RoutedTable,
@@ -138,7 +138,11 @@ pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
             "  projected paper-vs-AR18 crossover at n ≈ {cross:.0} (beyond simulable range, as the paper's polylog constants predict)"
         );
     }
-    ExperimentOutput { id: "t1", table, csv }
+    let id = match charging {
+        Charging::Quiesce => "t1",
+        Charging::WorstCase => "t1wc",
+    };
+    ExperimentOutput { id, table, csv }
 }
 
 /// T1-deep — the same comparison on hop-deep workloads (brooms), where
@@ -681,70 +685,24 @@ pub fn f4() -> ExperimentOutput {
         if coll.check_consistency(&g).is_err() {
             csssp_fail += 1;
         }
-        // the strawman: h-hop BF, no 2h horizon, no truncation
-        let plain = build_csssp(
-            &g,
-            &topo,
-            &sources,
-            3,
-            Direction::Out,
-            SimConfig::default(),
-            Charging::Quiesce,
-            &mut rec,
-            &mut congest_apsp::Recovery::disabled(),
-            "p",
-        );
-        // build_csssp always runs 2h; emulate the plain variant by
-        // reusing run_bf directly at h rounds.
-        drop(plain);
-        let mut bad = false;
-        {
-            use congest_apsp::bf::run_bf;
-            let mut dist = vec![Vec::new(); g.n()];
-            let mut hops = vec![Vec::new(); g.n()];
-            let mut parent = vec![Vec::new(); g.n()];
-            let mut first = vec![Vec::new(); g.n()];
-            let mut children = vec![Vec::new(); g.n()];
-            for &s in &sources {
-                let (res, _) = run_bf(
-                    &g,
-                    &topo,
-                    s,
-                    Direction::Out,
-                    3,
-                    None,
-                    false,
-                    SimConfig::default(),
-                    Charging::Quiesce,
-                )
-                .unwrap();
-                for v in 0..g.n() {
-                    dist[v].push(res.entries[v].dist);
-                    hops[v].push(if res.entries[v].reached() {
-                        res.entries[v].hops
-                    } else {
-                        u32::MAX
-                    });
-                    parent[v].push(res.entries[v].parent);
-                    first[v].push(congest_graph::NO_SUCC);
-                    children[v].push(res.children[v].clone());
-                }
-            }
-            let plain_coll = congest_apsp::csssp::SsspCollection {
-                sources: sources.clone(),
-                h: 3,
-                dir: Direction::Out,
-                dist: DistMatrix::from_rows(dist),
-                hops,
-                parent,
-                children,
-                first,
-            };
-            if plain_coll.check_consistency(&g).is_err() {
-                bad = true;
-            }
-        }
-        if bad {
+        // the strawman: h-hop BF, no 2h horizon, no truncation (run_bf
+        // at h rounds, where build_csssp runs 2h and truncates)
+        let plain = SsspCollection::from_trees(g.n(), &sources, 3, Direction::Out, |s| {
+            congest_apsp::bf::run_bf(
+                &g,
+                &topo,
+                s,
+                Direction::Out,
+                3,
+                None,
+                false,
+                SimConfig::default(),
+                Charging::Quiesce,
+            )
+            .map(|(res, _)| res)
+        })
+        .unwrap();
+        if plain.check_consistency(&g).is_err() {
             plain_fail += 1;
         }
     }
@@ -759,7 +717,7 @@ pub fn f4() -> ExperimentOutput {
     ExperimentOutput { id: "f4", table, csv }
 }
 
-/// Every id [`run`] accepts. `all` runs each of the others except `t1wc`.
+/// Every id [`run`] accepts. `all` runs each of the others.
 pub const IDS: [&str; 11] =
     ["t1", "t1wc", "t1deep", "t2", "f2", "t3", "f3", "t4", "t5", "f4", "all"];
 
@@ -781,11 +739,7 @@ pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
         "t4" => vec![t4().persist()],
         "t5" => vec![t5().persist()],
         "f4" => vec![f4().persist()],
-        "all" => IDS
-            .into_iter()
-            .filter(|&id| id != "t1wc" && id != "all")
-            .flat_map(|id| run(id, big))
-            .collect(),
+        "all" => IDS.into_iter().filter(|&id| id != "all").flat_map(|id| run(id, big)).collect(),
         other => panic!("unknown experiment id: {other}"),
     }
 }

@@ -72,8 +72,7 @@ pub fn greedy_blocker<W: Weight>(
         let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record(format!("greedy: score broadcast #{iter}"), report);
         // Every node picks the same maximum (tie: smaller id).
-        let Some(&(_, c)) = logs[0].iter().max_by_key(|&&(sc, id)| (sc, std::cmp::Reverse(id)))
-        else {
+        let Some(&(_, c)) = logs.log(0).max_by_key(|&&(sc, id)| (sc, std::cmp::Reverse(id))) else {
             break; // nothing left to cover
         };
         q.push(c);

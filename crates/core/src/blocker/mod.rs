@@ -22,6 +22,7 @@ pub use alg2::{alg2_blocker, Alg2Stats, Selection};
 pub use greedy::greedy_blocker;
 
 use crate::csssp::SsspCollection;
+use crate::trees::AncestorLists;
 use congest_graph::{NodeId, Weight};
 use congest_sim::{PhaseReport, SimConfig, SimError, Topology};
 
@@ -38,8 +39,9 @@ pub struct BlockerResult {
 /// [`crate::trees::collect_ancestors`]).
 #[derive(Clone, Debug)]
 pub struct PathCtx {
-    /// `ancestors[v][si]`: ids root..parent for members (empty otherwise).
-    pub ancestors: Vec<Vec<Vec<NodeId>>>,
+    /// `ancestors.get(v, si)`: ids root..parent for members (empty
+    /// otherwise).
+    pub ancestors: AncestorLists,
     /// `removed[v][si]`: subtree-removal mask.
     pub removed: Vec<Vec<bool>>,
     /// `full_leaf[v][si]`.
@@ -75,7 +77,7 @@ impl PathCtx {
     /// the root, plus the leaf itself).
     #[must_use]
     pub fn path_vertices(&self, v: NodeId, si: usize) -> Vec<NodeId> {
-        let anc = &self.ancestors[v as usize][si];
+        let anc = self.ancestors.get(v, si);
         let mut verts: Vec<NodeId> = anc.iter().skip(1).copied().collect();
         verts.push(v);
         verts

@@ -108,8 +108,8 @@ pub fn compute_bottlenecks<W: Weight>(
             .collect();
         let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record(format!("bottleneck: count broadcast #{}", b.len()), report);
-        let &(_, node) = logs[0]
-            .iter()
+        let &(_, node) = logs
+            .log(0)
             .max_by_key(|&&(c, id)| (c, std::cmp::Reverse(id)))
             .expect("threshold exceeded, so counts exist");
         b.push(node);

@@ -8,7 +8,7 @@
 //! collection: a u→v tree path is the same in every tree that contains it.
 //! [`SsspCollection::check_consistency`] verifies this (used by tests).
 
-use crate::bf::run_bf;
+use crate::bf::{run_bf, BfTreeResult};
 use crate::config::Charging;
 use crate::recovery::{sentinels, Recovery, SolverError};
 use congest_graph::seq::Direction;
@@ -16,8 +16,25 @@ use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::{PhaseReport, Recorder, SimConfig, Topology};
 
 /// A collection of rooted h-hop trees, one per source, stored as per-node
-/// local knowledge: entry `[v][si]` is node v's state in the tree of
+/// local knowledge: cell `(v, si)` is node v's state in the tree of
 /// `sources[si]`.
+///
+/// ## Layout
+///
+/// `dist`, `hops` and `first` are node-major `n × |S|` planes. The tree
+/// links are tree-major and flat, because the collection is built one
+/// tree at a time and never edited afterwards:
+///
+/// * the parent plane holds one [`NodeId`] per cell at `si·n + v`, with
+///   [`NO_SUCC`] at roots and non-members;
+/// * the children are one CSR (compressed sparse rows): an offsets array
+///   with one entry per cell plus one, and one id array in which cell
+///   `si·n + v` owns the run between its offset and the next.
+///
+/// Read them through [`SsspCollection::parent`] and
+/// [`SsspCollection::children`]. A cell costs 28 bytes at `W = u64`:
+/// 8 for `dist`, 4 each for `hops`, `first`, the parent and the offset,
+/// and at most 4 for its entry in a parent's child run.
 #[derive(Clone, Debug)]
 pub struct SsspCollection<W> {
     /// Tree roots.
@@ -31,20 +48,86 @@ pub struct SsspCollection<W> {
     pub dist: DistMatrix<W>,
     /// Hop depth in the tree; `u32::MAX` if absent.
     pub hops: Vec<Vec<u32>>,
-    /// Parent toward the root.
-    pub parent: Vec<Vec<Option<NodeId>>>,
-    /// Children away from the root (members only).
-    pub children: Vec<Vec<Vec<NodeId>>>,
     /// `first[v][si]`: the first hop out of the root on the canonical tree
     /// path to `v` (the root's successor toward `v`), as threaded through
     /// the relax messages. Only out-direction collections fill it; in an
-    /// in-direction collection `parent` already is the next hop toward the
-    /// root. [`NO_SUCC`] at the root, for non-members, and throughout
+    /// in-direction collection the parent already is the next hop toward
+    /// the root. [`NO_SUCC`] at the root, for non-members, and throughout
     /// in-direction collections.
     pub first: Vec<Vec<NodeId>>,
+    /// Tree-major parent plane (see the layout above).
+    parent: Vec<NodeId>,
+    /// Tree-major CSR offsets into `child_ids`, one per cell plus one.
+    child_off: Vec<u32>,
+    /// Every tree's child runs, each in ascending id order.
+    child_ids: Vec<NodeId>,
 }
 
 impl<W: Weight> SsspCollection<W> {
+    /// Assembles a collection from one Bellman–Ford tree per source:
+    /// `tree(s)` runs the tree of source `s`, called in `sources` order. A
+    /// node joins tree `s` iff the run reached it within `h` hops, and it
+    /// keeps the children that joined too, in the run's order. The trees
+    /// are folded in one at a time, so only one run is alive at once.
+    ///
+    /// # Errors
+    /// The first error `tree` returns.
+    ///
+    /// # Panics
+    /// Panics if the trees hold more than `u32::MAX` child links.
+    pub fn from_trees<E>(
+        n: usize,
+        sources: &[NodeId],
+        h: usize,
+        dir: Direction,
+        mut tree: impl FnMut(NodeId) -> Result<BfTreeResult<W>, E>,
+    ) -> Result<Self, E> {
+        let s = sources.len();
+        let mut dist = DistMatrix::filled(n, s, W::INF);
+        let mut hops: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(s)).collect();
+        let mut first: Vec<Vec<NodeId>> = (0..n).map(|_| Vec::with_capacity(s)).collect();
+        let mut parent = Vec::with_capacity(n * s);
+        let mut child_off = Vec::with_capacity(n * s + 1);
+        child_off.push(0u32);
+        let mut child_ids = Vec::new();
+        for (si, &src) in sources.iter().enumerate() {
+            let res = tree(src)?;
+            // Truncate to h hops (keeps exactly the vertices whose
+            // canonical minimum-hop optimal path has ≤ h hops).
+            let keep = |v: NodeId| {
+                let e = &res.entries[v as usize];
+                e.reached() && e.hops <= h as u32
+            };
+            for v in 0..n {
+                let e = &res.entries[v];
+                if keep(v as NodeId) {
+                    dist.set(v, si, e.dist);
+                    hops[v].push(e.hops);
+                    first[v].push(e.first.unwrap_or(NO_SUCC));
+                    parent.push(e.parent.unwrap_or(NO_SUCC));
+                    child_ids.extend(res.children[v].iter().copied().filter(|&c| keep(c)));
+                } else {
+                    hops[v].push(u32::MAX);
+                    first[v].push(NO_SUCC);
+                    parent.push(NO_SUCC);
+                }
+                child_off.push(u32::try_from(child_ids.len()).expect("child links exceed u32"));
+            }
+        }
+        child_ids.shrink_to_fit();
+        Ok(SsspCollection {
+            sources: sources.to_vec(),
+            h,
+            dir,
+            dist,
+            hops,
+            first,
+            parent,
+            child_off,
+            child_ids,
+        })
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -66,6 +149,22 @@ impl<W: Weight> SsspCollection<W> {
         self.hops[v as usize][si] == self.h as u32
     }
 
+    /// Parent of `v` toward the root of tree `si`; `None` at the root and
+    /// for non-members.
+    #[must_use]
+    pub fn parent(&self, v: NodeId, si: usize) -> Option<NodeId> {
+        let p = self.parent[si * self.n() + v as usize];
+        (p != NO_SUCC).then_some(p)
+    }
+
+    /// Children of `v` away from the root of tree `si`, ascending; empty
+    /// for non-members.
+    #[must_use]
+    pub fn children(&self, v: NodeId, si: usize) -> &[NodeId] {
+        let cell = si * self.n() + v as usize;
+        &self.child_ids[self.child_off[cell] as usize..self.child_off[cell + 1] as usize]
+    }
+
     /// The tree path from `v` to the root of tree `si` (inclusive),
     /// following parent pointers. Returns `None` if `v` is not a member.
     #[must_use]
@@ -75,24 +174,12 @@ impl<W: Weight> SsspCollection<W> {
         }
         let mut path = vec![v];
         let mut cur = v;
-        while let Some(p) = self.parent[cur as usize][si] {
+        while let Some(p) = self.parent(cur, si) {
             path.push(p);
             cur = p;
         }
         debug_assert_eq!(cur, self.sources[si]);
         Some(path)
-    }
-
-    /// Removes `v` (and implicitly its whole subtree, which callers prune
-    /// via tree traversal) from tree `si`. Used by the orchestrated mirror
-    /// of Remove-Subtrees; the distributed protocol lives in
-    /// `crate::trees`.
-    pub fn remove_node(&mut self, v: NodeId, si: usize) {
-        self.hops[v as usize][si] = u32::MAX;
-        self.dist[v as usize][si] = W::INF;
-        self.parent[v as usize][si] = None;
-        self.first[v as usize][si] = NO_SUCC;
-        self.children[v as usize][si].clear();
     }
 
     /// Consistency check per Definition 2.1: every (u, v) pair linked in
@@ -198,13 +285,8 @@ pub fn build_csssp<W: Weight>(
     label: &str,
 ) -> Result<SsspCollection<W>, SolverError> {
     let n = g.n();
-    let mut dist = DistMatrix::filled(n, sources.len(), W::INF);
-    let mut hops = vec![Vec::with_capacity(sources.len()); n];
-    let mut parent = vec![Vec::with_capacity(sources.len()); n];
-    let mut first = vec![Vec::with_capacity(sources.len()); n];
-    let mut children: Vec<Vec<Vec<NodeId>>> = vec![Vec::with_capacity(sources.len()); n];
     let mut total = PhaseReport { node_sent: vec![0; n], ..Default::default() };
-    for (si, &s) in sources.iter().enumerate() {
+    let coll = SsspCollection::from_trees(n, sources, h, dir, |s| -> Result<_, SolverError> {
         let (res, rep) = rc.phase(
             &format!("{label} [tree {s}]"),
             sim,
@@ -220,35 +302,10 @@ pub fn build_csssp<W: Weight>(
         for (t, s2) in total.node_sent.iter_mut().zip(rep.node_sent.iter()) {
             *t += s2;
         }
-        for v in 0..n {
-            let e = &res.entries[v];
-            // Truncate to h hops (keeps exactly the vertices whose
-            // canonical minimum-hop optimal path has ≤ h hops).
-            if e.reached() && e.hops <= h as u32 {
-                dist.set(v, si, e.dist);
-                hops[v].push(e.hops);
-                parent[v].push(e.parent);
-                first[v].push(e.first.unwrap_or(NO_SUCC));
-                children[v].push(
-                    res.children[v]
-                        .iter()
-                        .copied()
-                        .filter(|&c| {
-                            let ce = &res.entries[c as usize];
-                            ce.reached() && ce.hops <= h as u32
-                        })
-                        .collect(),
-                );
-            } else {
-                hops[v].push(u32::MAX);
-                parent[v].push(None);
-                first[v].push(NO_SUCC);
-                children[v].push(Vec::new());
-            }
-        }
-    }
+        Ok(res)
+    })?;
     rec.record(label, total);
-    Ok(SsspCollection { sources: sources.to_vec(), h, dir, dist, hops, parent, children, first })
+    Ok(coll)
 }
 
 #[cfg(test)]
@@ -346,9 +403,9 @@ mod tests {
         let c = build(&g, &sources, 2, Direction::Out);
         for v in 0..15usize {
             for si in 0..15 {
-                for &ch in &c.children[v][si] {
+                for &ch in c.children(v as NodeId, si) {
                     assert!(c.is_member(ch, si));
-                    assert_eq!(c.parent[ch as usize][si], Some(v as NodeId));
+                    assert_eq!(c.parent(ch, si), Some(v as NodeId));
                     assert_eq!(c.hops[ch as usize][si], c.hops[v][si] + 1);
                 }
             }

@@ -301,7 +301,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
                     if removed[v][qi] {
                         None
                     } else {
-                        cq.parent[v][qi]
+                        cq.parent(v as NodeId, qi)
                             .map(|p| nbrs.binary_search(&p).expect("tree parent is a neighbor"))
                     }
                 })
@@ -489,7 +489,7 @@ pub fn propagate_trivial_broadcast<W: Weight>(
     let mut out = RoutedTable::new(DistMatrix::filled(q.len(), n, W::INF));
     for (qi, &c) in q.iter().enumerate() {
         out.dist[qi][c as usize] = W::ZERO;
-        for item in &logs[c as usize] {
+        for item in logs.log(c) {
             if item.ri as usize == qi && item.dist < out.dist[qi][item.x as usize] {
                 out.dist[qi][item.x as usize] = item.dist;
                 out.set_first(qi, item.x as usize, item.first);

@@ -356,6 +356,7 @@ pub(crate) fn final_certificate<W: Weight>(
 pub mod sentinels {
     use super::{Direction, DistMatrix, Graph, NodeId, SsspCollection, Weight};
     use crate::bf::BfTreeResult;
+    use congest_sim::primitives::FloodLogs;
 
     /// The minimum weight of the direction-appropriate edge `p → v`
     /// (`None` if absent).
@@ -498,10 +499,10 @@ pub mod sentinels {
     ///
     /// # Errors
     /// Names the first starved node.
-    pub fn flood_complete<T>(logs: &[Vec<T>], expected: usize) -> Result<(), String> {
-        for (v, log) in logs.iter().enumerate() {
-            if log.len() != expected {
-                return Err(format!("node {v} logged {} of {expected} items", log.len()));
+    pub fn flood_complete<T>(logs: &FloodLogs<T>, expected: usize) -> Result<(), String> {
+        for v in 0..logs.n() as NodeId {
+            if logs.log_len(v) != expected {
+                return Err(format!("node {v} logged {} of {expected} items", logs.log_len(v)));
             }
         }
         Ok(())

@@ -31,9 +31,9 @@ use std::collections::VecDeque;
 // Convergecast
 // ---------------------------------------------------------------------
 
-struct ConvTreeNode {
-    /// Per tree: parent (None for roots / non-members).
-    parent: Vec<Option<NodeId>>,
+struct ConvTreeNode<'a, W> {
+    /// The trees (read-only; the node reads its own parents).
+    coll: &'a SsspCollection<W>,
     /// Per tree: children not yet reported.
     pending: Vec<u32>,
     /// Per tree: accumulated value (own init + children).
@@ -46,7 +46,7 @@ struct ConvTreeNode {
     outstanding: usize,
 }
 
-impl NodeLogic for ConvTreeNode {
+impl<W: Weight> NodeLogic for ConvTreeNode<'_, W> {
     type Msg = (u32, u64);
 
     fn on_round(
@@ -65,7 +65,7 @@ impl NodeLogic for ConvTreeNode {
         }
         // Move newly-ready trees into their channel queues.
         while let Some(si) = self.ready.pop_front() {
-            if let Some(p) = self.parent[si as usize] {
+            if let Some(p) = self.coll.parent(env.id, si as usize) {
                 let ni = env.neighbor_index(p).expect("parent is a neighbor");
                 self.queues[ni].push_back(si);
             } else {
@@ -103,9 +103,10 @@ pub fn convergecast_trees<W: Weight>(
     let n = topo.n();
     let s = coll.sources.len();
     let engine = Engine::new(topo, sim);
-    let mut nodes: Vec<ConvTreeNode> = (0..n)
+    let mut nodes: Vec<ConvTreeNode<W>> = (0..n)
         .map(|v| {
-            let pending: Vec<u32> = (0..s).map(|si| coll.children[v][si].len() as u32).collect();
+            let pending: Vec<u32> =
+                (0..s).map(|si| coll.children(v as NodeId, si).len() as u32).collect();
             let mut ready = VecDeque::new();
             let mut outstanding = 0;
             for si in 0..s {
@@ -117,7 +118,7 @@ pub fn convergecast_trees<W: Weight>(
                 }
             }
             ConvTreeNode {
-                parent: (0..s).map(|si| coll.parent[v][si]).collect(),
+                coll,
                 pending,
                 acc: init[v].clone(),
                 queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
@@ -143,9 +144,11 @@ pub fn convergecast_trees_budget<W: Weight>(coll: &SsspCollection<W>) -> RunUnti
 // Remove-Subtrees (Algorithm 6)
 // ---------------------------------------------------------------------
 
-struct RemoveNode {
-    /// Per tree: children lists.
-    children: Vec<Vec<NodeId>>,
+struct RemoveNode<'a, W> {
+    /// The trees (read-only; the node reads its own children).
+    coll: &'a SsspCollection<W>,
+    /// This node's id.
+    id: NodeId,
     /// Per tree: removal mark.
     removed: Vec<bool>,
     /// Channel FIFO queues of tree indices to forward.
@@ -153,14 +156,13 @@ struct RemoveNode {
     queued: usize,
 }
 
-impl RemoveNode {
+impl<W: Weight> RemoveNode<'_, W> {
     fn mark(&mut self, si: u32, neighbors: &[NodeId]) {
         if self.removed[si as usize] {
             return;
         }
         self.removed[si as usize] = true;
-        for i in 0..self.children[si as usize].len() {
-            let c = self.children[si as usize][i];
+        for &c in self.coll.children(self.id, si as usize) {
             let ni = neighbors.binary_search(&c).expect("child is a neighbor");
             self.queues[ni].push_back(si);
             self.queued += 1;
@@ -168,7 +170,7 @@ impl RemoveNode {
     }
 }
 
-impl NodeLogic for RemoveNode {
+impl<W: Weight> NodeLogic for RemoveNode<'_, W> {
     type Msg = u32;
 
     fn on_round(&mut self, env: &NodeEnv<'_>, inbox: &[Envelope<u32>], out: &mut Outbox<'_, u32>) {
@@ -205,9 +207,10 @@ pub fn remove_subtrees<W: Weight>(
     let n = topo.n();
     let s = coll.sources.len();
     let engine = Engine::new(topo, sim);
-    let mut nodes: Vec<RemoveNode> = (0..n)
+    let mut nodes: Vec<RemoveNode<W>> = (0..n)
         .map(|v| RemoveNode {
-            children: (0..s).map(|si| coll.children[v][si].clone()).collect(),
+            coll,
+            id: v as NodeId,
             removed: vec![false; s],
             queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
             queued: 0,
@@ -233,9 +236,9 @@ pub fn remove_subtrees<W: Weight>(
 // Ancestor collection (Algorithm 7 Step 1 / Ancestors of [2])
 // ---------------------------------------------------------------------
 
-struct AncestorNode {
+struct AncestorNode<'a> {
     /// This tree's children of the node.
-    children: Vec<NodeId>,
+    children: &'a [NodeId],
     /// Whether this node is a member of the current tree.
     member: bool,
     /// Received root-path ids so far, root first (without self).
@@ -246,7 +249,7 @@ struct AncestorNode {
     next_fwd: usize,
 }
 
-impl NodeLogic for AncestorNode {
+impl NodeLogic for AncestorNode<'_> {
     type Msg = NodeId;
 
     fn on_round(
@@ -275,8 +278,7 @@ impl NodeLogic for AncestorNode {
                 None
             };
             if let Some(item) = item {
-                for i in 0..self.children.len() {
-                    let c = self.children[i];
+                for &c in self.children {
                     out.send(c, item);
                 }
                 self.next_fwd += 1;
@@ -289,9 +291,26 @@ impl NodeLogic for AncestorNode {
     }
 }
 
-/// Per-node, per-tree root-path id lists (`ancestors[v][si]`, root first,
-/// excluding the node itself).
-pub type AncestorLists = Vec<Vec<Vec<NodeId>>>;
+/// Every node's root path in every tree, as one tree-major CSR: the path
+/// of `v` in tree `si` is the id run of cell `si·n + v`, root first,
+/// excluding `v` itself, and empty for non-members. A cell costs a 4-byte
+/// offset plus 4 bytes per ancestor.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AncestorLists {
+    n: usize,
+    /// Offsets into `ids`, one per cell plus one.
+    off: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl AncestorLists {
+    /// The ids on `v`'s root path in tree `si`: root..parent.
+    #[must_use]
+    pub fn get(&self, v: NodeId, si: usize) -> &[NodeId] {
+        let cell = si * self.n + v as usize;
+        &self.ids[self.off[cell] as usize..self.off[cell + 1] as usize]
+    }
+}
 
 /// Collects, at every member node and for every tree, the ids on its root
 /// path (root first, excluding the node itself). Runs per source in
@@ -300,6 +319,9 @@ pub type AncestorLists = Vec<Vec<Vec<NodeId>>>;
 ///
 /// # Errors
 /// Propagates engine errors.
+///
+/// # Panics
+/// Panics if the paths hold more than `u32::MAX` ids.
 pub fn collect_ancestors<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
@@ -308,15 +330,20 @@ pub fn collect_ancestors<W: Weight>(
     let n = topo.n();
     let s = coll.sources.len();
     let engine = Engine::new(topo, sim);
-    let mut result: Vec<Vec<Vec<NodeId>>> = vec![vec![Vec::new(); s]; n];
+    // A member at depth d receives d ids.
+    let depths: usize =
+        coll.hops.iter().flatten().filter(|&&d| d != u32::MAX).map(|&d| d as usize).sum();
+    let mut off = Vec::with_capacity(n * s + 1);
+    off.push(0u32);
+    let mut ids = Vec::with_capacity(depths);
     let mut total = PhaseReport { node_sent: vec![0; n], ..Default::default() };
     for si in 0..s {
-        let mut nodes: Vec<AncestorNode> = (0..n)
+        let mut nodes: Vec<AncestorNode> = (0..n as NodeId)
             .map(|v| AncestorNode {
-                children: coll.children[v][si].clone(),
-                member: coll.is_member(v as NodeId, si),
+                children: coll.children(v, si),
+                member: coll.is_member(v, si),
                 path: Vec::new(),
-                depth: if coll.is_member(v as NodeId, si) { coll.hops[v][si] as usize } else { 0 },
+                depth: if coll.is_member(v, si) { coll.hops[v as usize][si] as usize } else { 0 },
                 next_fwd: 0,
             })
             .collect();
@@ -331,11 +358,12 @@ pub fn collect_ancestors<W: Weight>(
         for (t, s2) in total.node_sent.iter_mut().zip(report.node_sent.iter()) {
             *t += s2;
         }
-        for (v, nd) in nodes.into_iter().enumerate() {
-            result[v][si] = nd.path;
+        for nd in nodes {
+            ids.extend_from_slice(&nd.path);
+            off.push(u32::try_from(ids.len()).expect("ancestor ids exceed u32"));
         }
     }
-    Ok((result, total))
+    Ok((AncestorLists { n, off, ids }, total))
 }
 
 #[cfg(test)]
@@ -386,7 +414,7 @@ mod tests {
             order.sort_by_key(|&v| std::cmp::Reverse(coll.hops[v as usize][si]));
             for &v in &order {
                 let mut sum = init[v as usize][si];
-                for &c in &coll.children[v as usize][si] {
+                for &c in coll.children(v, si) {
                     sum += acc[c as usize][si];
                 }
                 acc[v as usize][si] = sum;
@@ -543,9 +571,9 @@ mod tests {
                     // root_path is v..root; ancestors are root..parent.
                     let mut expected: Vec<NodeId> = path.into_iter().rev().collect();
                     expected.pop(); // drop v itself
-                    assert_eq!(anc[v as usize][si], expected, "v={v} si={si}");
+                    assert_eq!(anc.get(v, si), expected, "v={v} si={si}");
                 } else {
-                    assert!(anc[v as usize][si].is_empty());
+                    assert!(anc.get(v, si).is_empty());
                 }
             }
         }

@@ -15,6 +15,13 @@ impl BitSet {
         BitSet::default()
     }
 
+    /// Creates an empty bitset that holds bits `0..bits` without growing
+    /// (clones keep that room).
+    #[must_use]
+    pub(crate) fn with_capacity(bits: usize) -> Self {
+        BitSet { words: vec![0; bits.div_ceil(64)] }
+    }
+
     /// Sets bit `i`, growing as needed. Returns `true` if it was unset.
     pub fn insert(&mut self, i: usize) -> bool {
         let w = i / 64;
@@ -57,6 +64,14 @@ mod tests {
         assert!(!b.get(65));
         assert!(!b.insert(64), "bit 64 was already set");
         assert_eq!(b.count(), 4);
+    }
+
+    #[test]
+    fn with_capacity_starts_empty_and_clones_keep_room() {
+        let b = BitSet::with_capacity(130);
+        assert_eq!(b.count(), 0);
+        assert!(!b.get(129));
+        assert_eq!(b.clone().words.len(), 3);
     }
 
     #[test]

@@ -18,82 +18,117 @@
 //! usize`, never through the item's value. The key contract:
 //!
 //! * **dense** — keys are small integers (a node id, or a row-major index
-//!   into the table being broadcast), because per-node state is sized by
-//!   the largest key;
+//!   into the table being broadcast), because the key-to-index map is
+//!   sized by the largest key;
 //! * **one payload per key** — two items with equal keys are the same
-//!   item. A node keeps the first copy it learns and drops the rest.
+//!   item. The first one counts and the rest are dropped.
 //!
-//! Per node the flood holds its log plus (1 + degree)·max-key bits: one
-//! "seen" set and, per channel, one "peer already has it" set.
+//! The key runs once per initial item, before the first round: the first
+//! item with a given key gets the next dense item index, and from then on
+//! the protocol moves indices. A message is one index, charged
+//! `item_words` like the item it names, so rounds, messages and payload
+//! words are those of flooding the items themselves.
+//!
+//! ## Memory
+//!
+//! Each distinct item is held once per flood, in the table that
+//! [`FloodLogs`] returns. Each node holds a `u32` log of item indices plus
+//! (1 + degree) bitsets over the K indices: one "seen" set and, per
+//! channel, one "peer already has it" set. So a node costs 4·K bytes plus
+//! (1 + degree)·K bits, whatever the size of an item. The "one payload per
+//! key" contract is what makes the single shared copy exact: every node
+//! that learns a key would have kept a copy equal to it.
 
 use crate::bitset::BitSet;
 use crate::engine::{Engine, Envelope, NodeEnv, NodeLogic, Outbox, RunUntil, SimConfig, Topology};
 use crate::error::SimError;
 use crate::metrics::PhaseReport;
+use congest_graph::NodeId;
 
-/// Items that can be flooded: cheap to clone. One item models O(1)
-/// machine words; duplicates are recognised by the caller's key.
-pub trait FloodItem: Clone + Send + Sync + 'static {}
-impl<T: Clone + Send + Sync + 'static> FloodItem for T {}
+/// What a flood delivered: every distinct item once, plus each node's log
+/// of item indices.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FloodLogs<T> {
+    /// Distinct items by index: the first initial item with each key.
+    items: Vec<T>,
+    /// Per node: item indices in discovery order, own items first.
+    logs: Vec<Vec<u32>>,
+}
 
-struct FloodNode<T, K> {
-    /// Known items in discovery order.
-    log: Vec<T>,
-    /// Keys of the items in `log`.
+impl<T> FloodLogs<T> {
+    /// Number of nodes.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.logs.len()
+    }
+
+    /// The items node `v` learned, in discovery order (own items first).
+    pub fn log(&self, v: NodeId) -> impl ExactSizeIterator<Item = &T> + '_ {
+        self.logs[v as usize].iter().map(|&i| &self.items[i as usize])
+    }
+
+    /// Number of items node `v` learned.
+    #[must_use]
+    pub fn log_len(&self, v: NodeId) -> usize {
+        self.logs[v as usize].len()
+    }
+}
+
+struct FloodNode {
+    /// Known item indices in discovery order.
+    log: Vec<u32>,
+    /// The indices in `log`.
     seen: BitSet,
-    /// Per neighbor (by position in the env neighbor list): keys the peer
-    /// is known to have (either we sent them or they sent them).
+    /// Per neighbor (by position in the env neighbor list): indices the
+    /// peer is known to have (either we sent them or they sent them).
     peer_knows: Vec<BitSet>,
     /// Per neighbor: scan cursor into `log`.
     cursor: Vec<usize>,
     /// On-wire width of one item, in machine words (protocol-wide).
     item_words: u32,
-    /// Dense item key (protocol-wide).
-    key: K,
 }
 
-impl<T: FloodItem, K: Fn(&T) -> usize> FloodNode<T, K> {
-    fn new(initial: Vec<T>, degree: usize, item_words: u32, key: K) -> Self {
+impl FloodNode {
+    /// A node that starts out knowing `own` among `items` distinct items.
+    fn new(own: Vec<u32>, degree: usize, items: usize, item_words: u32) -> Self {
+        let none = BitSet::with_capacity(items);
         let mut node = FloodNode {
-            log: Vec::new(),
-            seen: BitSet::new(),
-            peer_knows: vec![BitSet::new(); degree],
+            log: Vec::with_capacity(items),
+            seen: none.clone(),
+            peer_knows: vec![none; degree],
             cursor: vec![0; degree],
             item_words,
-            key,
         };
-        for item in &initial {
-            node.learn(item);
+        for i in own {
+            node.learn(i);
         }
         node
     }
 
-    /// Logs `item` unless its key is already known; returns the key.
-    fn learn(&mut self, item: &T) -> usize {
-        let k = (self.key)(item);
-        if self.seen.insert(k) {
-            self.log.push(item.clone());
+    /// Logs item `i` unless it is already known.
+    fn learn(&mut self, i: u32) {
+        if self.seen.insert(i as usize) {
+            self.log.push(i);
         }
-        k
     }
 }
 
-impl<T: FloodItem, K: Fn(&T) -> usize + Send> NodeLogic for FloodNode<T, K> {
-    type Msg = T;
+impl NodeLogic for FloodNode {
+    type Msg = u32;
 
-    fn on_round(&mut self, env: &NodeEnv<'_>, inbox: &[Envelope<T>], out: &mut Outbox<'_, T>) {
+    fn on_round(&mut self, env: &NodeEnv<'_>, inbox: &[Envelope<u32>], out: &mut Outbox<'_, u32>) {
         // Receive first: dedup and remember that the sender knows the item.
         for e in inbox {
-            let k = self.learn(&e.msg);
+            self.learn(e.msg);
             let ni = env.neighbor_index(e.from).expect("sender is a neighbor");
-            self.peer_knows[ni].insert(k);
+            self.peer_knows[ni].insert(e.msg as usize);
         }
         // Send: for each channel, the first known item the peer lacks.
         for ni in 0..env.neighbors.len() {
-            while let Some(item) = self.log.get(self.cursor[ni]) {
+            while let Some(&i) = self.log.get(self.cursor[ni]) {
                 self.cursor[ni] += 1;
-                if self.peer_knows[ni].insert((self.key)(item)) {
-                    out.send_nbr(ni, item.clone());
+                if self.peer_knows[ni].insert(i as usize) {
+                    out.send_nbr(ni, i);
                     break;
                 }
             }
@@ -104,46 +139,68 @@ impl<T: FloodItem, K: Fn(&T) -> usize + Send> NodeLogic for FloodNode<T, K> {
         self.cursor
             .iter()
             .zip(&self.peer_knows)
-            .any(|(&c, knows)| self.log[c..].iter().any(|item| !knows.get((self.key)(item))))
+            .any(|(&c, knows)| self.log[c..].iter().any(|&i| !knows.get(i as usize)))
     }
 
-    fn msg_words(&self, _msg: &T) -> u32 {
+    fn msg_words(&self, _msg: &u32) -> u32 {
         self.item_words
     }
 }
 
-/// Floods every node's initial items to all nodes. Returns each node's full
-/// item log (discovery order, own items first) and the phase report.
+/// Floods every node's initial items to all nodes. Returns what each node
+/// learned (discovery order, own items first) and the phase report.
 ///
 /// `item_words` is the on-wire width of one item in O(log n)-bit machine
 /// words (each id/weight field counts as one word); it only affects the
 /// payload accounting, never the protocol. `key` maps every item to a
-/// small integer, one per distinct item: equal keys are the same item, and
-/// each node's state grows with the largest key.
+/// small integer, one per distinct item: equal keys are the same item (see
+/// the module docs).
 ///
 /// # Errors
 /// Propagates engine errors; `budget` bounds the rounds (callers typically
 /// pass the analytical O(K + n) bound).
-pub fn flood_broadcast<T: FloodItem>(
+///
+/// # Panics
+/// Panics if there are more than `u32::MAX` distinct items.
+pub fn flood_broadcast<T>(
     topo: &Topology,
     cfg: SimConfig,
     initial: Vec<Vec<T>>,
     item_words: u32,
-    key: impl Fn(&T) -> usize + Copy + Send,
+    key: impl Fn(&T) -> usize,
     until: RunUntil,
-) -> Result<(Vec<Vec<T>>, PhaseReport), SimError> {
+) -> Result<(FloodLogs<T>, PhaseReport), SimError> {
+    const UNSEEN: u32 = u32::MAX;
     let n = topo.n();
     assert_eq!(initial.len(), n);
+    let mut items = Vec::with_capacity(initial.iter().map(Vec::len).sum());
+    let mut index_of: Vec<u32> = Vec::new();
+    let mut own: Vec<Vec<u32>> = Vec::with_capacity(n);
+    for node_items in initial {
+        let mut indices = Vec::with_capacity(node_items.len());
+        for item in node_items {
+            let k = key(&item);
+            if k >= index_of.len() {
+                index_of.resize(k + 1, UNSEEN);
+            }
+            if index_of[k] == UNSEEN {
+                index_of[k] = u32::try_from(items.len()).expect("more than u32::MAX flood items");
+                items.push(item);
+            }
+            indices.push(index_of[k]);
+        }
+        own.push(indices);
+    }
+    drop(index_of);
     let engine = Engine::new(topo, cfg);
-    let mut nodes: Vec<_> = initial
+    let mut nodes: Vec<FloodNode> = own
         .into_iter()
         .enumerate()
-        .map(|(i, items)| {
-            FloodNode::new(items, topo.neighbors(i as congest_graph::NodeId).len(), item_words, key)
-        })
+        .map(|(v, own)| FloodNode::new(own, topo.degree(v as NodeId), items.len(), item_words))
         .collect();
     let report = engine.run(&mut nodes, until)?;
-    Ok((nodes.into_iter().map(|nd| nd.log).collect(), report))
+    let logs = nodes.into_iter().map(|nd| nd.log).collect();
+    Ok((FloodLogs { items, logs }, report))
 }
 
 /// Convenience wrapper for the Lemma A.2 pattern (all-to-all broadcast with
@@ -152,13 +209,13 @@ pub fn flood_broadcast<T: FloodItem>(
 ///
 /// # Errors
 /// Propagates engine errors.
-pub fn all_to_all_broadcast<T: FloodItem>(
+pub fn all_to_all_broadcast<T>(
     topo: &Topology,
     cfg: SimConfig,
     initial: Vec<Vec<T>>,
     item_words: u32,
-    key: impl Fn(&T) -> usize + Copy + Send,
-) -> Result<(Vec<Vec<T>>, PhaseReport), SimError> {
+    key: impl Fn(&T) -> usize,
+) -> Result<(FloodLogs<T>, PhaseReport), SimError> {
     let total: usize = initial.iter().map(Vec::len).sum();
     let budget = 4 * (total as u64 + topo.n() as u64) + 16;
     flood_broadcast(topo, cfg, initial, item_words, key, RunUntil::Quiesce { max: budget })
@@ -175,10 +232,10 @@ mod tests {
         *x as usize
     }
 
-    fn check_all_know_all(logs: &[Vec<u32>], expected: &mut Vec<u32>) {
+    fn check_all_know_all(logs: &FloodLogs<u32>, expected: &mut Vec<u32>) {
         expected.sort_unstable();
-        for log in logs {
-            let mut got = log.clone();
+        for v in 0..logs.n() as NodeId {
+            let mut got: Vec<u32> = logs.log(v).copied().collect();
             got.sort_unstable();
             assert_eq!(&got, expected);
         }
@@ -227,8 +284,8 @@ mod tests {
         let topo = Topology::from_graph(&g);
         let initial = vec![vec![10u32, 11], vec![20], vec![30]];
         let (logs, _) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
-        assert_eq!(&logs[0][..2], &[10, 11]);
-        assert_eq!(logs[1][0], 20);
+        assert_eq!(logs.log(0).take(2).copied().collect::<Vec<_>>(), [10, 11]);
+        assert_eq!(logs.log(1).next(), Some(&20));
     }
 
     #[test]
@@ -238,7 +295,7 @@ mod tests {
         let initial: Vec<Vec<u32>> = vec![Vec::new(); 4];
         let (logs, report) =
             all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
-        assert!(logs.iter().all(Vec::is_empty));
+        assert!((0..4).all(|v| logs.log_len(v) == 0));
         assert!(report.rounds <= 1);
         assert_eq!(report.messages, 0);
     }
@@ -254,6 +311,24 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(ra.rounds, rb.rounds);
         assert_eq!(ra.messages, rb.messages);
+    }
+
+    #[test]
+    fn messages_carry_indices_but_charge_item_words() {
+        // Three-word table items: the wire carries indices, the accounting
+        // charges every message the item's width.
+        let g = gnm_connected(12, 20, false, WeightDist::Unit, 3);
+        let topo = Topology::from_graph(&g);
+        let initial: Vec<Vec<(NodeId, u32, u64)>> =
+            (0..12).map(|v| (0..3).map(|k| (v, k, u64::from(v * k))).collect()).collect();
+        let (logs, report) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 3, |t| {
+            t.0 as usize * 3 + t.1 as usize
+        })
+        .unwrap();
+        assert!((0..12).all(|v| logs.log_len(v) == 36));
+        assert!(logs.log(5).all(|&(v, k, d)| d == u64::from(v * k)));
+        assert_eq!(report.payload_words, 3 * report.messages);
+        assert_eq!(report.max_msg_words, 3);
     }
 
     #[test]
@@ -281,7 +356,7 @@ mod tests {
         let key = |&(v, k): &(NodeId, u32)| v as usize * 50 + k as usize;
         let (logs, report) =
             all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, key).unwrap();
-        assert!(logs.iter().all(|l| l.len() == 100));
+        assert!((0..10).all(|v| logs.log_len(v) == 100));
         assert!(report.rounds <= 2 * 50 + 3 * 10, "rounds = {}", report.rounds);
     }
 }
@@ -317,8 +392,8 @@ mod proptests {
             let (logs, report) =
                 all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, |&x| x as usize)
                     .unwrap();
-            for log in &logs {
-                let mut got = log.clone();
+            for v in 0..n as NodeId {
+                let mut got: Vec<u32> = logs.log(v).copied().collect();
                 got.sort_unstable();
                 prop_assert_eq!(&got, &expected);
             }

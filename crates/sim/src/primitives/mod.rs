@@ -7,5 +7,5 @@ mod flood;
 mod tree_cast;
 
 pub use bfs::{build_bfs_tree, BfsTree};
-pub use flood::{all_to_all_broadcast, flood_broadcast, FloodItem};
+pub use flood::{all_to_all_broadcast, flood_broadcast, FloodLogs};
 pub use tree_cast::{broadcast_stream, convergecast_budget, convergecast_sum};
