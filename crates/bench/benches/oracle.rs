@@ -388,6 +388,42 @@ fn bench_oracle(c: &mut Criterion) {
     // -------- snapshot size, for the record --------
     let snapshot_bytes = oracle.to_bytes().len();
 
+    // -------- snapshot I/O: what a server pays at start and per swap --------
+    // Median of SNAPSHOT_REPS atomic saves (encode, block checksums,
+    // write, fsync, rename) and eager loads (read, checksums, decode,
+    // plane check) of the n = 2048 oracle, at the default 64-row blocks
+    // and the paged server's 16-row blocks. The loads' plane check splits
+    // over the host's cores, so the CPU count goes in the record.
+    const SNAPSHOT_REPS: usize = 5;
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let io_path = std::env::temp_dir().join(format!("bench_oracle_io_{}.snap", std::process::id()));
+    let snapshot_io: Vec<(u32, f64, f64)> = [64u32, 16]
+        .iter()
+        .map(|&block_rows| {
+            let cfg = V2Config { block_rows, ..V2Config::default() };
+            let (mut save_ms, mut load_ms) = (Vec::new(), Vec::new());
+            for _ in 0..SNAPSHOT_REPS {
+                let t0 = Instant::now();
+                oracle.save_v2(&io_path, &cfg).expect("save snapshot");
+                save_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                let t0 = Instant::now();
+                let loaded = Oracle::<u64>::load(&io_path).expect("load snapshot");
+                load_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                assert!(loaded == *oracle, "a load must restore the saved oracle");
+            }
+            let median = |v: &mut Vec<f64>| {
+                v.sort_by(f64::total_cmp);
+                v[v.len() / 2]
+            };
+            let (save, load) = (median(&mut save_ms), median(&mut load_ms));
+            println!(
+                "snapshot-io/{block_rows}-row blocks: save {save:.1} ms, eager load {load:.1} ms (median of {SNAPSHOT_REPS}, {host_cpus} CPUs)"
+            );
+            (block_rows, save, load)
+        })
+        .collect();
+    std::fs::remove_file(&io_path).ok();
+
     // -------- paged backend: resident budget vs hit rate --------
     // The out-of-core question: how much of the blocked v2 snapshot must
     // stay resident before the paged backend serves a skewed workload at
@@ -568,6 +604,35 @@ fn bench_oracle(c: &mut Criterion) {
                         "note",
                         Json::from(
                             "arena (and any Step-7 successor plane) moves from ApspOutcome into Oracle; supplied-plane time is the validation sweep only, zero reverse-BFS",
+                        ),
+                    ),
+                ]),
+            )
+            .field(
+                "snapshot_io",
+                obj(vec![
+                    ("n", Json::from(N)),
+                    ("host_cpus", Json::from(host_cpus)),
+                    ("reps", Json::from(SNAPSHOT_REPS)),
+                    (
+                        "medians",
+                        Json::Arr(
+                            snapshot_io
+                                .iter()
+                                .map(|&(block_rows, save, load)| {
+                                    obj(vec![
+                                        ("block_rows", Json::U64(u64::from(block_rows))),
+                                        ("save_ms", round1(save)),
+                                        ("eager_load_ms", round1(load)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                    (
+                        "note",
+                        Json::from(
+                            "Oracle::save_v2 (atomic: temp file, fsync, rename) and Oracle::load of the same oracle, median of reps each",
                         ),
                     ),
                 ]),

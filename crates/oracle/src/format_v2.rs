@@ -7,25 +7,32 @@
 //!
 //! * **Streamable writes** — blocks are emitted front-to-back and the
 //!   index lands at the tail, so [`Oracle::save_v2_to`] needs no seeks
-//!   and never materializes the n²×12 image.
-//! * **Header + index validation first, one block at a time after** — a
-//!   reader proves the file's *shape* (and that the index is not
-//!   hostile: entries must exactly tile the span between header and
-//!   index) from O(blocks) bytes, then fetches and checksums individual
-//!   blocks: on demand when paging, each once in file order when loading
-//!   eagerly.
+//!   and never materializes the n²×12 image. The writer takes a plane's
+//!   blocks in groups of four: one pass over the group's arena cells
+//!   encodes them in 64 KiB stripes and folds the four checksums side by
+//!   side, then the four blocks stream out chunk by chunk. It holds four
+//!   stripes, never a block.
+//! * **Header + index validation first, blocks after** — a reader proves
+//!   the file's *shape* (and that the index is not hostile: entries must
+//!   exactly tile the span between header and index) from O(blocks)
+//!   bytes, then fetches and checksums blocks: one at a time on demand
+//!   when paging, each once in file order when loading eagerly. The eager
+//!   reader takes each group of four blocks in lockstep 64 KiB stripes,
+//!   folds the four checksums side by side and decodes every stripe
+//!   straight into the arenas. It reports a group's failures in file
+//!   order, and within a block a checksum mismatch before a decode error:
+//!   the error a block-at-a-time reader returns.
 //! * **Optional successor plane** — the n²×4 plane is the pure
 //!   reconstruction accelerator; dropping it on disk shrinks the file by
 //!   a third, and readers re-derive per-target columns from the embedded
 //!   graph via the reverse-BFS derivation.
 
-use crate::oracle::{derive_target_from_col, tick_derivation, Oracle, NO_SUCC};
+use crate::oracle::{derive_plane, Cores, Oracle, NO_SUCC};
 use crate::snapshot::{
-    atomic_write, check_plane, fnv1a, FnvWriter, PortableWeight, SnapshotError, ENCODE_CHUNK,
-    MAGIC, VERSION_V2,
+    atomic_write, check_plane, fnv1a, fnv1a_lanes, fnv1a_update, PortableWeight, SnapshotError,
+    FNV_OFFSET, LANES, MAGIC, VERSION_V2,
 };
-use congest_graph::{Edge, Graph, NodeId, Weight};
-use congest_sim::parallel::par_indexed_map;
+use congest_graph::{Edge, Graph, NodeId};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -41,6 +48,10 @@ const FLAG_SUCC: u8 = 1;
 /// Flag bit: the graph edge list is present on disk (enables successor
 /// re-derivation when the plane is absent).
 const FLAG_GRAPH: u8 = 2;
+/// Bytes of one block a lane reads, or encodes, per step: the eager
+/// reader and the writer hold [`LANES`] such stripes, never a whole block.
+/// A multiple of every cell width, so stripes split no cell.
+const STRIPE: usize = 64 * 1024;
 
 /// Knobs for writing a v2 snapshot.
 #[derive(Copy, Clone, Debug)]
@@ -290,38 +301,32 @@ pub(crate) fn read_block<R: Read + Seek>(
     check_block(buf, e, pos)
 }
 
-/// Decodes a (checksum-verified) dist block's 8-byte weights onto `out`.
+/// Decodes dist-block bytes, 8 a weight, into `out` (one cell per 8
+/// bytes); `Err` says what is wrong with the block.
 pub(crate) fn decode_dist<W>(
     blob: &[u8],
     decode: impl Fn([u8; 8]) -> Option<W>,
-    pos: u32,
-    out: &mut Vec<W>,
-) -> Result<(), SnapshotError> {
-    for chunk in blob.chunks_exact(8) {
-        let w = decode(chunk.try_into().expect("8-byte chunk"))
-            .ok_or(SnapshotError::BlockCorrupt { block: pos, what: "invalid weight encoding" })?;
-        out.push(w);
+    out: &mut [W],
+) -> Result<(), &'static str> {
+    for (chunk, cell) in blob.chunks_exact(8).zip(out) {
+        *cell = decode(chunk.try_into().expect("8-byte chunk")).ok_or("invalid weight encoding")?;
     }
     Ok(())
 }
 
-/// Decodes a (checksum-verified) successor block's ids onto `out`,
-/// rejecting any that names no node of an `n`-node oracle.
-pub(crate) fn decode_succ(
-    blob: &[u8],
-    n: usize,
-    pos: u32,
-    out: &mut Vec<NodeId>,
-) -> Result<(), SnapshotError> {
-    for chunk in blob.chunks_exact(4) {
+/// Decodes successor-block bytes, 4 an id, into `out`, rejecting any id
+/// that names no node of an `n`-node oracle.
+pub(crate) fn decode_succ(blob: &[u8], n: usize, out: &mut [NodeId]) -> Result<(), &'static str> {
+    // No early exit: the loop stays branch-free and the range check is
+    // settled once per call.
+    let mut bad = false;
+    for (chunk, cell) in blob.chunks_exact(4).zip(out) {
         let s = NodeId::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-        if s != NO_SUCC && s as usize >= n {
-            return Err(SnapshotError::BlockCorrupt {
-                block: pos,
-                what: "successor id out of range",
-            });
-        }
-        out.push(s);
+        bad |= s != NO_SUCC && s as usize >= n;
+        *cell = s;
+    }
+    if bad {
+        return Err("successor id out of range");
     }
     Ok(())
 }
@@ -364,57 +369,100 @@ pub(crate) fn parse_graph_section<W: PortableWeight>(
     Ok(Graph::from_edges(n, directed, edges))
 }
 
-/// Derives the full target-major successor plane from the embedded graph
-/// (one parallel reverse BFS per target), validating that the distances
-/// actually belong to that graph. Ticks the process-wide derivation
-/// counter once.
-fn derive_plane<W: Weight>(
-    g: &Graph<W>,
-    n: usize,
-    dist: &[W],
-) -> Result<Box<[NodeId]>, SnapshotError> {
-    tick_derivation();
-    let mut succ = vec![NO_SUCC; n * n].into_boxed_slice();
-    let mut cols: Vec<&mut [NodeId]> = succ.chunks_mut(n).collect();
-    let results = par_indexed_map(&mut cols, |v, col| {
-        let dcol: Vec<W> = (0..n).map(|u| dist[u * n + v]).collect();
-        derive_target_from_col(g, &dcol, v as NodeId, col)
-    });
-    if results.iter().any(|r| r.is_err()) {
-        return Err(SnapshotError::Corrupt("distances inconsistent with embedded graph"));
+/// Reads one plane's blocks — index entries `entries`, the first at index
+/// position `first` — into `arena`, where they hold `width`-byte cells
+/// back to back. Blocks go in groups of [`LANES`], each read in lockstep
+/// stripes through `stripes`: the group's checksums fold side by side and
+/// every stripe decodes straight into its block's cells. Failures are
+/// reported as a block-at-a-time reader meets them: the group's blocks in
+/// file order, and per block a read failure, then a checksum mismatch,
+/// then a decode error.
+fn read_section<T, R: Read + Seek>(
+    src: &mut R,
+    entries: &[IndexEntry],
+    first: usize,
+    arena: &mut [T],
+    width: usize,
+    decode: impl Fn(&[u8], &mut [T]) -> Result<(), &'static str>,
+    stripes: &mut [Vec<u8>; LANES],
+) -> Result<(), SnapshotError> {
+    let mut rest = arena;
+    for (g, group) in entries.chunks(LANES).enumerate() {
+        let mut cells: [&mut [T]; LANES] = Default::default();
+        for (out, e) in cells.iter_mut().zip(group) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(e.len as usize / width);
+            *out = head;
+            rest = tail;
+        }
+        let mut io: [Option<std::io::Error>; LANES] = Default::default();
+        let mut bad: [Option<&'static str>; LANES] = [None; LANES];
+        let mut hash = [FNV_OFFSET; LANES];
+        let longest = group.iter().map(|e| e.len as usize).max().unwrap_or(0);
+        for at in (0..longest).step_by(STRIPE) {
+            let mut lens = [0usize; LANES];
+            for (k, e) in group.iter().enumerate() {
+                let len = (e.len as usize).saturating_sub(at).min(STRIPE);
+                if len == 0 || io[k].is_some() {
+                    continue;
+                }
+                match read_exact_at(src, e.offset + at as u64, &mut stripes[k][..len]) {
+                    Ok(()) => lens[k] = len,
+                    Err(err) => io[k] = Some(err),
+                }
+            }
+            fnv1a_lanes(&mut hash, std::array::from_fn(|k| &stripes[k][..lens[k]]));
+            for k in 0..group.len() {
+                if lens[k] > 0 && bad[k].is_none() {
+                    let out = &mut cells[k][at / width..(at + lens[k]) / width];
+                    bad[k] = decode(&stripes[k][..lens[k]], out).err();
+                }
+            }
+        }
+        for (k, e) in group.iter().enumerate() {
+            let block = (first + g * LANES + k) as u32;
+            if let Some(err) = io[k].take() {
+                return Err(SnapshotError::Io(err));
+            }
+            if hash[k] != e.fnv {
+                return Err(SnapshotError::BlockCorrupt { block, what: "checksum mismatch" });
+            }
+            if let Some(what) = bad[k] {
+                return Err(SnapshotError::BlockCorrupt { block, what });
+            }
+        }
     }
-    Ok(succ)
+    Ok(())
 }
 
-/// Eagerly loads a v2 snapshot from `src`, paging in every block once,
-/// in file order. The arenas are allocated only after [`read_layout`]
-/// has proved their size, and every block goes through one reused
-/// buffer: read, checksum-verified, decoded straight into its arena, so
-/// peak memory is the arenas plus the largest block. The successor plane
-/// is re-derived from the embedded graph when it was dropped on disk,
-/// and the cross-arena invariants are enforced.
+/// Eagerly loads a v2 snapshot from `src`, reading every block once, in
+/// file order. The arenas are allocated only after [`read_layout`] has
+/// proved their size, and the blocks decode straight into them through
+/// [`LANES`] stripes of at most 64 KiB (see [`read_section`]), so peak
+/// memory is the arenas plus those stripes. The successor plane is
+/// re-derived from the embedded graph when it was dropped on disk, and the
+/// cross-arena invariants are enforced; both sweeps split over `cores`.
 pub(crate) fn read_v2<W: PortableWeight, R: Read + Seek>(
     mut src: R,
+    cores: Cores,
 ) -> Result<Oracle<W>, SnapshotError> {
     let (header, layout) = read_layout(&mut src, W::TAG)?;
     let n = header.n;
-    let mut buf = Vec::new();
+    // Dist block 0 is the largest block: whole rows at 8 bytes a cell.
+    let stripe = STRIPE.min(layout.dist[0].len as usize);
+    let mut stripes: [Vec<u8>; LANES] = std::array::from_fn(|_| vec![0; stripe]);
 
-    let mut dist: Vec<W> = Vec::with_capacity(n * n);
-    for (b, &e) in layout.dist.iter().enumerate() {
-        read_block(&mut src, e, b as u32, &mut buf)?;
-        decode_dist(&buf, W::decode, b as u32, &mut dist)?;
-    }
+    let mut dist = vec![W::ZERO; n * n];
+    let decode = |blob: &[u8], out: &mut [W]| decode_dist(blob, W::decode, out);
+    read_section(&mut src, &layout.dist, 0, &mut dist, 8, decode, &mut stripes)?;
     if (0..n).any(|u| dist[u * n + u] != W::ZERO) {
         return Err(SnapshotError::Corrupt("nonzero diagonal distance"));
     }
 
-    let mut succ: Vec<NodeId> = Vec::with_capacity(if header.has_succ { n * n } else { 0 });
-    for (b, &e) in layout.succ.iter().enumerate() {
-        let pos = (layout.dist.len() + b) as u32;
-        read_block(&mut src, e, pos, &mut buf)?;
-        decode_succ(&buf, n, pos, &mut succ)?;
-    }
+    // Every cell is overwritten, so a zeroed (lazily mapped) arena will do.
+    let mut succ: Vec<NodeId> = vec![0; if header.has_succ { n * n } else { 0 }];
+    let decode = |blob: &[u8], out: &mut [NodeId]| decode_succ(blob, n, out);
+    read_section(&mut src, &layout.succ, layout.dist.len(), &mut succ, 4, decode, &mut stripes)?;
+    drop(stripes);
 
     // The graph section is validated (checksum + structure) whenever
     // present, even if the successor plane makes it redundant for this
@@ -422,6 +470,7 @@ pub(crate) fn read_v2<W: PortableWeight, R: Read + Seek>(
     // whole file, not just the bytes this particular read path consumed.
     let graph: Option<Graph<W>> = match layout.graph {
         Some((pos, e)) => {
+            let mut buf = Vec::new();
             read_block(&mut src, e, pos, &mut buf)?;
             Some(parse_graph_section(&buf, n, pos)?)
         }
@@ -429,13 +478,67 @@ pub(crate) fn read_v2<W: PortableWeight, R: Read + Seek>(
     };
 
     let succ: Box<[NodeId]> = if header.has_succ {
-        check_plane(n, &dist, &succ).map_err(SnapshotError::Corrupt)?;
+        check_plane(n, &dist, &succ, cores).map_err(SnapshotError::Corrupt)?;
         succ.into_boxed_slice()
     } else {
         let g = graph.as_ref().expect("header flags guarantee a graph when successors are absent");
-        derive_plane(g, n, &dist)?
+        derive_plane(g, &dist, cores)
+            .map_err(|_| SnapshotError::Corrupt("distances inconsistent with embedded graph"))?
     };
     Ok(Oracle::from_parts(n, dist.into_boxed_slice(), succ))
+}
+
+/// Encodes `cells` into `out`, `B` bytes a cell, one whole chunk per call.
+fn encode_into<T: Copy, const B: usize>(
+    cells: &[T],
+    enc: impl Fn(T) -> [u8; B],
+    out: &mut Vec<u8>,
+) {
+    out.resize(cells.len() * B, 0);
+    for (bytes, &c) in out.chunks_exact_mut(B).zip(cells) {
+        bytes.copy_from_slice(&enc(c));
+    }
+}
+
+/// Streams one plane — `arena` cut into blocks of `block_cells` cells —
+/// into `w`, pushing each block's index entry and advancing `offset`. Per
+/// group of [`LANES`] blocks, one pass encodes the group's cells stripe by
+/// stripe and folds the four checksums side by side; then the blocks
+/// stream out, encoded again one chunk at a time. Only `stripes` is held.
+fn write_section<T: Copy, const B: usize>(
+    w: &mut impl Write,
+    arena: &[T],
+    block_cells: usize,
+    enc: impl Fn(T) -> [u8; B] + Copy,
+    stripes: &mut [Vec<u8>; LANES],
+    index: &mut Vec<IndexEntry>,
+    offset: &mut u64,
+) -> Result<(), SnapshotError> {
+    let per_stripe = STRIPE / B;
+    for group in arena.chunks(LANES * block_cells) {
+        let mut blocks: [&[T]; LANES] = [&[]; LANES];
+        for (slot, block) in blocks.iter_mut().zip(group.chunks(block_cells)) {
+            *slot = block;
+        }
+        let mut hash = [FNV_OFFSET; LANES];
+        for at in (0..blocks[0].len()).step_by(per_stripe) {
+            for (stripe, block) in stripes.iter_mut().zip(blocks) {
+                let part = &block[at.min(block.len())..(at + per_stripe).min(block.len())];
+                encode_into(part, enc, stripe);
+            }
+            fnv1a_lanes(&mut hash, std::array::from_fn(|k| stripes[k].as_slice()));
+        }
+        for (block, fnv) in blocks.into_iter().zip(hash).filter(|(b, _)| !b.is_empty()) {
+            for part in block.chunks(per_stripe) {
+                encode_into(part, enc, &mut stripes[0]);
+                w.write_all(&stripes[0]).map_err(SnapshotError::Io)?;
+            }
+            let len = (block.len() * B) as u64;
+            index.push(IndexEntry { offset: *offset, len, fnv });
+            *offset += len;
+        }
+    }
+    Ok(())
 }
 
 impl<W: PortableWeight> Oracle<W> {
@@ -451,8 +554,9 @@ impl<W: PortableWeight> Oracle<W> {
     }
 
     /// Streams the blocked v2 snapshot into `w` front-to-back (no seeks,
-    /// no n² staging buffer): header, dist blocks, successor blocks,
-    /// graph section, index, footer.
+    /// no n² staging buffer, no block buffer: four 64 KiB stripes):
+    /// header, dist blocks, successor blocks, graph section, index,
+    /// footer.
     ///
     /// # Errors
     /// Rejects inconsistent configuration; propagates `w`'s failures as
@@ -497,68 +601,37 @@ impl<W: PortableWeight> Oracle<W> {
 
         let mut offset = HEADER_V2_LEN as u64;
         let mut index: Vec<IndexEntry> = Vec::new();
-        type Encode<'a> =
-            dyn FnMut(&mut FnvWriter<&mut dyn Write>) -> Result<u64, SnapshotError> + 'a;
-        let mut emit = |w: &mut dyn Write, encode: &mut Encode<'_>| -> Result<(), SnapshotError> {
-            let mut fw = FnvWriter::new(w);
-            let len = encode(&mut fw)?;
-            index.push(IndexEntry { offset, len, fnv: fw.hash() });
-            offset += len;
-            Ok(())
-        };
-
-        for b in 0..header.blocks() {
-            let rows = header.rows_in_block(b);
-            let cells = &self.dist_arena()[b * br * n..b * br * n + rows * n];
-            emit(&mut w, &mut |fw| {
-                let mut chunk: Vec<u8> = Vec::with_capacity(ENCODE_CHUNK);
-                for &d in cells {
-                    chunk.extend_from_slice(&d.encode());
-                    if chunk.len() >= ENCODE_CHUNK {
-                        fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                        chunk.clear();
-                    }
-                }
-                fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                Ok(rows as u64 * n as u64 * 8)
-            })?;
-        }
+        let stripe = STRIPE.min(br.min(n) * n * 8);
+        let mut stripes: [Vec<u8>; LANES] = std::array::from_fn(|_| Vec::with_capacity(stripe));
+        let block_cells = br * n;
+        let (dist, succ) = (self.dist_arena(), self.succ_arena());
+        write_section(&mut w, dist, block_cells, W::encode, &mut stripes, &mut index, &mut offset)?;
         if header.has_succ {
-            for b in 0..header.blocks() {
-                let rows = header.rows_in_block(b);
-                let cells = &self.succ_arena()[b * br * n..b * br * n + rows * n];
-                emit(&mut w, &mut |fw| {
-                    let mut chunk: Vec<u8> = Vec::with_capacity(ENCODE_CHUNK);
-                    for &s in cells {
-                        chunk.extend_from_slice(&s.to_le_bytes());
-                        if chunk.len() >= ENCODE_CHUNK {
-                            fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                            chunk.clear();
-                        }
-                    }
-                    fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                    Ok(rows as u64 * n as u64 * 4)
-                })?;
-            }
+            let enc = NodeId::to_le_bytes;
+            write_section(&mut w, succ, block_cells, enc, &mut stripes, &mut index, &mut offset)?;
         }
         if let Some(g) = cfg.graph {
-            emit(&mut w, &mut |fw| {
-                fw.write_all(&[u8::from(g.is_directed())]).map_err(SnapshotError::Io)?;
-                fw.write_all(&(g.m() as u64).to_le_bytes()).map_err(SnapshotError::Io)?;
-                let mut chunk: Vec<u8> = Vec::with_capacity(ENCODE_CHUNK);
-                for e in g.edges() {
+            let mut head = [0u8; 9];
+            head[0] = u8::from(g.is_directed());
+            head[1..].copy_from_slice(&(g.m() as u64).to_le_bytes());
+            w.write_all(&head).map_err(SnapshotError::Io)?;
+            let mut fnv = fnv1a(&head);
+            let chunk = &mut stripes[0];
+            for edges in g.edges().chunks(STRIPE / 16) {
+                chunk.clear();
+                for e in edges {
                     chunk.extend_from_slice(&e.from.to_le_bytes());
                     chunk.extend_from_slice(&e.to.to_le_bytes());
                     chunk.extend_from_slice(&e.weight.encode());
-                    if chunk.len() >= ENCODE_CHUNK {
-                        fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                        chunk.clear();
-                    }
                 }
-                fw.write_all(&chunk).map_err(SnapshotError::Io)?;
-                Ok(9 + g.m() as u64 * 16)
-            })?;
+                fnv = fnv1a_update(fnv, chunk);
+                w.write_all(chunk).map_err(SnapshotError::Io)?;
+            }
+            let len = 9 + g.m() as u64 * 16;
+            index.push(IndexEntry { offset, len, fnv });
+            offset += len;
         }
+        drop(stripes);
 
         let mut ibytes = Vec::with_capacity(index.len() * INDEX_ENTRY_LEN);
         for e in &index {

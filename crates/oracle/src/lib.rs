@@ -21,7 +21,10 @@
 //!   v2 format: [`Oracle::save`] / [`Oracle::to_bytes`] with the default
 //!   [`V2Config`], [`Oracle::save_v2`] with any, e.g. one that drops the
 //!   successor plane on disk and embeds the graph instead. [`Oracle::load`]
-//!   / [`Oracle::from_bytes`] read it eagerly, one block at a time.
+//!   / [`Oracle::from_bytes`] read it eagerly, four blocks at a time in
+//!   lockstep stripes decoded straight into the arenas; [`Oracle::load_on`]
+//!   with [`Cores::Caller`] keeps the load's plane checks on the calling
+//!   thread.
 //!   Saves are atomic: temp file + fsync + rename, so a crashed writer
 //!   can never leave a torn snapshot where a watcher might load it.
 //! * [`PagedOracle`] — the out-of-core backend: opens any saved snapshot,
@@ -81,6 +84,6 @@ mod snapshot;
 
 pub use engine::{CacheStats, EngineConfig, QueryEngine, QueryError};
 pub use format_v2::V2Config;
-pub use oracle::{successor_derivations, IntoOracle, Oracle, NO_SUCC};
+pub use oracle::{successor_derivations, Cores, IntoOracle, Oracle, NO_SUCC};
 pub use paged::{PagedConfig, PagedOracle, PagedStats};
 pub use snapshot::{PortableWeight, SnapshotError, MAGIC, VERSION_V2};

@@ -37,6 +37,7 @@ use congest_apsp::ApspOutcome;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight};
 use congest_sim::parallel::par_indexed_map;
 use std::collections::BinaryHeap;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use congest_graph::NO_SUCC;
@@ -56,12 +57,48 @@ pub fn successor_derivations() -> u64 {
     DERIVATIONS.load(Ordering::Relaxed)
 }
 
-/// Ticks the derivation counter from the other derivation sites: a v2
-/// snapshot loaded without its successor plane (one tick per load) and
-/// the paged backend's on-demand per-target derivation (one tick per
-/// derived column).
+/// Ticks the derivation counter from the paged backend's on-demand
+/// per-target derivation (one tick per derived column); [`derive_plane`]
+/// ticks it once per plane.
 pub(crate) fn tick_derivation() {
     DERIVATIONS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Plane size, in cells, from which a sweep over an n×n plane forks: n ≥
+/// 512. Smaller oracles, the compute half's (n ≤ 384) among them, stay on
+/// the calling thread, so no worker stack lands in their peak memory.
+const PAR_PLANE_CELLS: usize = 512 * 512;
+
+/// The cores an eager load's n×n plane sweeps may take, chosen by the
+/// caller of [`Oracle::load_on`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cores {
+    /// Every core of the host, from n = 512 on; smaller planes stay on
+    /// the calling thread. What [`Oracle::load`] and
+    /// [`Oracle::from_bytes`] use.
+    All,
+    /// The calling thread only: for a load that runs beside other work,
+    /// such as a server swapping in a new generation while the old one
+    /// still answers queries on the other cores.
+    Caller,
+}
+
+/// Maps `f` over `items`, the columns or bands of an n×n plane sweep:
+/// with [`Cores::All`], over every core of the host when the plane has at
+/// least [`PAR_PLANE_CELLS`] cells; on the calling thread otherwise.
+/// Results come back in item order whatever the split.
+pub(crate) fn par_plane<T: Send, R: Send>(
+    n: usize,
+    cores: Cores,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) -> R + Sync,
+) -> Vec<R> {
+    let workers = if cores == Cores::Caller || n.saturating_mul(n) < PAR_PLANE_CELLS {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    };
+    par_indexed_map(items, workers, f)
 }
 
 /// A compact distance + successor oracle over a fixed graph snapshot.
@@ -102,8 +139,11 @@ impl<W: Weight> Oracle<W> {
     /// (also by move) — the zero-derivation fast path every solver outcome
     /// takes, observable via [`successor_derivations`];
     /// otherwise successors are derived from the distances plus `g`'s
-    /// adjacency, parallelized over targets (one reverse BFS per target,
-    /// O(n·m) total work).
+    /// adjacency (one reverse BFS per target, O(n·m) total work).
+    ///
+    /// The validation sweeps and the derivation split their targets over
+    /// the host's cores from n = 512 on; smaller matrices run on the
+    /// calling thread.
     ///
     /// # Panics
     /// Panics if the matrix is not `n×n`, a diagonal entry is not zero, the
@@ -133,11 +173,11 @@ impl<W: Weight> Oracle<W> {
                 // A producer-supplied plane replaces the derivation, but
                 // must satisfy the snapshot loader's invariants (successor
                 // iff distinct + reachable, every chain terminates) ...
-                if let Err(what) = crate::snapshot::check_plane(n, &arena, &succ) {
+                if let Err(what) = crate::snapshot::check_plane(n, &arena, &succ, Cores::All) {
                     panic!("supplied successor plane invalid: {what}");
                 }
                 // ... plus the graph-consistency contract the derived path
-                // gets from `derive_target`: every successor step must be
+                // gets from `derive_plane`: every successor step must be
                 // an edge of `g` whose weight telescopes, so `path` walks
                 // are real min-weight walks in `g` (and a matrix/plane for
                 // a different graph is rejected). One O(m log m) adjacency
@@ -158,7 +198,7 @@ impl<W: Weight> Oracle<W> {
                 let mut cols: Vec<&[NodeId]> = succ.chunks(n).collect();
                 let results = {
                     let (arena, min_out) = (&arena, &min_out);
-                    par_indexed_map(&mut cols, move |v, col| -> Result<(), String> {
+                    par_plane(n, Cores::All, &mut cols, move |v, col| -> Result<(), String> {
                         for (u, &s) in col.iter().enumerate() {
                             if s == NO_SUCC {
                                 continue;
@@ -185,16 +225,9 @@ impl<W: Weight> Oracle<W> {
                 }
                 succ
             }
-            None => {
-                DERIVATIONS.fetch_add(1, Ordering::Relaxed);
-                let mut succ = vec![NO_SUCC; n * n].into_boxed_slice();
-                {
-                    let arena = &arena;
-                    let mut cols: Vec<&mut [NodeId]> = succ.chunks_mut(n).collect();
-                    par_indexed_map(&mut cols, |v, col| derive_target(g, arena, v as NodeId, col));
-                }
-                succ
-            }
+            None => derive_plane(g, &arena, Cores::All).unwrap_or_else(|(u, v)| {
+                panic!("distance matrix inconsistent with graph at ({u}, {v})")
+            }),
         };
         if let Some(t0) = build_t0 {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -407,25 +440,38 @@ impl<W: Weight> IntoOracle<W> for ApspOutcome<W> {
     }
 }
 
-/// Reverse BFS over the shortest-path DAG toward target `v`: assigns
-/// `col[u]` = next hop from `u`, layer by layer, so successor chains
-/// strictly decrease in hop level (see module docs).
-fn derive_target<W: Weight>(g: &Graph<W>, dist: &[W], v: NodeId, col: &mut [NodeId]) {
+/// Derives the whole target-major successor plane of the row-major
+/// distance arena `dist` from `g` (one reverse BFS per target, split over
+/// `cores` as [`par_plane`] says), ticking the derivation counter once.
+/// `Err((u, v))` names a pair whose distance the graph cannot realize:
+/// [`Oracle::from_dist`] panics on it, and the v2 loader, whose input is
+/// untrusted, returns a typed error.
+pub(crate) fn derive_plane<W: Weight>(
+    g: &Graph<W>,
+    dist: &[W],
+    cores: Cores,
+) -> Result<Box<[NodeId]>, (NodeId, NodeId)> {
+    DERIVATIONS.fetch_add(1, Ordering::Relaxed);
     let n = g.n();
-    // δ(u, v) = dist[u*n + v]: gather target v's strided column once so
-    // the shared dense-column kernel serves this path, the v2 eager
-    // loader and the paged backend alike.
-    let dcol: Vec<W> = (0..n).map(|u| dist[u * n + v as usize]).collect();
-    if let Err(u) = derive_target_from_col(g, &dcol, v, col) {
-        panic!("distance matrix inconsistent with graph at ({u}, {v})");
-    }
+    let mut succ = vec![NO_SUCC; n * n].into_boxed_slice();
+    let mut cols: Vec<&mut [NodeId]> = succ.chunks_mut(n.max(1)).collect();
+    let results = par_plane(n, cores, &mut cols, |v, col| {
+        // δ(u, v) = dist[u*n + v]: gather target v's strided column once
+        // so the dense-column kernel serves this path and the paged
+        // backend alike.
+        let dcol: Vec<W> = (0..n).map(|u| dist[u * n + v]).collect();
+        derive_target_from_col(g, &dcol, v as NodeId, col).map_err(|u| (u, v as NodeId))
+    });
+    results.into_iter().collect::<Result<(), _>>()?;
+    Ok(succ)
 }
 
-/// [`derive_target`] over a dense distance column (`dcol[u]` = δ(u, v)),
-/// panic-free: `Err(u)` names a node whose finite distance the graph's
-/// shortest-path DAG cannot realize (or vice versa) — the matrix does not
-/// belong to this graph. Used directly by the untrusted-input loaders,
-/// where a forged snapshot must surface a typed error, never a panic.
+/// Reverse BFS over the shortest-path DAG toward target `v`, over a dense
+/// distance column (`dcol[u]` = δ(u, v)): assigns `col[u]` = next hop from
+/// `u`, layer by layer, so successor chains strictly decrease in hop level
+/// (see module docs). Panic-free: `Err(u)` names a node whose finite
+/// distance the graph's shortest-path DAG cannot realize (or vice versa) —
+/// the matrix does not belong to this graph.
 pub(crate) fn derive_target_from_col<W: Weight>(
     g: &Graph<W>,
     dcol: &[W],

@@ -324,8 +324,8 @@ impl<W: Weight> PagedOracle<W> {
         }
         let pos = b as u32;
         let bytes = self.read_block(self.dist_index[b], pos)?;
-        let mut cells: Vec<W> = Vec::with_capacity(bytes.len() / 8);
-        decode_dist(&bytes, self.decode, pos, &mut cells)
+        let mut cells = vec![W::ZERO; bytes.len() / 8];
+        decode_dist(&bytes, self.decode, &mut cells)
             .map_err(|_| QueryError::BlockUnavailable { block: pos })?;
         let p: Arc<[W]> = cells.into();
         self.insert_page(key, Page::Dist(p.clone()));
@@ -340,8 +340,8 @@ impl<W: Weight> PagedOracle<W> {
         }
         let pos = (self.blocks + b) as u32;
         let bytes = self.read_block(self.succ_index[b], pos)?;
-        let mut cells: Vec<NodeId> = Vec::with_capacity(bytes.len() / 4);
-        decode_succ(&bytes, self.n, pos, &mut cells)
+        let mut cells = vec![NO_SUCC; bytes.len() / 4];
+        decode_succ(&bytes, self.n, &mut cells)
             .map_err(|_| QueryError::BlockUnavailable { block: pos })?;
         let p: Arc<[NodeId]> = cells.into();
         self.insert_page(key, Page::Succ(p.clone()));

@@ -54,12 +54,24 @@
 //! [`Oracle::load`] (over the open `File`) and [`Oracle::from_bytes`]
 //! (over the bytes in memory) run one reader. It validates the header,
 //! footer and index first, and allocates the arenas only once the index
-//! has proved their size. It then reads, checksums and decodes one block
-//! at a time through one reused buffer, so a load peaks at the arenas
-//! (n²·12 bytes for 8-byte weights) plus one block, never the file image
-//! beside them. [`PagedOracle::open`](crate::PagedOracle::open) runs the
-//! same header, footer and index reader and the same block decoders. A
-//! load reads through one file handle from start to end: a file
+//! has proved their size. It then takes each plane's blocks in groups of
+//! four and reads a group in lockstep 64 KiB stripes, one per block. The
+//! four block checksums fold side by side, one byte of each per step, and
+//! every stripe decodes straight into its place in the arenas. A load
+//! therefore peaks at the arenas (n²·12 bytes for 8-byte weights) plus
+//! four stripes, never a block buffer or the file image beside them.
+//!
+//! The errors are those of reading one block at a time: a group's blocks
+//! are judged in file order, and for each a short read comes first, then
+//! a checksum mismatch, then a payload that does not decode. Then come the
+//! diagonal, the graph section and the cross-arena invariants, whose two
+//! sweeps split over the host's cores from n = 512 on, unless the caller
+//! holds them to its own thread with [`Oracle::load_on`] and
+//! [`Cores::Caller`].
+//! [`PagedOracle::open`](crate::PagedOracle::open) runs the same header,
+//! footer and index reader and the same block decoders.
+//!
+//! A load reads through one file handle from start to end: a file
 //! atomically renamed over the path meanwhile leaves it reading the old,
 //! consistent file. A rewrite in place cannot mix two snapshots, because
 //! every block must match the index read at the start; the load fails
@@ -76,7 +88,7 @@
 //! failure and out-of-range successor ids all surface as [`SnapshotError`].
 
 use crate::format_v2::{read_v2, V2Config};
-use crate::oracle::{Oracle, NO_SUCC};
+use crate::oracle::{par_plane, Cores, Oracle, NO_SUCC};
 use congest_graph::{NodeId, Weight, F64};
 use std::io::Write;
 use std::path::Path;
@@ -218,7 +230,8 @@ impl std::error::Error for SnapshotError {
 /// Checks that every successor chain in target `v`'s column reaches `v`
 /// (no cycles, no dead ends). Chains are memoized, so the whole column is
 /// O(n): each node is walked at most once across all starting points.
-fn succ_chains_terminate(n: usize, v: usize, col: &[NodeId]) -> bool {
+fn succ_chains_terminate(v: usize, col: &[NodeId]) -> bool {
+    let n = col.len();
     /// Per-node memo: unknown / on the current walk / proven to reach `v`.
     #[derive(Copy, Clone, PartialEq)]
     enum Mark {
@@ -258,40 +271,60 @@ fn succ_chains_terminate(n: usize, v: usize, col: &[NodeId]) -> bool {
     true
 }
 
+/// Side of the square tiles [`check_plane`]'s cross-check walks: the
+/// row-major `dist` is read down its columns there, and a 64×64 tile of it
+/// (32 KiB at 8-byte weights) stays in L1 while the 64 target rows of the
+/// plane run across it.
+const TILE: usize = 64;
+
 /// Cross-arena invariants shared by the snapshot loader and
 /// [`Oracle::from_dist`]'s supplied-plane path: a successor exists iff the
 /// pair is distinct and reachable, and every successor chain terminates at
-/// its target. Returns the first violated invariant's description.
+/// its target. Returns the first violated invariant's description: a
+/// mismatch anywhere is reported before any chain failure.
+///
+/// Both passes split their targets over `cores` as [`par_plane`] says:
+/// with [`Cores::All`], over the host's cores from n = 512 on, and on the
+/// calling thread below it.
 pub(crate) fn check_plane<W: Weight>(
     n: usize,
     dist: &[W],
     succ: &[NodeId],
+    cores: Cores,
 ) -> Result<(), &'static str> {
-    for v in 0..n {
-        for u in 0..n {
-            let has_succ = succ[v * n + u] != NO_SUCC;
-            let reachable = u != v && !dist[u * n + v].is_inf();
-            if has_succ != reachable {
-                return Err("successor/distance mismatch");
-            }
-        }
+    let mut bands: Vec<&[NodeId]> = succ.chunks(TILE * n.max(1)).collect();
+    let bands_ok = par_plane(n, cores, &mut bands, |b, band| {
+        (0..n).step_by(TILE).all(|u0| {
+            let u1 = (u0 + TILE).min(n);
+            band.chunks(n).enumerate().all(|(dv, row)| {
+                let v = b * TILE + dv;
+                row[u0..u1]
+                    .iter()
+                    .zip(u0..)
+                    .all(|(&s, u)| (s != NO_SUCC) == (u != v && !dist[u * n + v].is_inf()))
+            })
+        })
+    });
+    if bands_ok.contains(&false) {
+        return Err("successor/distance mismatch");
     }
-    for v in 0..n {
-        if !succ_chains_terminate(n, v, &succ[v * n..(v + 1) * n]) {
-            return Err("successor chain does not reach its target");
-        }
+    let mut cols: Vec<&[NodeId]> = succ.chunks(n.max(1)).collect();
+    if par_plane(n, cores, &mut cols, |v, col| succ_chains_terminate(v, col)).contains(&false) {
+        return Err("successor chain does not reach its target");
     }
     Ok(())
 }
 
 /// FNV-1a 64-bit offset basis.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Folds `bytes` into a running FNV-1a 64 state `h`.
 pub(crate) fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -301,36 +334,41 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
-/// A [`Write`] adapter folding every byte it forwards into a running
-/// FNV-1a 64, so the streaming encoder can checksum each block without
-/// buffering it. Partial writes are absorbed internally
-/// (`write` forwards via `write_all`), keeping the hash in lockstep with
-/// the stream.
-pub(crate) struct FnvWriter<Wr> {
-    inner: Wr,
-    hash: u64,
-}
+/// Blocks whose checksums are folded side by side. One block's FNV-1a is
+/// a serial chain of multiplies (about 1.6 ns a byte); four independent
+/// chains stepped together keep four multiplies in flight.
+pub(crate) const LANES: usize = 4;
 
-impl<Wr: Write> FnvWriter<Wr> {
-    pub(crate) fn new(inner: Wr) -> Self {
-        FnvWriter { inner, hash: FNV_OFFSET }
+/// Folds lane `k`'s bytes into the running FNV-1a 64 state `h[k]` for all
+/// lanes at once, one byte of each per step: every state ends where
+/// [`fnv1a_update`] over that lane alone would leave it. Lanes may differ
+/// in length, and an empty lane keeps its state.
+pub(crate) fn fnv1a_lanes(h: &mut [u64; LANES], lanes: [&[u8]; LANES]) {
+    // Lockstep over the prefix every non-empty lane has. An empty lane (a
+    // group of fewer than LANES blocks, or a short block that has ended)
+    // rides along on a donor lane's bytes, and its state is thrown away.
+    let common = lanes.iter().map(|l| l.len()).filter(|&len| len > 0).min().unwrap_or(0);
+    if common > 0 {
+        let donor = lanes.iter().find(|l| !l.is_empty()).expect("common > 0: a lane has bytes");
+        let [a, b, c, d] =
+            lanes.map(|l| if l.is_empty() { &donor[..common] } else { &l[..common] });
+        let [mut s0, mut s1, mut s2, mut s3] = *h;
+        for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+            s0 = (s0 ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
+            s1 = (s1 ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
+            s2 = (s2 ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
+            s3 = (s3 ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
+        }
+        for ((hk, lane), sk) in h.iter_mut().zip(lanes).zip([s0, s1, s2, s3]) {
+            if !lane.is_empty() {
+                *hk = sk;
+            }
+        }
     }
-
-    /// The FNV-1a 64 of every byte written so far.
-    pub(crate) fn hash(&self) -> u64 {
-        self.hash
-    }
-}
-
-impl<Wr: Write> Write for FnvWriter<Wr> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write_all(buf)?;
-        self.hash = fnv1a_update(self.hash, buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
+    for (hk, lane) in h.iter_mut().zip(lanes) {
+        if lane.len() > common {
+            *hk = fnv1a_update(*hk, &lane[common..]);
+        }
     }
 }
 
@@ -378,10 +416,6 @@ pub(crate) fn atomic_write(
     result
 }
 
-/// Encoding chunk size for the streaming writers: big enough to amortize
-/// `Write` dispatch, small enough to keep peak extra memory trivial.
-pub(crate) const ENCODE_CHUNK: usize = 64 * 1024;
-
 impl<W: PortableWeight> Oracle<W> {
     /// Serializes the oracle into the blocked v2 snapshot format with
     /// [`V2Config::default`]: the bytes [`save`](Oracle::save) writes.
@@ -391,7 +425,7 @@ impl<W: PortableWeight> Oracle<W> {
             .expect("every oracle has a node, and the default config embeds no graph")
     }
 
-    /// Deserializes a v2 snapshot eagerly, block by block (see the
+    /// Deserializes a v2 snapshot eagerly, in stripes (see the
     /// module's "Loading" docs): every block checksum is verified, and
     /// when the successor plane was dropped on disk it is re-derived from
     /// the embedded graph (one
@@ -401,7 +435,7 @@ impl<W: PortableWeight> Oracle<W> {
     /// Returns a [`SnapshotError`] (never panics) on truncated, corrupted,
     /// version-mismatched or wrong-weight-type input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        read_v2(std::io::Cursor::new(bytes))
+        read_v2(std::io::Cursor::new(bytes), Cores::All)
     }
 
     /// Writes the v2 snapshot [`to_bytes`](Oracle::to_bytes) describes to
@@ -417,15 +451,26 @@ impl<W: PortableWeight> Oracle<W> {
     }
 
     /// Reads the v2 snapshot at `path` with the same reader as
-    /// [`from_bytes`](Oracle::from_bytes), streaming it block by block
-    /// from the open file instead of reading the whole image first.
+    /// [`from_bytes`](Oracle::from_bytes), streaming it stripe by stripe
+    /// from the open file instead of reading the whole image first. Its
+    /// plane checks take every core from n = 512 on: [`Cores::All`].
     ///
     /// # Errors
     /// Propagates filesystem failures (opening a directory fails at its
     /// first read) and every [`from_bytes`](Oracle::from_bytes)
     /// validation error.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        read_v2(std::fs::File::open(path).map_err(SnapshotError::Io)?)
+        Self::load_on(path, Cores::All)
+    }
+
+    /// [`load`](Oracle::load) with its plane checks held to `cores`.
+    /// Pass [`Cores::Caller`] when other work needs the remaining cores
+    /// while this load runs.
+    ///
+    /// # Errors
+    /// As [`load`](Oracle::load).
+    pub fn load_on(path: impl AsRef<Path>, cores: Cores) -> Result<Self, SnapshotError> {
+        read_v2(std::fs::File::open(path).map_err(SnapshotError::Io)?, cores)
     }
 }
 
@@ -552,6 +597,19 @@ mod tests {
         // toward 0: [NO_SUCC, 0]; toward 1: [0 (cycle!), NO_SUCC].
         let o = forged([0, 1, 1, 0], [NO_SUCC, 0, 0, NO_SUCC]);
         assert_rejected(&o, "successor chain does not reach its target");
+    }
+
+    #[test]
+    fn lane_fold_matches_one_lane_at_a_time() {
+        let bytes: Vec<u8> = (0..400u32).map(|i| (i * 37 % 251) as u8).collect();
+        // Equal lanes, ragged lanes, empty lanes and all-empty lanes.
+        for lens in [[64, 64, 64, 64], [0, 1, 7, 300], [5, 0, 0, 0], [0; 4], [299, 300, 2, 0]] {
+            let lanes: [&[u8]; LANES] = std::array::from_fn(|k| &bytes[k..k + lens[k]]);
+            let mut h: [u64; LANES] = std::array::from_fn(|k| FNV_OFFSET ^ k as u64);
+            let expected: [u64; LANES] = std::array::from_fn(|k| fnv1a_update(h[k], lanes[k]));
+            fnv1a_lanes(&mut h, lanes);
+            assert_eq!(h, expected, "lane lengths {lens:?}");
+        }
     }
 
     #[test]

@@ -136,10 +136,12 @@
 //!
 //! A `Reload` control frame (or the snapshot-file mtime watcher, see
 //! [`ServerConfig::watch_interval`]) loads and validates the new
-//! snapshot **off to the side**, then [`GenerationCell::swap`] publishes
-//! it. Handlers take one generation per batch, so a swap never tears a
-//! batch and never drops an in-flight query; the old snapshot is freed
-//! when its last batch finishes. A failed reload leaves the previous
+//! snapshot **off to the side**, on the one thread that took the request
+//! ([`Cores::Caller`](congest_oracle::Cores::Caller)) so the serving
+//! generation keeps the other cores, then [`GenerationCell::swap`]
+//! publishes it. Handlers take one generation per batch, so a swap never
+//! tears a batch and never drops an in-flight query; the old snapshot is
+//! freed when its last batch finishes. A failed reload leaves the previous
 //! generation serving and answers `Internal`.
 //!
 //! # Example

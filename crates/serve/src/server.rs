@@ -23,7 +23,7 @@
 use crate::cell::GenerationCell;
 use crate::proto::{self, HealthReport, HelloStatus, ProtocolError, Request, ServerHello, Status};
 use congest_oracle::{
-    EngineConfig, Oracle, PagedConfig, PagedOracle, PortableWeight, QueryEngine, QueryError,
+    Cores, EngineConfig, Oracle, PagedConfig, PagedOracle, PortableWeight, QueryEngine, QueryError,
     SnapshotError,
 };
 use congest_telemetry::{Counter, Gauge, Histogram};
@@ -155,14 +155,18 @@ impl Default for ServerConfig {
 
 /// Opens the snapshot at `path` into a fresh engine per the configured
 /// [`BackendMode`] — the one code path both the initial
-/// [`Server::bind_snapshot`] and every reload go through.
+/// [`Server::bind_snapshot`] and every reload go through. `cores` bounds
+/// an eager load's plane checks: every core at start, when nothing is
+/// serving yet, and the calling thread on a reload, so the generation
+/// still answering queries keeps the other cores.
 fn open_engine<W: PortableWeight>(
     path: &Path,
     cfg: &ServerConfig,
+    cores: Cores,
 ) -> Result<Arc<QueryEngine<W>>, SnapshotError> {
     match cfg.backend {
         BackendMode::Eager => {
-            let oracle = Oracle::<W>::load(path)?;
+            let oracle = Oracle::<W>::load_on(path, cores)?;
             Ok(Arc::new(QueryEngine::new(Arc::new(oracle), cfg.engine)))
         }
         BackendMode::Paged { resident_bytes } => {
@@ -308,7 +312,7 @@ impl<W: PortableWeight> Shared<W> {
         })?;
         let mut last = self.reload_lock.lock().expect("reload lock poisoned");
         let stamp = stamp_snapshot(path);
-        let engine = match open_engine::<W>(path, &self.cfg) {
+        let engine = match open_engine::<W>(path, &self.cfg, Cores::Caller) {
             Ok(e) => e,
             Err(e) => {
                 let err = ServeError::Snapshot(e);
@@ -412,7 +416,7 @@ impl Server {
         cfg: ServerConfig,
     ) -> Result<ServerHandle<W>, ServeError> {
         let path = path.into();
-        let engine = open_engine::<W>(&path, &cfg).map_err(ServeError::Snapshot)?;
+        let engine = open_engine::<W>(&path, &cfg, Cores::All).map_err(ServeError::Snapshot)?;
         Self::start(addr, engine, Some(path), cfg)
     }
 

@@ -8,8 +8,9 @@
 //!   per round; workers park on a condvar between rounds, so the steady
 //!   state round loop performs no thread spawning, no channel allocation
 //!   and no heap allocation at all.
-//! * [`par_indexed_map`] — the original one-shot fork-join map, retained
-//!   for heavy *local* computation in the algorithm crates and tests.
+//! * [`par_indexed_map`] — a one-shot fork-join map over a worker count
+//!   the caller picks, for heavy *local* sweeps such as the oracle's n×n
+//!   plane checks.
 //!
 //! Both are deterministic: work is partitioned into contiguous index
 //! ranges, every item is processed by the same pure-per-item function, and
@@ -238,20 +239,24 @@ impl Drop for CompletionGuard {
     }
 }
 
-/// Applies `f` to every item (with its index), in parallel over contiguous
-/// chunks, returning outputs in input order.
+/// Applies `f` to every item (with its index), in parallel over at most
+/// `workers` contiguous chunks, returning outputs in input order.
 ///
-/// `f` must be deterministic per item; chunking never changes the result,
-/// only the wall-clock time. One-shot (scoped spawn per call): use
-/// [`WorkerPool`] for anything called once per simulated round.
-pub fn par_indexed_map<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+/// Each chunk runs on its own scoped thread while the caller waits;
+/// `workers <= 1` runs everything on the calling thread. Pass
+/// [`worker_count`]`(items.len())` for the item-count rule; callers with
+/// few but heavy items pick their own count. `f` must be deterministic
+/// per item; chunking never changes the result, only the wall-clock
+/// time. One-shot (scoped spawn per call): use [`WorkerPool`] for
+/// anything called once per simulated round.
+pub fn par_indexed_map<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let len = items.len();
-    let workers = worker_count(len);
+    let workers = workers.min(len);
     if workers <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -284,7 +289,8 @@ mod tests {
     #[test]
     fn sequential_small() {
         let mut v: Vec<u64> = (0..100).collect();
-        let out = par_indexed_map(&mut v, |i, x| {
+        let workers = worker_count(v.len());
+        let out = par_indexed_map(&mut v, workers, |i, x| {
             *x += 1;
             *x + i as u64
         });
@@ -297,7 +303,8 @@ mod tests {
         let mut a: Vec<u64> = (0..10_000).collect();
         let mut b = a.clone();
         let seq: Vec<u64> = b.iter_mut().enumerate().map(|(i, x)| *x * 3 + i as u64).collect();
-        let par = par_indexed_map(&mut a, |i, x| *x * 3 + i as u64);
+        let workers = worker_count(a.len());
+        let par = par_indexed_map(&mut a, workers, |i, x| *x * 3 + i as u64);
         assert_eq!(seq, par);
     }
 
@@ -308,9 +315,19 @@ mod tests {
     }
 
     #[test]
+    fn explicit_worker_count_matches_sequential() {
+        let mut a: Vec<u64> = (0..37).collect();
+        let seq: Vec<u64> = a.iter().map(|&x| x * x).collect();
+        for workers in [0, 1, 2, 5, 64] {
+            assert_eq!(par_indexed_map(&mut a, workers, |_, x| *x * *x), seq);
+        }
+    }
+
+    #[test]
     fn mutation_applies_in_parallel_mode() {
         let mut v = vec![0u8; 20_000];
-        let _ = par_indexed_map(&mut v, |_, x| {
+        let workers = worker_count(v.len());
+        let _ = par_indexed_map(&mut v, workers, |_, x| {
             *x = 7;
         });
         assert!(v.iter().all(|&x| x == 7));

@@ -3,14 +3,17 @@
 //! block size and for the file `Oracle::save` writes; per-block corruption
 //! that is typed and names the damaged block; graceful truncation at
 //! every length; hostile-index rejection; and eviction-under-load
-//! correctness with a resident budget a fraction of the file size. Every
+//! correctness with a resident budget a fraction of the file size; and
+//! blocks whose checksum holds but whose payload does not decode. Every
 //! damaged image is also written to disk, where `Oracle::load` (which
 //! streams the file) must fail exactly as `Oracle::from_bytes` does.
 
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
-use congest_graph::{Edge, Graph, NodeId};
-use congest_oracle::{Oracle, PagedConfig, PagedOracle, QueryError, SnapshotError, V2Config};
+use congest_graph::{Edge, Graph, NodeId, F64};
+use congest_oracle::{
+    Cores, Oracle, PagedConfig, PagedOracle, PortableWeight, QueryError, SnapshotError, V2Config,
+};
 
 fn sample(n: usize, seed: u64) -> (Graph<u64>, Oracle<u64>) {
     let g = gnm_connected(n, 2 * n, true, WeightDist::Uniform(0, 30), seed);
@@ -59,6 +62,42 @@ fn patch_entry(bytes: &mut [u8], i: usize, entry: (u64, u64, u64)) {
     bytes[foot + 16..foot + 24].copy_from_slice(&ifnv.to_le_bytes());
     let ffnv = fnv1a(&bytes[foot..foot + 24]);
     bytes[foot + 24..foot + 32].copy_from_slice(&ffnv.to_le_bytes());
+}
+
+/// Overwrites bytes `at..` of index entry `i`'s block with `cell` and
+/// re-seals it: the block's new checksum goes into the index, and
+/// `patch_entry` re-seals the index and footer.
+fn rewrite_and_reseal(bytes: &mut [u8], i: usize, at: usize, cell: &[u8]) {
+    let (_, entries) = read_index(bytes);
+    let (off, len, _) = entries[i];
+    let start = off as usize + at;
+    bytes[start..start + cell.len()].copy_from_slice(cell);
+    let fnv = fnv1a(&bytes[off as usize..(off + len) as usize]);
+    patch_entry(bytes, i, (off, len, fnv));
+}
+
+/// Both eager loaders of `bytes` (also written to `path`) must fail with
+/// `BlockCorrupt { block, what }`.
+fn assert_eager_block_corrupt<W: PortableWeight + std::fmt::Debug>(
+    bytes: &[u8],
+    path: &std::path::Path,
+    block: u32,
+    what: &str,
+) {
+    std::fs::write(path, bytes).unwrap();
+    for (reader, got) in [
+        ("from_bytes", Oracle::<W>::from_bytes(bytes).err()),
+        ("load", Oracle::<W>::load(path).err()),
+    ] {
+        match got {
+            Some(SnapshotError::BlockCorrupt { block: b, what: w }) => {
+                assert_eq!((b, w), (block, what), "{reader}");
+            }
+            other => {
+                panic!("{reader}: expected BlockCorrupt {{ {block}, {what:?} }}, got {other:?}")
+            }
+        }
+    }
 }
 
 /// `Oracle::load` of `path`, which holds `bytes`, must fail with the same
@@ -227,7 +266,59 @@ fn per_block_bit_flip_is_typed_and_names_the_block() {
         );
         assert!(miss.is_ok(), "block {b}: undamaged blocks must keep serving");
     }
+    // Blocks 1 and 3 of the first four-block group both damaged: the
+    // first in file order is named.
+    let mut bad = clean.clone();
+    for &(off, len, _) in [entries[1], entries[3]].iter() {
+        bad[off as usize + len as usize / 2] ^= 0x10;
+    }
+    assert_eager_block_corrupt::<u64>(&bad, &path, 1, "checksum mismatch");
     std::fs::write(&path, &clean).unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn decode_errors_behind_a_valid_checksum_name_the_block() {
+    // n = 20 in 4-row blocks: dist blocks are index entries 0-4, successor
+    // blocks entries 5-9.
+    let cfg = V2Config { block_rows: 4, ..V2Config::default() };
+    let path = temp("decode_error");
+
+    // Successor block 2 (entry 7) covers targets 8-11; toward target 9
+    // (its row 1), node 3 now names node 20, which does not exist.
+    let (_, oracle) = sample(20, 7);
+    let clean = oracle.to_bytes_v2(&cfg).unwrap();
+    let mut bad = clean.clone();
+    rewrite_and_reseal(&mut bad, 7, (20 + 3) * 4, &20u32.to_le_bytes());
+    assert_eager_block_corrupt::<u64>(&bad, &path, 7, "successor id out of range");
+    let paged = PagedOracle::<u64>::open(&path, PagedConfig::default()).unwrap();
+    assert_eq!(paged.try_path(3, 9), Err(QueryError::BlockUnavailable { block: 7 }));
+    assert!(paged.try_path(3, 0).is_ok(), "other successor blocks keep serving");
+    drop(paged);
+    // A checksum mismatch in a later block of the same group does not
+    // hide the decode error ...
+    let (_, entries) = read_index(&bad);
+    let mut worse = bad.clone();
+    worse[entries[8].0 as usize] ^= 1;
+    assert_eager_block_corrupt::<u64>(&worse, &path, 7, "successor id out of range");
+    // ... and in the block itself it comes first.
+    let (off, _, _) = read_index(&clean).1[7];
+    let mut unsealed = clean.clone();
+    unsealed[off as usize + (20 + 3) * 4..][..4].copy_from_slice(&20u32.to_le_bytes());
+    assert_eager_block_corrupt::<u64>(&unsealed, &path, 7, "checksum mismatch");
+
+    // A NaN weight in dist block 3 (entry 3, rows 12-15) of an F64
+    // snapshot, at row 13, column 5.
+    let g = gnm_connected(20, 40, true, WeightDist::Uniform(0, 30), 7)
+        .map_weights(|w| F64::new(w as f64 / 4.0));
+    let oracle = Oracle::from_dist(&g, apsp_dijkstra(&g));
+    let mut bad = oracle.to_bytes_v2(&V2Config { block_rows: 4, ..V2Config::default() }).unwrap();
+    rewrite_and_reseal(&mut bad, 3, (20 + 5) * 8, &f64::NAN.to_bits().to_le_bytes());
+    assert_eager_block_corrupt::<F64>(&bad, &path, 3, "invalid weight encoding");
+    let paged = PagedOracle::<F64>::open(&path, PagedConfig::default()).unwrap();
+    assert_eq!(paged.distance(13, 5), Err(QueryError::BlockUnavailable { block: 3 }));
+    assert!(paged.distance(0, 5).is_ok(), "other dist blocks keep serving");
+    drop(paged);
     std::fs::remove_file(&path).ok();
 }
 
@@ -301,6 +392,34 @@ fn derivation_inconsistency_is_an_error_not_a_panic() {
     let cfg = V2Config { block_rows: 2, drop_successors: true, graph: Some(&wrong) };
     let bytes = oracle.to_bytes_v2(&cfg).unwrap();
     assert!(Oracle::<u64>::from_bytes(&bytes).is_err());
+}
+
+#[test]
+fn caller_thread_load_matches_the_forked_load() {
+    // From n = 512 on, `Oracle::load` splits the plane checks and the
+    // derivation over the cores. Holding them to the calling thread, as a
+    // server's hot swap does, must change neither the oracle nor the error.
+    let (g, oracle) = sample(512, 5);
+    let derived = V2Config { drop_successors: true, graph: Some(&g), ..V2Config::default() };
+    for (name, cfg) in [("cores_plane", V2Config::default()), ("cores_derived", derived)] {
+        let path = write_v2(&oracle, &cfg, name);
+        assert_eq!(Oracle::<u64>::load(&path).unwrap(), oracle, "{name}");
+        assert_eq!(Oracle::<u64>::load_on(&path, Cores::Caller).unwrap(), oracle, "{name}");
+        std::fs::remove_file(&path).ok();
+    }
+    // 64-row blocks: entries 0-7 are dist blocks, 8-15 successor blocks.
+    // Target 70 (row 6 of successor block 1) gets a successor toward
+    // itself, behind a valid checksum.
+    let mut bad = oracle.to_bytes();
+    rewrite_and_reseal(&mut bad, 9, (6 * 512 + 70) * 4, &1u32.to_le_bytes());
+    let path = temp("cores_mismatch");
+    std::fs::write(&path, &bad).unwrap();
+    for got in [Oracle::<u64>::load(&path), Oracle::<u64>::load_on(&path, Cores::Caller)] {
+        let err = got.err();
+        let mismatch = matches!(err, Some(SnapshotError::Corrupt("successor/distance mismatch")));
+        assert!(mismatch, "{err:?}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 // ---------------------------------------------------------------------------
