@@ -1,8 +1,8 @@
 //! Engine-throughput benchmark: the flat double-buffered message plane vs
 //! the pre-refactor boxed engine (`congest_bench::legacy`), on sustained
-//! flood and Bellman–Ford workloads at n = 2^12 and n = 2^15 (the larger
-//! size answers the ROADMAP question of where the persistent worker pool
-//! starts paying off).
+//! flood and Bellman–Ford workloads at n = 2^12 and n = 2^15. Both sizes
+//! are far above any solver workload; the pair shows how the plane's
+//! per-round cost scales with n.
 //!
 //! Run with `cargo bench -p congest_bench --bench engine`. Set
 //! `BENCH_ENGINE_JSON=path` to additionally write the measured numbers as
@@ -10,7 +10,9 @@
 //!
 //! Both workloads are implemented twice — once per engine interface — with
 //! identical logic, and the harness asserts both engines compute identical
-//! (rounds, messages) before timing anything.
+//! (rounds, messages) before timing anything. A name filter that matches
+//! no timing group, such as `cargo bench -p congest_bench --bench engine
+//! -- cross-check`, runs only that cross-check, at both sizes.
 
 use congest_bench::legacy::{legacy_run, LegacyEnvelope, LegacyLogic, LegacyOutbox};
 use congest_graph::generators::{gnm_connected, WeightDist};
@@ -189,22 +191,8 @@ fn workload_topo(n: usize) -> Topology {
     Topology::from_graph(&gnm_connected(n, 2 * n, false, WeightDist::Unit, 7))
 }
 
-/// Sequential flat-plane configuration.
-fn flat_seq() -> SimConfig {
-    SimConfig { parallel_threshold: usize::MAX, ..Default::default() }
-}
-
-/// Parallel flat-plane configuration (auto worker count).
-fn flat_par() -> SimConfig {
-    SimConfig { parallel_threshold: 1, ..Default::default() }
-}
-
-fn run_flat<L: NodeLogic>(
-    topo: &Topology,
-    cfg: SimConfig,
-    mut mk: impl FnMut() -> Vec<L>,
-) -> (u64, u64) {
-    let engine = Engine::new(topo, cfg);
+fn run_flat<L: NodeLogic>(topo: &Topology, mut mk: impl FnMut() -> Vec<L>) -> (u64, u64) {
+    let engine = Engine::new(topo, SimConfig::default());
     let report = engine.run(&mut mk(), RunUntil::Quiesce { max: 100_000 }).unwrap();
     (report.rounds, report.messages)
 }
@@ -214,8 +202,7 @@ struct MeasuredWorkload {
     rounds: u64,
     messages: u64,
     legacy_ns: f64,
-    flat_seq_ns: f64,
-    flat_par_ns: f64,
+    flat_ns: f64,
 }
 
 struct MeasuredSize {
@@ -232,16 +219,14 @@ fn measure_size(c: &mut Criterion, n: usize) -> MeasuredSize {
         let mut nodes = mk_flood();
         legacy_run(&topo, 1, &mut nodes, 100_000)
     };
-    assert_eq!((fr, fm), run_flat(&topo, flat_seq(), mk_flood), "flood: engines disagree");
-    assert_eq!((fr, fm), run_flat(&topo, flat_par(), mk_flood), "flood: parallel disagrees");
+    assert_eq!((fr, fm), run_flat(&topo, mk_flood), "flood: engines disagree");
 
     let mk_bf = || (0..n).map(|i| BfRelax::new(i as NodeId)).collect::<Vec<_>>();
     let (br, bm) = {
         let mut nodes = mk_bf();
         legacy_run(&topo, 1, &mut nodes, 100_000)
     };
-    assert_eq!((br, bm), run_flat(&topo, flat_seq(), mk_bf), "bf: engines disagree");
-    assert_eq!((br, bm), run_flat(&topo, flat_par(), mk_bf), "bf: parallel disagrees");
+    assert_eq!((br, bm), run_flat(&topo, mk_bf), "bf: engines disagree");
 
     // -------- timing --------
     let group_name = format!("engine-n{n}");
@@ -253,16 +238,14 @@ fn measure_size(c: &mut Criterion, n: usize) -> MeasuredSize {
             legacy_run(&topo, 1, &mut nodes, 100_000)
         })
     });
-    group.bench_function("flood/flat-seq", |b| b.iter(|| run_flat(&topo, flat_seq(), mk_flood)));
-    group.bench_function("flood/flat-par", |b| b.iter(|| run_flat(&topo, flat_par(), mk_flood)));
+    group.bench_function("flood/flat", |b| b.iter(|| run_flat(&topo, mk_flood)));
     group.bench_function("bf/legacy-boxed", |b| {
         b.iter(|| {
             let mut nodes = mk_bf();
             legacy_run(&topo, 1, &mut nodes, 100_000)
         })
     });
-    group.bench_function("bf/flat-seq", |b| b.iter(|| run_flat(&topo, flat_seq(), mk_bf)));
-    group.bench_function("bf/flat-par", |b| b.iter(|| run_flat(&topo, flat_par(), mk_bf)));
+    group.bench_function("bf/flat", |b| b.iter(|| run_flat(&topo, mk_bf)));
     group.finish();
 
     let median = |suffix: &str| -> f64 {
@@ -277,34 +260,29 @@ fn measure_size(c: &mut Criterion, n: usize) -> MeasuredSize {
             rounds: fr,
             messages: fm,
             legacy_ns: median("flood/legacy-boxed"),
-            flat_seq_ns: median("flood/flat-seq"),
-            flat_par_ns: median("flood/flat-par"),
+            flat_ns: median("flood/flat"),
         },
         MeasuredWorkload {
             name: "bellman_ford",
             rounds: br,
             messages: bm,
             legacy_ns: median("bf/legacy-boxed"),
-            flat_seq_ns: median("bf/flat-seq"),
-            flat_par_ns: median("bf/flat-par"),
+            flat_ns: median("bf/flat"),
         },
     ];
 
     for w in &workloads {
-        if w.flat_seq_ns == 0.0 || w.flat_par_ns == 0.0 {
+        if w.legacy_ns == 0.0 || w.flat_ns == 0.0 {
             continue; // filtered out on this run
         }
         println!(
-            "n={n} {}: rounds={} messages={} | legacy {:.2} ms | flat-seq {:.2} ms ({:.2}x) | flat-par {:.2} ms ({:.2}x, par-vs-seq {:.2}x)",
+            "n={n} {}: rounds={} messages={} | legacy {:.2} ms | flat {:.2} ms ({:.2}x)",
             w.name,
             w.rounds,
             w.messages,
             w.legacy_ns / 1e6,
-            w.flat_seq_ns / 1e6,
-            w.legacy_ns / w.flat_seq_ns,
-            w.flat_par_ns / 1e6,
-            w.legacy_ns / w.flat_par_ns,
-            w.flat_seq_ns / w.flat_par_ns,
+            w.flat_ns / 1e6,
+            w.legacy_ns / w.flat_ns,
         );
     }
 
@@ -328,18 +306,15 @@ fn bench_engine(c: &mut Criterion) {
                 let workloads: Vec<Json> = size
                     .workloads
                     .iter()
-                    .filter(|w| w.legacy_ns > 0.0 && w.flat_seq_ns > 0.0 && w.flat_par_ns > 0.0)
+                    .filter(|w| w.legacy_ns > 0.0 && w.flat_ns > 0.0)
                     .map(|w| {
                         obj(vec![
                             ("name", Json::from(w.name)),
                             ("rounds", Json::U64(w.rounds)),
                             ("messages", Json::U64(w.messages)),
                             ("legacy_boxed_ms", ms(w.legacy_ns)),
-                            ("flat_seq_ms", ms(w.flat_seq_ns)),
-                            ("flat_par_ms", ms(w.flat_par_ns)),
-                            ("speedup_flat_seq_vs_legacy", ratio(w.legacy_ns, w.flat_seq_ns)),
-                            ("speedup_flat_par_vs_legacy", ratio(w.legacy_ns, w.flat_par_ns)),
-                            ("speedup_flat_par_vs_flat_seq", ratio(w.flat_seq_ns, w.flat_par_ns)),
+                            ("flat_ms", ms(w.flat_ns)),
+                            ("speedup_flat_vs_legacy", ratio(w.legacy_ns, w.flat_ns)),
                         ])
                     })
                     .collect();

@@ -105,7 +105,6 @@ fn run_with_recovery(topo: &Topology, spec: Option<FaultSpec>, salt0: u64) -> At
     for attempt in 0..MAX_ATTEMPTS {
         out.attempts += 1;
         let cfg = SimConfig {
-            parallel_threshold: usize::MAX,
             fault: spec.map(|s| s.reseeded(salt0 ^ u64::from(attempt))),
             ..Default::default()
         };
@@ -151,8 +150,7 @@ fn measure_size(c: &mut Criterion, n: usize) -> MeasuredSize {
     let clean = run_with_recovery(&topo, None, 0);
     assert!(clean.recovered && clean.attempts == 1);
     let clean_messages = {
-        let engine =
-            Engine::new(&topo, SimConfig { parallel_threshold: usize::MAX, ..Default::default() });
+        let engine = Engine::new(&topo, SimConfig::default());
         let mut nodes: Vec<BfRelax> = (0..n).map(|i| BfRelax::new(i as NodeId)).collect();
         engine.run(&mut nodes, RunUntil::Quiesce { max: 100_000 }).unwrap().messages
     };

@@ -9,7 +9,7 @@
 //! * **disabled** — the public `Engine::run` with telemetry globally
 //!   disabled (one relaxed atomic load + two `Instant` reads per phase);
 //! * **enabled** — the public `Engine::run` with telemetry enabled
-//!   (records one span per phase; `trace_rounds` stays 0).
+//!   (records one `engine.run` span per phase).
 //!
 //! The guard asserts the disabled median is within `TELEMETRY_BENCH_TOL`
 //! (default 25%, generous for 1-CPU CI noise) of the baseline median, and
@@ -81,8 +81,7 @@ fn main() {
         std::env::var("TELEMETRY_BENCH_TOL").ok().and_then(|s| s.parse().ok()).unwrap_or(0.25);
 
     let topo = Topology::from_graph(&gnm_connected(N, 2 * N, false, WeightDist::Unit, 7));
-    let cfg = SimConfig { parallel_threshold: usize::MAX, ..Default::default() };
-    let engine = Engine::new(&topo, cfg);
+    let engine = Engine::new(&topo, SimConfig::default());
 
     congest_telemetry::disable();
 

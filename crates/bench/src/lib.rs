@@ -8,6 +8,7 @@
 //! (or a single experiment id) to print the tables; CSV copies land in
 //! `results/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

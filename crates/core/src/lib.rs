@@ -115,6 +115,7 @@
 //! phase on the exact configuration, no sentinel evaluation, byte-identical
 //! behavior.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 // Index-based loops are used deliberately where they mirror the paper's

@@ -97,7 +97,7 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
         self
     }
 
-    /// Sets the simulator configuration (bandwidth, parallelism).
+    /// Sets the simulator configuration (bandwidth, fault model).
     #[must_use]
     pub fn sim(mut self, sim: SimConfig) -> Self {
         self.solver.cfg.sim = sim;

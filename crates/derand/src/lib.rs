@@ -6,6 +6,7 @@
 //! utilities, and the Berger–Rompel–Shor hypergraph set-cover algorithm
 //! that the paper's blocker-set construction distributes (§3).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

@@ -10,6 +10,7 @@
 //! in `congest-sim`. This crate is deliberately free of any distributed
 //! machinery so oracles cannot share bugs with the system under test.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

@@ -72,6 +72,7 @@
 //! # let _ = d;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

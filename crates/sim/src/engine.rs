@@ -36,25 +36,21 @@
 //!   is automatically **sender-id sorted** — the deterministic receive
 //!   order the protocols rely on. Two such arrays (current/next) are
 //!   swapped each round: the classic double buffer.
-//! * **Stepping** — above [`SimConfig::parallel_threshold`] nodes, rounds
-//!   are stepped by a persistent [`crate::parallel::WorkerPool`] (spawned
-//!   once per phase, round barrier per round) over contiguous node ranges
-//!   whose outbox slot ranges are disjoint by construction. The parallel
-//!   path runs the same per-node step function in the same index order
-//!   within each range, so results are bit-identical to sequential
-//!   stepping (enforced by the determinism test suite).
+//! * **Stepping** — every round steps the nodes in id order on the
+//!   calling thread. A node's step reads its inbox and writes only its
+//!   own channel slots, so the order of steps within a round never changes
+//!   a result; it only fixes which error is reported when several nodes
+//!   fail in one round (the lowest id's).
 //! * **Accounting** — in-flight messages are the length of the current
 //!   envelope array (O(1)), not a per-round sum over all inboxes. Protocol
 //!   activity is tracked the same way: instead of an O(n) scan of
 //!   [`NodeLogic::active`] per round, the engine caches each node's flag
-//!   and folds per-worker deltas into a counter as nodes step, so the
-//!   quiescence check is O(1) and the maintenance cost is O(nodes whose
-//!   activity changed).
+//!   and adjusts a counter as nodes step, so the quiescence check is O(1)
+//!   and the maintenance cost is O(nodes whose activity changed).
 
 use crate::error::SimError;
 use crate::fault::{FaultCounters, FaultPlan, FaultSpec, MsgFault};
 use crate::metrics::PhaseReport;
-use crate::parallel::{worker_count, WorkerPool};
 use congest_graph::{Graph, NodeId, Weight};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -172,8 +168,8 @@ impl NodeEnv<'_> {
 
 /// Dense neighbor-index map: `idx[u]` is the position of `u` in the current
 /// node's neighbor list, valid only while `stamp[u]` equals the current
-/// epoch. One map lives per worker and is re-stamped (not cleared) per
-/// node, so lookups are O(1) and a node that never sends pays nothing.
+/// epoch. One map serves the whole phase and is re-stamped (not cleared)
+/// per node, so lookups are O(1) and a node that never sends pays nothing.
 struct NbrMap {
     stamp: Vec<u64>,
     idx: Vec<u32>,
@@ -318,12 +314,11 @@ impl<'a, M> Outbox<'a, M> {
 /// Node-local protocol logic. One value of the implementing type exists per
 /// node; the engine guarantees it only ever touches its own state, its
 /// inbox, and its outbox — exactly the CONGEST information boundary.
-pub trait NodeLogic: Send {
+pub trait NodeLogic {
     /// Message type exchanged by this protocol. One `Msg` models O(1)
     /// machine words (ids, weights, distance values), matching the paper's
-    /// bandwidth assumption. (`Sync` because inboxes are shared read-only
-    /// across worker threads during a parallel step.)
-    type Msg: Clone + Send + Sync + 'static;
+    /// bandwidth assumption.
+    type Msg: Clone + 'static;
 
     /// Called once per round. Round 0 has an empty inbox (initialization);
     /// in round r > 0 the inbox holds exactly the messages sent to this
@@ -407,37 +402,17 @@ pub enum RunUntil {
 pub struct SimConfig {
     /// Messages per directed channel per round (paper: O(1); default 1).
     pub bandwidth: u32,
-    /// Node-count threshold above which rounds are stepped by the
-    /// persistent worker pool. Simulations in this repo are usually small
-    /// enough that sequential stepping is faster; heavy *local* computation
-    /// inside protocols is parallelized separately by the algorithm crates.
-    pub parallel_threshold: usize,
-    /// Worker slots for parallel stepping; 0 picks
-    /// [`worker_count`](crate::parallel::worker_count) automatically.
-    /// Results are identical for every value (determinism suite).
-    pub workers: usize,
     /// Optional seeded fault model (see [`crate::fault`]). `None` — or a
-    /// spec with every rate zero — takes the exact fault-free code path.
-    /// Because the spec rides inside the config, every primitive and
-    /// algorithm built on the engine inherits faults without per-call-site
-    /// changes.
+    /// spec with every rate zero — installs no fault plan, so every
+    /// message is delivered. Because the spec rides inside the config,
+    /// every primitive and algorithm built on the engine inherits faults
+    /// without per-call-site changes.
     pub fault: Option<FaultSpec>,
-    /// Per-round trace sampling interval: every `trace_rounds`-th round
-    /// emits an `engine.round` instant event into the global telemetry
-    /// plane (when it is enabled). 0 — the default — disables sampling,
-    /// and the round loop does not touch telemetry at all.
-    pub trace_rounds: u32,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            bandwidth: 1,
-            parallel_threshold: 4096,
-            workers: 0,
-            fault: None,
-            trace_rounds: 0,
-        }
+        SimConfig { bandwidth: 1, fault: None }
     }
 }
 
@@ -483,9 +458,20 @@ impl<M> Plane<M> {
 
     /// Moves every queued message from the send slots into the next inbox
     /// buffer, grouped by receiver and sorted by sender, resetting the
-    /// send side for the next round. Returns the number delivered and
-    /// charges per-sender counts into `node_sent`.
-    fn deliver(&mut self, topo: &Topology, bandwidth: u32, node_sent: &mut [u64]) -> u64 {
+    /// send side for the next round.
+    ///
+    /// `fate` is consulted once per message (sender, receiver, index on
+    /// the channel, payload) and may mutate the payload in place;
+    /// returning `false` discards the message. Sends are charged into
+    /// `node_sent` either way (the bandwidth was consumed), but only
+    /// surviving messages count in the returned delivered total.
+    fn deliver(
+        &mut self,
+        topo: &Topology,
+        bandwidth: u32,
+        node_sent: &mut [u64],
+        mut fate: impl FnMut(NodeId, NodeId, u32, &mut M) -> bool,
+    ) -> u64 {
         let b = bandwidth as usize;
         self.next_buf.clear();
         self.next_off[0] = 0;
@@ -495,52 +481,6 @@ impl<M> Plane<M> {
             for s in lo..hi {
                 // Slot s is the channel u ← adj[s]; its send side lives at
                 // the reverse slot in the sender's row.
-                let rs = topo.rev[s] as usize;
-                let c = self.out_cnt[rs];
-                if c > 0 {
-                    let from = topo.adj[s];
-                    node_sent[from as usize] += u64::from(c);
-                    delivered += u64::from(c);
-                    for t in 0..c as usize {
-                        let msg = self.out_buf[rs * b + t].take().expect("counted slot is full");
-                        self.next_buf.push(Envelope { from, msg });
-                    }
-                    self.out_cnt[rs] = 0;
-                }
-            }
-            self.next_off[u + 1] =
-                u32::try_from(self.next_buf.len()).expect("in-flight messages exceed u32");
-        }
-        std::mem::swap(&mut self.cur_buf, &mut self.next_buf);
-        std::mem::swap(&mut self.cur_off, &mut self.next_off);
-        delivered
-    }
-
-    /// [`deliver`](Self::deliver) with a fault filter: `fate` is consulted
-    /// once per message (sender, receiver, index on the channel, payload)
-    /// and may mutate the payload in place; returning `false` discards the
-    /// message. Sends are still charged into `node_sent` (the bandwidth
-    /// was consumed), but only surviving messages count as delivered.
-    ///
-    /// This is a separate method, not a branch inside `deliver`, so the
-    /// fault-free path stays byte-identical to its pre-fault code.
-    fn deliver_faulty<F>(
-        &mut self,
-        topo: &Topology,
-        bandwidth: u32,
-        node_sent: &mut [u64],
-        fate: &mut F,
-    ) -> u64
-    where
-        F: FnMut(NodeId, NodeId, u32, &mut M) -> bool,
-    {
-        let b = bandwidth as usize;
-        self.next_buf.clear();
-        self.next_off[0] = 0;
-        let mut delivered = 0u64;
-        for u in 0..topo.n() {
-            let (lo, hi) = (topo.off[u] as usize, topo.off[u + 1] as usize);
-            for s in lo..hi {
                 let rs = topo.rev[s] as usize;
                 let c = self.out_cnt[rs];
                 if c > 0 {
@@ -604,8 +544,8 @@ impl<'t> Engine<'t> {
     /// Observability: the report's `wall_ns` is always populated (two
     /// `Instant` reads per phase — it never participates in report
     /// equality); when the global `congest_telemetry` plane is enabled
-    /// the phase additionally runs inside an `engine.run` span, and
-    /// [`SimConfig::trace_rounds`] samples per-round instant events.
+    /// the phase additionally runs inside an `engine.run` span whose
+    /// arguments carry its rounds, messages and payload words.
     ///
     /// # Errors
     /// Propagates CONGEST violations and budget exhaustion as [`SimError`].
@@ -660,8 +600,10 @@ impl<'t> Engine<'t> {
         let n = self.topo.n();
         assert_eq!(nodes.len(), n, "one NodeLogic per topology node");
         let bandwidth = self.cfg.bandwidth;
+        let b = bandwidth as usize;
 
         let mut plane: Plane<N::Msg> = Plane::new(self.topo, bandwidth);
+        let mut map = NbrMap::new(n);
         let mut node_sent = vec![0u64; n];
         let mut messages: u64 = 0;
         let mut rounds: u64 = 0;
@@ -669,31 +611,14 @@ impl<'t> Engine<'t> {
         let mut payload_words: u64 = 0;
         let mut max_msg_words: u32 = 0;
 
-        // Persistent worker team for the whole phase; nothing is spawned
-        // per round. `workers == 1` keeps everything on this thread.
-        let workers = if n >= self.cfg.parallel_threshold {
-            if self.cfg.workers > 0 {
-                self.cfg.workers
-            } else {
-                worker_count(n)
-            }
-        } else {
-            1
-        };
-        let pool = (workers > 1).then(|| WorkerPool::new(workers));
-        let node_chunk = n.div_ceil(workers.max(1));
-        let mut maps: Vec<NbrMap> = (0..workers).map(|_| NbrMap::new(n)).collect();
-        let mut errors: Vec<Option<(usize, SimError)>> = vec![None; workers];
-
         // Active-set tracking: one O(n) scan up front, then incremental.
-        // `active_flags[i]` caches node i's last-known `active()`;
-        // `step_node` records flips as ±1 in its worker's delta cell.
+        // `active_flags[i]` caches node i's last-known `active()`, and
+        // `active_count` follows its flips as nodes step.
         let mut active_flags: Vec<bool> = nodes.iter().map(N::active).collect();
         let mut active_count: usize = active_flags.iter().filter(|&&f| f).count();
-        let mut active_delta: Vec<i64> = vec![0; workers];
 
-        // Fault plane: all decisions are pure hashes of the plan, so both
-        // stepping paths and every retry observe the identical pattern.
+        // Fault plane: all decisions are pure hashes of the plan, so every
+        // run and every retry observes the identical pattern.
         let plan = self.plan.as_ref();
         let mut faults = FaultCounters::default();
         let node_faults = plan.is_some_and(FaultPlan::has_node_faults);
@@ -740,99 +665,76 @@ impl<'t> Engine<'t> {
                     }
                 }
             }
-            let down_ro: Option<&[bool]> = node_faults.then_some(&down[..]);
 
-            // Step every node for round `rounds`. Split the plane into its
-            // read side (current inboxes) and write side (send slots).
+            // Step every node for round `rounds`, in id order. Each node
+            // reads its inbox from the current buffer and writes only its
+            // own channel slots. The whole round steps even after a node
+            // fails; then the first error, the lowest id's, is returned.
             let Plane { out_cnt, out_buf, cur_buf, cur_off, .. } = &mut plane;
-            let (in_buf, in_off): (&[Envelope<N::Msg>], &[u32]) = (cur_buf, cur_off);
-            match &pool {
-                Some(pool) => {
-                    let ctx = StepCtx {
-                        topo: self.topo,
-                        round: rounds,
-                        bandwidth,
-                        n,
-                        nodes: SyncPtr(nodes.as_mut_ptr()),
-                        in_buf,
-                        in_off,
-                        out_cnt: SyncPtr(out_cnt.as_mut_ptr()),
-                        out_buf: SyncPtr(out_buf.as_mut_ptr()),
-                        maps: SyncPtr(maps.as_mut_ptr()),
-                        errors: SyncPtr(errors.as_mut_ptr()),
-                        active_flags: SyncPtr(active_flags.as_mut_ptr()),
-                        active_delta: SyncPtr(active_delta.as_mut_ptr()),
-                        down: down_ro,
-                    };
-                    pool.run(&|slot| {
-                        let lo = (slot * node_chunk).min(n);
-                        let hi = ((slot + 1) * node_chunk).min(n);
-                        // SAFETY: slots own disjoint node ranges, hence
-                        // disjoint outbox slot ranges, active flags, maps,
-                        // error and activity-delta cells;
-                        // the barrier in `pool.run` sequences all writes
-                        // before the main thread reads them.
-                        unsafe { step_range(&ctx, slot, lo, hi) };
-                    });
+            let mut error: Option<SimError> = None;
+            for (i, node) in nodes.iter_mut().enumerate() {
+                if node_faults && down[i] {
+                    continue;
                 }
-                None => {
-                    let b = bandwidth as usize;
-                    let map = &mut maps[0];
-                    let err = &mut errors[0];
-                    let delta = &mut active_delta[0];
-                    for (i, node) in nodes.iter_mut().enumerate() {
-                        if down_ro.is_some_and(|d| d[i]) {
-                            continue;
-                        }
-                        let (a, z) = (self.topo.off[i] as usize, self.topo.off[i + 1] as usize);
-                        let inbox = &in_buf[in_off[i] as usize..in_off[i + 1] as usize];
-                        step_node(
-                            self.topo,
-                            rounds,
-                            bandwidth,
-                            n,
-                            i,
-                            node,
-                            inbox,
-                            &mut out_cnt[a..z],
-                            &mut out_buf[a * b..z * b],
-                            map,
-                            err,
-                            &mut active_flags[i],
-                            delta,
-                        );
+                let id = i as NodeId;
+                let neighbors = self.topo.neighbors(id);
+                let (lo, hi) = (self.topo.off[i] as usize, self.topo.off[i + 1] as usize);
+                let inbox = &cur_buf[cur_off[i] as usize..cur_off[i + 1] as usize];
+                let env = NodeEnv { id, n, round: rounds, neighbors };
+                let mut out = Outbox::new(
+                    id,
+                    rounds,
+                    neighbors,
+                    bandwidth,
+                    &mut out_cnt[lo..hi],
+                    &mut out_buf[lo * b..hi * b],
+                    &mut map,
+                );
+                // Panic containment: a panicking protocol surfaces as a
+                // typed error attributed to its node. The partially written
+                // outbox is harmless: the run aborts before the delivery
+                // pass. (AssertUnwindSafe: the node's state may be torn,
+                // but it is never stepped or asked for `active()` again.)
+                let stepped =
+                    catch_unwind(AssertUnwindSafe(|| node.on_round(&env, inbox, &mut out)));
+                if stepped.is_err() {
+                    error.get_or_insert(SimError::NodePanic { node: id, round: rounds });
+                    continue;
+                }
+                if let Some(e) = out.error {
+                    error.get_or_insert(e);
+                }
+                // Activity flip tracking: a node's `active()` only changes
+                // inside its own `on_round`, so comparing against the
+                // cached flag here keeps the counter exact without any
+                // per-round global scan.
+                let now = node.active();
+                if now != active_flags[i] {
+                    active_flags[i] = now;
+                    if now {
+                        active_count += 1;
+                    } else {
+                        active_count -= 1;
                     }
                 }
             }
-
-            // First CONGEST violation wins, by node id (worker ranges are
-            // id-ordered, so the first per-worker error with the smallest
-            // node index is the global first).
-            if let Some((_, err)) =
-                errors.iter_mut().filter_map(Option::take).min_by_key(|(i, _)| *i)
-            {
+            if let Some(err) = error {
                 return Err(err);
             }
-
-            // Fold the per-worker activity deltas into the counter.
-            let delta: i64 = active_delta.iter().sum();
-            active_count = usize::try_from(active_count as i64 + delta)
-                .expect("active counter must stay non-negative");
-            active_delta.iter_mut().for_each(|d| *d = 0);
 
             // Deliver into the next buffer and swap: receive order is
             // sender-id sorted by construction of the slot walk. With a
             // fault plan, each message's fate is decided here — the single
             // injection point every protocol inherits.
             let delivered = match plan {
-                None => plane.deliver(self.topo, bandwidth, &mut node_sent),
+                None => plane.deliver(self.topo, bandwidth, &mut node_sent, |_, _, _, _| true),
                 Some(plan) => {
                     let nodes_ro: &[N] = nodes;
-                    plane.deliver_faulty(
+                    plane.deliver(
                         self.topo,
                         bandwidth,
                         &mut node_sent,
-                        &mut |from, to, nth, msg: &mut N::Msg| match plan
+                        |from, to, nth, msg: &mut N::Msg| match plan
                             .message_fault(rounds, from, to, nth)
                         {
                             None => true,
@@ -876,21 +778,6 @@ impl<'t> Engine<'t> {
                     }
                 }
             }
-            // Sampled per-round trace events: the knob check keeps the
-            // common trace_rounds == 0 path free of any telemetry call.
-            if self.cfg.trace_rounds != 0
-                && rounds.is_multiple_of(u64::from(self.cfg.trace_rounds))
-                && congest_telemetry::enabled()
-            {
-                congest_telemetry::global().instant(
-                    "engine.round",
-                    vec![
-                        ("round".to_string(), rounds.to_string()),
-                        ("delivered".to_string(), delivered.to_string()),
-                        ("active".to_string(), active_count.to_string()),
-                    ],
-                );
-            }
             rounds += 1;
         }
 
@@ -908,132 +795,10 @@ impl<'t> Engine<'t> {
     }
 }
 
-/// Raw pointer wrapper that lets the pool task share per-worker bases.
-#[derive(Copy, Clone)]
-struct SyncPtr<T>(*mut T);
-// SAFETY: every use derives disjoint ranges per worker (see `step_range`).
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-/// Shared read-only context of one parallel round step.
-struct StepCtx<'a, N: NodeLogic> {
-    topo: &'a Topology,
-    round: u64,
-    bandwidth: u32,
-    n: usize,
-    nodes: SyncPtr<N>,
-    in_buf: &'a [Envelope<N::Msg>],
-    in_off: &'a [u32],
-    out_cnt: SyncPtr<u32>,
-    out_buf: SyncPtr<Option<N::Msg>>,
-    maps: SyncPtr<NbrMap>,
-    errors: SyncPtr<Option<(usize, SimError)>>,
-    active_flags: SyncPtr<bool>,
-    active_delta: SyncPtr<i64>,
-    /// Per-node crash flags for this round (fault plane), if any.
-    down: Option<&'a [bool]>,
-}
-
-/// Steps nodes `lo..hi` for worker `slot`.
-///
-/// # Safety
-/// Caller must guarantee that distinct concurrent calls use disjoint
-/// `lo..hi` ranges and distinct `slot`s, and that `ctx` outlives the call;
-/// the outbox slot ranges of disjoint node ranges are disjoint because the
-/// topology is CSR-ordered.
-unsafe fn step_range<N: NodeLogic>(ctx: &StepCtx<'_, N>, slot: usize, lo: usize, hi: usize) {
-    if lo >= hi {
-        return;
-    }
-    let map = &mut *ctx.maps.0.add(slot);
-    let err = &mut *ctx.errors.0.add(slot);
-    let delta = &mut *ctx.active_delta.0.add(slot);
-    let b = ctx.bandwidth as usize;
-    let s0 = ctx.topo.off[lo] as usize;
-    let s1 = ctx.topo.off[hi] as usize;
-    let cnt = std::slice::from_raw_parts_mut(ctx.out_cnt.0.add(s0), s1 - s0);
-    let buf = std::slice::from_raw_parts_mut(ctx.out_buf.0.add(s0 * b), (s1 - s0) * b);
-    for i in lo..hi {
-        if ctx.down.is_some_and(|d| d[i]) {
-            continue;
-        }
-        let node = &mut *ctx.nodes.0.add(i);
-        let (a, z) = (ctx.topo.off[i] as usize - s0, ctx.topo.off[i + 1] as usize - s0);
-        let inbox = &ctx.in_buf[ctx.in_off[i] as usize..ctx.in_off[i + 1] as usize];
-        let flag = &mut *ctx.active_flags.0.add(i);
-        step_node(
-            ctx.topo,
-            ctx.round,
-            ctx.bandwidth,
-            ctx.n,
-            i,
-            node,
-            inbox,
-            &mut cnt[a..z],
-            &mut buf[a * b..z * b],
-            map,
-            err,
-            flag,
-            delta,
-        );
-    }
-}
-
-/// Steps one node: builds its env/outbox views over the shared buffers and
-/// invokes the protocol. Identical on the sequential and parallel paths.
-#[allow(clippy::too_many_arguments)]
-fn step_node<N: NodeLogic>(
-    topo: &Topology,
-    round: u64,
-    bandwidth: u32,
-    n: usize,
-    i: usize,
-    node: &mut N,
-    inbox: &[Envelope<N::Msg>],
-    cnt: &mut [u32],
-    buf: &mut [Option<N::Msg>],
-    map: &mut NbrMap,
-    err: &mut Option<(usize, SimError)>,
-    active_flag: &mut bool,
-    active_delta: &mut i64,
-) {
-    let id = i as NodeId;
-    let neighbors = topo.neighbors(id);
-    let b = bandwidth as usize;
-    let deg = neighbors.len();
-    let env = NodeEnv { id, n, round, neighbors };
-    let mut out =
-        Outbox::new(id, round, neighbors, bandwidth, &mut cnt[..deg], &mut buf[..deg * b], map);
-    // Panic containment: a panicking protocol must surface as a typed
-    // error attributed to its node, not poison the worker pool's barrier.
-    // The partially-written outbox is harmless — the run aborts before the
-    // delivery pass. (AssertUnwindSafe: the node's state may be torn, but
-    // it is never observed again; the engine returns immediately.)
-    if catch_unwind(AssertUnwindSafe(|| node.on_round(&env, inbox, &mut out))).is_err() {
-        if err.is_none() {
-            *err = Some((i, SimError::NodePanic { node: id, round }));
-        }
-        return;
-    }
-    if let Some(e) = out.error {
-        if err.is_none() {
-            *err = Some((i, e));
-        }
-    }
-    // Activity flip tracking: a node's `active()` only changes inside its
-    // own `on_round`, so comparing against the cached flag here keeps the
-    // engine-level counter exact without any per-round global scan.
-    let now = node.active();
-    if now != *active_flag {
-        *active_flag = now;
-        *active_delta += if now { 1 } else { -1 };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::generators::{path, WeightDist};
+    use congest_graph::generators::{gnm_connected, path, WeightDist};
 
     /// Floods a token from node 0; each node records the round it was reached.
     struct Flood {
@@ -1135,6 +900,33 @@ mod tests {
         let mut nodes = vec![OverSender, OverSender];
         let err = engine.run(&mut nodes, RunUntil::Quiesce { max: 10 }).unwrap_err();
         assert_eq!(err, SimError::BandwidthExceeded { from: 0, to: 1, round: 0, limit: 1 });
+    }
+
+    /// Every node breaks the bandwidth limit in round 1.
+    #[derive(Clone)]
+    struct EveryoneViolates;
+    impl NodeLogic for EveryoneViolates {
+        type Msg = u8;
+        fn on_round(&mut self, env: &NodeEnv<'_>, _ib: &[Envelope<u8>], out: &mut Outbox<'_, u8>) {
+            if env.round == 1 {
+                // Second message on a bandwidth-1 channel: illegal everywhere.
+                out.send_nbr(0, 1);
+                out.send_nbr(0, 2);
+            } else if env.round == 0 {
+                out.broadcast(0);
+            }
+        }
+    }
+
+    #[test]
+    fn first_violation_wins_deterministically() {
+        let g = gnm_connected(17, 20, false, WeightDist::Unit, 4);
+        let topo = Topology::from_graph(&g);
+        let engine = Engine::new(&topo, SimConfig::default());
+        let mut nodes = vec![EveryoneViolates; 17];
+        let err = engine.run(&mut nodes, RunUntil::Quiesce { max: 10 }).unwrap_err();
+        let to = topo.neighbors(0)[0];
+        assert_eq!(err, SimError::BandwidthExceeded { from: 0, to, round: 1, limit: 1 });
     }
 
     #[test]

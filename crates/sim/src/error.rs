@@ -33,8 +33,8 @@ pub enum SimError {
         budget: u64,
     },
     /// A node's `on_round` panicked. The engine catches the unwind and
-    /// attributes it (deterministically, lowest node id first) instead of
-    /// poisoning the worker pool's barrier.
+    /// returns this error once the round has stepped; when several nodes
+    /// panic in one round, the lowest node id is reported.
     NodePanic {
         /// The node whose logic panicked.
         node: NodeId,

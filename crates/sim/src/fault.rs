@@ -5,8 +5,8 @@
 //! models those failures *deterministically*: every fault decision is a
 //! pure hash of `(seed, round, channel, message-index)` — no RNG state,
 //! no wall clock — so a faulted run is exactly reproducible from its
-//! [`FaultSpec`], identical across sequential and parallel stepping, and
-//! a retried phase can be re-seeded by salting the seed.
+//! [`FaultSpec`], and a retried phase can be re-seeded by salting the
+//! seed.
 //!
 //! Faults are injected at one place only — the delivery pass of the
 //! engine's message plane (plus a per-round crash predicate) — so every

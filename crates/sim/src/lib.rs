@@ -33,16 +33,16 @@
 //!   directions for a contiguous window of rounds.
 //!
 //! Every decision is a pure hash of `(seed, channel, round, message
-//! index)`, so a plan replays bit-identically across runs and across
-//! sequential vs. parallel stepping, and [`PhaseReport::faults`] counts
-//! exactly what was injected. With no plan (or an all-zero spec) the
-//! engine takes the literal pre-fault code path, so fault-free runs are
-//! byte-identical to a build without the plane. Detection and recovery
-//! live one layer up, in `congest_apsp`: phase sentinels verify
-//! invariants after each pipeline phase and re-run only damaged phases
-//! (see that crate's docs), which is why the engine itself never tries to
-//! mask a fault.
+//! index)`, so a plan replays bit-identically across runs, and
+//! [`PhaseReport::faults`] counts exactly what was injected. With no plan
+//! (or an all-zero spec) the engine's one delivery pass keeps every
+//! message, so a fault-free run is byte-identical to a run under an armed
+//! plan that never fires. Detection and recovery live one layer up, in
+//! `congest_apsp`: phase sentinels verify invariants after each pipeline
+//! phase and re-run only damaged phases (see that crate's docs), which is
+//! why the engine itself never tries to mask a fault.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 // Index-based loops are used deliberately where they mirror the paper's

@@ -45,8 +45,8 @@ pub struct PhaseReport {
 
 /// Equality covers every *simulated* quantity and ignores `wall_ns`
 /// (host timing), keeping the bit-identical contracts — the recovery
-/// accept rule, the sequential ≡ parallel determinism suite, the
-/// fault-matrix differential suite — valid verbatim. Precedent:
+/// accept rule, the run-to-run determinism tests, the fault-matrix
+/// differential suite — valid verbatim. Precedent:
 /// `DistMatrix` equality ignores its successor plane.
 impl PartialEq for PhaseReport {
     fn eq(&self, other: &Self) -> bool {

@@ -107,7 +107,7 @@ struct StreamNode<T> {
     next_fwd: usize,
 }
 
-impl<T: Clone + Send + Sync + 'static> NodeLogic for StreamNode<T> {
+impl<T: Clone + 'static> NodeLogic for StreamNode<T> {
     type Msg = (u32, T);
 
     fn on_round(
@@ -145,7 +145,7 @@ impl<T: Clone + Send + Sync + 'static> NodeLogic for StreamNode<T> {
 ///
 /// # Errors
 /// Propagates engine errors.
-pub fn broadcast_stream<T: Clone + Send + Sync + 'static>(
+pub fn broadcast_stream<T: Clone + 'static>(
     topo: &Topology,
     cfg: SimConfig,
     tree: &BfsTree,

@@ -1,7 +1,8 @@
 //! Fault-injection plane integration tests: scripted plans hit exactly
-//! the addressed messages/rounds, seeded plans are reproducible, the
-//! zero-rate path is byte-identical to no plan at all, and node panics
-//! surface as typed errors on both stepping paths.
+//! the addressed messages/rounds, seeded plans are reproducible, a
+//! zero-rate spec and an armed plan that never fires are byte-identical
+//! to no plan at all, and node panics surface as typed errors attributed
+//! to the lowest panicking node id.
 
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_sim::fault::{FaultEvent, FaultPlan, FaultSpec};
@@ -9,14 +10,6 @@ use congest_sim::{
     Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, RunUntil, SimConfig, SimError,
     Topology,
 };
-
-fn seq_cfg() -> SimConfig {
-    SimConfig { parallel_threshold: usize::MAX, ..Default::default() }
-}
-
-fn par_cfg(workers: usize) -> SimConfig {
-    SimConfig { parallel_threshold: 0, workers, ..Default::default() }
-}
 
 fn random_topo(n: usize, extra: usize, seed: u64) -> Topology {
     Topology::from_graph(&gnm_connected(n, extra, false, WeightDist::Unit, seed))
@@ -79,13 +72,9 @@ fn clean_log() -> Vec<(u64, u32, u64)> {
 #[test]
 fn scripted_drop_removes_exactly_one_frame() {
     let topo = pair();
-    let engine =
-        Engine::new(&topo, seq_cfg()).with_fault_plan(FaultPlan::Script(vec![FaultEvent::Drop {
-            round: 2,
-            from: 0,
-            to: 1,
-            nth: 0,
-        }]));
+    let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(FaultPlan::Script(vec![
+        FaultEvent::Drop { round: 2, from: 0, to: 1, nth: 0 },
+    ]));
     let mut nodes = Ticker::fleet(2, 5);
     let rep = engine.run(&mut nodes, RunUntil::Exact(6)).unwrap();
     let expect: Vec<_> = clean_log().into_iter().filter(|&(_, _, p)| p != 2).collect();
@@ -109,7 +98,7 @@ fn corruption_without_protocol_support_degrades_to_drop() {
         nth: 0,
         entropy: 0xDEAD,
     }]);
-    let engine = Engine::new(&topo, seq_cfg()).with_fault_plan(script);
+    let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(script);
     let mut nodes = Ticker::fleet(2, 5);
     let rep = engine.run(&mut nodes, RunUntil::Exact(6)).unwrap();
     let expect: Vec<_> = clean_log().into_iter().filter(|&(_, _, p)| p != 2).collect();
@@ -128,7 +117,7 @@ fn corruption_with_protocol_support_mutates_in_place() {
         nth: 0,
         entropy: 0xDEAD,
     }]);
-    let engine = Engine::new(&topo, seq_cfg()).with_fault_plan(script);
+    let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(script);
     let mut nodes: Vec<CorruptibleTicker> =
         Ticker::fleet(2, 5).into_iter().map(CorruptibleTicker).collect();
     let rep = engine.run(&mut nodes, RunUntil::Exact(6)).unwrap();
@@ -144,7 +133,7 @@ fn corruption_with_protocol_support_mutates_in_place() {
 fn crashed_node_skips_rounds_and_loses_arrivals_but_keeps_state() {
     let topo = pair();
     let script = FaultPlan::Script(vec![FaultEvent::Crash { node: 1, from_round: 2, to_round: 3 }]);
-    let engine = Engine::new(&topo, seq_cfg()).with_fault_plan(script);
+    let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(script);
     let mut nodes = Ticker::fleet(2, 5);
     let rep = engine.run(&mut nodes, RunUntil::Exact(6)).unwrap();
     // Down in rounds 2 and 3: the frames it would have read there
@@ -161,17 +150,24 @@ type TickLogs = Vec<Vec<(u64, u32, u64)>>;
 #[test]
 fn zero_rate_spec_is_byte_identical_to_no_plan() {
     let topo = random_topo(18, 30, 3);
-    let run = |fault: Option<FaultSpec>| -> (TickLogs, PhaseReport) {
-        let engine = Engine::new(&topo, SimConfig { fault, ..seq_cfg() });
+    let run = |engine: Engine<'_>| -> (TickLogs, PhaseReport) {
         let mut nodes = Ticker::fleet(18, 6);
         let rep = engine.run(&mut nodes, RunUntil::Exact(7)).unwrap();
         (nodes.into_iter().map(|t| t.log).collect(), rep)
     };
-    let (clean_logs, clean_rep) = run(None);
-    let (zero_logs, zero_rep) = run(Some(FaultSpec::seeded(0xFACE)));
+    let with_fault = |fault: Option<FaultSpec>| SimConfig { fault, ..Default::default() };
+    let (clean_logs, clean_rep) = run(Engine::new(&topo, with_fault(None)));
+    let (zero_logs, zero_rep) =
+        run(Engine::new(&topo, with_fault(Some(FaultSpec::seeded(0xFACE)))));
     assert_eq!(clean_logs, zero_logs);
     assert_eq!(clean_rep, zero_rep, "an all-zero spec must take the fault-free path");
     assert!(clean_rep.faults.is_zero());
+    // An armed plan that injects nothing runs every message through the
+    // fault branch of delivery, and must still change nothing.
+    let (armed_logs, armed_rep) =
+        run(Engine::new(&topo, SimConfig::default()).with_fault_plan(FaultPlan::Script(vec![])));
+    assert_eq!(clean_logs, armed_logs);
+    assert_eq!(clean_rep, armed_rep, "a plan that never fires must change nothing");
 }
 
 #[test]
@@ -179,7 +175,7 @@ fn seeded_plan_is_reproducible_and_counts_faults() {
     let topo = random_topo(20, 36, 5);
     let spec = FaultSpec::seeded(0xBEEF).drops(120_000).corruption(80_000);
     let run = || {
-        let engine = Engine::new(&topo, SimConfig { fault: Some(spec), ..seq_cfg() });
+        let engine = Engine::new(&topo, SimConfig { fault: Some(spec), ..Default::default() });
         let mut nodes: Vec<CorruptibleTicker> =
             Ticker::fleet(20, 8).into_iter().map(CorruptibleTicker).collect();
         let rep = engine.run(&mut nodes, RunUntil::Exact(9)).unwrap();
@@ -194,9 +190,8 @@ fn seeded_plan_is_reproducible_and_counts_faults() {
     assert!(rep_a.faults.corrupted > 0, "corruptible protocol takes real corruption");
 }
 
-/// Panics in `on_round` must surface as a typed, deterministically
-/// attributed error — not poison the worker pool (satellite: panic
-/// containment).
+/// Panics in `on_round` must surface as a typed error attributed to the
+/// panicking node, not unwind out of `Engine::run`.
 struct PanicAt {
     node: u32,
     round: u64,
@@ -220,23 +215,16 @@ fn node_panic_is_contained_and_deterministic() {
     std::panic::set_hook(Box::new(|_| {}));
 
     let topo = random_topo(12, 18, 7);
+    let engine = Engine::new(&topo, SimConfig::default());
     let mk = |node: u32| -> Vec<PanicAt> { (0..12).map(|_| PanicAt { node, round: 2 }).collect() };
-    let seq_err = Engine::new(&topo, seq_cfg()).run(&mut mk(5), RunUntil::Exact(4)).unwrap_err();
-    assert_eq!(seq_err, SimError::NodePanic { node: 5, round: 2 });
-    for workers in [2, 3, 6] {
-        let par_err =
-            Engine::new(&topo, par_cfg(workers)).run(&mut mk(5), RunUntil::Exact(4)).unwrap_err();
-        assert_eq!(seq_err, par_err, "workers {workers}: panic attribution diverged");
-    }
+    let err = engine.run(&mut mk(5), RunUntil::Exact(4)).unwrap_err();
+    assert_eq!(err, SimError::NodePanic { node: 5, round: 2 });
 
-    // Many nodes panicking in the same round: lowest id wins, identically
-    // on both stepping paths.
+    // Many nodes panicking in the same round: lowest id wins.
     let all =
         |round: u64| -> Vec<PanicAt> { (0..12).map(|v| PanicAt { node: v, round }).collect() };
-    let seq_err = Engine::new(&topo, seq_cfg()).run(&mut all(1), RunUntil::Exact(4)).unwrap_err();
-    assert_eq!(seq_err, SimError::NodePanic { node: 0, round: 1 });
-    let par_err = Engine::new(&topo, par_cfg(4)).run(&mut all(1), RunUntil::Exact(4)).unwrap_err();
-    assert_eq!(seq_err, par_err);
+    let err = engine.run(&mut all(1), RunUntil::Exact(4)).unwrap_err();
+    assert_eq!(err, SimError::NodePanic { node: 0, round: 1 });
 
     std::panic::set_hook(hook);
 }

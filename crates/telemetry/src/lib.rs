@@ -44,9 +44,8 @@
 //!    the `trace-*.json` file.
 //! 3. Each solver phase appears as one complete slice whose name is the
 //!    `Recorder` phase label (`step1: h-CSSSP for V`, …); engine-level
-//!    `engine.run` begin/end pairs and sampled `engine.round` instants
-//!    (see `SimConfig::trace_rounds`) sit on the emitting thread's
-//!    track. Slice arguments carry rounds/messages/payload words.
+//!    `engine.run` begin/end pairs sit on the emitting thread's track.
+//!    Slice arguments carry rounds/messages/payload words.
 //!
 //! # Run manifests
 //!
@@ -59,6 +58,7 @@
 //! provenance. [`json::parse`] is a dependency-free validator for all
 //! of them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

@@ -17,6 +17,7 @@
 //! `experiments` binary of `congest_bench` (`cargo run --release -p
 //! congest_bench --bin experiments -- t1`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
