@@ -22,6 +22,7 @@ use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{Recorder, Topology};
+use std::time::Instant;
 
 /// Which blocker-set construction Step 2 uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -68,7 +69,11 @@ pub struct ApspMeta {
 pub struct ApspOutcome<W> {
     /// `dist[x][t] = δ(x, t)`, square and row-major.
     pub dist: DistMatrix<W>,
-    /// Phase-by-phase rounds/messages/congestion.
+    /// Phase-by-phase rounds, messages, payload, host time and maximum
+    /// node congestion. Each recorded phase keeps only these fixed-size
+    /// counts; the per-node send counts are summed into one running total
+    /// ([`Recorder::node_sent_totals`]), so the ledger costs O(n + phases)
+    /// words beside the n² answer.
     pub recorder: Recorder,
     /// Sizes and counters.
     pub meta: ApspMeta,
@@ -227,6 +232,7 @@ pub(crate) fn run_ar20<W: Weight>(
     // realizing path toward q_j — local knowledge at q_i (its Step-3
     // parents) combined with the broadcast matrix, so every node can still
     // compute its own rows without extra communication.
+    let step5 = Instant::now();
     let mut closure = vec![vec![W::INF; qn]; qn];
     let mut closure_fh = vec![vec![NO_SUCC; qn]; qn];
     for qi in 0..qn {
@@ -276,7 +282,7 @@ pub(crate) fn run_ar20<W: Weight>(
             dvals.set_first(x, qi, first);
         }
     }
-    rec.record_local("step5: local closure over Q");
+    rec.record_local("step5: local closure over Q", step5.elapsed());
 
     // Step 6: reversed q-sink propagation. Step 6 only *routes* the
     // locally known-exact dvals table, so the sentinel can demand the

@@ -21,6 +21,7 @@ use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{Recorder, Topology};
+use std::time::Instant;
 
 /// One full Bellman–Ford per source (n sequential SSSPs). The engine
 /// behind [`crate::Solver`] with [`crate::Algorithm::Naive`].
@@ -167,7 +168,7 @@ pub(crate) fn run_ar18<W: Weight>(
     // Step 5 (local at every sink t): δ(x,t) = min(δ_h(x,t),
     // min_c δ(x,c) + δ(c,t)), tracking the first hop of the winning
     // decomposition.
-    rec.record_local("ar18/step5: local combine");
+    let step5 = Instant::now();
     let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n {
         for t in 0..n {
@@ -196,6 +197,7 @@ pub(crate) fn run_ar18<W: Weight>(
             );
         }
     }
+    rec.record_local("ar18/step5: local combine", step5.elapsed());
     crate::recovery::final_certificate(g, &dist, &rc)?;
     Ok(ApspOutcome { dist, recorder: rec, meta, fault_report: rc.report() })
 }

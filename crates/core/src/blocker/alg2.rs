@@ -97,7 +97,7 @@ impl<'a, W: Weight> Driver<'a, W> {
             self.topo,
             self.sim,
             self.coll,
-            &init,
+            init,
             convergecast_trees_budget(self.coll),
         )?;
         rec.record(format!("{label}: score convergecast"), report);
@@ -200,7 +200,7 @@ impl<'a, W: Weight> Driver<'a, W> {
             self.topo,
             self.sim,
             self.coll,
-            &init,
+            init,
             convergecast_trees_budget(self.coll),
         )?;
         rec.record("alg2: scoreij convergecast", report);

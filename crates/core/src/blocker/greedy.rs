@@ -33,8 +33,7 @@ fn compute_scores<W: Weight>(
                 .collect()
         })
         .collect();
-    let (acc, report) =
-        convergecast_trees(topo, sim, coll, &init, convergecast_trees_budget(coll))?;
+    let (acc, report) = convergecast_trees(topo, sim, coll, init, convergecast_trees_budget(coll))?;
     rec.record(label, report);
     Ok((0..n)
         .map(|v| {

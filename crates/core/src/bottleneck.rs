@@ -45,8 +45,7 @@ fn compute_counts<W: Weight>(
             (0..s).map(|si| u64::from(coll.is_member(v as NodeId, si) && !removed[v][si])).collect()
         })
         .collect();
-    let (acc, report) =
-        convergecast_trees(topo, sim, coll, &init, convergecast_trees_budget(coll))?;
+    let (acc, report) = convergecast_trees(topo, sim, coll, init, convergecast_trees_budget(coll))?;
     rec.record(label, report);
     Ok(acc)
 }

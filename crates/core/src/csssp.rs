@@ -293,15 +293,7 @@ pub fn build_csssp<W: Weight>(
             |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, true, sim, charging),
             |res| sentinels::repaired_tree(g, dir, s, res),
         )?;
-        total.rounds += rep.rounds;
-        total.messages += rep.messages;
-        total.payload_words += rep.payload_words;
-        total.wall_ns += rep.wall_ns;
-        total.faults.merge(&rep.faults);
-        total.max_msg_words = total.max_msg_words.max(rep.max_msg_words);
-        for (t, s2) in total.node_sent.iter_mut().zip(rep.node_sent.iter()) {
-            *t += s2;
-        }
+        total.merge(&rep);
         Ok(res)
     })?;
     rec.record(label, total);
@@ -362,6 +354,7 @@ mod tests {
         .unwrap();
         let [phase] = rec.phases() else { panic!("one merged phase") };
         assert!(phase.wall_ns > 0, "the merged phase keeps the trees' host time");
+        assert!(phase.peak_in_flight > 0, "the merged phase keeps the trees' peak in flight");
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl<W: Weight> NodeLogic for ConvTreeNode<'_, W> {
 
 /// Bottom-up pipelined aggregation over every tree of `coll`: node v's
 /// result for tree si is `init[v][si]` plus the results of its children.
-/// Returns the full per-(node, tree) aggregate matrix.
+/// Each node's `init` row becomes its accumulator in place, and the
+/// accumulators are returned as the per-(node, tree) aggregate matrix.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -97,14 +98,15 @@ pub fn convergecast_trees<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
     coll: &SsspCollection<W>,
-    init: &[Vec<u64>],
+    init: Vec<Vec<u64>>,
     until: RunUntil,
 ) -> Result<(Vec<Vec<u64>>, PhaseReport), SimError> {
     let n = topo.n();
     let s = coll.sources.len();
     let engine = Engine::new(topo, sim);
     let mut nodes: Vec<ConvTreeNode<W>> = (0..n)
-        .map(|v| {
+        .zip(init)
+        .map(|(v, acc)| {
             let pending: Vec<u32> =
                 (0..s).map(|si| coll.children(v as NodeId, si).len() as u32).collect();
             let mut ready = VecDeque::new();
@@ -120,7 +122,7 @@ pub fn convergecast_trees<W: Weight>(
             ConvTreeNode {
                 coll,
                 pending,
-                acc: init[v].clone(),
+                acc,
                 queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
                 ready,
                 outstanding,
@@ -349,15 +351,7 @@ pub fn collect_ancestors<W: Weight>(
             .collect();
         let budget = 4 * (coll.h as u64 + 2) + 16;
         let report = engine.run(&mut nodes, RunUntil::Quiesce { max: budget })?;
-        total.rounds += report.rounds;
-        total.messages += report.messages;
-        total.payload_words += report.payload_words;
-        total.wall_ns += report.wall_ns;
-        total.max_msg_words = total.max_msg_words.max(report.max_msg_words);
-        total.faults.merge(&report.faults);
-        for (t, s2) in total.node_sent.iter_mut().zip(report.node_sent.iter()) {
-            *t += s2;
-        }
+        total.merge(&report);
         for nd in nodes {
             ids.extend_from_slice(&nd.path);
             off.push(u32::try_from(ids.len()).expect("ancestor ids exceed u32"));
@@ -437,7 +431,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
-            &init,
+            init.clone(),
             convergecast_trees_budget(&coll),
         )
         .unwrap();
@@ -475,7 +469,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
-            &init,
+            init,
             convergecast_trees_budget(&coll),
         )
         .unwrap();
@@ -510,7 +504,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
-            &init,
+            init,
             convergecast_trees_budget(&coll),
         )
         .unwrap();
@@ -579,5 +573,6 @@ mod tests {
         }
         assert!(report.rounds > 0);
         assert!(report.wall_ns > 0, "the merged report keeps the runs' host time");
+        assert!(report.peak_in_flight > 0, "the merged report keeps the runs' peak in flight");
     }
 }

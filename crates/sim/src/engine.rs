@@ -785,6 +785,7 @@ impl<'t> Engine<'t> {
             name: String::new(),
             rounds,
             messages,
+            max_node_congestion: node_sent.iter().copied().max().unwrap_or(0),
             node_sent,
             peak_in_flight,
             payload_words,

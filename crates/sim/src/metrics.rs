@@ -5,8 +5,15 @@
 //! the paper's §4 analysis (bottleneck nodes, Lemma A.15) reasons about
 //! *congestion at a node* = number of messages a node sends during an
 //! algorithm.
+//!
+//! A [`PhaseReport`] fresh from [`crate::Engine::run`] carries its
+//! per-node send counts. A [`Recorder`] keeps each phase's fixed-size
+//! fields, including its [`PhaseReport::max_node_congestion`], and folds
+//! the per-node counts into one running total per recorder, so a ledger
+//! costs O(n + phases) words rather than O(n · phases).
 
 use crate::fault::FaultCounters;
+use std::time::Duration;
 
 /// Statistics for one protocol phase (one [`crate::Engine::run`] call).
 #[derive(Clone, Debug, Default)]
@@ -17,8 +24,16 @@ pub struct PhaseReport {
     pub rounds: u64,
     /// Total messages delivered.
     pub messages: u64,
-    /// Per-node messages sent during this phase.
+    /// Per-node messages sent during this phase, as [`crate::Engine::run`]
+    /// and [`PhaseReport::merge`] return it. A [`Recorder`] folds it into
+    /// its running totals ([`Recorder::node_sent_totals`]), so every
+    /// phase a recorder holds has an empty `node_sent`.
     pub node_sent: Vec<u64>,
+    /// Maximum congestion at any node during this phase (paper's
+    /// footnote 4 definition): the largest entry of `node_sent`, filled
+    /// in by [`crate::Engine::run`] and [`PhaseReport::merge`] and kept
+    /// when a recorder drops the vector.
+    pub max_node_congestion: u64,
     /// Maximum number of messages in flight after any single round — the
     /// high-water mark of the engine's message plane, tracked incrementally
     /// by the delivery pass.
@@ -54,6 +69,7 @@ impl PartialEq for PhaseReport {
             && self.rounds == other.rounds
             && self.messages == other.messages
             && self.node_sent == other.node_sent
+            && self.max_node_congestion == other.max_node_congestion
             && self.peak_in_flight == other.peak_in_flight
             && self.payload_words == other.payload_words
             && self.max_msg_words == other.max_msg_words
@@ -67,7 +83,24 @@ impl PhaseReport {
     /// Maximum congestion at any node (paper's footnote 4 definition).
     #[must_use]
     pub fn max_node_congestion(&self) -> u64 {
-        self.node_sent.iter().copied().max().unwrap_or(0)
+        self.max_node_congestion
+    }
+
+    /// Adds another engine run's report into this one, so several runs
+    /// record as one phase: rounds, messages, payload, wall time, faults
+    /// and per-node sends add up, `peak_in_flight` and `max_msg_words`
+    /// take the larger value, and the congestion is recomputed from the
+    /// summed `node_sent`.
+    pub fn merge(&mut self, other: &PhaseReport) {
+        self.rounds += other.rounds;
+        self.messages += other.messages;
+        self.payload_words += other.payload_words;
+        self.wall_ns += other.wall_ns;
+        self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
+        self.max_msg_words = self.max_msg_words.max(other.max_msg_words);
+        self.faults.merge(&other.faults);
+        add_sent(&mut self.node_sent, &other.node_sent);
+        self.max_node_congestion = self.node_sent.iter().copied().max().unwrap_or(0);
     }
 
     /// This report as a run-manifest row (see `congest_telemetry`).
@@ -85,10 +118,26 @@ impl PhaseReport {
     }
 }
 
+/// Adds `sent` into `total` entry by entry, growing `total` to fit.
+fn add_sent(total: &mut Vec<u64>, sent: &[u64]) {
+    if total.len() < sent.len() {
+        total.resize(sent.len(), 0);
+    }
+    for (t, s) in total.iter_mut().zip(sent) {
+        *t += s;
+    }
+}
+
 /// Accumulates phase reports across a multi-phase algorithm run.
+///
+/// Each recorded phase keeps its fixed-size fields and its
+/// `max_node_congestion`; its `node_sent` is added into the recorder's
+/// one running per-node total and left empty.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     phases: Vec<PhaseReport>,
+    /// Per-node messages sent, summed over every recorded phase.
+    node_sent: Vec<u64>,
 }
 
 impl Recorder {
@@ -98,16 +147,22 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Records a finished phase, relabelling it with `name`.
+    /// Records a finished phase, relabelling it with `name`. Its per-node
+    /// sends move into the running totals; the phase keeps their maximum.
     pub fn record(&mut self, name: impl Into<String>, mut report: PhaseReport) {
         report.name = name.into();
+        let sent = std::mem::take(&mut report.node_sent);
+        let peak = sent.iter().copied().max().unwrap_or(0);
+        report.max_node_congestion = report.max_node_congestion.max(peak);
+        add_sent(&mut self.node_sent, &sent);
         self.phases.push(report);
     }
 
     /// Adds a zero-communication local phase (for bookkeeping parity with the
-    /// paper's "Local Step" lines).
-    pub fn record_local(&mut self, name: impl Into<String>) {
-        self.phases.push(PhaseReport { name: name.into(), ..Default::default() });
+    /// paper's "Local Step" lines) that took `wall` of host time.
+    pub fn record_local(&mut self, name: impl Into<String>, wall: Duration) {
+        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+        self.phases.push(PhaseReport { name: name.into(), wall_ns, ..Default::default() });
     }
 
     /// All recorded phases in order.
@@ -159,15 +214,8 @@ impl Recorder {
 
     /// Per-node total messages sent across all phases.
     #[must_use]
-    pub fn node_sent_totals(&self) -> Vec<u64> {
-        let n = self.phases.iter().map(|p| p.node_sent.len()).max().unwrap_or(0);
-        let mut total = vec![0u64; n];
-        for p in &self.phases {
-            for (t, s) in total.iter_mut().zip(p.node_sent.iter()) {
-                *t += s;
-            }
-        }
-        total
+    pub fn node_sent_totals(&self) -> &[u64] {
+        &self.node_sent
     }
 
     /// Total host wall-clock across phases, in nanoseconds.
@@ -179,6 +227,7 @@ impl Recorder {
     /// Merges another recorder's phases (used when a sub-algorithm keeps its
     /// own recorder), prefixing each phase name.
     pub fn absorb(&mut self, prefix: &str, other: Recorder) {
+        add_sent(&mut self.node_sent, &other.node_sent);
         for mut p in other.phases {
             p.name = format!("{prefix}{}", p.name);
             self.phases.push(p);
@@ -195,7 +244,7 @@ impl Recorder {
     /// telemetry plane (no-op while telemetry is disabled). Span names
     /// are exactly the recorded phase labels; the phases are laid out
     /// back-to-back ending now, preserving order and true durations
-    /// (local phases appear as zero-length slices).
+    /// (a local phase's slice is its measured host time).
     pub fn trace_phases(&self) {
         if !congest_telemetry::enabled() {
             return;
@@ -285,7 +334,7 @@ mod tests {
         let mut r = Recorder::new();
         r.record("a", phase(10, 100, vec![5, 95]));
         r.record("b", phase(7, 3, vec![3, 0]));
-        r.record_local("c");
+        r.record_local("c", Duration::ZERO);
         assert_eq!(r.total_rounds(), 17);
         assert_eq!(r.total_messages(), 103);
         assert_eq!(r.max_node_congestion(), 95);

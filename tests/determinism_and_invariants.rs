@@ -1,7 +1,7 @@
 //! Cross-crate invariants: determinism of the deterministic algorithms,
-//! pinned per-step communication counts, blocker validity through the
-//! public API, congestion bounds, and randomized-variant stability across
-//! seeds.
+//! pinned per-step communication counts, the host time of the local
+//! Step 5, blocker validity through the public API, congestion bounds,
+//! and randomized-variant stability across seeds.
 
 use congest_apsp::{Algorithm, BlockerMethod, Charging, Solver, Step6Method};
 use congest_bench::workloads::{hop_deep, sparse_random};
@@ -116,6 +116,23 @@ fn per_step_counts_are_pinned() {
         let want: Vec<(String, [u64; 3])> =
             golden.iter().map(|&(s, c)| (s.to_string(), c)).collect();
         assert_eq!(got, want, "{name} {alg:?}");
+    }
+}
+
+/// Step 5 sends nothing, but its host work is a recorded phase's time,
+/// so it is not left unattributed.
+#[test]
+fn step5_phases_carry_host_time() {
+    let g = hop_deep(64, 1);
+    for (alg, label) in [
+        (Algorithm::Ar20, "step5: local closure over Q"),
+        (Algorithm::Ar18, "ar18/step5: local combine"),
+    ] {
+        let out = Solver::builder(&g).algorithm(alg).run().unwrap();
+        assert!(!out.meta.q.is_empty(), "{alg:?}: blockers fire on hop_deep(64, 1)");
+        let step5: Vec<_> = out.recorder.phases().iter().filter(|p| p.name == label).collect();
+        let [p] = step5[..] else { panic!("{alg:?}: one {label:?} phase, got {}", step5.len()) };
+        assert!(p.wall_ns > 0, "{alg:?}: {label:?} records its host time");
     }
 }
 

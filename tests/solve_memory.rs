@@ -6,22 +6,31 @@
 //!   peak stays within n·K·4·2 + K·size_of::<T>() + the bitsets, where
 //!   per-node copies of every item would take n·K·size_of::<T>();
 //! * an h-hop CSSSP collection retains at most 32 bytes per (node, tree)
-//!   cell plus O(n) row headers.
+//!   cell plus O(n) row headers;
+//! * a solve's phase ledger retains at most [`LEDGER_PHASE_BYTES`] per
+//!   recorded phase plus 16 bytes per node: each phase keeps its
+//!   fixed-size counts, and the per-node send counts live in one running
+//!   total, where a per-phase copy would cost 8·n bytes a phase.
 //!
-//! Both results are checked complete, so no bound is met by dropping data.
+//! Every result is checked complete, so no bound is met by dropping data.
 
 use congest_apsp::csssp::build_csssp;
-use congest_apsp::{Charging, Recovery};
+use congest_apsp::{Charging, Recovery, Solver};
+use congest_bench::workloads::sparse_random;
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::Direction;
 use congest_graph::NodeId;
 use congest_sim::primitives::all_to_all_broadcast;
-use congest_sim::{Recorder, SimConfig, Topology};
+use congest_sim::{PhaseReport, Recorder, SimConfig, Topology};
 
 mod counting_alloc;
 
 /// One n × q table cell: (row, column, value), three words on the wire.
 type Cell = (NodeId, u32, u64);
+
+/// What one recorded phase may retain: its report, twice over for the
+/// phase vector's growth slack, plus a 64-byte label.
+const LEDGER_PHASE_BYTES: usize = 2 * std::mem::size_of::<PhaseReport>() + 64;
 
 #[test]
 fn floods_and_collections_stay_within_their_bounds() {
@@ -100,6 +109,25 @@ fn floods_and_collections_stay_within_their_bounds() {
     assert_eq!(links, members - sources.len(), "every non-root member is one child link");
     println!("collection members: {members} of {cells} cells");
 
+    // Ledger: an Ar20 solve on a graph where blockers fire.
+    let g = sparse_random(128, 1);
+    let n = g.n();
+    let mut out = Solver::builder(&g).run().unwrap();
+    assert!(!out.meta.q.is_empty(), "blockers fire on sparse_random(128, 1)");
+    let rec = std::mem::take(&mut out.recorder);
+    let (phases, sent) = (rec.phases().len(), rec.node_sent_totals());
+    assert_eq!(sent.iter().sum::<u64>(), rec.total_messages(), "each message is one send");
+    let before = counting_alloc::live();
+    drop(rec);
+    let ledger = before - counting_alloc::live();
+    let ledger_bound = LEDGER_PHASE_BYTES * phases + 16 * n;
+    println!(
+        "ledger n={n}: {phases} phases, {ledger} B retained, bound {ledger_bound} B \
+         ({:.1} B per phase)",
+        ledger as f64 / phases as f64
+    );
+
     assert!(flood_peak <= flood_bound, "flood peaked {flood_peak} B > bound {flood_bound} B");
     assert!(retained <= coll_bound, "collection retained {retained} B > bound {coll_bound} B");
+    assert!(ledger <= ledger_bound, "ledger retained {ledger} B > bound {ledger_bound} B");
 }
