@@ -11,7 +11,7 @@
 
 use crate::bf::run_bf;
 use crate::blocker::{alg2_blocker, greedy_blocker, Alg2Stats, Selection};
-use crate::config::ApspConfig;
+use crate::config::{ApspConfig, BlockerParams};
 use crate::csssp::build_csssp;
 use crate::extension::extend_all_sources;
 use crate::pipeline::{
@@ -113,6 +113,11 @@ pub(crate) fn run_ar20<W: Weight>(
     method: BlockerMethod,
     step6: Step6Method,
 ) -> Result<ApspOutcome<W>, SolverError> {
+    // Step 2 and Step 6's Q′ both run Algorithm 2 on these constants.
+    if !cfg.blocker.in_range() {
+        let BlockerParams { eps, delta } = cfg.blocker;
+        return Err(SolverError::InvalidBlockerParams { eps, delta });
+    }
     if !g.is_comm_connected() {
         return Err(SolverError::Disconnected);
     }
@@ -384,6 +389,34 @@ mod tests {
         assert!(out.recorder.total_rounds() > 0);
         // Q must be a valid blocker-sized set (possibly empty on shallow graphs)
         assert!(out.meta.q.len() <= 20);
+    }
+
+    #[test]
+    fn out_of_range_blocker_params_are_a_typed_error() {
+        let g = gnm_connected(20, 40, true, WeightDist::Uniform(1, 9), 1);
+        let oracle = apsp_dijkstra(&g);
+        let bad =
+            [(0.5, 0.1), (f64::NAN, 0.1), (0.1, f64::NAN), (0.0, 0.1), (0.1, -0.1), (0.3, 0.3)];
+        for (eps, delta) in bad {
+            let params = BlockerParams { eps, delta };
+            assert!(!params.in_range(), "{params:?}");
+            // Step 6's Q′ reads the constants too, so every Ar20 method
+            // refuses them.
+            for method in [BlockerMethod::Derandomized, BlockerMethod::Greedy] {
+                match Solver::builder(&g).blocker_method(method).blocker_params(params).run() {
+                    Err(SolverError::InvalidBlockerParams { eps: e, delta: d }) => {
+                        assert_eq!((e.to_bits(), d.to_bits()), (eps.to_bits(), delta.to_bits()));
+                    }
+                    other => panic!("{params:?}/{method:?}: {:?}", other.map(|o| o.meta.q)),
+                }
+            }
+            // Ar18 and Naive never read them.
+            for alg in [Algorithm::Ar18, Algorithm::Naive] {
+                let out = Solver::builder(&g).algorithm(alg).blocker_params(params).run().unwrap();
+                assert_eq!(out.dist, oracle, "{alg:?}");
+            }
+        }
+        assert!(BlockerParams::default().in_range());
     }
 
     #[test]

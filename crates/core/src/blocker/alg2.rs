@@ -85,6 +85,17 @@ struct Driver<'a, W: Weight> {
     rng: Option<ChaCha8Rng>,
 }
 
+/// Vi and the alive paths it scores: fixed from one commit to the next, so
+/// built once per iteration of the stage loop.
+struct ViView {
+    /// `mask[v]`: v is in Vi.
+    mask: Vec<bool>,
+    /// Vi's members, ascending.
+    list: Vec<NodeId>,
+    /// Alive paths with their number of Vi vertices: `(leaf, tree, n_vi)`.
+    paths: Vec<(NodeId, usize, u32)>,
+}
+
 impl<'a, W: Weight> Driver<'a, W> {
     /// Per-tree convergecast of alive-path counts + O(n) score flood.
     fn refresh_scores(&mut self, rec: &mut Recorder, label: &str) -> Result<(), SimError> {
@@ -129,17 +140,18 @@ impl<'a, W: Weight> Driver<'a, W> {
         Ok(())
     }
 
-    /// Alive paths with their number of Vi vertices: `(leaf, tree, n_vi)`.
-    fn alive_with_nvi(&self, vi: &[bool]) -> Vec<(NodeId, usize, u32)> {
-        self.ctx
+    /// Vi with the alive paths and their number of Vi vertices.
+    fn vi_view(&self, mask: Vec<bool>, list: Vec<NodeId>) -> ViView {
+        let paths = self
+            .ctx
             .alive_paths()
             .into_iter()
             .map(|(v, si)| {
-                let nvi = self.ctx.path_vertices(v, si).iter().filter(|&&u| vi[u as usize]).count()
-                    as u32;
-                (v, si, nvi)
+                let nvi = self.ctx.path_vertices(v, si).filter(|&u| mask[u as usize]).count();
+                (v, si, nvi as u32)
             })
-            .collect()
+            .collect();
+        ViView { mask, list, paths }
     }
 
     /// Aggregates per-node vectors at the leader and publishes the totals
@@ -162,15 +174,14 @@ impl<'a, W: Weight> Driver<'a, W> {
     /// |Pij| for every j in 1..=jmax under the current Vi (Algorithm 5).
     fn pij_sizes(
         &mut self,
-        vi: &[bool],
+        vi: &ViView,
         jmax: usize,
         rec: &mut Recorder,
     ) -> Result<Vec<u64>, SimError> {
         let one_eps = 1.0 + self.params.eps;
-        let paths = self.alive_with_nvi(vi);
         let n = self.coll.n();
         let mut vals = vec![vec![0u64; jmax]; n];
-        for &(v, _, nvi) in &paths {
+        for &(v, _, nvi) in &vi.paths {
             for j in 1..=jmax {
                 if f64::from(nvi) >= one_eps.powi(j as i32 - 1) {
                     vals[v as usize][j - 1] += 1;
@@ -183,15 +194,14 @@ impl<'a, W: Weight> Driver<'a, W> {
     /// score_ij for every node (broadcast) plus the per-leaf Pij marks.
     fn scoreij(
         &mut self,
-        vi: &[bool],
+        vi: &ViView,
         thr_j: f64,
         rec: &mut Recorder,
     ) -> Result<Vec<u64>, SimError> {
         let n = self.coll.n();
         let s = self.coll.sources.len();
-        let paths = self.alive_with_nvi(vi);
         let mut init = vec![vec![0u64; s]; n];
-        for &(v, si, nvi) in &paths {
+        for &(v, si, nvi) in &vi.paths {
             if f64::from(nvi) >= thr_j {
                 init[v as usize][si] = 1;
             }
@@ -215,16 +225,15 @@ impl<'a, W: Weight> Driver<'a, W> {
             })
             .collect();
         // Step 8: broadcast scoreij values of Vi members.
-        let initial: Vec<Vec<(u64, NodeId)>> =
-            (0..n)
-                .map(|v| {
-                    if vi[v] && scoreij[v] > 0 {
-                        vec![(scoreij[v], v as NodeId)]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
+        let initial: Vec<Vec<(u64, NodeId)>> = (0..n)
+            .map(|v| {
+                if vi.mask[v] && scoreij[v] > 0 {
+                    vec![(scoreij[v], v as NodeId)]
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
         let (_, report) =
             all_to_all_broadcast(self.topo, self.sim, initial, 2, |&(_, v)| v as usize)?;
         rec.record("alg2: scoreij broadcast", report);
@@ -236,7 +245,7 @@ impl<'a, W: Weight> Driver<'a, W> {
     fn coverage(
         &mut self,
         a: &[NodeId],
-        vi: &[bool],
+        vi: &ViView,
         thr_j: f64,
         rec: &mut Recorder,
     ) -> Result<(u64, u64), SimError> {
@@ -245,13 +254,12 @@ impl<'a, W: Weight> Driver<'a, W> {
         for &v in a {
             in_a[v as usize] = true;
         }
-        let paths = self.alive_with_nvi(vi);
         let mut vals = vec![vec![0u64; 2]; n];
-        for &(v, si, nvi) in &paths {
+        for &(v, si, nvi) in &vi.paths {
             if nvi == 0 {
                 continue; // not in Pi
             }
-            let covered = self.ctx.path_vertices(v, si).iter().any(|&u| in_a[u as usize]);
+            let covered = self.ctx.path_vertices(v, si).any(|u| in_a[u as usize]);
             if covered {
                 vals[v as usize][0] += 1;
                 if f64::from(nvi) >= thr_j {
@@ -312,8 +320,7 @@ impl<'a, W: Weight> Driver<'a, W> {
         &mut self,
         i: i32,
         j: i32,
-        vi_list: &[NodeId],
-        vi: &[bool],
+        vi: &ViView,
         pij_size: u64,
         rec: &mut Recorder,
     ) -> Result<Vec<NodeId>, SimError> {
@@ -323,7 +330,8 @@ impl<'a, W: Weight> Driver<'a, W> {
         let scoreij = self.scoreij(vi, thr_j, rec)?;
 
         // Step 9: high-coverage singleton.
-        let best = vi_list
+        let best = vi
+            .list
             .iter()
             .copied()
             .max_by_key(|&v| (scoreij[v as usize], std::cmp::Reverse(v)))
@@ -337,7 +345,7 @@ impl<'a, W: Weight> Driver<'a, W> {
 
         // Steps 11-14: sampled good set with bias δ/(1+ε)^j.
         let p = self.params.delta / one_eps.powi(j);
-        let space = AffineSpace::new(vi_list.len() as u64, p);
+        let space = AffineSpace::new(vi.list.len() as u64, p);
         let chosen: Option<Vec<NodeId>> = match &mut self.rng {
             Some(_) => {
                 // Algorithm 2: leader draws sample points; each try costs a
@@ -350,7 +358,7 @@ impl<'a, W: Weight> Driver<'a, W> {
                     let (_, rep) = broadcast_stream(self.topo, self.sim, &self.bfs, vec![mu])?;
                     rec.record("alg2: sample point broadcast", rep);
                     let a: Vec<NodeId> =
-                        space.selected(mu).into_iter().map(|idx| vi_list[idx as usize]).collect();
+                        space.selected(mu).into_iter().map(|idx| vi.list[idx as usize]).collect();
                     // Step 13: members of A announce themselves.
                     let initial: Vec<Vec<NodeId>> = (0..self.coll.n() as NodeId)
                         .map(|v| if a.contains(&v) { vec![v] } else { Vec::new() })
@@ -372,7 +380,6 @@ impl<'a, W: Weight> Driver<'a, W> {
                 let n = self.coll.n();
                 let block = n as u64;
                 let max_blocks = 8u64.min(space.len().div_ceil(block));
-                let paths = self.alive_with_nvi(vi);
                 let mut found = None;
                 'blocks: for b in 0..max_blocks {
                     self.stats.blocks_scanned += 1;
@@ -381,16 +388,16 @@ impl<'a, W: Weight> Driver<'a, W> {
                     let width = (hi - lo) as usize;
                     // σ vectors: per leaf, per µ: paths covered in Pi/Pij.
                     let mut vals = vec![vec![0u64; 2 * width]; n];
-                    for &(v, si, nvi) in &paths {
+                    for &(v, si, nvi) in &vi.paths {
                         if nvi == 0 {
                             continue;
                         }
-                        let verts = self.ctx.path_vertices(v, si);
                         // map vertices to Vi indices once per path
-                        let vi_idx: Vec<u64> = verts
-                            .iter()
-                            .filter(|&&u| vi[u as usize])
-                            .map(|&u| vi_list.binary_search(&u).expect("in Vi") as u64)
+                        let vi_idx: Vec<u64> = self
+                            .ctx
+                            .path_vertices(v, si)
+                            .filter(|&u| vi.mask[u as usize])
+                            .map(|u| vi.list.binary_search(&u).expect("in Vi") as u64)
                             .collect();
                         for (k, mu) in (lo..hi).enumerate() {
                             let covered = vi_idx.iter().any(|&idx| space.eval(mu, idx));
@@ -414,7 +421,7 @@ impl<'a, W: Weight> Driver<'a, W> {
                             let a: Vec<NodeId> = space
                                 .selected(mu)
                                 .into_iter()
-                                .map(|idx| vi_list[idx as usize])
+                                .map(|idx| vi.list[idx as usize])
                                 .collect();
                             found = Some(a);
                             break 'blocks;
@@ -458,9 +465,7 @@ pub fn alg2_blocker<W: Weight>(
     selection: Selection,
     rec: &mut Recorder,
 ) -> Result<(BlockerResult, Alg2Stats), SimError> {
-    assert!(params.eps > 0.0 && params.eps <= 0.3);
-    assert!(params.delta > 0.0 && params.delta <= 0.3);
-    assert!(1.0 - 3.0 * params.delta - params.eps > 0.0);
+    assert!(params.in_range(), "blocker constants out of range: {params:?}");
 
     let (ctx, report) = PathCtx::build(topo, sim, coll)?;
     rec.record("alg2: ancestors (Alg 7 Step 1)", report);
@@ -499,18 +504,20 @@ pub fn alg2_blocker<W: Weight>(
         loop {
             // Steps 3-4 (+ Step 16 reconstruction): Vi from broadcast
             // scores, Pi/Pij membership leaf-local.
-            let vi: Vec<bool> = driver.scores.iter().map(|&sc| sc as f64 >= vi_threshold).collect();
-            let vi_list: Vec<NodeId> = (0..n as NodeId).filter(|&v| vi[v as usize]).collect();
-            if vi_list.is_empty() {
+            let mask: Vec<bool> =
+                driver.scores.iter().map(|&sc| sc as f64 >= vi_threshold).collect();
+            let list: Vec<NodeId> = (0..n as NodeId).filter(|&v| mask[v as usize]).collect();
+            if list.is_empty() {
                 break;
             }
+            let vi = driver.vi_view(mask, list);
             let sizes = driver.pij_sizes(&vi, jmax, rec)?;
             // Work at the largest j whose Pij is nonempty (the paper's
             // descending phase order reaches exactly this j next).
             let Some(j) = (1..=jmax).rev().find(|&j| sizes[j - 1] > 0) else {
                 break; // Pi empty for this stage
             };
-            driver.selection_step(i, j as i32, &vi_list, &vi, sizes[j - 1], rec)?;
+            driver.selection_step(i, j as i32, &vi, sizes[j - 1], rec)?;
         }
     }
     debug_assert_eq!(driver.ctx.alive_count(), 0, "all paths must be covered");

@@ -75,12 +75,8 @@ impl PathCtx {
 
     /// Non-root vertices of the path ending at `(v, si)` (ancestors minus
     /// the root, plus the leaf itself).
-    #[must_use]
-    pub fn path_vertices(&self, v: NodeId, si: usize) -> Vec<NodeId> {
-        let anc = self.ancestors.get(v, si);
-        let mut verts: Vec<NodeId> = anc.iter().skip(1).copied().collect();
-        verts.push(v);
-        verts
+    pub fn path_vertices(&self, v: NodeId, si: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.ancestors.get(v, si).iter().skip(1).copied().chain(std::iter::once(v))
     }
 
     /// All alive paths as `(leaf, tree)` pairs.
@@ -107,8 +103,11 @@ impl PathCtx {
     /// `congest-derand`'s sequential set cover).
     #[must_use]
     pub fn hypergraph(&self, n: usize) -> congest_derand::Hypergraph {
-        let edges =
-            self.alive_paths().into_iter().map(|(v, si)| self.path_vertices(v, si)).collect();
+        let edges = self
+            .alive_paths()
+            .into_iter()
+            .map(|(v, si)| self.path_vertices(v, si).collect())
+            .collect();
         congest_derand::Hypergraph::new(n, edges)
     }
 }
@@ -177,7 +176,7 @@ mod tests {
         let (ctx, _) = PathCtx::build(&topo, SimConfig::default(), &coll).unwrap();
         for (v, si) in ctx.alive_paths() {
             assert!(coll.is_full_leaf(v, si));
-            let verts = ctx.path_vertices(v, si);
+            let verts: Vec<NodeId> = ctx.path_vertices(v, si).collect();
             assert_eq!(verts.len(), 3, "exactly h non-root vertices");
             assert_eq!(*verts.last().unwrap(), v);
             // consistency with root_path

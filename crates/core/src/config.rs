@@ -42,6 +42,16 @@ impl Default for BlockerParams {
     }
 }
 
+impl BlockerParams {
+    /// Whether Algorithm 2 accepts these constants: 0 < ε ≤ 0.3,
+    /// 0 < δ ≤ 0.3 and 1 − 3δ − ε > 0 (a NaN fails every test).
+    #[must_use]
+    pub(crate) fn in_range(&self) -> bool {
+        let BlockerParams { eps, delta } = *self;
+        eps > 0.0 && eps <= 0.3 && delta > 0.0 && delta <= 0.3 && 1.0 - 3.0 * delta - eps > 0.0
+    }
+}
+
 /// Top-level configuration for the APSP algorithms.
 #[derive(Copy, Clone, Debug)]
 pub struct ApspConfig {

@@ -41,7 +41,7 @@ use congest_sim::fault::{FaultCounters, FaultSpec};
 use congest_sim::{PhaseReport, Recorder, SimConfig, SimError};
 
 /// Errors surfaced by [`crate::Solver::run`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SolverError {
     /// The engine aborted and no recovery was configured (protocol bug or
     /// exhausted safety budget — see [`SimError`]).
@@ -61,6 +61,15 @@ pub enum SolverError {
     /// The communication graph is disconnected. CONGEST algorithms need a
     /// connected network: no message crosses between components.
     Disconnected,
+    /// [`Algorithm::Ar20`](crate::Algorithm::Ar20) was given blocker
+    /// constants Algorithm 2 does not accept: it needs 0 < ε ≤ 0.3,
+    /// 0 < δ ≤ 0.3 and 1 − 3δ − ε > 0, and a NaN fails every test.
+    InvalidBlockerParams {
+        /// The ε given.
+        eps: f64,
+        /// The δ given.
+        delta: f64,
+    },
 }
 
 impl core::fmt::Display for SolverError {
@@ -68,6 +77,11 @@ impl core::fmt::Display for SolverError {
         match self {
             SolverError::Sim(e) => write!(f, "engine error: {e}"),
             SolverError::Disconnected => write!(f, "the communication graph is disconnected"),
+            SolverError::InvalidBlockerParams { eps, delta } => write!(
+                f,
+                "blocker constants eps = {eps}, delta = {delta} out of range \
+                 (need 0 < eps <= 0.3, 0 < delta <= 0.3 and 3 delta + eps < 1)"
+            ),
             SolverError::Unrecoverable { phase, attempts, last_error } => {
                 write!(f, "phase {phase:?} unrecoverable after {attempts} attempts")?;
                 if let Some(e) = last_error {
@@ -86,7 +100,7 @@ impl std::error::Error for SolverError {
             SolverError::Unrecoverable { last_error, .. } => {
                 last_error.as_ref().map(|e| e as &(dyn std::error::Error + 'static))
             }
-            SolverError::Disconnected => None,
+            SolverError::Disconnected | SolverError::InvalidBlockerParams { .. } => None,
         }
     }
 }

@@ -200,6 +200,8 @@ impl<'g, W: Weight> Solver<'g, W> {
     /// Runs the configured algorithm to completion.
     ///
     /// # Errors
+    /// [`SolverError::InvalidBlockerParams`] when [`Algorithm::Ar20`] is
+    /// given blocker constants out of range, before any phase runs;
     /// [`SolverError::Disconnected`] when the communication graph is
     /// disconnected; [`SolverError::Sim`] on an engine abort without a
     /// fault plan; [`SolverError::Unrecoverable`] when an armed fault plan

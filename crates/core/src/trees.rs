@@ -41,9 +41,20 @@ struct ConvTreeNode<'a, W> {
     /// Per neighbor (index into env.neighbors): FIFO of tree indices ready
     /// to send on that channel.
     queues: Vec<VecDeque<u32>>,
-    /// Trees ready to enqueue (pending == 0) but not yet enqueued.
-    ready: VecDeque<u32>,
     outstanding: usize,
+}
+
+impl<W: Weight> ConvTreeNode<'_, W> {
+    /// Tree `si` has every child's report: queue it on the channel to its
+    /// parent, or, at the root, finish it.
+    fn ready(&mut self, id: NodeId, neighbors: &[NodeId], si: u32) {
+        if let Some(p) = self.coll.parent(id, si as usize) {
+            let ni = neighbors.binary_search(&p).expect("parent is a neighbor");
+            self.queues[ni].push_back(si);
+        } else {
+            self.outstanding -= 1;
+        }
+    }
 }
 
 impl<W: Weight> NodeLogic for ConvTreeNode<'_, W> {
@@ -60,17 +71,7 @@ impl<W: Weight> NodeLogic for ConvTreeNode<'_, W> {
             self.acc[si as usize] += val;
             self.pending[si as usize] -= 1;
             if self.pending[si as usize] == 0 {
-                self.ready.push_back(si);
-            }
-        }
-        // Move newly-ready trees into their channel queues.
-        while let Some(si) = self.ready.pop_front() {
-            if let Some(p) = self.coll.parent(env.id, si as usize) {
-                let ni = env.neighbor_index(p).expect("parent is a neighbor");
-                self.queues[ni].push_back(si);
-            } else {
-                // Root or non-member: nothing to send.
-                self.outstanding -= 1;
+                self.ready(env.id, env.neighbors, si);
             }
         }
         // One message per channel per round, addressed by channel index.
@@ -107,26 +108,25 @@ pub fn convergecast_trees<W: Weight>(
     let mut nodes: Vec<ConvTreeNode<W>> = (0..n)
         .zip(init)
         .map(|(v, acc)| {
-            let pending: Vec<u32> =
-                (0..s).map(|si| coll.children(v as NodeId, si).len() as u32).collect();
-            let mut ready = VecDeque::new();
-            let mut outstanding = 0;
+            let id = v as NodeId;
+            let neighbors = topo.neighbors(id);
+            let mut node = ConvTreeNode {
+                coll,
+                pending: (0..s).map(|si| coll.children(id, si).len() as u32).collect(),
+                acc,
+                queues: vec![VecDeque::new(); neighbors.len()],
+                outstanding: 0,
+            };
+            // Leaves are ready from the start, in ascending tree order.
             for si in 0..s {
-                if coll.is_member(v as NodeId, si) {
-                    outstanding += 1;
-                    if pending[si] == 0 {
-                        ready.push_back(si as u32);
+                if coll.is_member(id, si) {
+                    node.outstanding += 1;
+                    if node.pending[si] == 0 {
+                        node.ready(id, neighbors, si as u32);
                     }
                 }
             }
-            ConvTreeNode {
-                coll,
-                pending,
-                acc,
-                queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
-                ready,
-                outstanding,
-            }
+            node
         })
         .collect();
     let report = engine.run(&mut nodes, until)?;

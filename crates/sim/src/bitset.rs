@@ -2,7 +2,8 @@
 //! of the flooding primitive (dense, append-mostly workload where
 //! `Vec<bool>` would waste 8x memory).
 
-/// Growable bitset over `u64` words.
+/// Growable bitset over `u64` words. Two bitsets are equal when they hold
+/// the same bits, whatever room each has.
 #[derive(Clone, Debug, Default)]
 pub struct BitSet {
     words: Vec<u64>,
@@ -46,7 +47,34 @@ impl BitSet {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// The set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    wi * 64 + bit
+                })
+            })
+        })
+    }
 }
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for BitSet {}
 
 #[cfg(test)]
 mod tests {
@@ -72,6 +100,24 @@ mod tests {
         assert_eq!(b.count(), 0);
         assert!(!b.get(129));
         assert_eq!(b.clone().words.len(), 3);
+    }
+
+    #[test]
+    fn ones_ascend_and_equality_ignores_room() {
+        let mut a = BitSet::new();
+        for i in [200, 3, 64, 0, 63] {
+            a.insert(i);
+        }
+        assert_eq!(a.ones().collect::<Vec<_>>(), [0, 3, 63, 64, 200]);
+        let mut b = BitSet::with_capacity(1000);
+        for i in [0, 3, 63, 64, 200] {
+            b.insert(i);
+        }
+        assert_eq!(a, b);
+        assert_eq!(BitSet::new(), BitSet::with_capacity(130));
+        b.insert(999);
+        assert_ne!(a, b);
+        assert_ne!(b, a);
     }
 
     #[test]

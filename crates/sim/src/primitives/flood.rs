@@ -6,11 +6,12 @@
 //! * Lemma A.2 — every node broadcasts one (or a few) values, all delivered
 //!   everywhere in O(n) rounds.
 //!
-//! Both are instances of the same mechanism: every node maintains a log of
-//! known items; each round it forwards, on every channel, the next item the
-//! peer is not yet known to have. With bandwidth B = 1 an item crosses each
-//! channel at most once per direction, so all K items reach all nodes
-//! within O(K + D) rounds — the standard pipelined-flooding bound.
+//! Both are instances of the same mechanism: every node keeps a log of the
+//! items it knows, in discovery order; each round it forwards, on every
+//! channel, the next logged item the peer is not yet known to have. With
+//! bandwidth B = 1 an item crosses each channel at most once per direction,
+//! so all K items reach all nodes within O(K + D) rounds — the standard
+//! pipelined-flooding bound.
 //!
 //! ## Keys
 //!
@@ -32,10 +33,24 @@
 //! ## Memory
 //!
 //! Each distinct item is held once per flood, in the table that
-//! [`FloodLogs`] returns. Each node holds a `u32` log of item indices plus
-//! (1 + degree) bitsets over the K indices: one "seen" set and, per
-//! channel, one "peer already has it" set. So a node costs 4·K bytes plus
-//! (1 + degree)·K bits, whatever the size of an item. The "one payload per
+//! [`FloodLogs`] returns. Each node holds (1 + degree) bitsets over the K
+//! item indices: one "seen" set and, per channel, one "peer already has
+//! it" set. Of its discovery-order log it keeps only a **window**, a tail
+//! that holds every entry some channel cursor has yet to pass. When a full
+//! window needs room for a new item, it drops the prefix every cursor has
+//! passed if that prefix is at least half the window, and otherwise
+//! doubles its room, capped at K entries. So a node costs (1 + degree)·K
+//! bits plus at most 4·K bytes, whatever the size of an item, and what the
+//! window really takes depends on the topology:
+//!
+//! * on a tree, each channel's cursor keeps pace with what arrives, so a
+//!   hub holds about one window and a leaf, whose one peer sent it nearly
+//!   everything it knows, almost nothing;
+//! * on a well-connected graph, slow channels hold their cursors far
+//!   back, and windows stay close to K entries.
+//!
+//! Once the flood ends, the "seen" sets are the result: a node's log is
+//! the set of items it learned, in item-index order. The "one payload per
 //! key" contract is what makes the single shared copy exact: every node
 //! that learns a key would have kept a copy equal to it.
 
@@ -45,45 +60,51 @@ use crate::error::SimError;
 use crate::metrics::PhaseReport;
 use congest_graph::NodeId;
 
-/// What a flood delivered: every distinct item once, plus each node's log
-/// of item indices.
+/// What a flood delivered: every distinct item once, plus the set of
+/// items each node learned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FloodLogs<T> {
     /// Distinct items by index: the first initial item with each key.
     items: Vec<T>,
-    /// Per node: item indices in discovery order, own items first.
-    logs: Vec<Vec<u32>>,
+    /// Per node: the indices of the items it learned.
+    seen: Vec<BitSet>,
 }
 
 impl<T> FloodLogs<T> {
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.logs.len()
+        self.seen.len()
     }
 
-    /// The items node `v` learned, in discovery order (own items first).
-    pub fn log(&self, v: NodeId) -> impl ExactSizeIterator<Item = &T> + '_ {
-        self.logs[v as usize].iter().map(|&i| &self.items[i as usize])
+    /// The distinct items node `v` learned, each once, in item-index order
+    /// (the order in which their keys first appear among the initial
+    /// items, taken node by node).
+    pub fn log(&self, v: NodeId) -> impl Iterator<Item = &T> + '_ {
+        self.seen[v as usize].ones().map(|i| &self.items[i])
     }
 
-    /// Number of items node `v` learned.
+    /// Number of distinct items node `v` learned.
     #[must_use]
     pub fn log_len(&self, v: NodeId) -> usize {
-        self.logs[v as usize].len()
+        self.seen[v as usize].count()
     }
 }
 
 struct FloodNode {
-    /// Known item indices in discovery order.
-    log: Vec<u32>,
-    /// The indices in `log`.
+    /// The tail of the discovery-order log of known item indices: every
+    /// entry some channel cursor has yet to pass, after a passed prefix
+    /// that a full window drops.
+    window: Vec<u32>,
+    /// The indices in the log.
     seen: BitSet,
     /// Per neighbor (by position in the env neighbor list): indices the
     /// peer is known to have (either we sent them or they sent them).
     peer_knows: Vec<BitSet>,
-    /// Per neighbor: scan cursor into `log`.
+    /// Per neighbor: scan position in `window`.
     cursor: Vec<usize>,
+    /// Number of distinct items, K: the log never grows past it.
+    items: usize,
     /// On-wire width of one item, in machine words (protocol-wide).
     item_words: u32,
 }
@@ -93,10 +114,11 @@ impl FloodNode {
     fn new(own: Vec<u32>, degree: usize, items: usize, item_words: u32) -> Self {
         let none = BitSet::with_capacity(items);
         let mut node = FloodNode {
-            log: Vec::with_capacity(items),
+            window: Vec::new(),
             seen: none.clone(),
             peer_knows: vec![none; degree],
             cursor: vec![0; degree],
+            items,
             item_words,
         };
         for i in own {
@@ -108,7 +130,26 @@ impl FloodNode {
     /// Logs item `i` unless it is already known.
     fn learn(&mut self, i: u32) {
         if self.seen.insert(i as usize) {
-            self.log.push(i);
+            if self.window.len() == self.window.capacity() {
+                self.make_room();
+            }
+            self.window.push(i);
+        }
+    }
+
+    /// Makes room in a full window: drops the prefix every cursor has
+    /// passed if it is at least half the window, else doubles the room,
+    /// up to K entries.
+    fn make_room(&mut self) {
+        let len = self.window.len();
+        let passed = self.cursor.iter().copied().min().unwrap_or(len);
+        if passed > 0 && 2 * passed >= len {
+            self.window.drain(..passed);
+            for c in &mut self.cursor {
+                *c -= passed;
+            }
+        } else {
+            self.window.reserve_exact((2 * len).max(4).min(self.items) - len);
         }
     }
 }
@@ -125,7 +166,7 @@ impl NodeLogic for FloodNode {
         }
         // Send: for each channel, the first known item the peer lacks.
         for ni in 0..env.neighbors.len() {
-            while let Some(&i) = self.log.get(self.cursor[ni]) {
+            while let Some(&i) = self.window.get(self.cursor[ni]) {
                 self.cursor[ni] += 1;
                 if self.peer_knows[ni].insert(i as usize) {
                     out.send_nbr(ni, i);
@@ -139,7 +180,7 @@ impl NodeLogic for FloodNode {
         self.cursor
             .iter()
             .zip(&self.peer_knows)
-            .any(|(&c, knows)| self.log[c..].iter().any(|&i| !knows.get(i as usize)))
+            .any(|(&c, knows)| self.window[c..].iter().any(|&i| !knows.get(i as usize)))
     }
 
     fn msg_words(&self, _msg: &u32) -> u32 {
@@ -147,8 +188,8 @@ impl NodeLogic for FloodNode {
     }
 }
 
-/// Floods every node's initial items to all nodes. Returns what each node
-/// learned (discovery order, own items first) and the phase report.
+/// Floods every node's initial items to all nodes. Returns the distinct
+/// items each node learned (see [`FloodLogs`]) and the phase report.
 ///
 /// `item_words` is the on-wire width of one item in O(log n)-bit machine
 /// words (each id/weight field counts as one word); it only affects the
@@ -199,8 +240,8 @@ pub fn flood_broadcast<T>(
         .map(|(v, own)| FloodNode::new(own, topo.degree(v as NodeId), items.len(), item_words))
         .collect();
     let report = engine.run(&mut nodes, until)?;
-    let logs = nodes.into_iter().map(|nd| nd.log).collect();
-    Ok((FloodLogs { items, logs }, report))
+    let seen = nodes.into_iter().map(|nd| nd.seen).collect();
+    Ok((FloodLogs { items, seen }, report))
 }
 
 /// Convenience wrapper for the Lemma A.2 pattern (all-to-all broadcast with
@@ -279,13 +320,18 @@ mod tests {
     }
 
     #[test]
-    fn own_items_first_in_log() {
+    fn log_is_the_distinct_items_in_index_order() {
         let g = path(3, false, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);
-        let initial = vec![vec![10u32, 11], vec![20], vec![30]];
+        // Keys first appear, node by node, as 30, 10, 20, 11: that is the
+        // item-index order. Node 2 discovers its own 11 first, and 10 is
+        // one item though two nodes start with it.
+        let initial = vec![vec![30u32, 10], vec![20, 10], vec![11]];
         let (logs, _) = all_to_all_broadcast(&topo, SimConfig::default(), initial, 1, id).unwrap();
-        assert_eq!(logs.log(0).take(2).copied().collect::<Vec<_>>(), [10, 11]);
-        assert_eq!(logs.log(1).next(), Some(&20));
+        for v in 0..3 {
+            assert_eq!(logs.log(v).copied().collect::<Vec<_>>(), [30, 10, 20, 11], "node {v}");
+            assert_eq!(logs.log_len(v), 4);
+        }
     }
 
     #[test]

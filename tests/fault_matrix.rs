@@ -73,6 +73,7 @@ fn recovered_or_refused(algorithm: Algorithm, seed: u64, spec: FaultSpec) -> boo
             panic!("seed {seed}: armed plan must never leak a raw engine error: {e}")
         }
         Err(SolverError::Disconnected) => unreachable!("matrix graphs are connected"),
+        Err(SolverError::InvalidBlockerParams { .. }) => unreachable!("default constants"),
     }
 }
 
