@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Every argument is checked before any experiment runs: an unknown id or
-//! flag prints the usage and the valid ids to stderr and exits 2.
+//! flag prints the usage and the valid ids to stderr and exits 2. A CSV
+//! that cannot be written prints its path to stderr and exits 1.
 
 use congest_bench::experiments::{run, IDS};
 
@@ -25,6 +26,10 @@ fn main() {
         for out in run(id, big) {
             println!("================================================================");
             println!("{}", out.table);
+            if let Err(e) = out.persist() {
+                eprintln!("experiments: cannot write {e}");
+                std::process::exit(1);
+            }
         }
     }
     println!("CSV copies written to results/");

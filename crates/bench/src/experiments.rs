@@ -1,6 +1,6 @@
 //! Experiment implementations T1–T5 / F2–F4, one function per id;
-//! [`run`] dispatches by id, and each result's CSV lands in
-//! `results/<id>.csv`.
+//! [`run`] dispatches by id, and [`ExperimentOutput::persist`] writes each
+//! result's CSV to `results/<id>.csv`.
 
 use crate::stats::fit_exponent;
 use crate::workloads::{hop_deep, sparse_random};
@@ -30,12 +30,15 @@ pub struct ExperimentOutput {
 }
 
 impl ExperimentOutput {
-    /// Writes the CSV to `results/<id>.csv` (best effort) and returns self.
-    #[must_use]
-    pub fn persist(self) -> Self {
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write(format!("results/{}.csv", self.id), &self.csv);
-        self
+    /// Writes the CSV to `results/<id>.csv` under the working directory.
+    ///
+    /// # Errors
+    /// Names the path that could not be written, with the I/O error.
+    pub fn persist(&self) -> Result<(), String> {
+        let path = format!("results/{}.csv", self.id);
+        fs::create_dir_all("results")
+            .and_then(|()| fs::write(&path, &self.csv))
+            .map_err(|e| format!("{path}: {e}"))
     }
 }
 
@@ -252,7 +255,7 @@ pub fn t2(n: usize) -> ExperimentOutput {
 
         let mut grec = Recorder::new();
         let gres = greedy_blocker(&topo, SimConfig::default(), &coll, &mut grec).unwrap();
-        assert!(is_valid_blocker(&coll, &gres.q));
+        assert!(is_valid_blocker(&coll, &gres));
 
         let mut rrec = Recorder::new();
         let (rres, _) = alg2_blocker(
@@ -264,7 +267,7 @@ pub fn t2(n: usize) -> ExperimentOutput {
             &mut rrec,
         )
         .unwrap();
-        assert!(is_valid_blocker(&coll, &rres.q));
+        assert!(is_valid_blocker(&coll, &rres));
 
         let mut drec = Recorder::new();
         let (dres, _) = alg2_blocker(
@@ -276,7 +279,7 @@ pub fn t2(n: usize) -> ExperimentOutput {
             &mut drec,
         )
         .unwrap();
-        assert!(is_valid_blocker(&coll, &dres.q));
+        assert!(is_valid_blocker(&coll, &dres));
 
         let bound = (n as f64) * (paths.max(2) as f64).ln() / h as f64;
         let _ = writeln!(
@@ -284,22 +287,22 @@ pub fn t2(n: usize) -> ExperimentOutput {
             "{:>3} {:>7} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>9.1}",
             h,
             paths,
-            gres.q.len(),
+            gres.len(),
             grec.total_rounds(),
-            rres.q.len(),
+            rres.len(),
             rrec.total_rounds(),
-            dres.q.len(),
+            dres.len(),
             drec.total_rounds(),
             bound
         );
         let _ = writeln!(
             csv,
             "{h},{paths},{},{},{},{},{},{},{bound:.1}",
-            gres.q.len(),
+            gres.len(),
             grec.total_rounds(),
-            rres.q.len(),
+            rres.len(),
             rrec.total_rounds(),
-            dres.q.len(),
+            dres.len(),
             drec.total_rounds()
         );
     }
@@ -350,13 +353,13 @@ pub fn f2() -> ExperimentOutput {
             &mut drec,
         )
         .unwrap();
-        let q = gres.q.len().max(1) as u64;
-        let dq = dres.q.len().max(1) as u64;
+        let q = gres.len().max(1) as u64;
+        let dq = dres.len().max(1) as u64;
         let _ = writeln!(
             table,
             "{:>5} {:>5} {:>13} {:>13} {:>12} {:>12}",
             n,
-            gres.q.len(),
+            gres.len(),
             grec.total_rounds(),
             drec.total_rounds(),
             grec.total_rounds() / q,
@@ -365,7 +368,7 @@ pub fn f2() -> ExperimentOutput {
         let _ = writeln!(
             csv,
             "{n},{},{},{},{},{}",
-            gres.q.len(),
+            gres.len(),
             grec.total_rounds(),
             drec.total_rounds(),
             grec.total_rounds() / q,
@@ -729,16 +732,16 @@ pub const IDS: [&str; 11] =
 #[must_use]
 pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
     match id {
-        "t1" => vec![t1(big, Charging::Quiesce).persist()],
-        "t1wc" => vec![t1(false, Charging::WorstCase).persist()],
-        "t1deep" => vec![t1_deep(big).persist()],
-        "t2" => vec![t2(64).persist()],
-        "f2" => vec![f2().persist()],
-        "t3" => vec![t3().persist()],
-        "f3" => vec![f3().persist()],
-        "t4" => vec![t4().persist()],
-        "t5" => vec![t5().persist()],
-        "f4" => vec![f4().persist()],
+        "t1" => vec![t1(big, Charging::Quiesce)],
+        "t1wc" => vec![t1(false, Charging::WorstCase)],
+        "t1deep" => vec![t1_deep(big)],
+        "t2" => vec![t2(64)],
+        "f2" => vec![f2()],
+        "t3" => vec![t3()],
+        "f3" => vec![f3()],
+        "t4" => vec![t4()],
+        "t5" => vec![t5()],
+        "f4" => vec![f4()],
         "all" => IDS.into_iter().filter(|&id| id != "all").flat_map(|id| run(id, big)).collect(),
         other => panic!("unknown experiment id: {other}"),
     }

@@ -1,6 +1,7 @@
 //! The `experiments` binary checks every argument before it runs anything:
 //! an unknown id or flag prints the usage and the valid ids to stderr,
-//! exits 2 and leaves no `results/` behind.
+//! exits 2 and leaves no `results/` behind. A CSV it cannot write prints
+//! its path to stderr and exits 1.
 
 use std::process::Command;
 
@@ -30,4 +31,20 @@ fn unknown_id_exits_2_before_any_experiment_runs() {
 #[test]
 fn unknown_flag_exits_2_before_any_experiment_runs() {
     assert_rejected("flag", &["t4", "--bigg"]);
+}
+
+#[test]
+fn unwritable_csv_exits_1_and_names_its_path() {
+    let dir =
+        std::env::temp_dir().join(format!("congest-experiments-{}-unwritable", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A regular file where the results directory would go.
+    std::fs::write(dir.join("results"), "").unwrap();
+    let out = Command::new(BIN).arg("t4").current_dir(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("results/t4.csv"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("CSV copies written"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }

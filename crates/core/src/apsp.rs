@@ -154,7 +154,7 @@ pub(crate) fn run_ar20<W: Weight>(
             "step2/",
             sim,
             &mut rec,
-            |sim, brec| Ok(greedy_blocker(&topo, sim, &coll, brec)?.q),
+            |sim, brec| greedy_blocker(&topo, sim, &coll, brec),
             |q| sentinels::blocker_covers(&coll, q),
         )?,
         BlockerMethod::Randomized | BlockerMethod::Derandomized => {
@@ -167,10 +167,7 @@ pub(crate) fn run_ar20<W: Weight>(
                 "step2/",
                 sim,
                 &mut rec,
-                |sim, brec| {
-                    let (res, stats) = alg2_blocker(&topo, sim, &coll, cfg.blocker, sel, brec)?;
-                    Ok((res.q, stats))
-                },
+                |sim, brec| alg2_blocker(&topo, sim, &coll, cfg.blocker, sel, brec),
                 |(q, _)| sentinels::blocker_covers(&coll, q),
             )?;
             meta.blocker_stats = Some(stats);

@@ -102,7 +102,7 @@ pub(crate) fn run_ar18<W: Weight>(
         "ar18/step2/",
         sim,
         &mut rec,
-        |sim, brec| Ok(greedy_blocker(&topo, sim, &coll, brec)?.q),
+        |sim, brec| greedy_blocker(&topo, sim, &coll, brec),
         |q| sentinels::blocker_covers(&coll, q),
     )?;
     meta.q = q.clone();

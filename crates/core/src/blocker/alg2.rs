@@ -8,7 +8,8 @@
 //! good-set criterion (Definition 3.1). Helper algorithms:
 //!
 //! * score / score_ij — per-tree convergecasts (\[2\]'s Algorithm 3 and the
-//!   Step 8 machinery) in [`crate::trees`];
+//!   Step 8 machinery): [`crate::trees::subtree_sums`], each followed by a
+//!   [`crate::trees::flood_scores`];
 //! * Compute-Pi / Compute-Pij (Algorithms 3–4) — realized by the
 //!   ancestor-collection of Algorithm 7 Step 1 plus node-local checks
 //!   against broadcast score data (same information, same O(|S|·h) cost);
@@ -22,17 +23,17 @@
 //! is the classical affine GF(q)² space scanned lazily in blocks of n
 //! points (the paper's linear-size biased space is unspecified).
 
-use super::{BlockerResult, PathCtx};
+use super::PathCtx;
 use crate::config::BlockerParams;
 use crate::csssp::SsspCollection;
-use crate::trees::{convergecast_trees, convergecast_trees_budget, remove_subtrees};
+use crate::trees::{flood_scores, remove_subtrees, subtree_sums};
 use congest_derand::{AffineSpace, SampleSpace};
 use congest_graph::{NodeId, Weight};
 use congest_sim::primitives::{
     all_to_all_broadcast, broadcast_stream, build_bfs_tree, convergecast_budget, convergecast_sum,
     BfsTree,
 };
-use congest_sim::{Recorder, RunUntil, SimConfig, SimError, Topology};
+use congest_sim::{BitSet, Recorder, RunUntil, SimConfig, SimError, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -74,7 +75,7 @@ struct Driver<'a, W: Weight> {
     topo: &'a Topology,
     sim: SimConfig,
     coll: &'a SsspCollection<W>,
-    ctx: PathCtx,
+    ctx: PathCtx<'a, W>,
     bfs: BfsTree,
     params: BlockerParams,
     /// Globally-broadcast scores (every node's view after the score flood).
@@ -99,44 +100,15 @@ struct ViView {
 impl<'a, W: Weight> Driver<'a, W> {
     /// Per-tree convergecast of alive-path counts + O(n) score flood.
     fn refresh_scores(&mut self, rec: &mut Recorder, label: &str) -> Result<(), SimError> {
-        let n = self.coll.n();
-        let s = self.coll.sources.len();
-        let init: Vec<Vec<u64>> = (0..n)
-            .map(|v| (0..s).map(|si| u64::from(self.ctx.alive(v as NodeId, si))).collect())
-            .collect();
-        let (acc, report) = convergecast_trees(
-            self.topo,
-            self.sim,
-            self.coll,
-            init,
-            convergecast_trees_budget(self.coll),
-        )?;
+        let ctx = &self.ctx;
+        let (scores, report) =
+            subtree_sums(self.topo, self.sim, self.coll, |v, si| ctx.alive(v, si))?;
         rec.record(format!("{label}: score convergecast"), report);
-        self.scores = (0..n)
-            .map(|v| {
-                (0..s)
-                    .filter(|&si| {
-                        self.coll.is_member(v as NodeId, si) && self.coll.hops[v][si] >= 1
-                    })
-                    .map(|si| acc[v][si])
-                    .sum()
-            })
-            .collect();
-        // Flood (id, score) so every node can derive Vi for any stage
+        // Flood (score, id) so every node can derive Vi for any stage
         // (Lemma 3.2 cost; carries score values instead of ids).
-        let initial: Vec<Vec<(u64, NodeId)>> =
-            (0..n)
-                .map(|v| {
-                    if self.scores[v] > 0 {
-                        vec![(self.scores[v], v as NodeId)]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-        let (_, report) =
-            all_to_all_broadcast(self.topo, self.sim, initial, 2, |&(_, v)| v as usize)?;
+        let (_, report) = flood_scores(self.topo, self.sim, |v| scores[v])?;
         rec.record(format!("{label}: score flood"), report);
+        self.scores = scores;
         Ok(())
     }
 
@@ -198,44 +170,20 @@ impl<'a, W: Weight> Driver<'a, W> {
         thr_j: f64,
         rec: &mut Recorder,
     ) -> Result<Vec<u64>, SimError> {
+        // The leaves of Pij's paths, tree-major like the parent plane.
         let n = self.coll.n();
-        let s = self.coll.sources.len();
-        let mut init = vec![vec![0u64; s]; n];
+        let mut pij = BitSet::new();
         for &(v, si, nvi) in &vi.paths {
             if f64::from(nvi) >= thr_j {
-                init[v as usize][si] = 1;
+                pij.insert(si * n + v as usize);
             }
         }
-        let (acc, report) = convergecast_trees(
-            self.topo,
-            self.sim,
-            self.coll,
-            init,
-            convergecast_trees_budget(self.coll),
-        )?;
+        let (scoreij, report) =
+            subtree_sums(self.topo, self.sim, self.coll, |v, si| pij.get(si * n + v as usize))?;
         rec.record("alg2: scoreij convergecast", report);
-        let scoreij: Vec<u64> = (0..n)
-            .map(|v| {
-                (0..s)
-                    .filter(|&si| {
-                        self.coll.is_member(v as NodeId, si) && self.coll.hops[v][si] >= 1
-                    })
-                    .map(|si| acc[v][si])
-                    .sum()
-            })
-            .collect();
         // Step 8: broadcast scoreij values of Vi members.
-        let initial: Vec<Vec<(u64, NodeId)>> = (0..n)
-            .map(|v| {
-                if vi.mask[v] && scoreij[v] > 0 {
-                    vec![(scoreij[v], v as NodeId)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
         let (_, report) =
-            all_to_all_broadcast(self.topo, self.sim, initial, 2, |&(_, v)| v as usize)?;
+            flood_scores(self.topo, self.sim, |v| if vi.mask[v] { scoreij[v] } else { 0 })?;
         rec.record("alg2: scoreij broadcast", report);
         Ok(scoreij)
     }
@@ -296,19 +244,17 @@ impl<'a, W: Weight> Driver<'a, W> {
                 self.q.push(c);
             }
         }
-        let s = self.coll.sources.len();
+        // Every tree where a pick is a non-root member.
         let mut roots = Vec::new();
         for &c in nodes {
-            for si in 0..s {
-                if self.coll.is_member(c, si) && self.coll.hops[c as usize][si] >= 1 {
+            for si in 0..self.coll.sources.len() {
+                if self.coll.parent(c, si).is_some() {
                     roots.push((c, si));
                 }
             }
         }
-        let budget = RunUntil::Quiesce { max: (s as u64 + 2) * (self.coll.h as u64 + 2) + 64 };
-        let (mask, report) =
-            remove_subtrees(self.topo, self.sim, self.coll, &self.ctx.removed, &roots, budget)?;
-        self.ctx.removed = mask;
+        let report =
+            remove_subtrees(self.topo, self.sim, self.coll, &mut self.ctx.removed, &roots)?;
         rec.record(format!("{label}: cleanup"), report);
         self.refresh_scores(rec, label)?;
         Ok(())
@@ -452,8 +398,8 @@ impl<'a, W: Weight> Driver<'a, W> {
 }
 
 /// Runs Algorithm 2 (randomized) or Algorithm 2′ (derandomized) on the
-/// collection. Returns the blocker set and the lemma counters; round
-/// accounting lands in `rec`.
+/// collection. Returns the blocker set in insertion order, deduplicated,
+/// and the lemma counters; round accounting lands in `rec`.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -464,7 +410,7 @@ pub fn alg2_blocker<W: Weight>(
     params: BlockerParams,
     selection: Selection,
     rec: &mut Recorder,
-) -> Result<(BlockerResult, Alg2Stats), SimError> {
+) -> Result<(Vec<NodeId>, Alg2Stats), SimError> {
     assert!(params.in_range(), "blocker constants out of range: {params:?}");
 
     let (ctx, report) = PathCtx::build(topo, sim, coll)?;
@@ -494,7 +440,7 @@ pub fn alg2_blocker<W: Weight>(
     let one_eps = 1.0 + params.eps;
     let max_score = driver.scores.iter().copied().max().unwrap_or(0);
     if max_score == 0 {
-        return Ok((BlockerResult { q: driver.q }, driver.stats));
+        return Ok((driver.q, driver.stats));
     }
     let i_start = ((max_score as f64).ln() / one_eps.ln()).ceil() as i32 + 1;
     let jmax = (((coll.h.max(1)) as f64).ln() / one_eps.ln()).ceil().max(1.0) as usize;
@@ -521,7 +467,7 @@ pub fn alg2_blocker<W: Weight>(
         }
     }
     debug_assert_eq!(driver.ctx.alive_count(), 0, "all paths must be covered");
-    Ok((BlockerResult { q: driver.q }, driver.stats))
+    Ok((driver.q, driver.stats))
 }
 
 #[cfg(test)]
@@ -544,7 +490,7 @@ mod tests {
             &mut rec1,
         )
         .unwrap();
-        assert!(is_valid_blocker(&coll, &r1.q));
+        assert!(is_valid_blocker(&coll, &r1));
         let mut rec2 = Recorder::new();
         let (r2, _) = alg2_blocker(
             &topo,
@@ -555,7 +501,7 @@ mod tests {
             &mut rec2,
         )
         .unwrap();
-        assert_eq!(r1.q, r2.q, "derandomized run must be deterministic");
+        assert_eq!(r1, r2, "derandomized run must be deterministic");
         assert_eq!(rec1.total_rounds(), rec2.total_rounds());
         assert_eq!(s1.singleton_picks + s1.set_picks + s1.fallbacks, s1.selection_steps);
     }
@@ -574,7 +520,7 @@ mod tests {
                 &mut rec,
             )
             .unwrap();
-            assert!(is_valid_blocker(&coll, &r.q), "seed {seed}");
+            assert!(is_valid_blocker(&coll, &r), "seed {seed}");
         }
     }
 
@@ -594,12 +540,7 @@ mod tests {
         let mut grec = Recorder::new();
         let gres =
             crate::blocker::greedy_blocker(&topo, SimConfig::default(), &coll, &mut grec).unwrap();
-        assert!(
-            res.q.len() <= 4 * gres.q.len().max(1),
-            "alg2 {} vs greedy {}",
-            res.q.len(),
-            gres.q.len()
-        );
+        assert!(res.len() <= 4 * gres.len().max(1), "alg2 {} vs greedy {}", res.len(), gres.len());
     }
 
     #[test]
@@ -617,7 +558,7 @@ mod tests {
         .unwrap();
         let (ctx, _) = PathCtx::build(&topo, SimConfig::default(), &coll).unwrap();
         if ctx.alive_count() == 0 {
-            assert!(res.q.is_empty());
+            assert!(res.is_empty());
             assert_eq!(stats.selection_steps, 0);
         }
     }

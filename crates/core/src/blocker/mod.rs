@@ -9,11 +9,18 @@
 //! * [`alg2_blocker`] with [`Selection::Derandomized`] — Algorithm 2′ (Algorithm 7
 //!   with the ν-aggregation of Algorithms 11/12).
 //!
+//! Both functions run the pick loop of [`crate::trees`]: scores by
+//! [`subtree_sums`](crate::trees::subtree_sums), published by
+//! [`flood_scores`](crate::trees::flood_scores), picks pruned by
+//! [`remove_subtrees`](crate::trees::remove_subtrees) into a [`Removed`]
+//! set.
+//!
 //! Hyperedges exclude the tree root: a full-length path contributes its h
 //! *non-root* vertices (§3.1: "each edge in F has exactly h vertices").
 //! This matters for correctness of the APSP decomposition — a blocker at
 //! depth ≥ 1 guarantees strict progress when shortest paths are split at
-//! blocker nodes.
+//! blocker nodes — so [`is_valid_blocker`] and the Step-2 sentinel accept
+//! only a blocker below the root.
 
 mod alg2;
 mod greedy;
@@ -22,55 +29,45 @@ pub use alg2::{alg2_blocker, Alg2Stats, Selection};
 pub use greedy::greedy_blocker;
 
 use crate::csssp::SsspCollection;
-use crate::trees::AncestorLists;
+use crate::recovery::sentinels::blocker_covers;
+use crate::trees::{AncestorLists, Removed};
 use congest_graph::{NodeId, Weight};
 use congest_sim::{PhaseReport, SimConfig, SimError, Topology};
-
-/// Outcome of a blocker-set construction.
-#[derive(Clone, Debug)]
-pub struct BlockerResult {
-    /// The blocker set, in insertion order, deduplicated.
-    pub q: Vec<NodeId>,
-}
 
 /// Shared path bookkeeping: which full-length paths are alive, and the
 /// non-root vertex list of each. Central mirror of information that is
 /// node-local in the protocols (each leaf knows its own paths via
 /// [`crate::trees::collect_ancestors`]).
 #[derive(Clone, Debug)]
-pub struct PathCtx {
+pub struct PathCtx<'a, W> {
+    /// The collection whose full-length paths these are.
+    pub coll: &'a SsspCollection<W>,
     /// `ancestors.get(v, si)`: ids root..parent for members (empty
     /// otherwise).
     pub ancestors: AncestorLists,
-    /// `removed[v][si]`: subtree-removal mask.
-    pub removed: Vec<Vec<bool>>,
-    /// `full_leaf[v][si]`.
-    pub full_leaf: Vec<Vec<bool>>,
+    /// The subtree-removal mask.
+    pub removed: Removed,
 }
 
-impl PathCtx {
+impl<'a, W: Weight> PathCtx<'a, W> {
     /// Builds the context by running the ancestor-collection protocol
     /// (Algorithm 7 Step 1; O(|S|·h) rounds, reported).
     ///
     /// # Errors
     /// Propagates engine errors.
-    pub fn build<W: Weight>(
+    pub fn build(
         topo: &Topology,
         sim: SimConfig,
-        coll: &SsspCollection<W>,
+        coll: &'a SsspCollection<W>,
     ) -> Result<(Self, PhaseReport), SimError> {
         let (ancestors, report) = crate::trees::collect_ancestors(topo, sim, coll)?;
-        let n = coll.n();
-        let s = coll.sources.len();
-        let full_leaf =
-            (0..n).map(|v| (0..s).map(|si| coll.is_full_leaf(v as NodeId, si)).collect()).collect();
-        Ok((PathCtx { ancestors, removed: vec![vec![false; s]; n], full_leaf }, report))
+        Ok((PathCtx { coll, ancestors, removed: Removed::new(coll.n()) }, report))
     }
 
     /// `true` iff the path ending at `(v, si)` is an alive hyperedge.
     #[must_use]
     pub fn alive(&self, v: NodeId, si: usize) -> bool {
-        self.full_leaf[v as usize][si] && !self.removed[v as usize][si]
+        self.coll.is_full_leaf(v, si) && !self.removed.get(v, si)
     }
 
     /// Non-root vertices of the path ending at `(v, si)` (ancestors minus
@@ -83,10 +80,10 @@ impl PathCtx {
     #[must_use]
     pub fn alive_paths(&self) -> Vec<(NodeId, usize)> {
         let mut out = Vec::new();
-        for v in 0..self.full_leaf.len() {
-            for si in 0..self.full_leaf[v].len() {
-                if self.alive(v as NodeId, si) {
-                    out.push((v as NodeId, si));
+        for v in 0..self.coll.n() as NodeId {
+            for si in 0..self.coll.sources.len() {
+                if self.alive(v, si) {
+                    out.push((v, si));
                 }
             }
         }
@@ -112,27 +109,11 @@ impl PathCtx {
     }
 }
 
-/// Validates that `q` hits every full-length path of `coll` on a non-root
-/// vertex. Used by tests and the experiment harness.
+/// `true` iff `q` hits every full-length path of `coll` on a non-root
+/// vertex: the Step-2 sentinel [`blocker_covers`] passes.
 #[must_use]
 pub fn is_valid_blocker<W: Weight>(coll: &SsspCollection<W>, q: &[NodeId]) -> bool {
-    let mut in_q = vec![false; coll.n()];
-    for &c in q {
-        in_q[c as usize] = true;
-    }
-    for si in 0..coll.sources.len() {
-        for v in 0..coll.n() as NodeId {
-            if coll.is_full_leaf(v, si) {
-                let path = coll.root_path(v, si).expect("full leaf is a member");
-                // path is v..root; non-root vertices are all but the last.
-                let covered = path[..path.len() - 1].iter().any(|&u| in_q[u as usize]);
-                if !covered {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    blocker_covers(coll, q).is_ok()
 }
 
 #[cfg(test)]

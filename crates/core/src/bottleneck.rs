@@ -3,72 +3,28 @@
 //! Given the n^{2/3}-in-CSSSP collection for the blocker set Q, a node's
 //! `total_count` is the number of messages it would forward if every
 //! source pushed its distance value up every tree — i.e. the sum over
-//! trees of its subtree sizes. Algorithm 13 repeatedly broadcasts the
-//! counts (O(n) rounds), removes the maximum node (with its subtrees in
-//! every tree), and stops when every node's count is at most `n·√|Q|`.
-//! Lemma A.16: at most √|Q| nodes are ever removed.
+//! trees of its subtree sizes ([`subtree_sums`] of every alive member).
+//! Algorithm 13 repeatedly floods the counts with [`flood_scores`] (O(n)
+//! rounds), removes the maximum node with its subtrees in every tree
+//! ([`remove_subtrees`]), and stops when every node's count is at most
+//! `n·√|Q|`. Lemma A.16: at most √|Q| nodes are ever removed.
 
 use crate::csssp::SsspCollection;
-use crate::trees::{convergecast_trees, convergecast_trees_budget, remove_subtrees};
+use crate::trees::{flood_scores, remove_subtrees, subtree_sums, Removed};
 use congest_graph::{NodeId, Weight};
-use congest_sim::primitives::all_to_all_broadcast;
-use congest_sim::{Recorder, RunUntil, SimConfig, SimError, Topology};
+use congest_sim::{Recorder, SimConfig, SimError, Topology};
 
 /// Outcome of Algorithm 13.
 #[derive(Clone, Debug)]
 pub struct BottleneckResult {
     /// The bottleneck set B, in removal order.
     pub b: Vec<NodeId>,
-    /// Removal mask over `(node, tree)` pairs (B subtrees pruned).
-    pub removed: Vec<Vec<bool>>,
+    /// The `(node, tree)` cells that B's subtrees pruned.
+    pub removed: Removed,
     /// Maximum total_count before any removal.
     pub congestion_before: u64,
     /// Maximum total_count after all removals (≤ n·√|Q|, Lemma A.15).
     pub congestion_after: u64,
-}
-
-/// `count_{v,c}` for every (node, tree) pair under `removed`:
-/// Algorithm 14 — subtree sizes of alive members, one pipelined
-/// convergecast across all trees.
-fn compute_counts<W: Weight>(
-    topo: &Topology,
-    sim: SimConfig,
-    coll: &SsspCollection<W>,
-    removed: &[Vec<bool>],
-    rec: &mut Recorder,
-    label: &str,
-) -> Result<Vec<Vec<u64>>, SimError> {
-    let n = coll.n();
-    let s = coll.sources.len();
-    let init: Vec<Vec<u64>> = (0..n)
-        .map(|v| {
-            (0..s).map(|si| u64::from(coll.is_member(v as NodeId, si) && !removed[v][si])).collect()
-        })
-        .collect();
-    let (acc, report) = convergecast_trees(topo, sim, coll, init, convergecast_trees_budget(coll))?;
-    rec.record(label, report);
-    Ok(acc)
-}
-
-/// Total messages node v must *forward* (tree roots forward nothing, so
-/// their own trees are excluded).
-fn totals<W: Weight>(
-    coll: &SsspCollection<W>,
-    removed: &[Vec<bool>],
-    counts: &[Vec<u64>],
-) -> Vec<u64> {
-    let n = coll.n();
-    let s = coll.sources.len();
-    (0..n)
-        .map(|v| {
-            (0..s)
-                .filter(|&si| {
-                    coll.is_member(v as NodeId, si) && !removed[v][si] && coll.hops[v][si] >= 1
-                })
-                .map(|si| counts[v][si])
-                .sum()
-        })
-        .collect()
 }
 
 /// Runs Algorithm 13 over the collection. `threshold` is the paper's
@@ -85,51 +41,40 @@ pub fn compute_bottlenecks<W: Weight>(
 ) -> Result<BottleneckResult, SimError> {
     let n = coll.n();
     let s = coll.sources.len();
-    let mut removed = vec![vec![false; s]; n];
+    let mut removed = Removed::new(n);
     let mut b: Vec<NodeId> = Vec::new();
-    let mut counts = compute_counts(topo, sim, coll, &removed, rec, "bottleneck: initial counts")?;
-    let congestion_before = totals(coll, &removed, &counts).into_iter().max().unwrap_or(0);
+    // total_count(v): Algorithm 14's subtree sizes summed over the trees
+    // v forwards in (tree roots forward nothing in their own tree).
+    let (mut totals, report) = subtree_sums(topo, sim, coll, |_, _| true)?;
+    rec.record("bottleneck: initial counts", report);
+    let congestion_before = totals.iter().copied().max().unwrap_or(0);
     let mut congestion_after;
 
     // Lemma A.16 bounds |B| by √|Q|; the +4 guards degenerate cases where
     // the threshold is tiny relative to the instance.
     let cap = (s as f64).sqrt().ceil() as usize + 4;
     loop {
-        let tc = totals(coll, &removed, &counts);
-        congestion_after = tc.iter().copied().max().unwrap_or(0);
+        congestion_after = totals.iter().copied().max().unwrap_or(0);
         if congestion_after <= threshold {
             break;
         }
         assert!(b.len() < cap + n, "bottleneck loop failed to converge");
-        // Step 4: broadcast (total_count, id); O(n) rounds.
-        let initial: Vec<Vec<(u64, NodeId)>> = (0..n)
-            .map(|v| if tc[v] > 0 { vec![(tc[v], v as NodeId)] } else { Vec::new() })
-            .collect();
-        let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
+        // Step 4: flood (total_count, id); O(n) rounds.
+        let (best, report) = flood_scores(topo, sim, |v| totals[v])?;
         rec.record(format!("bottleneck: count broadcast #{}", b.len()), report);
-        let &(_, node) = logs
-            .log(0)
-            .max_by_key(|&&(c, id)| (c, std::cmp::Reverse(id)))
-            .expect("threshold exceeded, so counts exist");
+        let (_, node) = best.expect("threshold exceeded, so counts exist");
         b.push(node);
         // Step 6: remove node's subtrees everywhere, then refresh counts
         // (the descendant/ancestor updates of [2,1], via re-aggregation).
         let roots: Vec<(NodeId, usize)> = (0..s)
-            .filter(|&si| coll.is_member(node, si) && !removed[node as usize][si])
+            .filter(|&si| coll.is_member(node, si) && !removed.get(node, si))
             .map(|si| (node, si))
             .collect();
-        let budget = RunUntil::Quiesce { max: (s as u64 + 2) * (coll.h as u64 + 2) + 64 };
-        let (mask, report) = remove_subtrees(topo, sim, coll, &removed, &roots, budget)?;
-        removed = mask;
+        let report = remove_subtrees(topo, sim, coll, &mut removed, &roots)?;
         rec.record(format!("bottleneck: prune #{}", b.len() - 1), report);
-        counts = compute_counts(
-            topo,
-            sim,
-            coll,
-            &removed,
-            rec,
-            &format!("bottleneck: recount #{}", b.len() - 1),
-        )?;
+        let (recounted, report) = subtree_sums(topo, sim, coll, |v, si| !removed.get(v, si))?;
+        rec.record(format!("bottleneck: recount #{}", b.len() - 1), report);
+        totals = recounted;
     }
     Ok(BottleneckResult { b, removed, congestion_before, congestion_after })
 }
@@ -169,23 +114,19 @@ mod tests {
     fn counts_are_subtree_sizes() {
         let g = gnm_connected(14, 28, true, WeightDist::Uniform(0, 5), 3);
         let (topo, coll) = in_coll(&g, &[2, 9], 3);
-        let mut rec = Recorder::new();
-        let removed = vec![vec![false; 2]; 14];
-        let counts =
-            compute_counts(&topo, SimConfig::default(), &coll, &removed, &mut rec, "t").unwrap();
-        for si in 0..2 {
-            for v in 0..14u32 {
-                if coll.is_member(v, si) {
-                    // oracle: count descendants incl self
-                    let mut cnt = 0;
-                    for u in 0..14u32 {
-                        if coll.root_path(u, si).map(|p| p.contains(&v)).unwrap_or(false) {
-                            cnt += 1;
-                        }
+        let (totals, _) = subtree_sums(&topo, SimConfig::default(), &coll, |_, _| true).unwrap();
+        for v in 0..14u32 {
+            // oracle: descendants incl self, over the trees where v has a
+            // parent
+            let mut cnt = 0;
+            for si in (0..2).filter(|&si| coll.parent(v, si).is_some()) {
+                for u in 0..14u32 {
+                    if coll.root_path(u, si).map(|p| p.contains(&v)).unwrap_or(false) {
+                        cnt += 1;
                     }
-                    assert_eq!(counts[v as usize][si], cnt, "v={v} si={si}");
                 }
             }
+            assert_eq!(totals[v as usize], cnt, "v={v}");
         }
     }
 

@@ -4,10 +4,18 @@ use congest_sim::fault::FaultSpec;
 use congest_sim::{RunUntil, SimConfig};
 
 /// How phase durations are charged.
+///
+/// Only the Bellman–Ford runs of [`crate::bf`] read the mode: the CSSSP
+/// trees, every SSSP and Step 7's extensions. Every other phase stops at
+/// quiescence under either mode: floods, tree convergecasts, subtree
+/// removals, ancestor collection, Algorithm 2's aggregations and Step 6's
+/// round-robin push. So a `WorstCase` total undercounts the paper's
+/// worst-case accounting.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Charging {
-    /// Run every phase for its analytical round budget — the faithful
-    /// CONGEST accounting (nodes cannot detect global quiescence).
+    /// Run each Bellman–Ford phase for its analytical round budget — the
+    /// faithful CONGEST accounting (nodes cannot detect global
+    /// quiescence).
     WorstCase,
     /// Stop a phase as soon as no messages are in flight and all nodes are
     /// idle — practical accounting. Same messages, fewer idle rounds.

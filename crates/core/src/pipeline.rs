@@ -275,10 +275,10 @@ pub fn propagate_to_blockers_with<W: Weight>(
 
     // ---------------- Algorithm 8 (far case) ----------------
     let mut qp_rec = Recorder::new();
-    let (qp_res, _) = alg2_blocker(topo, sim, &cq, params, Selection::Derandomized, &mut qp_rec)?;
+    let (q_prime, _) = alg2_blocker(topo, sim, &cq, params, Selection::Derandomized, &mut qp_rec)?;
     rec.absorb("step6/alg8: Q' ", qp_rec);
-    stats.q_prime_size = qp_res.q.len();
-    apply_relay_set(g, topo, cfg, q, &qp_res.q, &mut out, rec, "alg8")?;
+    stats.q_prime_size = q_prime.len();
+    apply_relay_set(g, topo, cfg, q, &q_prime, &mut out, rec, "alg8")?;
 
     // ---------------- Algorithm 9 (near case) ----------------
     // Step 1: bottleneck nodes with the paper's n√|Q| threshold.
@@ -298,7 +298,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
             let nbrs = topo.neighbors(v as NodeId);
             let parent_ni: Vec<Option<usize>> = (0..q.len())
                 .map(|qi| {
-                    if removed[v][qi] {
+                    if removed.get(v as NodeId, qi) {
                         None
                     } else {
                         cq.parent(v as NodeId, qi)
@@ -310,7 +310,10 @@ pub fn propagate_to_blockers_with<W: Weight>(
             let mut outstanding = 0;
             for (qi, &c) in q.iter().enumerate() {
                 let vn = v as NodeId;
-                if vn != c && cq.is_member(vn, qi) && !removed[v][qi] && !dvals.dist[v][qi].is_inf()
+                if vn != c
+                    && cq.is_member(vn, qi)
+                    && !removed.get(vn, qi)
+                    && !dvals.dist[v][qi].is_inf()
                 {
                     queues[qi].push_back((vn, dvals.dist[v][qi], dvals.first_at(v, qi)));
                     outstanding += 1;

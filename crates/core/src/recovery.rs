@@ -485,20 +485,25 @@ pub mod sentinels {
     }
 
     /// Sentinel for the blocker set (Step 2): every root-to-full-leaf path
-    /// in the CSSSP — the hyperedges of the paper's covering problem —
-    /// must contain a blocker. Complete for the phase's contract.
+    /// in the CSSSP must contain a blocker below its root. Those h
+    /// non-root vertices are the hyperedges of the paper's covering
+    /// problem (§3.1). Complete for the phase's contract.
     ///
     /// # Errors
     /// Describes the first uncovered path.
     pub fn blocker_covers<W: Weight>(coll: &SsspCollection<W>, q: &[NodeId]) -> Result<(), String> {
-        let in_q: std::collections::HashSet<NodeId> = q.iter().copied().collect();
+        let mut in_q = vec![false; coll.n()];
+        for &c in q {
+            in_q[c as usize] = true;
+        }
         for si in 0..coll.sources.len() {
             for v in 0..coll.n() as NodeId {
                 if !coll.is_full_leaf(v, si) {
                     continue;
                 }
                 let path = coll.root_path(v, si).expect("full leaf is a member");
-                if !path.iter().any(|x| in_q.contains(x)) {
+                // path is v..root; the root is no vertex of the hyperedge.
+                if !path[..path.len() - 1].iter().any(|&u| in_q[u as usize]) {
                     return Err(format!("full-leaf path (tree {si}, leaf {v}) uncovered"));
                 }
             }
@@ -591,6 +596,36 @@ mod tests {
             ..PhaseReport::default()
         };
         (7, rep)
+    }
+
+    #[test]
+    fn blocker_sentinel_rejects_a_cover_at_the_root_only() {
+        use congest_graph::generators::{path, WeightDist};
+        let g = path(4, true, WeightDist::Unit, 0);
+        let topo = congest_sim::Topology::from_graph(&g);
+        let coll = crate::csssp::build_csssp(
+            &g,
+            &topo,
+            &[0],
+            3,
+            Direction::Out,
+            SimConfig::default(),
+            crate::config::Charging::Quiesce,
+            &mut Recorder::new(),
+            &mut Recovery::disabled(),
+            "c",
+        )
+        .unwrap();
+        // The one full-length path is 0 -> 1 -> 2 -> 3; its root is no
+        // vertex of the hyperedge.
+        assert_eq!(
+            sentinels::blocker_covers(&coll, &[0]),
+            Err("full-leaf path (tree 0, leaf 3) uncovered".to_string())
+        );
+        assert!(!crate::blocker::is_valid_blocker(&coll, &[0]));
+        for q in [1, 2, 3] {
+            assert_eq!(sentinels::blocker_covers(&coll, &[q]), Ok(()), "q = {q}");
+        }
     }
 
     #[test]

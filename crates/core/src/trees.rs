@@ -1,18 +1,24 @@
-//! Pipelined multi-tree protocols over a CSSSP collection.
+//! Pipelined multi-tree protocols over a CSSSP collection, and the pick
+//! loop that greedy (\[2\]), Algorithm 2/2′ and Algorithm 13 share.
 //!
 //! Three communication patterns recur throughout §3 and Appendix A.6, all
 //! operating on every tree of a collection at once with per-channel FIFO
 //! queues and one message per channel per round:
 //!
-//! * [`convergecast_trees`] — bottom-up aggregation of a `u64` value per
-//!   (node, tree): computes `score(v)` (Alg 2 Step 1, via the Algorithm-3
-//!   machinery of \[2\]), `score_ij(v)` (Step 8) and `count_{v,c}`
-//!   (Algorithm 14).
+//! * [`subtree_sums`] — bottom-up aggregation of a 0/1 mark per (node,
+//!   tree), summed per node over the trees where it is a non-root member:
+//!   `score(v)` (Alg 2 Step 1, via the Algorithm-3 machinery of \[2\]),
+//!   `score_ij(v)` (Step 8) and `total_count(v)` (Algorithms 13–14).
 //! * [`remove_subtrees`] — Algorithm 6: top-down removal tokens from a set
-//!   of roots, marking every (node, tree) pair in their subtrees.
+//!   of roots, adding every (node, tree) pair in their subtrees to a
+//!   [`Removed`] set.
 //! * [`collect_ancestors`] — Algorithm 7 Step 1 (the Ancestors algorithm
 //!   of \[2\]): every node learns the ids on its root path in every tree,
 //!   streamed one id per round per channel, one source at a time.
+//!
+//! A pick loop sums, floods the sums with [`flood_scores`] so every node
+//! learns the maximum (O(n) rounds, Lemma A.2), prunes the pick's subtrees
+//! and sums again. Each caller keeps its own marks and root rule.
 //!
 //! The paper charges O(|S|·h) rounds for these (sequential per source);
 //! the convergecast and removal protocols here pipeline across trees and
@@ -21,11 +27,21 @@
 
 use crate::csssp::SsspCollection;
 use congest_graph::{NodeId, Weight};
+use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{
-    Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, RunUntil, SimConfig, SimError,
-    Topology,
+    BitSet, Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, RunUntil, SimConfig,
+    SimError, Topology,
 };
+use std::cmp::Reverse;
 use std::collections::VecDeque;
+
+/// Quiescence budget of the pipelined tree protocols: never worse than the
+/// paper's sequential O(|S|·h) accounting.
+fn tree_budget<W: Weight>(coll: &SsspCollection<W>) -> RunUntil {
+    let s = coll.sources.len() as u64;
+    let h = coll.h as u64;
+    RunUntil::Quiesce { max: (s + 2) * (h + 2) + 64 }
+}
 
 // ---------------------------------------------------------------------
 // Convergecast
@@ -36,7 +52,7 @@ struct ConvTreeNode<'a, W> {
     coll: &'a SsspCollection<W>,
     /// Per tree: children not yet reported.
     pending: Vec<u32>,
-    /// Per tree: accumulated value (own init + children).
+    /// Per tree: accumulated value (own mark + children).
     acc: Vec<u64>,
     /// Per neighbor (index into env.neighbors): FIFO of tree indices ready
     /// to send on that channel.
@@ -88,32 +104,29 @@ impl<W: Weight> NodeLogic for ConvTreeNode<'_, W> {
     }
 }
 
-/// Bottom-up pipelined aggregation over every tree of `coll`: node v's
-/// result for tree si is `init[v][si]` plus the results of its children.
-/// Each node's `init` row becomes its accumulator in place, and the
-/// accumulators are returned as the per-(node, tree) aggregate matrix.
+/// Bottom-up pipelined aggregation over every tree of `coll`: a member's
+/// aggregate in tree si is its own `mark(v, si)` (0 or 1) plus its
+/// children's aggregates. Returns, per node, the sum of its aggregates over
+/// the trees where it is a non-root member: the marks that a pick of the
+/// node would cut off.
 ///
 /// # Errors
 /// Propagates engine errors.
-pub fn convergecast_trees<W: Weight>(
+pub fn subtree_sums<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
     coll: &SsspCollection<W>,
-    init: Vec<Vec<u64>>,
-    until: RunUntil,
-) -> Result<(Vec<Vec<u64>>, PhaseReport), SimError> {
-    let n = topo.n();
+    mark: impl Fn(NodeId, usize) -> bool,
+) -> Result<(Vec<u64>, PhaseReport), SimError> {
     let s = coll.sources.len();
     let engine = Engine::new(topo, sim);
-    let mut nodes: Vec<ConvTreeNode<W>> = (0..n)
-        .zip(init)
-        .map(|(v, acc)| {
-            let id = v as NodeId;
+    let mut nodes: Vec<ConvTreeNode<W>> = (0..topo.n() as NodeId)
+        .map(|id| {
             let neighbors = topo.neighbors(id);
             let mut node = ConvTreeNode {
                 coll,
                 pending: (0..s).map(|si| coll.children(id, si).len() as u32).collect(),
-                acc,
+                acc: (0..s).map(|si| u64::from(coll.is_member(id, si) && mark(id, si))).collect(),
                 queues: vec![VecDeque::new(); neighbors.len()],
                 outstanding: 0,
             };
@@ -129,30 +142,74 @@ pub fn convergecast_trees<W: Weight>(
             node
         })
         .collect();
-    let report = engine.run(&mut nodes, until)?;
-    Ok((nodes.into_iter().map(|nd| nd.acc).collect(), report))
+    let report = engine.run(&mut nodes, tree_budget(coll))?;
+    let sums = (0..topo.n() as NodeId)
+        .zip(&nodes)
+        .map(|(v, nd)| (0..s).filter(|&si| coll.parent(v, si).is_some()).map(|si| nd.acc[si]).sum())
+        .collect();
+    Ok((sums, report))
 }
 
-/// Generous quiescence budget for [`convergecast_trees`]: never worse than
-/// the paper's sequential O(|S|·h) accounting.
-#[must_use]
-pub fn convergecast_trees_budget<W: Weight>(coll: &SsspCollection<W>) -> RunUntil {
-    let s = coll.sources.len() as u64;
-    let h = coll.h as u64;
-    RunUntil::Quiesce { max: (s + 2) * (h + 2) + 64 }
+/// Floods every positive `scores(v)` as a `(score, v)` pair (O(n) rounds,
+/// Lemma A.2) and returns the maximum every node learns: the higher score,
+/// the smaller id on ties; `None` when no score is positive.
+///
+/// # Errors
+/// Propagates engine errors.
+pub fn flood_scores(
+    topo: &Topology,
+    sim: SimConfig,
+    scores: impl Fn(usize) -> u64,
+) -> Result<(Option<(u64, NodeId)>, PhaseReport), SimError> {
+    let initial: Vec<Vec<(u64, NodeId)>> = (0..topo.n())
+        .map(|v| match scores(v) {
+            0 => Vec::new(),
+            sc => vec![(sc, v as NodeId)],
+        })
+        .collect();
+    let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
+    let best = logs.log(0).copied().max_by_key(|&(sc, id)| (sc, Reverse(id)));
+    Ok((best, report))
 }
 
 // ---------------------------------------------------------------------
 // Remove-Subtrees (Algorithm 6)
 // ---------------------------------------------------------------------
 
+/// The (node, tree) cells that Algorithm 6 has removed: one bit per cell
+/// at `si·n + v`, the parent plane's layout. [`remove_subtrees`] adds to it
+/// in place; nothing clears a bit.
+#[derive(Clone, Debug)]
+pub struct Removed {
+    n: usize,
+    bits: BitSet,
+}
+
+impl Removed {
+    /// No cell removed, over `n` nodes.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Removed { n, bits: BitSet::new() }
+    }
+
+    /// `true` iff `v`'s cell in tree `si` is removed.
+    #[must_use]
+    pub fn get(&self, v: NodeId, si: usize) -> bool {
+        self.bits.get(si * self.n + v as usize)
+    }
+
+    fn insert(&mut self, v: NodeId, si: usize) {
+        self.bits.insert(si * self.n + v as usize);
+    }
+}
+
 struct RemoveNode<'a, W> {
     /// The trees (read-only; the node reads its own children).
     coll: &'a SsspCollection<W>,
     /// This node's id.
     id: NodeId,
-    /// Per tree: removal mark.
-    removed: Vec<bool>,
+    /// The trees this run has marked at this node.
+    marked: BitSet,
     /// Channel FIFO queues of tree indices to forward.
     queues: Vec<VecDeque<u32>>,
     queued: usize,
@@ -160,10 +217,9 @@ struct RemoveNode<'a, W> {
 
 impl<W: Weight> RemoveNode<'_, W> {
     fn mark(&mut self, si: u32, neighbors: &[NodeId]) {
-        if self.removed[si as usize] {
+        if !self.marked.insert(si as usize) {
             return;
         }
-        self.removed[si as usize] = true;
         for &c in self.coll.children(self.id, si as usize) {
             let ni = neighbors.binary_search(&c).expect("child is a neighbor");
             self.queues[ni].push_back(si);
@@ -193,8 +249,9 @@ impl<W: Weight> NodeLogic for RemoveNode<'_, W> {
 }
 
 /// Algorithm 6, pipelined across all trees: removes the subtrees rooted at
-/// each `(node, tree-index)` pair in `roots` and returns the removal mask
-/// (`mask[v][si]`), OR-ed with the supplied existing mask.
+/// each `(node, tree-index)` pair in `roots` and adds their cells to
+/// `removed`. A token runs through the whole subtree below its root,
+/// including cells an earlier call removed.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -202,36 +259,32 @@ pub fn remove_subtrees<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
     coll: &SsspCollection<W>,
-    existing_mask: &[Vec<bool>],
+    removed: &mut Removed,
     roots: &[(NodeId, usize)],
-    until: RunUntil,
-) -> Result<(Vec<Vec<bool>>, PhaseReport), SimError> {
-    let n = topo.n();
-    let s = coll.sources.len();
+) -> Result<PhaseReport, SimError> {
     let engine = Engine::new(topo, sim);
-    let mut nodes: Vec<RemoveNode<W>> = (0..n)
-        .map(|v| RemoveNode {
+    let mut nodes: Vec<RemoveNode<W>> = (0..topo.n() as NodeId)
+        .map(|id| RemoveNode {
             coll,
-            id: v as NodeId,
-            removed: vec![false; s],
-            queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
+            id,
+            marked: BitSet::new(),
+            queues: vec![VecDeque::new(); topo.neighbors(id).len()],
             queued: 0,
         })
         .collect();
     // Seed: each root marks itself locally in round 0 (no communication).
     for &(z, si) in roots {
         if coll.is_member(z, si) {
-            let neighbors = topo.neighbors(z);
-            nodes[z as usize].mark(si as u32, neighbors);
+            nodes[z as usize].mark(si as u32, topo.neighbors(z));
         }
     }
-    let report = engine.run(&mut nodes, until)?;
-    let mask: Vec<Vec<bool>> = nodes
-        .into_iter()
-        .enumerate()
-        .map(|(v, nd)| (0..s).map(|si| nd.removed[si] || existing_mask[v][si]).collect())
-        .collect();
-    Ok((mask, report))
+    let report = engine.run(&mut nodes, tree_budget(coll))?;
+    for nd in &nodes {
+        for si in nd.marked.ones() {
+            removed.insert(nd.id, si);
+        }
+    }
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -396,57 +449,37 @@ mod tests {
         (g, topo, coll)
     }
 
-    /// Oracle: subtree aggregate by central traversal.
-    fn oracle_aggregate(coll: &SsspCollection<u64>, init: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        let n = coll.n();
-        let s = coll.sources.len();
-        let mut acc = vec![vec![0u64; s]; n];
-        for si in 0..s {
-            // process nodes in decreasing depth
-            let mut order: Vec<NodeId> =
-                (0..n as NodeId).filter(|&v| coll.is_member(v, si)).collect();
-            order.sort_by_key(|&v| std::cmp::Reverse(coll.hops[v as usize][si]));
-            for &v in &order {
-                let mut sum = init[v as usize][si];
-                for &c in coll.children(v, si) {
-                    sum += acc[c as usize][si];
+    /// Oracle: per node, the marks below it in the trees where it is a
+    /// non-root member, read off every marked cell's root path.
+    fn oracle_sums(coll: &SsspCollection<u64>, mark: impl Fn(NodeId, usize) -> bool) -> Vec<u64> {
+        let mut sums = vec![0u64; coll.n()];
+        for si in 0..coll.sources.len() {
+            for u in 0..coll.n() as NodeId {
+                if let Some(path) = coll.root_path(u, si).filter(|_| mark(u, si)) {
+                    // path is u..root; the root takes no share.
+                    for &v in &path[..path.len() - 1] {
+                        sums[v as usize] += 1;
+                    }
                 }
-                acc[v as usize][si] = sum;
             }
         }
-        acc
+        sums
     }
 
     #[test]
     fn convergecast_matches_oracle() {
         let (_, topo, coll) = build(18, 40, 3, 7);
-        let init: Vec<Vec<u64>> = (0..18)
-            .map(|v| {
-                (0..coll.sources.len())
-                    .map(|si| u64::from(coll.is_full_leaf(v as NodeId, si)))
-                    .collect()
-            })
-            .collect();
-        let (acc, _) = convergecast_trees(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            init.clone(),
-            convergecast_trees_budget(&coll),
-        )
-        .unwrap();
-        let oracle = oracle_aggregate(&coll, &init);
-        for v in 0..18 {
-            for si in 0..coll.sources.len() {
-                if coll.is_member(v as NodeId, si) {
-                    assert_eq!(acc[v][si], oracle[v][si], "v={v} si={si}");
-                }
-            }
-        }
+        let full_leaf = |v, si| coll.is_full_leaf(v, si);
+        let (sums, _) = subtree_sums(&topo, SimConfig::default(), &coll, full_leaf).unwrap();
+        assert_eq!(sums, oracle_sums(&coll, full_leaf));
+        assert!(sums.iter().any(|&x| x > 0), "the instance has full-length paths");
+        let odd = |v: NodeId, si: usize| (v as usize + si) % 2 == 1;
+        let (sums, _) = subtree_sums(&topo, SimConfig::default(), &coll, odd).unwrap();
+        assert_eq!(sums, oracle_sums(&coll, odd));
     }
 
     #[test]
-    fn convergecast_root_gets_total_leaf_count() {
+    fn subtree_sums_skip_the_root_tree() {
         let g = path(6, true, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);
         let mut rec = Recorder::new();
@@ -463,19 +496,12 @@ mod tests {
             "c",
         )
         .unwrap();
-        let init: Vec<Vec<u64>> =
-            (0..6).map(|v| vec![u64::from(coll.is_full_leaf(v as NodeId, 0))]).collect();
-        let (acc, _) = convergecast_trees(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            init,
-            convergecast_trees_budget(&coll),
-        )
-        .unwrap();
-        // Single path: only node 3 is at depth exactly 3.
-        assert_eq!(acc[0][0], 1);
-        assert_eq!(acc[3][0], 1);
+        let (sums, _) =
+            subtree_sums(&topo, SimConfig::default(), &coll, |v, si| coll.is_full_leaf(v, si))
+                .unwrap();
+        // Single path 0 -> 1 -> 2 -> 3: node 3 is the one full leaf, every
+        // non-root vertex above it counts it, and the root counts nothing.
+        assert_eq!(sums, [0, 1, 1, 1, 0, 0]);
     }
 
     #[test]
@@ -499,41 +525,37 @@ mod tests {
             "c",
         )
         .unwrap();
-        let init: Vec<Vec<u64>> = vec![vec![1u64; 24]; 24];
-        let (_, report) = convergecast_trees(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            init,
-            convergecast_trees_budget(&coll),
-        )
-        .unwrap();
+        let (_, report) = subtree_sums(&topo, SimConfig::default(), &coll, |_, _| true).unwrap();
         assert!(report.rounds <= 24 + 4 * 4 + 16, "rounds = {}", report.rounds);
+    }
+
+    #[test]
+    fn flood_scores_takes_the_max_and_the_smaller_id_on_ties() {
+        let g = path(5, true, WeightDist::Unit, 0);
+        let topo = Topology::from_graph(&g);
+        let scores = [0u64, 3, 7, 7, 2];
+        let (best, report) = flood_scores(&topo, SimConfig::default(), |v| scores[v]).unwrap();
+        assert_eq!(best, Some((7, 2)));
+        assert!(report.messages > 0);
+        let (none, _) = flood_scores(&topo, SimConfig::default(), |_| 0).unwrap();
+        assert_eq!(none, None);
     }
 
     #[test]
     fn remove_subtrees_marks_descendants() {
         let (_, topo, coll) = build(16, 30, 3, 3);
-        let blank = vec![vec![false; coll.sources.len()]; 16];
+        let mut removed = Removed::new(16);
         // remove subtree of node 5 in every tree where it's a member
         let roots: Vec<(NodeId, usize)> = (0..coll.sources.len())
             .filter(|&si| coll.is_member(5, si))
             .map(|si| (5 as NodeId, si))
             .collect();
-        let (mask, _) = remove_subtrees(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            &blank,
-            &roots,
-            RunUntil::Quiesce { max: 4000 },
-        )
-        .unwrap();
+        remove_subtrees(&topo, SimConfig::default(), &coll, &mut removed, &roots).unwrap();
         for si in 0..coll.sources.len() {
             for v in 0..16u32 {
                 // oracle: v below-or-at 5 in tree si?
                 let below = coll.root_path(v, si).map(|p| p.contains(&5)).unwrap_or(false);
-                assert_eq!(mask[v as usize][si], below, "v={v} si={si}");
+                assert_eq!(removed.get(v, si), below, "v={v} si={si}");
             }
         }
     }
@@ -541,18 +563,12 @@ mod tests {
     #[test]
     fn remove_subtrees_respects_existing_mask() {
         let (_, topo, coll) = build(12, 20, 2, 5);
-        let mut existing = vec![vec![false; coll.sources.len()]; 12];
-        existing[7][0] = true;
-        let (mask, _) = remove_subtrees(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            &existing,
-            &[],
-            RunUntil::Quiesce { max: 100 },
-        )
-        .unwrap();
-        assert!(mask[7][0]);
+        let mut removed = Removed::new(12);
+        removed.insert(7, 0);
+        let roots = [(3, 3)];
+        remove_subtrees(&topo, SimConfig::default(), &coll, &mut removed, &roots).unwrap();
+        assert!(removed.get(7, 0), "a call adds to the set and never clears it");
+        assert!(removed.get(3, 3));
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! substrate the paper depends on ("we adapt the efficient NC algorithm in
 //! Berger et al."); it is an executable specification of the distributed
 //! Algorithm 2/2′ in `congest_apsp`; and it lets the sample-space machinery
-//! be exercised in isolation. No test compares the two yet: only this
-//! crate's own tests, experiment T4 and the `blocker_set_cover` example
-//! call [`brs_cover`]. A differential test on the same hypergraph of h-hop
-//! paths is ROADMAP item 4.
+//! be exercised in isolation. The workspace's `tests/sampled_set_blocker.rs`
+//! runs Algorithm 2′ and [`brs_cover`] with [`Selection::Derandomized`] on
+//! the same hypergraph of h-hop paths and asserts the same picks in the
+//! same order and the same step, pick and sample-point counts. Algorithm 2′
+//! scans at most 8 blocks of n sample points per step and falls back to a
+//! single node when none is good, while this scan covers the whole space,
+//! so the two can part only there.
 
 use crate::pairwise::{AffineSpace, SampleSpace};
 use rand::Rng;

@@ -46,8 +46,8 @@ fn main() {
     // Greedy baseline of [2].
     let mut grec = Recorder::new();
     let gres = greedy_blocker(&topo, SimConfig::default(), &coll, &mut grec).unwrap();
-    assert!(is_valid_blocker(&coll, &gres.q));
-    println!("greedy [2]          : |Q| = {:2}, rounds = {:6}", gres.q.len(), grec.total_rounds());
+    assert!(is_valid_blocker(&coll, &gres));
+    println!("greedy [2]          : |Q| = {:2}, rounds = {:6}", gres.len(), grec.total_rounds());
 
     // Randomized Algorithm 2.
     let mut rrec = Recorder::new();
@@ -60,10 +60,10 @@ fn main() {
         &mut rrec,
     )
     .unwrap();
-    assert!(is_valid_blocker(&coll, &rres.q));
+    assert!(is_valid_blocker(&coll, &rres));
     println!(
         "Algorithm 2  (rand) : |Q| = {:2}, rounds = {:6}, selection steps = {}, singleton/set = {}/{}",
-        rres.q.len(),
+        rres.len(),
         rrec.total_rounds(),
         rstats.selection_steps,
         rstats.singleton_picks,
@@ -81,10 +81,10 @@ fn main() {
         &mut drec,
     )
     .unwrap();
-    assert!(is_valid_blocker(&coll, &dres.q));
+    assert!(is_valid_blocker(&coll, &dres));
     println!(
         "Algorithm 2' (det)  : |Q| = {:2}, rounds = {:6}, selection steps = {}, sample points = {}",
-        dres.q.len(),
+        dres.len(),
         drec.total_rounds(),
         dstats.selection_steps,
         dstats.sample_points_examined

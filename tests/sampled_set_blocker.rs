@@ -8,29 +8,38 @@
 //! paths, one from the hub and one from its head, and no node lies on more
 //! than two of the 2k. At δ = 0.3 and ε = 1/12, Step 9's threshold is
 //! 0.027/(13/12)·2k ≈ 3.2 paths, so Step 12 must sample a set.
+//!
+//! Algorithm 2′ is also checked pick for pick against `congest_derand`'s
+//! sequential BRS cover, on combs and on the usual families.
 
-use congest_apsp::blocker::Alg2Stats;
-use congest_apsp::{BlockerMethod, BlockerParams, Solver};
-use congest_graph::seq::apsp_dijkstra;
+use congest_apsp::blocker::{alg2_blocker, Alg2Stats, PathCtx, Selection};
+use congest_apsp::csssp::build_csssp;
+use congest_apsp::{BlockerMethod, BlockerParams, Charging, Recovery, Solver};
+use congest_derand::{brs_cover, BrsParams};
+use congest_graph::generators::{broom, gnm_connected, WeightDist};
+use congest_graph::seq::{apsp_dijkstra, Direction};
 use congest_graph::{DistMatrix, Edge, Graph, NodeId, Weight};
+use congest_sim::{Recorder, SimConfig, Topology};
 
 /// Teeth of the comb.
 const K: usize = 64;
 /// Edges per tooth, and the hop parameter.
 const H: usize = 3;
+/// The constants that leave Step 9 no single node on a comb.
+const SAMPLING: BlockerParams = BlockerParams { eps: 1.0 / 12.0, delta: 0.3 };
 
-/// Node 0 is the hub; tooth t is the directed path `1 + t·(H + 1)` →
-/// … → `(t + 1)·(H + 1)`, and the hub has an edge to its head.
-fn comb() -> Graph<u64> {
+/// Node 0 is the hub; tooth t is the directed path `1 + t·(h + 1)` →
+/// … → `(t + 1)·(h + 1)`, and the hub has an edge to its head.
+fn comb(k: usize, h: usize) -> Graph<u64> {
     let mut edges = Vec::new();
-    for t in 0..K {
-        let head = (1 + t * (H + 1)) as NodeId;
+    for t in 0..k {
+        let head = (1 + t * (h + 1)) as NodeId;
         edges.push(Edge::new(0, head, 1));
-        for i in 0..H as NodeId {
+        for i in 0..h as NodeId {
             edges.push(Edge::new(head + i, head + i + 1, 1));
         }
     }
-    Graph::from_edges(1 + K * (H + 1), true, edges)
+    Graph::from_edges(1 + k * (h + 1), true, edges)
 }
 
 /// Every reachable pair's successor walk reaches its target along graph
@@ -64,7 +73,7 @@ fn solve(g: &Graph<u64>, method: BlockerMethod) -> (Vec<NodeId>, u64, u64, Alg2S
     let out = Solver::builder(g)
         .blocker_method(method)
         .hop_param(H)
-        .blocker_params(BlockerParams { eps: 1.0 / 12.0, delta: 0.3 })
+        .blocker_params(SAMPLING)
         .run()
         .unwrap();
     assert_eq!(out.dist, apsp_dijkstra(g), "{method:?} is exact");
@@ -77,16 +86,74 @@ fn solve(g: &Graph<u64>, method: BlockerMethod) -> (Vec<NodeId>, u64, u64, Alg2S
 
 #[test]
 fn derandomized_selection_picks_a_sampled_set_deterministically() {
-    let g = comb();
+    let g = comb(K, H);
     let (q, rounds, messages, stats) = solve(&g, BlockerMethod::Derandomized);
     assert!(stats.sample_points_examined > 0, "{stats:?}");
+    // Golden totals: the whole Ar20 run, good-set commits included.
+    assert_eq!((rounds, messages), (13_827, 438_016), "{stats:?}");
     let again = solve(&g, BlockerMethod::Derandomized);
     assert_eq!((&q, rounds, messages), (&again.0, again.1, again.2), "2′ is deterministic");
 }
 
 #[test]
 fn randomized_selection_picks_a_sampled_set() {
-    let g = comb();
-    let (_, _, _, stats) = solve(&g, BlockerMethod::Randomized);
+    let g = comb(K, H);
+    let (_, rounds, messages, stats) = solve(&g, BlockerMethod::Randomized);
     assert_eq!(stats.good_set_sizes.len() as u64, stats.set_picks, "{stats:?}");
+    // Golden totals at the default seed.
+    assert_eq!((rounds, messages), (14_889, 1_301_008), "{stats:?}");
+}
+
+/// Runs Algorithm 2′ on the all-sources h-hop collection of `g` and the
+/// sequential BRS cover on the hypergraph of its full-length paths, and
+/// checks they pick the same nodes in the same order through the same
+/// kinds of selection steps. Returns Algorithm 2′'s counters.
+fn assert_matches_brs(g: &Graph<u64>, h: usize, params: BlockerParams) -> Alg2Stats {
+    let topo = Topology::from_graph(g);
+    let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+    let sim = SimConfig::default();
+    let mut rec = Recorder::new();
+    let coll = build_csssp(
+        g,
+        &topo,
+        &sources,
+        h,
+        Direction::Out,
+        sim,
+        Charging::Quiesce,
+        &mut rec,
+        &mut Recovery::disabled(),
+        "csssp",
+    )
+    .unwrap();
+    let (ctx, _) = PathCtx::build(&topo, sim, &coll).unwrap();
+    let brs_params = BrsParams { eps: params.eps, delta: params.delta };
+    let (cover, brs) =
+        brs_cover(&ctx.hypergraph(g.n()), brs_params, congest_derand::Selection::Derandomized);
+    let (q, alg2) =
+        alg2_blocker(&topo, sim, &coll, params, Selection::Derandomized, &mut rec).unwrap();
+    assert_eq!(q, cover, "h = {h}, {params:?}");
+    assert_eq!(
+        (alg2.selection_steps, alg2.singleton_picks, alg2.set_picks, alg2.sample_points_examined),
+        (brs.selection_steps, brs.singleton_picks, brs.set_picks, brs.sample_points_examined),
+        "h = {h}, {params:?}: {alg2:?} vs {brs:?}"
+    );
+    alg2
+}
+
+#[test]
+fn derandomized_selection_matches_the_sequential_brs_cover() {
+    for seed in 1..=5 {
+        let g = gnm_connected(24, 48, true, WeightDist::Uniform(0, 7), seed);
+        assert_matches_brs(&g, 3, BlockerParams::default());
+        assert_matches_brs(&g, 2, SAMPLING);
+    }
+    assert_matches_brs(&broom(40, true, WeightDist::Uniform(1, 5), 3), 4, BlockerParams::default());
+    // Step 9 still takes single nodes on the smaller combs; the big one
+    // picks all 128 nodes in one sampled set.
+    for (k, h) in [(16, 3), (32, 4)] {
+        assert_matches_brs(&comb(k, h), h, SAMPLING);
+    }
+    let stats = assert_matches_brs(&comb(K, H), H, SAMPLING);
+    assert_eq!(stats.good_set_sizes, [128], "{stats:?}");
 }
