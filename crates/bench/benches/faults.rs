@@ -104,10 +104,7 @@ fn run_with_recovery(topo: &Topology, spec: Option<FaultSpec>, salt0: u64) -> At
     };
     for attempt in 0..MAX_ATTEMPTS {
         out.attempts += 1;
-        let cfg = SimConfig {
-            fault: spec.map(|s| s.reseeded(salt0 ^ u64::from(attempt))),
-            ..Default::default()
-        };
+        let cfg = SimConfig { fault: spec.map(|s| s.reseeded(salt0 ^ u64::from(attempt))) };
         let engine = Engine::new(topo, cfg);
         let n = topo.n();
         let mut nodes: Vec<BfRelax> = (0..n).map(|i| BfRelax::new(i as NodeId)).collect();

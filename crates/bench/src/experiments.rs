@@ -282,6 +282,12 @@ pub fn t2(n: usize) -> ExperimentOutput {
         assert!(is_valid_blocker(&coll, &dres));
 
         let bound = (n as f64) * (paths.max(2) as f64).ln() / h as f64;
+        // Lemma 3.10: Algorithm 2/2′ pick O((n/h)·ln p) nodes. Every
+        // instance here clears the bound with constant 1 at least 3×, so
+        // this pins the lemma's shape, not a constant.
+        for (sel, q) in [("Algorithm 2", rres.len()), ("Algorithm 2′", dres.len())] {
+            assert!(q as f64 <= bound, "h = {h}: {sel} |Q| = {q} above (n/h)·ln p = {bound:.1}");
+        }
         let _ = writeln!(
             table,
             "{:>3} {:>7} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>9.1}",

@@ -69,7 +69,7 @@ pub struct ApspConfig {
     pub charging: Charging,
     /// Blocker-set constants.
     pub blocker: BlockerParams,
-    /// Simulator settings (bandwidth etc.).
+    /// Simulator settings (a raw fault model; see `fault`).
     pub sim: SimConfig,
     /// Seed for the randomized variants (ignored by deterministic ones).
     pub seed: u64,

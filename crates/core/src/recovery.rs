@@ -217,9 +217,9 @@ impl Recovery {
     }
 
     /// The simulator config for `(seq, attempt)`, fault seed salted.
-    fn salted(&self, base: SimConfig, seq: u64, attempt: u32) -> SimConfig {
+    fn salted(&self, seq: u64, attempt: u32) -> SimConfig {
         let spec = self.spec.expect("salted() is only reached with an active spec");
-        SimConfig { fault: Some(spec.reseeded((seq << 16) | u64::from(attempt))), ..base }
+        SimConfig { fault: Some(spec.reseeded((seq << 16) | u64::from(attempt))) }
     }
 
     /// Runs one single-engine phase with detect-and-recover.
@@ -254,7 +254,7 @@ impl Recovery {
                 }
                 note_retry(name, attempt_no);
             }
-            match attempt(self.salted(base, seq, attempt_no)) {
+            match attempt(self.salted(seq, attempt_no)) {
                 Err(e) => last_error = Some(e),
                 Ok((t, rep)) => {
                     self.report.faults.merge(&rep.faults);
@@ -315,7 +315,7 @@ impl Recovery {
                 note_retry(name, attempt_no);
             }
             let mut scratch = Recorder::new();
-            match attempt(self.salted(base, seq, attempt_no), &mut scratch) {
+            match attempt(self.salted(seq, attempt_no), &mut scratch) {
                 Err(e) => last_error = Some(e),
                 Ok(t) => {
                     let faults = scratch.total_faults();

@@ -97,7 +97,7 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
         self
     }
 
-    /// Sets the simulator configuration (bandwidth, fault model).
+    /// Sets the simulator configuration (its fault model).
     #[must_use]
     pub fn sim(mut self, sim: SimConfig) -> Self {
         self.solver.cfg.sim = sim;
@@ -241,7 +241,6 @@ impl<'g, W: Weight> Solver<'g, W> {
             ("h".to_string(), out.meta.h.to_string()),
             ("charging".to_string(), format!("{:?}", self.cfg.charging)),
             ("seed".to_string(), self.cfg.seed.to_string()),
-            ("bandwidth".to_string(), self.cfg.sim.bandwidth.to_string()),
             ("retries".to_string(), fr.retries.to_string()),
             ("sentinel_trips".to_string(), fr.sentinel_trips.to_string()),
         ];

@@ -334,7 +334,8 @@ impl NodeLogic for AncestorNode<'_> {
             };
             if let Some(item) = item {
                 for &c in self.children {
-                    out.send(c, item);
+                    let ni = env.neighbor_index(c).expect("child is a neighbor");
+                    out.send_nbr(ni, item);
                 }
                 self.next_fwd += 1;
             }

@@ -81,6 +81,7 @@ mod format_v2;
 mod lru;
 pub mod oracle;
 mod paged;
+mod parallel;
 mod snapshot;
 
 pub use engine::{CacheStats, EngineConfig, QueryEngine, QueryError};

@@ -33,11 +33,10 @@
 //! walk finishes in at most `n - 1` steps.
 
 use crate::engine::QueryError;
+use crate::parallel::par_plane;
 use congest_apsp::ApspOutcome;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight};
-use congest_sim::parallel::par_indexed_map;
 use std::collections::BinaryHeap;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use congest_graph::NO_SUCC;
@@ -64,11 +63,6 @@ pub(crate) fn tick_derivation() {
     DERIVATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Plane size, in cells, from which a sweep over an n×n plane forks: n ≥
-/// 512. Smaller oracles, the compute half's (n ≤ 384) among them, stay on
-/// the calling thread, so no worker stack lands in their peak memory.
-const PAR_PLANE_CELLS: usize = 512 * 512;
-
 /// The cores an eager load's n×n plane sweeps may take, chosen by the
 /// caller of [`Oracle::load_on`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,24 +75,6 @@ pub enum Cores {
     /// such as a server swapping in a new generation while the old one
     /// still answers queries on the other cores.
     Caller,
-}
-
-/// Maps `f` over `items`, the columns or bands of an n×n plane sweep:
-/// with [`Cores::All`], over every core of the host when the plane has at
-/// least [`PAR_PLANE_CELLS`] cells; on the calling thread otherwise.
-/// Results come back in item order whatever the split.
-pub(crate) fn par_plane<T: Send, R: Send>(
-    n: usize,
-    cores: Cores,
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) -> R + Sync,
-) -> Vec<R> {
-    let workers = if cores == Cores::Caller || n.saturating_mul(n) < PAR_PLANE_CELLS {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-    };
-    par_indexed_map(items, workers, f)
 }
 
 /// A compact distance + successor oracle over a fixed graph snapshot.

@@ -1,15 +1,40 @@
-//! Deterministic fork-join map for heavy *local* sweeps.
+//! Deterministic fork-join for the oracle's n×n plane sweeps.
 //!
 //! The offline dependency set does not include `rayon`, so this module
-//! provides [`par_indexed_map`], a one-shot fork-join map over a worker
-//! count the caller picks. Its users are the oracle's n×n plane sweeps;
-//! the simulator's round loop steps every node on the calling thread.
+//! provides [`par_plane`], a one-shot fork-join map over the columns or
+//! bands of a plane, on top of a private worker-count map.
 //!
 //! The map is deterministic: items are partitioned into contiguous index
 //! ranges, every item is processed by the same pure-per-item function, and
 //! outputs are collected in input order, so the worker count and thread
 //! scheduling can never change a result (pinned by this module's tests and
-//! by the oracle's caller-thread vs. forked load test).
+//! by the caller-thread vs. forked load test).
+
+use crate::oracle::Cores;
+use std::num::NonZeroUsize;
+
+/// Plane size, in cells, from which a sweep over an n×n plane forks: n ≥
+/// 512. Smaller oracles, the compute half's (n ≤ 384) among them, stay on
+/// the calling thread, so no worker stack lands in their peak memory.
+const PAR_PLANE_CELLS: usize = 512 * 512;
+
+/// Maps `f` over `items`, the columns or bands of an n×n plane sweep:
+/// with [`Cores::All`], over every core of the host when the plane has at
+/// least [`PAR_PLANE_CELLS`] cells; on the calling thread otherwise.
+/// Results come back in item order whatever the split.
+pub(crate) fn par_plane<T: Send, R: Send>(
+    n: usize,
+    cores: Cores,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) -> R + Sync,
+) -> Vec<R> {
+    let workers = if cores == Cores::Caller || n.saturating_mul(n) < PAR_PLANE_CELLS {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    };
+    par_indexed_map(items, workers, f)
+}
 
 /// Applies `f` to every item (with its index), in parallel over at most
 /// `workers` contiguous chunks, returning outputs in input order.
@@ -18,8 +43,8 @@
 /// `workers <= 1` runs everything on the calling thread. `f` must be
 /// deterministic per item; chunking never changes the result, only the
 /// wall-clock time. Every call spawns its threads afresh, so this suits
-/// one-shot sweeps, not work repeated once per simulated round.
-pub fn par_indexed_map<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>
+/// one-shot sweeps, not work repeated in a loop.
+fn par_indexed_map<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

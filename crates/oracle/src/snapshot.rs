@@ -88,7 +88,8 @@
 //! failure and out-of-range successor ids all surface as [`SnapshotError`].
 
 use crate::format_v2::{read_v2, V2Config};
-use crate::oracle::{par_plane, Cores, Oracle, NO_SUCC};
+use crate::oracle::{Cores, Oracle, NO_SUCC};
+use crate::parallel::par_plane;
 use congest_graph::{NodeId, Weight, F64};
 use std::io::Write;
 use std::path::Path;

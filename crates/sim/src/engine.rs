@@ -3,15 +3,16 @@
 //!
 //! Model (paper §1.1): n nodes communicate over the *underlying undirected
 //! graph* of the input in synchronous rounds. In each round every node may
-//! send a bounded number of O(log n)-bit messages along each incident
-//! channel; messages sent in round r are received in round r+1. Nodes have
-//! unbounded local computation.
+//! send one O(log n)-bit message along each incident channel; messages
+//! sent in round r are received in round r+1. Nodes have unbounded local
+//! computation.
 //!
-//! The engine enforces the model mechanically: sends to non-neighbors and
-//! per-channel bandwidth violations abort the simulation with a
-//! [`SimError`], so a protocol that compiles *and runs* is certified to be
-//! a legal CONGEST algorithm, and its measured round count is the quantity
-//! the paper bounds.
+//! The engine enforces the model mechanically: a node addresses a message
+//! by the index of a neighbor, so it cannot reach a non-neighbor, and a
+//! second message on one channel in one round aborts the simulation with
+//! [`SimError::BandwidthExceeded`]. A protocol that compiles *and runs* is
+//! therefore a legal CONGEST algorithm, and its measured round count is
+//! the quantity the paper bounds.
 //!
 //! ## The message plane
 //!
@@ -23,11 +24,10 @@
 //!
 //! * **Send side** — [`Topology`] stores the communication graph in CSR
 //!   form: one flat sorted neighbor array plus per-node offsets. Each
-//!   *directed channel* (v, i-th neighbor of v) owns `bandwidth` slots in
-//!   a flat `out` array; [`Outbox::send`] writes messages straight into
-//!   the sender's slot range and bumps a per-channel counter. Target
-//!   resolution goes through a dense, epoch-stamped neighbor-index map
-//!   (O(1) per send after an O(deg) lazy fill) instead of a binary search.
+//!   *directed channel* (v, i-th neighbor of v) owns one message slot in
+//!   a flat `out` array; [`Outbox::send_nbr`] writes a message straight
+//!   into the sender's slot for neighbor index i, and a slot that is
+//!   already full is the bandwidth violation.
 //! * **Receive side** — delivery walks each receiver's channel slots via
 //!   the precomputed reverse-channel index ([`Topology`] knows, for every
 //!   channel (v → u), where (u ← v) lives in u's row) and compacts the
@@ -127,12 +127,6 @@ impl Topology {
     pub fn degree(&self, v: NodeId) -> usize {
         (self.off[v as usize + 1] - self.off[v as usize]) as usize
     }
-
-    /// `true` iff `u`–`v` is a channel.
-    #[must_use]
-    pub fn are_neighbors(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
 }
 
 /// A received message with its sender.
@@ -166,148 +160,55 @@ impl NodeEnv<'_> {
     }
 }
 
-/// Dense neighbor-index map: `idx[u]` is the position of `u` in the current
-/// node's neighbor list, valid only while `stamp[u]` equals the current
-/// epoch. One map serves the whole phase and is re-stamped (not cleared)
-/// per node, so lookups are O(1) and a node that never sends pays nothing.
-struct NbrMap {
-    stamp: Vec<u64>,
-    idx: Vec<u32>,
-    epoch: u64,
-}
-
-impl NbrMap {
-    fn new(n: usize) -> Self {
-        NbrMap { stamp: vec![0; n], idx: vec![0; n], epoch: 0 }
-    }
-
-    /// Re-key the map to `neighbors` (O(deg)).
-    fn fill(&mut self, neighbors: &[NodeId]) {
-        self.epoch += 1;
-        for (i, &u) in neighbors.iter().enumerate() {
-            self.stamp[u as usize] = self.epoch;
-            self.idx[u as usize] = u32::try_from(i).expect("degree exceeds u32");
-        }
-    }
-
-    fn get(&self, u: NodeId) -> Option<usize> {
-        (self.stamp[u as usize] == self.epoch).then(|| self.idx[u as usize] as usize)
-    }
-}
-
-/// Per-round send view with CONGEST legality checks, writing directly into
-/// the sender's channel slots of the flat message plane.
+/// Per-round send view of one node: one message slot per incident
+/// channel, written directly into the flat message plane.
 pub struct Outbox<'a, M> {
     from: NodeId,
     round: u64,
     neighbors: &'a [NodeId],
-    bandwidth: u32,
-    /// Per-channel message counts for this node's `deg` channels.
-    cnt: &'a mut [u32],
-    /// This node's `deg * bandwidth` message slots.
-    buf: &'a mut [Option<M>],
-    map: &'a mut NbrMap,
-    map_filled: bool,
-    queued: u32,
+    /// This node's `deg` channel slots, in [`NodeEnv::neighbors`] order.
+    slots: &'a mut [Option<M>],
     error: Option<SimError>,
 }
 
-impl<'a, M> Outbox<'a, M> {
-    fn new(
-        from: NodeId,
-        round: u64,
-        neighbors: &'a [NodeId],
-        bandwidth: u32,
-        cnt: &'a mut [u32],
-        buf: &'a mut [Option<M>],
-        map: &'a mut NbrMap,
-    ) -> Self {
-        Outbox {
-            from,
-            round,
-            neighbors,
-            bandwidth,
-            cnt,
-            buf,
-            map,
-            map_filled: false,
-            queued: 0,
-            error: None,
-        }
-    }
-
-    /// Queues `msg` for delivery to neighbor `to` next round.
-    ///
-    /// Violations (non-neighbor target, bandwidth overrun) are recorded and
-    /// abort the simulation at the end of the round; the first violation
-    /// wins.
-    pub fn send(&mut self, to: NodeId, msg: M) {
-        if self.error.is_some() {
-            return;
-        }
-        if !self.map_filled {
-            self.map.fill(self.neighbors);
-            self.map_filled = true;
-        }
-        match self.map.get(to) {
-            None => {
-                self.error =
-                    Some(SimError::NotANeighbor { from: self.from, to, round: self.round });
-            }
-            Some(i) => self.push_slot(i, msg),
-        }
-    }
-
+impl<M> Outbox<'_, M> {
     /// Queues `msg` for the neighbor at position `ni` of
-    /// [`NodeEnv::neighbors`] — the zero-lookup fast path for protocols
-    /// that already track neighbors by index.
+    /// [`NodeEnv::neighbors`] (see [`NodeEnv::neighbor_index`]), to be
+    /// delivered next round.
+    ///
+    /// A second message on the same channel in one round is recorded as
+    /// [`SimError::BandwidthExceeded`] and aborts the simulation at the
+    /// end of the round; the first violation wins and later sends are
+    /// ignored.
     ///
     /// # Panics
-    /// Panics if `ni` is out of range (a protocol bug, not a CONGEST
-    /// violation — there is no node the message could even be addressed to).
+    /// Panics if `ni` is not below the node's degree (a protocol bug, not
+    /// a CONGEST violation — there is no node the message could even be
+    /// addressed to); the engine reports it as [`SimError::NodePanic`].
     pub fn send_nbr(&mut self, ni: usize, msg: M) {
         if self.error.is_some() {
             return;
         }
-        assert!(ni < self.neighbors.len(), "send_nbr: neighbor index out of range");
-        self.push_slot(ni, msg);
+        let slot = &mut self.slots[ni];
+        if slot.is_some() {
+            self.error = Some(SimError::BandwidthExceeded {
+                from: self.from,
+                to: self.neighbors[ni],
+                round: self.round,
+            });
+            return;
+        }
+        *slot = Some(msg);
     }
 
-    /// Sends a copy of `msg` to every neighbor. Broadcast targets are
-    /// legal by construction, so this skips target resolution entirely and
-    /// only checks bandwidth.
+    /// Sends a copy of `msg` to every neighbor.
     pub fn broadcast(&mut self, msg: M)
     where
         M: Clone,
     {
         for ni in 0..self.neighbors.len() {
-            if self.error.is_some() {
-                return;
-            }
-            self.push_slot(ni, msg.clone());
+            self.send_nbr(ni, msg.clone());
         }
-    }
-
-    fn push_slot(&mut self, ni: usize, msg: M) {
-        let used = self.cnt[ni];
-        if used >= self.bandwidth {
-            self.error = Some(SimError::BandwidthExceeded {
-                from: self.from,
-                to: self.neighbors[ni],
-                round: self.round,
-                limit: self.bandwidth,
-            });
-            return;
-        }
-        self.buf[ni * self.bandwidth as usize + used as usize] = Some(msg);
-        self.cnt[ni] = used + 1;
-        self.queued += 1;
-    }
-
-    /// Number of messages queued so far this round.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.queued as usize
     }
 }
 
@@ -398,10 +299,8 @@ pub enum RunUntil {
 }
 
 /// Engine configuration.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct SimConfig {
-    /// Messages per directed channel per round (paper: O(1); default 1).
-    pub bandwidth: u32,
     /// Optional seeded fault model (see [`crate::fault`]). `None` — or a
     /// spec with every rate zero — installs no fault plan, so every
     /// message is delivered. Because the spec rides inside the config,
@@ -410,20 +309,12 @@ pub struct SimConfig {
     pub fault: Option<FaultSpec>,
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig { bandwidth: 1, fault: None }
-    }
-}
-
 /// The flat double-buffered message plane for one phase. All vectors are
 /// sized once from the topology; the round loop only writes in place,
 /// `clear()`s (capacity-preserving) and swaps.
 struct Plane<M> {
-    /// Per directed channel: messages queued this round (send side).
-    out_cnt: Vec<u32>,
-    /// `channels * bandwidth` message slots (send side).
-    out_buf: Vec<Option<M>>,
+    /// One message slot per directed channel (send side).
+    out: Vec<Option<M>>,
     /// Compacted inbox being *read* this round, grouped by receiver,
     /// each group sorted by sender id.
     cur_buf: Vec<Envelope<M>>,
@@ -436,13 +327,9 @@ struct Plane<M> {
 }
 
 impl<M> Plane<M> {
-    fn new(topo: &Topology, bandwidth: u32) -> Self {
-        let channels = topo.channels();
-        let slots =
-            channels.checked_mul(bandwidth as usize).expect("channels * bandwidth overflows usize");
+    fn new(topo: &Topology) -> Self {
         Plane {
-            out_cnt: vec![0; channels],
-            out_buf: (0..slots).map(|_| None).collect(),
+            out: (0..topo.channels()).map(|_| None).collect(),
             cur_buf: Vec::new(),
             cur_off: vec![0; topo.n() + 1],
             next_buf: Vec::new(),
@@ -460,19 +347,17 @@ impl<M> Plane<M> {
     /// buffer, grouped by receiver and sorted by sender, resetting the
     /// send side for the next round.
     ///
-    /// `fate` is consulted once per message (sender, receiver, index on
-    /// the channel, payload) and may mutate the payload in place;
-    /// returning `false` discards the message. Sends are charged into
-    /// `node_sent` either way (the bandwidth was consumed), but only
-    /// surviving messages count in the returned delivered total.
+    /// `fate` is consulted once per message (sender, receiver, payload)
+    /// and may mutate the payload in place; returning `false` discards the
+    /// message. Sends are charged into `node_sent` either way (the channel
+    /// was used), but only surviving messages count in the returned
+    /// delivered total.
     fn deliver(
         &mut self,
         topo: &Topology,
-        bandwidth: u32,
         node_sent: &mut [u64],
-        mut fate: impl FnMut(NodeId, NodeId, u32, &mut M) -> bool,
+        mut fate: impl FnMut(NodeId, NodeId, &mut M) -> bool,
     ) -> u64 {
-        let b = bandwidth as usize;
         self.next_buf.clear();
         self.next_off[0] = 0;
         let mut delivered = 0u64;
@@ -481,20 +366,13 @@ impl<M> Plane<M> {
             for s in lo..hi {
                 // Slot s is the channel u ← adj[s]; its send side lives at
                 // the reverse slot in the sender's row.
-                let rs = topo.rev[s] as usize;
-                let c = self.out_cnt[rs];
-                if c > 0 {
+                if let Some(mut msg) = self.out[topo.rev[s] as usize].take() {
                     let from = topo.adj[s];
-                    node_sent[from as usize] += u64::from(c);
-                    for t in 0..c as usize {
-                        let mut msg =
-                            self.out_buf[rs * b + t].take().expect("counted slot is full");
-                        if fate(from, u as NodeId, t as u32, &mut msg) {
-                            delivered += 1;
-                            self.next_buf.push(Envelope { from, msg });
-                        }
+                    node_sent[from as usize] += 1;
+                    if fate(from, u as NodeId, &mut msg) {
+                        delivered += 1;
+                        self.next_buf.push(Envelope { from, msg });
                     }
-                    self.out_cnt[rs] = 0;
                 }
             }
             self.next_off[u + 1] =
@@ -509,7 +387,6 @@ impl<M> Plane<M> {
 /// The round-loop executor for one protocol phase over a fixed topology.
 pub struct Engine<'t> {
     topo: &'t Topology,
-    cfg: SimConfig,
     plan: Option<FaultPlan>,
 }
 
@@ -519,7 +396,7 @@ impl<'t> Engine<'t> {
     #[must_use]
     pub fn new(topo: &'t Topology, cfg: SimConfig) -> Self {
         let plan = cfg.fault.filter(FaultSpec::is_active).map(FaultPlan::Seeded);
-        Engine { topo, cfg, plan }
+        Engine { topo, plan }
     }
 
     /// Replaces the fault plan (e.g. with an explicit
@@ -529,12 +406,6 @@ impl<'t> Engine<'t> {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = Some(plan);
         self
-    }
-
-    /// The engine's topology.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        self.topo
     }
 
     /// Runs one protocol phase: `nodes[v]` is node v's logic. Returns the
@@ -599,11 +470,8 @@ impl<'t> Engine<'t> {
     ) -> Result<PhaseReport, SimError> {
         let n = self.topo.n();
         assert_eq!(nodes.len(), n, "one NodeLogic per topology node");
-        let bandwidth = self.cfg.bandwidth;
-        let b = bandwidth as usize;
 
-        let mut plane: Plane<N::Msg> = Plane::new(self.topo, bandwidth);
-        let mut map = NbrMap::new(n);
+        let mut plane: Plane<N::Msg> = Plane::new(self.topo);
         let mut node_sent = vec![0u64; n];
         let mut messages: u64 = 0;
         let mut rounds: u64 = 0;
@@ -670,7 +538,7 @@ impl<'t> Engine<'t> {
             // reads its inbox from the current buffer and writes only its
             // own channel slots. The whole round steps even after a node
             // fails; then the first error, the lowest id's, is returned.
-            let Plane { out_cnt, out_buf, cur_buf, cur_off, .. } = &mut plane;
+            let Plane { out, cur_buf, cur_off, .. } = &mut plane;
             let mut error: Option<SimError> = None;
             for (i, node) in nodes.iter_mut().enumerate() {
                 if node_faults && down[i] {
@@ -681,15 +549,13 @@ impl<'t> Engine<'t> {
                 let (lo, hi) = (self.topo.off[i] as usize, self.topo.off[i + 1] as usize);
                 let inbox = &cur_buf[cur_off[i] as usize..cur_off[i + 1] as usize];
                 let env = NodeEnv { id, n, round: rounds, neighbors };
-                let mut out = Outbox::new(
-                    id,
-                    rounds,
+                let mut out = Outbox {
+                    from: id,
+                    round: rounds,
                     neighbors,
-                    bandwidth,
-                    &mut out_cnt[lo..hi],
-                    &mut out_buf[lo * b..hi * b],
-                    &mut map,
-                );
+                    slots: &mut out[lo..hi],
+                    error: None,
+                };
                 // Panic containment: a panicking protocol surfaces as a
                 // typed error attributed to its node. The partially written
                 // outbox is harmless: the run aborts before the delivery
@@ -727,16 +593,11 @@ impl<'t> Engine<'t> {
             // fault plan, each message's fate is decided here — the single
             // injection point every protocol inherits.
             let delivered = match plan {
-                None => plane.deliver(self.topo, bandwidth, &mut node_sent, |_, _, _, _| true),
+                None => plane.deliver(self.topo, &mut node_sent, |_, _, _| true),
                 Some(plan) => {
                     let nodes_ro: &[N] = nodes;
-                    plane.deliver(
-                        self.topo,
-                        bandwidth,
-                        &mut node_sent,
-                        |from, to, nth, msg: &mut N::Msg| match plan
-                            .message_fault(rounds, from, to, nth)
-                        {
+                    plane.deliver(self.topo, &mut node_sent, |from, to, msg: &mut N::Msg| {
+                        match plan.message_fault(rounds, from, to) {
                             None => true,
                             Some(MsgFault::Drop { flap }) => {
                                 faults.dropped += 1;
@@ -760,8 +621,8 @@ impl<'t> Engine<'t> {
                                     false
                                 }
                             }
-                        },
-                    )
+                        }
+                    })
                 }
             };
             messages += delivered;
@@ -862,24 +723,29 @@ mod tests {
         assert!(engine.run(&mut nodes, RunUntil::Exact(10)).is_ok());
     }
 
-    struct BadSender;
-    impl NodeLogic for BadSender {
+    /// In round 1, node 2 sends on channel index `deg`, one past its last
+    /// neighbor. Every node stays active, so the run reaches round 1.
+    struct PastDegree;
+    impl NodeLogic for PastDegree {
         type Msg = u8;
         fn on_round(&mut self, env: &NodeEnv<'_>, _ib: &[Envelope<u8>], out: &mut Outbox<'_, u8>) {
-            if env.round == 0 && env.id == 0 {
-                out.send(3, 1); // not a neighbor on a path of 4
+            if env.round == 1 && env.id == 2 {
+                out.send_nbr(env.neighbors.len(), 1);
             }
+        }
+        fn active(&self) -> bool {
+            true
         }
     }
 
     #[test]
-    fn non_neighbor_send_rejected() {
+    fn send_past_degree_is_a_node_panic() {
         let g = path(4, false, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);
         let engine = Engine::new(&topo, SimConfig::default());
-        let mut nodes = vec![BadSender, BadSender, BadSender, BadSender];
+        let mut nodes = vec![PastDegree, PastDegree, PastDegree, PastDegree];
         let err = engine.run(&mut nodes, RunUntil::Quiesce { max: 10 }).unwrap_err();
-        assert_eq!(err, SimError::NotANeighbor { from: 0, to: 3, round: 0 });
+        assert_eq!(err, SimError::NodePanic { node: 2, round: 1 });
     }
 
     struct OverSender;
@@ -887,8 +753,9 @@ mod tests {
         type Msg = u8;
         fn on_round(&mut self, env: &NodeEnv<'_>, _ib: &[Envelope<u8>], out: &mut Outbox<'_, u8>) {
             if env.round == 0 && env.id == 0 {
-                out.send(1, 1);
-                out.send(1, 2); // second message on the same channel, B=1
+                let ni = env.neighbor_index(1).expect("1 is a neighbor of 0");
+                out.send_nbr(ni, 1);
+                out.send_nbr(ni, 2); // second message on the same channel
             }
         }
     }
@@ -900,17 +767,17 @@ mod tests {
         let engine = Engine::new(&topo, SimConfig::default());
         let mut nodes = vec![OverSender, OverSender];
         let err = engine.run(&mut nodes, RunUntil::Quiesce { max: 10 }).unwrap_err();
-        assert_eq!(err, SimError::BandwidthExceeded { from: 0, to: 1, round: 0, limit: 1 });
+        assert_eq!(err, SimError::BandwidthExceeded { from: 0, to: 1, round: 0 });
     }
 
-    /// Every node breaks the bandwidth limit in round 1.
+    /// Every node breaks the one-message-per-channel limit in round 1.
     #[derive(Clone)]
     struct EveryoneViolates;
     impl NodeLogic for EveryoneViolates {
         type Msg = u8;
         fn on_round(&mut self, env: &NodeEnv<'_>, _ib: &[Envelope<u8>], out: &mut Outbox<'_, u8>) {
             if env.round == 1 {
-                // Second message on a bandwidth-1 channel: illegal everywhere.
+                // Second message on one channel: illegal everywhere.
                 out.send_nbr(0, 1);
                 out.send_nbr(0, 2);
             } else if env.round == 0 {
@@ -927,16 +794,7 @@ mod tests {
         let mut nodes = vec![EveryoneViolates; 17];
         let err = engine.run(&mut nodes, RunUntil::Quiesce { max: 10 }).unwrap_err();
         let to = topo.neighbors(0)[0];
-        assert_eq!(err, SimError::BandwidthExceeded { from: 0, to, round: 1, limit: 1 });
-    }
-
-    #[test]
-    fn bandwidth_two_allows_two() {
-        let g = path(2, false, WeightDist::Unit, 0);
-        let topo = Topology::from_graph(&g);
-        let engine = Engine::new(&topo, SimConfig { bandwidth: 2, ..Default::default() });
-        let mut nodes = vec![OverSender, OverSender];
-        assert!(engine.run(&mut nodes, RunUntil::Quiesce { max: 10 }).is_ok());
+        assert_eq!(err, SimError::BandwidthExceeded { from: 0, to, round: 1 });
     }
 
     struct Echoer {
@@ -951,13 +809,14 @@ mod tests {
             out: &mut Outbox<'_, u32>,
         ) {
             if env.round == 0 && env.id == 0 {
-                out.send(env.neighbors[0], 0);
+                out.send_nbr(0, 0);
                 return;
             }
             for e in inbox {
                 if self.budget > 0 {
                     self.budget -= 1;
-                    out.send(e.from, e.msg + 1);
+                    let ni = env.neighbor_index(e.from).expect("senders are neighbors");
+                    out.send_nbr(ni, e.msg + 1);
                 }
             }
         }
@@ -1024,7 +883,7 @@ mod tests {
                 out: &mut Outbox<'_, ()>,
             ) {
                 if env.round == 0 && env.id != 2 {
-                    out.send(2, ());
+                    out.send_nbr(env.neighbor_index(2).expect("2 is the center"), ());
                 }
                 if env.id == 2 {
                     self.seen.extend(inbox.iter().map(|e| e.from));
@@ -1082,8 +941,7 @@ mod tests {
         assert_eq!(topo.channels(), 6);
         assert_eq!(topo.neighbors(1), &[0, 2]);
         assert_eq!(topo.degree(0), 1);
-        assert!(topo.are_neighbors(2, 3));
-        assert!(!topo.are_neighbors(0, 3));
+        assert_eq!(topo.neighbors(3), &[2]);
         // Reverse-channel index round-trips.
         for v in 0..4usize {
             for s in topo.off[v] as usize..topo.off[v + 1] as usize {

@@ -6,17 +6,8 @@ use congest_graph::NodeId;
 /// (or an exhausted safety budget), never a user-input problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// A node attempted to send to a non-neighbor — impossible in CONGEST.
-    NotANeighbor {
-        /// Sending node.
-        from: NodeId,
-        /// Intended recipient.
-        to: NodeId,
-        /// Round in which the violation occurred.
-        round: u64,
-    },
-    /// A node exceeded the per-channel per-round bandwidth budget
-    /// (§1.1: O(1) words per edge per round).
+    /// A node sent a second message on one channel in one round (§1.1:
+    /// one O(log n)-bit message per channel per round).
     BandwidthExceeded {
         /// Sending node.
         from: NodeId,
@@ -24,17 +15,17 @@ pub enum SimError {
         to: NodeId,
         /// Round in which the violation occurred.
         round: u64,
-        /// Configured per-channel budget.
-        limit: u32,
     },
     /// The phase did not terminate within its round budget.
     RoundBudgetExhausted {
         /// The budget that was exhausted.
         budget: u64,
     },
-    /// A node's `on_round` panicked. The engine catches the unwind and
-    /// returns this error once the round has stepped; when several nodes
-    /// panic in one round, the lowest node id is reported.
+    /// A node's `on_round` panicked, for instance on an
+    /// [`Outbox::send_nbr`](crate::Outbox::send_nbr) index at or past its
+    /// degree. The engine catches the unwind and returns this error once
+    /// the round has stepped; when several nodes panic in one round, the
+    /// lowest node id is reported.
     NodePanic {
         /// The node whose logic panicked.
         node: NodeId,
@@ -54,13 +45,9 @@ pub enum SimError {
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            SimError::NotANeighbor { from, to, round } => {
-                write!(f, "round {round}: node {from} sent to non-neighbor {to}")
+            SimError::BandwidthExceeded { from, to, round } => {
+                write!(f, "round {round}: node {from} sent twice on its channel to {to}")
             }
-            SimError::BandwidthExceeded { from, to, round, limit } => write!(
-                f,
-                "round {round}: node {from} exceeded bandwidth {limit} on channel to {to}"
-            ),
             SimError::RoundBudgetExhausted { budget } => {
                 write!(f, "phase exceeded round budget of {budget}")
             }

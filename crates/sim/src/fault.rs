@@ -3,10 +3,10 @@
 //! Production networks drop frames, corrupt payloads, crash nodes, and
 //! flap links; the CONGEST analyses assume none of that. This module
 //! models those failures *deterministically*: every fault decision is a
-//! pure hash of `(seed, round, channel, message-index)` — no RNG state,
-//! no wall clock — so a faulted run is exactly reproducible from its
-//! [`FaultSpec`], and a retried phase can be re-seeded by salting the
-//! seed.
+//! pure hash of `(seed, round, channel)` — no RNG state, no wall clock —
+//! so a faulted run is exactly reproducible from its [`FaultSpec`], and a
+//! retried phase can be re-seeded by salting the seed. A channel carries
+//! at most one message per round, so `(round, channel)` names a message.
 //!
 //! Faults are injected at one place only — the delivery pass of the
 //! engine's message plane (plus a per-round crash predicate) — so every
@@ -145,8 +145,8 @@ impl FaultSpec {
 
 /// One scripted fault, for tests that need a specific failure at a
 /// specific place (see [`FaultPlan::Script`]). Rounds are engine rounds
-/// starting at 0; message faults address the `nth` message queued on the
-/// directed channel `from → to` in that round (0-based).
+/// starting at 0; message faults address the message sent on the directed
+/// channel `from → to` in that round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Drop one message in transit.
@@ -157,8 +157,6 @@ pub enum FaultEvent {
         from: NodeId,
         /// Receiving node.
         to: NodeId,
-        /// Index of the message on the channel that round.
-        nth: u32,
     },
     /// Corrupt one message in transit (drop if the protocol does not
     /// implement [`crate::NodeLogic::corrupt_msg`]).
@@ -169,8 +167,6 @@ pub enum FaultEvent {
         from: NodeId,
         /// Receiving node.
         to: NodeId,
-        /// Index of the message on the channel that round.
-        nth: u32,
         /// Entropy word handed to `corrupt_msg`.
         entropy: u64,
     },
@@ -224,16 +220,10 @@ pub enum FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fate of the `nth` message queued on channel `from → to` in
-    /// `round`; `None` means deliver untouched.
+    /// The fate of the message sent on channel `from → to` in `round`;
+    /// `None` means deliver untouched.
     #[must_use]
-    pub fn message_fault(
-        &self,
-        round: u64,
-        from: NodeId,
-        to: NodeId,
-        nth: u32,
-    ) -> Option<MsgFault> {
+    pub fn message_fault(&self, round: u64, from: NodeId, to: NodeId) -> Option<MsgFault> {
         match self {
             FaultPlan::Seeded(s) => {
                 if s.flap_ppm > 0 {
@@ -245,23 +235,25 @@ impl FaultPlan {
                     }
                 }
                 let chan = (u64::from(from) << 32) | u64::from(to);
-                if hits(mix(s.seed ^ DROP_SALT, chan, round, u64::from(nth)), s.drop_ppm) {
+                // A fixed 0 fills the coordinate a per-channel message
+                // index would take: a channel carries one message a round,
+                // and keeping the coordinate keeps every seeded plan's
+                // faults.
+                if hits(mix(s.seed ^ DROP_SALT, chan, round, 0), s.drop_ppm) {
                     return Some(MsgFault::Drop { flap: false });
                 }
-                let h = mix(s.seed ^ CORRUPT_SALT, chan, round, u64::from(nth));
+                let h = mix(s.seed ^ CORRUPT_SALT, chan, round, 0);
                 if hits(h, s.corrupt_ppm) {
                     return Some(MsgFault::Corrupt { entropy: splitmix(h) });
                 }
                 None
             }
             FaultPlan::Script(events) => events.iter().find_map(|e| match *e {
-                FaultEvent::Drop { round: r, from: f, to: t, nth: k }
-                    if (r, f, t, k) == (round, from, to, nth) =>
-                {
+                FaultEvent::Drop { round: r, from: f, to: t } if (r, f, t) == (round, from, to) => {
                     Some(MsgFault::Drop { flap: false })
                 }
-                FaultEvent::Corrupt { round: r, from: f, to: t, nth: k, entropy }
-                    if (r, f, t, k) == (round, from, to, nth) =>
+                FaultEvent::Corrupt { round: r, from: f, to: t, entropy }
+                    if (r, f, t) == (round, from, to) =>
                 {
                     Some(MsgFault::Corrupt { entropy })
                 }
@@ -349,12 +341,35 @@ mod tests {
     fn decisions_are_pure_functions() {
         let plan = FaultPlan::Seeded(FaultSpec::seeded(42).drops(100_000).corruption(50_000));
         for round in 0..50 {
-            for nth in 0..3 {
-                let a = plan.message_fault(round, 3, 7, nth);
-                let b = plan.message_fault(round, 3, 7, nth);
-                assert_eq!(a, b, "decision must not depend on evaluation order");
-            }
+            let a = plan.message_fault(round, 3, 7);
+            let b = plan.message_fault(round, 3, 7);
+            assert_eq!(a, b, "decision must not depend on evaluation order");
         }
+    }
+
+    /// A change to the seeded hash re-draws every seeded plan's faults, so
+    /// the decisions on one channel are pinned.
+    #[test]
+    fn seeded_decisions_are_pinned() {
+        let plan = FaultPlan::Seeded(FaultSpec::seeded(42).drops(100_000).corruption(50_000));
+        let fired: Vec<(u64, MsgFault)> =
+            (0..64).filter_map(|r| plan.message_fault(r, 3, 7).map(|f| (r, f))).collect();
+        let drop = MsgFault::Drop { flap: false };
+        let corrupt = |entropy| MsgFault::Corrupt { entropy };
+        assert_eq!(
+            fired,
+            [
+                (5, corrupt(16_711_477_992_026_173_514)),
+                (8, corrupt(2_120_584_774_681_014_495)),
+                (12, corrupt(10_020_177_523_240_211_961)),
+                (17, drop),
+                (18, drop),
+                (20, drop),
+                (24, drop),
+                (38, corrupt(17_531_300_581_601_730_486)),
+                (44, corrupt(6_915_134_981_626_378_848)),
+            ]
+        );
     }
 
     #[test]
@@ -363,7 +378,7 @@ mod tests {
         let mut dropped = 0u32;
         let total = 4_000u32;
         for i in 0..total {
-            if plan.message_fault(u64::from(i), 0, 1, 0).is_some() {
+            if plan.message_fault(u64::from(i), 0, 1).is_some() {
                 dropped += 1;
             }
         }
@@ -377,7 +392,7 @@ mod tests {
         assert!(!spec.is_active());
         let plan = FaultPlan::Seeded(spec);
         for round in 0..100 {
-            assert_eq!(plan.message_fault(round, 0, 1, 0), None);
+            assert_eq!(plan.message_fault(round, 0, 1), None);
             assert!(!plan.node_down(0, round));
         }
     }
@@ -404,8 +419,8 @@ mod tests {
     fn flap_is_symmetric_in_the_link() {
         let plan = FaultPlan::Seeded(FaultSpec::seeded(5).flaps(400_000, 4));
         for round in 0..64 {
-            let fwd = plan.message_fault(round, 2, 9, 0);
-            let bwd = plan.message_fault(round, 9, 2, 0);
+            let fwd = plan.message_fault(round, 2, 9);
+            let bwd = plan.message_fault(round, 9, 2);
             assert_eq!(fwd, bwd, "a down link loses both directions");
         }
     }
@@ -415,29 +430,28 @@ mod tests {
         let spec = FaultSpec::seeded(1).drops(500_000);
         let a = FaultPlan::Seeded(spec);
         let b = FaultPlan::Seeded(spec.reseeded(1));
-        let differs =
-            (0..64u64).any(|r| a.message_fault(r, 0, 1, 0) != b.message_fault(r, 0, 1, 0));
+        let differs = (0..64u64).any(|r| a.message_fault(r, 0, 1) != b.message_fault(r, 0, 1));
         assert!(differs, "reseeding must produce an independent pattern");
     }
 
     #[test]
     fn script_addresses_exact_messages() {
         let plan = FaultPlan::Script(vec![
-            FaultEvent::Drop { round: 3, from: 1, to: 2, nth: 0 },
-            FaultEvent::Corrupt { round: 4, from: 2, to: 1, nth: 1, entropy: 99 },
+            FaultEvent::Drop { round: 3, from: 1, to: 2 },
+            FaultEvent::Corrupt { round: 4, from: 2, to: 1, entropy: 99 },
             FaultEvent::Crash { node: 5, from_round: 2, to_round: 4 },
             FaultEvent::LinkDown { a: 0, b: 3, from_round: 1, to_round: 2 },
         ]);
-        assert_eq!(plan.message_fault(3, 1, 2, 0), Some(MsgFault::Drop { flap: false }));
-        assert_eq!(plan.message_fault(3, 1, 2, 1), None);
-        assert_eq!(plan.message_fault(2, 1, 2, 0), None);
-        assert_eq!(plan.message_fault(4, 2, 1, 1), Some(MsgFault::Corrupt { entropy: 99 }));
+        assert_eq!(plan.message_fault(3, 1, 2), Some(MsgFault::Drop { flap: false }));
+        assert_eq!(plan.message_fault(3, 2, 1), None);
+        assert_eq!(plan.message_fault(2, 1, 2), None);
+        assert_eq!(plan.message_fault(4, 2, 1), Some(MsgFault::Corrupt { entropy: 99 }));
         assert!(plan.node_down(5, 2) && plan.node_down(5, 4) && !plan.node_down(5, 5));
         assert!(!plan.node_down(4, 3));
         // Link cut hits both orientations, only inside the window.
-        assert_eq!(plan.message_fault(1, 0, 3, 0), Some(MsgFault::Drop { flap: true }));
-        assert_eq!(plan.message_fault(2, 3, 0, 0), Some(MsgFault::Drop { flap: true }));
-        assert_eq!(plan.message_fault(3, 0, 3, 0), None);
+        assert_eq!(plan.message_fault(1, 0, 3), Some(MsgFault::Drop { flap: true }));
+        assert_eq!(plan.message_fault(2, 3, 0), Some(MsgFault::Drop { flap: true }));
+        assert_eq!(plan.message_fault(3, 0, 3), None);
         assert!(plan.has_node_faults());
     }
 

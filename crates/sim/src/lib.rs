@@ -2,12 +2,13 @@
 //!
 //! A round-synchronous simulator for the CONGEST model of distributed
 //! computing (paper §1.1): n nodes on the underlying undirected graph of
-//! the input exchange O(log n)-bit messages in lock-step rounds, with a
-//! bounded number of messages per channel per round.
+//! the input exchange O(log n)-bit messages in lock-step rounds, at most
+//! one message per channel per round.
 //!
-//! The simulator *enforces* the model — sends to non-neighbors or beyond
-//! the per-channel bandwidth abort the run — so measured round counts are
-//! trustworthy reproductions of the quantity the paper bounds. See
+//! The simulator *enforces* the model — a node addresses each message by
+//! the index of a neighbor, and a second message on one channel in one
+//! round aborts the run — so measured round counts are trustworthy
+//! reproductions of the quantity the paper bounds. See
 //! [`Engine`] for the execution loop, [`NodeLogic`] for the protocol
 //! interface, and [`primitives`] for the broadcast/convergecast building
 //! blocks of Appendix A.1/A.5.
@@ -21,7 +22,7 @@
 //! and at round boundaries:
 //!
 //! * **message drops** — the frame is consumed from the channel (it still
-//!   charges the sender's bandwidth and congestion) but never delivered;
+//!   charges the sender's congestion) but never delivered;
 //! * **payload corruption** — the receiver's
 //!   [`NodeLogic::corrupt_msg`] hook rewrites the frame in-domain within
 //!   the CONGEST word budget; protocols that opt out (the default) have
@@ -32,8 +33,8 @@
 //! * **link flaps** — a whole undirected link drops every frame in both
 //!   directions for a contiguous window of rounds.
 //!
-//! Every decision is a pure hash of `(seed, channel, round, message
-//! index)`, so a plan replays bit-identically across runs, and
+//! Every decision is a pure hash of `(seed, channel, round)`, so a plan
+//! replays bit-identically across runs, and
 //! [`PhaseReport::faults`] counts exactly what was injected. With no plan
 //! (or an all-zero spec) the engine's one delivery pass keeps every
 //! message, so a fault-free run is byte-identical to a run under an armed
@@ -55,7 +56,6 @@ mod engine;
 mod error;
 pub mod fault;
 mod metrics;
-pub mod parallel;
 pub mod primitives;
 
 pub use bitset::BitSet;

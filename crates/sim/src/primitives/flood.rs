@@ -8,10 +8,10 @@
 //!
 //! Both are instances of the same mechanism: every node keeps a log of the
 //! items it knows, in discovery order; each round it forwards, on every
-//! channel, the next logged item the peer is not yet known to have. With
-//! bandwidth B = 1 an item crosses each channel at most once per direction,
-//! so all K items reach all nodes within O(K + D) rounds — the standard
-//! pipelined-flooding bound.
+//! channel, the next logged item the peer is not yet known to have. Each
+//! channel carries one message a round and an item crosses it at most
+//! once per direction, so all K items reach all nodes within O(K + D)
+//! rounds — the standard pipelined-flooding bound.
 //!
 //! ## Keys
 //!

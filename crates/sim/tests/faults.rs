@@ -72,9 +72,8 @@ fn clean_log() -> Vec<(u64, u32, u64)> {
 #[test]
 fn scripted_drop_removes_exactly_one_frame() {
     let topo = pair();
-    let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(FaultPlan::Script(vec![
-        FaultEvent::Drop { round: 2, from: 0, to: 1, nth: 0 },
-    ]));
+    let engine = Engine::new(&topo, SimConfig::default())
+        .with_fault_plan(FaultPlan::Script(vec![FaultEvent::Drop { round: 2, from: 0, to: 1 }]));
     let mut nodes = Ticker::fleet(2, 5);
     let rep = engine.run(&mut nodes, RunUntil::Exact(6)).unwrap();
     let expect: Vec<_> = clean_log().into_iter().filter(|&(_, _, p)| p != 2).collect();
@@ -82,7 +81,7 @@ fn scripted_drop_removes_exactly_one_frame() {
     assert_eq!(rep.faults.dropped, 1);
     assert_eq!(rep.faults.injected, 1);
     assert_eq!(rep.faults.corrupted, 0);
-    // The sender still paid for the dropped frame (bandwidth was consumed).
+    // The sender still paid for the dropped frame (its channel was used).
     assert_eq!(rep.node_sent[0], 5);
     // But it was never delivered.
     assert_eq!(rep.messages, 4);
@@ -91,13 +90,8 @@ fn scripted_drop_removes_exactly_one_frame() {
 #[test]
 fn corruption_without_protocol_support_degrades_to_drop() {
     let topo = pair();
-    let script = FaultPlan::Script(vec![FaultEvent::Corrupt {
-        round: 2,
-        from: 0,
-        to: 1,
-        nth: 0,
-        entropy: 0xDEAD,
-    }]);
+    let script =
+        FaultPlan::Script(vec![FaultEvent::Corrupt { round: 2, from: 0, to: 1, entropy: 0xDEAD }]);
     let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(script);
     let mut nodes = Ticker::fleet(2, 5);
     let rep = engine.run(&mut nodes, RunUntil::Exact(6)).unwrap();
@@ -110,13 +104,8 @@ fn corruption_without_protocol_support_degrades_to_drop() {
 #[test]
 fn corruption_with_protocol_support_mutates_in_place() {
     let topo = pair();
-    let script = FaultPlan::Script(vec![FaultEvent::Corrupt {
-        round: 2,
-        from: 0,
-        to: 1,
-        nth: 0,
-        entropy: 0xDEAD,
-    }]);
+    let script =
+        FaultPlan::Script(vec![FaultEvent::Corrupt { round: 2, from: 0, to: 1, entropy: 0xDEAD }]);
     let engine = Engine::new(&topo, SimConfig::default()).with_fault_plan(script);
     let mut nodes: Vec<CorruptibleTicker> =
         Ticker::fleet(2, 5).into_iter().map(CorruptibleTicker).collect();
@@ -155,7 +144,7 @@ fn zero_rate_spec_is_byte_identical_to_no_plan() {
         let rep = engine.run(&mut nodes, RunUntil::Exact(7)).unwrap();
         (nodes.into_iter().map(|t| t.log).collect(), rep)
     };
-    let with_fault = |fault: Option<FaultSpec>| SimConfig { fault, ..Default::default() };
+    let with_fault = |fault: Option<FaultSpec>| SimConfig { fault };
     let (clean_logs, clean_rep) = run(Engine::new(&topo, with_fault(None)));
     let (zero_logs, zero_rep) =
         run(Engine::new(&topo, with_fault(Some(FaultSpec::seeded(0xFACE)))));
@@ -175,7 +164,7 @@ fn seeded_plan_is_reproducible_and_counts_faults() {
     let topo = random_topo(20, 36, 5);
     let spec = FaultSpec::seeded(0xBEEF).drops(120_000).corruption(80_000);
     let run = || {
-        let engine = Engine::new(&topo, SimConfig { fault: Some(spec), ..Default::default() });
+        let engine = Engine::new(&topo, SimConfig { fault: Some(spec) });
         let mut nodes: Vec<CorruptibleTicker> =
             Ticker::fleet(20, 8).into_iter().map(CorruptibleTicker).collect();
         let rep = engine.run(&mut nodes, RunUntil::Exact(9)).unwrap();

@@ -67,8 +67,17 @@ fn assert_walkable(g: &Graph<u64>, dist: &DistMatrix<u64>) {
     }
 }
 
-/// Runs Ar20 on the comb with `method`, checks the answer and returns the
-/// blocker set, the round and message totals and the Algorithm-2 counters.
+/// Lemma 3.10's bound on |Q|, (n/h)·ln p with constant 1, on `comb(K, H)`:
+/// n = 257 nodes and p = 2K = 128 full-length paths give 415.7. Both
+/// selections clear it more than 3×, so this pins the lemma's shape, not a
+/// constant.
+fn lemma_3_10_bound(g: &Graph<u64>) -> f64 {
+    g.n() as f64 / H as f64 * (2.0 * K as f64).ln()
+}
+
+/// Runs Ar20 on the comb with `method`, checks the answer and |Q| against
+/// Lemma 3.10, and returns the blocker set, the round and message totals
+/// and the Algorithm-2 counters.
 fn solve(g: &Graph<u64>, method: BlockerMethod) -> (Vec<NodeId>, u64, u64, Alg2Stats) {
     let out = Solver::builder(g)
         .blocker_method(method)
@@ -80,6 +89,12 @@ fn solve(g: &Graph<u64>, method: BlockerMethod) -> (Vec<NodeId>, u64, u64, Alg2S
     assert_walkable(g, &out.dist);
     let stats = out.meta.blocker_stats.expect("Algorithm 2/2′ reports its counters");
     assert!(stats.set_picks > 0, "{method:?} picked no sampled set: {stats:?}");
+    let bound = lemma_3_10_bound(g);
+    assert!(
+        out.meta.q.len() as f64 <= bound,
+        "{method:?}: |Q| = {} > {bound:.1}",
+        out.meta.q.len()
+    );
     let (rounds, messages) = (out.recorder.total_rounds(), out.recorder.total_messages());
     (out.meta.q, rounds, messages, stats)
 }
@@ -89,6 +104,7 @@ fn derandomized_selection_picks_a_sampled_set_deterministically() {
     let g = comb(K, H);
     let (q, rounds, messages, stats) = solve(&g, BlockerMethod::Derandomized);
     assert!(stats.sample_points_examined > 0, "{stats:?}");
+    assert_eq!(q.len(), 128, "{stats:?}");
     // Golden totals: the whole Ar20 run, good-set commits included.
     assert_eq!((rounds, messages), (13_827, 438_016), "{stats:?}");
     let again = solve(&g, BlockerMethod::Derandomized);
