@@ -1,13 +1,13 @@
 //! Cross-crate invariants: determinism of the deterministic algorithms,
-//! pinned per-step communication counts, the host time of the local
-//! Step 5, blocker validity through the public API, congestion bounds,
-//! and randomized-variant stability across seeds.
+//! pinned per-step communication counts and picks, the host time of the
+//! local Step 5, blocker validity through the public API, congestion
+//! bounds, and randomized-variant stability across seeds.
 
-use congest_apsp::{Algorithm, BlockerMethod, Charging, Solver, Step6Method};
+use congest_apsp::{Algorithm, ApspOutcome, BlockerMethod, Charging, Solver, Step6Method};
 use congest_bench::workloads::{hop_deep, sparse_random};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
-use congest_graph::Graph;
+use congest_graph::{Graph, NodeId};
 use std::collections::BTreeMap;
 
 #[test]
@@ -37,9 +37,8 @@ fn step_of(label: &str) -> &str {
     &l[..5]
 }
 
-/// Per-step `[rounds, messages, payload words]` of one default solve.
-fn step_counts(g: &Graph<u64>, alg: Algorithm) -> Vec<(String, [u64; 3])> {
-    let out = Solver::builder(g).algorithm(alg).run().unwrap();
+/// Per-step `[rounds, messages, payload words]` of one solve.
+fn step_counts(out: &ApspOutcome<u64>) -> Vec<(String, [u64; 3])> {
     let mut steps: BTreeMap<String, [u64; 3]> = BTreeMap::new();
     for p in out.recorder.phases() {
         let s = steps.entry(step_of(&p.name).to_string()).or_default();
@@ -50,14 +49,52 @@ fn step_counts(g: &Graph<u64>, alg: Algorithm) -> Vec<(String, [u64; 3])> {
     steps.into_iter().collect()
 }
 
-/// Golden per-step counts for Ar20 and Ar18 on a hop-deep graph and a
-/// sparse one (blockers fire on both, for both algorithms). Every protocol
-/// is deterministic, so these move only when a protocol changes what it
-/// sends; a simulator-side refactor must leave them exactly as they are.
+/// What one solve picked, beside what it sent: Q in pick order; Ar20's
+/// Algorithm 2′ counters (see [`alg2_counters`]); and Ar20's Step-6
+/// counters (see [`step6_counters`]).
+type Picks = (&'static [NodeId], Option<([u64; 6], &'static [usize])>, Option<[u64; 6]>);
+
+/// `[selection steps, singleton picks, set picks, sample points examined,
+/// blocks scanned, fallbacks]` and the good-set sizes.
+fn alg2_counters(out: &ApspOutcome<u64>) -> Option<([u64; 6], Vec<usize>)> {
+    out.meta.blocker_stats.as_ref().map(|s| {
+        let counters = [
+            s.selection_steps,
+            s.singleton_picks,
+            s.set_picks,
+            s.sample_points_examined,
+            s.blocks_scanned,
+            s.fallbacks,
+        ];
+        (counters, s.good_set_sizes.clone())
+    })
+}
+
+/// `[|Q′|, |B|, congestion before, congestion after, round-robin rounds,
+/// round-robin messages]`.
+fn step6_counters(out: &ApspOutcome<u64>) -> Option<[u64; 6]> {
+    out.meta.step6.as_ref().map(|s| {
+        [
+            s.q_prime_size as u64,
+            s.b_size as u64,
+            s.congestion_before,
+            s.congestion_after,
+            s.round_robin_rounds,
+            s.round_robin_messages,
+        ]
+    })
+}
+
+/// Golden per-step counts and picks for Ar20 and Ar18 on a hop-deep graph
+/// and a sparse one (blockers fire on both, for both algorithms). Every
+/// protocol is deterministic, so the counts move only when a protocol
+/// changes what it sends; a simulator-side refactor must leave them
+/// exactly as they are. The picks hold what the solve decided, so a
+/// protocol that sends less but knows the same keeps them.
 #[test]
 fn per_step_counts_are_pinned() {
     type Golden = &'static [(&'static str, [u64; 3])];
-    let cases: [(&str, Graph<u64>, Algorithm, Golden); 4] = [
+    let cases: [(&str, Graph<u64>, Algorithm, Golden, Picks); 4] = [
         (
             "hop_deep(64, 1)",
             hop_deep(64, 1),
@@ -71,6 +108,11 @@ fn per_step_counts_are_pinned() {
                 ("step6", [2064, 35544, 87189]),
                 ("step7", [384, 10973, 28633]),
             ],
+            (
+                &[30, 7, 14, 21, 25, 3, 10, 17, 26],
+                Some(([9, 9, 0, 0, 0, 0], &[])),
+                Some([2, 0, 166, 166, 178, 3082]),
+            ),
         ),
         (
             "hop_deep(64, 1)",
@@ -83,6 +125,7 @@ fn per_step_counts_are_pinned() {
                 ("step4", [316, 20160, 60480]),
                 ("step5", [0, 0, 0]),
             ],
+            (&[26, 8, 16, 18, 0], None, None),
         ),
         (
             "sparse_random(64, 1)",
@@ -97,6 +140,11 @@ fn per_step_counts_are_pinned() {
                 ("step6", [1990, 28699, 57930]),
                 ("step7", [384, 17516, 50554]),
             ],
+            (
+                &[58, 25, 57, 51, 55, 36, 46, 31, 8, 29, 18, 6, 40, 2, 49, 54, 47, 33, 24, 15],
+                Some(([20, 20, 0, 0, 0, 0], &[])),
+                Some([0, 0, 287, 287, 288, 4745]),
+            ),
         ),
         (
             "sparse_random(64, 1)",
@@ -109,13 +157,18 @@ fn per_step_counts_are_pinned() {
                 ("step4", [190, 36495, 109485]),
                 ("step5", [0, 0, 0]),
             ],
+            (&[25, 31, 23], None, None),
         ),
     ];
-    for (name, g, alg, golden) in cases {
-        let got = step_counts(&g, alg);
+    for (name, g, alg, golden, (q, alg2, step6)) in cases {
+        let out = Solver::builder(&g).algorithm(alg).run().unwrap();
         let want: Vec<(String, [u64; 3])> =
             golden.iter().map(|&(s, c)| (s.to_string(), c)).collect();
-        assert_eq!(got, want, "{name} {alg:?}");
+        assert_eq!(step_counts(&out), want, "{name} {alg:?}");
+        assert_eq!(out.meta.q, q, "{name} {alg:?} Q");
+        let alg2 = alg2.map(|(c, sizes)| (c, sizes.to_vec()));
+        assert_eq!(alg2_counters(&out), alg2, "{name} {alg:?} Alg2Stats");
+        assert_eq!(step6_counters(&out), step6, "{name} {alg:?} Step6Stats");
     }
 }
 
@@ -173,7 +226,6 @@ fn blocker_set_reported_in_meta_is_valid() {
     use congest_apsp::blocker::is_valid_blocker;
     use congest_apsp::csssp::build_csssp;
     use congest_graph::seq::Direction;
-    use congest_graph::NodeId;
     use congest_sim::{Recorder, SimConfig, Topology};
 
     let g = Family::Broom.build(18, true, WeightDist::Uniform(1, 5), 9);
