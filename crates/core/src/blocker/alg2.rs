@@ -9,7 +9,10 @@
 //!
 //! * score / score_ij — per-tree convergecasts (\[2\]'s Algorithm 3 and the
 //!   Step 8 machinery): [`crate::trees::subtree_sums`], each followed by a
-//!   [`crate::trees::flood_scores`];
+//!   [`crate::trees::flood_scores`]. Both run on the one
+//!   [`crate::trees::TreeState`] of the run, so after the first score only
+//!   counts that can still change are sent: score_ij marks a subset of the
+//!   alive paths, and the alive paths only shrink;
 //! * Compute-Pi / Compute-Pij (Algorithms 3–4) — realized by the
 //!   ancestor-collection of Algorithm 7 Step 1 plus node-local checks
 //!   against broadcast score data (same information, same O(|S|·h) cost);
@@ -100,9 +103,11 @@ struct ViView {
 impl<'a, W: Weight> Driver<'a, W> {
     /// Per-tree convergecast of alive-path counts + O(n) score flood.
     fn refresh_scores(&mut self, rec: &mut Recorder, label: &str) -> Result<(), SimError> {
-        let ctx = &self.ctx;
+        let coll = self.coll;
         let (scores, report) =
-            subtree_sums(self.topo, self.sim, self.coll, |v, si| ctx.alive(v, si))?;
+            subtree_sums(self.topo, self.sim, coll, &mut self.ctx.trees, |v, si| {
+                coll.is_full_leaf(v, si)
+            })?;
         rec.record(format!("{label}: score convergecast"), report);
         // Flood (score, id) so every node can derive Vi for any stage
         // (Lemma 3.2 cost; carries score values instead of ids).
@@ -179,7 +184,9 @@ impl<'a, W: Weight> Driver<'a, W> {
             }
         }
         let (scoreij, report) =
-            subtree_sums(self.topo, self.sim, self.coll, |v, si| pij.get(si * n + v as usize))?;
+            subtree_sums(self.topo, self.sim, self.coll, &mut self.ctx.trees, |v, si| {
+                pij.get(si * n + v as usize)
+            })?;
         rec.record("alg2: scoreij convergecast", report);
         // Step 8: broadcast scoreij values of Vi members.
         let (_, report) =
@@ -253,8 +260,7 @@ impl<'a, W: Weight> Driver<'a, W> {
                 }
             }
         }
-        let report =
-            remove_subtrees(self.topo, self.sim, self.coll, &mut self.ctx.removed, &roots)?;
+        let report = remove_subtrees(self.topo, self.sim, self.coll, &mut self.ctx.trees, &roots)?;
         rec.record(format!("{label}: cleanup"), report);
         self.refresh_scores(rec, label)?;
         Ok(())

@@ -3,13 +3,15 @@
 //! One vertex per iteration: compute `score(v)` (paths through v) with
 //! [`subtree_sums`], flood the scores with [`flood_scores`] (O(n) rounds),
 //! pick the global maximum, remove the covered paths with
-//! [`remove_subtrees`] (Algorithm 6), re-score, repeat. The
-//! startup costs O(|S|·h) rounds and every chosen vertex costs O(n) more —
-//! this is exactly the `O(nh + n·|Q|)` bound whose `n·|Q|` term the
-//! paper's Algorithm 2′ eliminates (§1, contribution 1).
+//! [`remove_subtrees`] (Algorithm 6), re-score, repeat. One [`TreeState`]
+//! carries the removed and silent cells from pick to pick, so a re-score
+//! sends only the counts that can still change. The startup costs
+//! O(|S|·h) rounds and every chosen vertex costs O(n) more — this is
+//! exactly the `O(nh + n·|Q|)` bound whose `n·|Q|` term the paper's
+//! Algorithm 2′ eliminates (§1, contribution 1).
 
 use crate::csssp::SsspCollection;
-use crate::trees::{flood_scores, remove_subtrees, subtree_sums, Removed};
+use crate::trees::{flood_scores, remove_subtrees, subtree_sums, TreeState};
 use congest_graph::{NodeId, Weight};
 use congest_sim::{Recorder, SimConfig, SimError, Topology};
 
@@ -25,10 +27,12 @@ pub fn greedy_blocker<W: Weight>(
     rec: &mut Recorder,
 ) -> Result<Vec<NodeId>, SimError> {
     let n = coll.n();
-    let mut removed = Removed::new(n);
+    let mut trees = TreeState::new(n);
     let mut q: Vec<NodeId> = Vec::new();
-    // score(v): the alive full-length paths through v as a non-root vertex.
-    let (mut scores, report) = subtree_sums(topo, sim, coll, |v, si| coll.is_full_leaf(v, si))?;
+    // score(v): the alive full-length paths through v as a non-root vertex
+    // (removed cells count 0).
+    let full_leaf = |v, si| coll.is_full_leaf(v, si);
+    let (mut scores, report) = subtree_sums(topo, sim, coll, &mut trees, full_leaf)?;
     rec.record("greedy: initial scores", report);
 
     for iter in 0..n {
@@ -45,10 +49,9 @@ pub fn greedy_blocker<W: Weight>(
             .filter(|&si| coll.parent(c, si).is_some())
             .map(|si| (c, si))
             .collect();
-        let report = remove_subtrees(topo, sim, coll, &mut removed, &roots)?;
+        let report = remove_subtrees(topo, sim, coll, &mut trees, &roots)?;
         rec.record(format!("greedy: cleanup #{iter}"), report);
-        let alive = |v, si| coll.is_full_leaf(v, si) && !removed.get(v, si);
-        let (rescored, report) = subtree_sums(topo, sim, coll, alive)?;
+        let (rescored, report) = subtree_sums(topo, sim, coll, &mut trees, full_leaf)?;
         rec.record(format!("greedy: rescore #{iter}"), report);
         scores = rescored;
     }

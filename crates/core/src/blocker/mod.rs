@@ -12,8 +12,9 @@
 //! Both functions run the pick loop of [`crate::trees`]: scores by
 //! [`subtree_sums`](crate::trees::subtree_sums), published by
 //! [`flood_scores`](crate::trees::flood_scores), picks pruned by
-//! [`remove_subtrees`](crate::trees::remove_subtrees) into a [`Removed`]
-//! set.
+//! [`remove_subtrees`](crate::trees::remove_subtrees). One [`TreeState`]
+//! per run holds the removed cells and the cells whose first score was 0,
+//! so every later sum sends only the counts that can still change.
 //!
 //! Hyperedges exclude the tree root: a full-length path contributes its h
 //! *non-root* vertices (§3.1: "each edge in F has exactly h vertices").
@@ -30,7 +31,7 @@ pub use greedy::greedy_blocker;
 
 use crate::csssp::SsspCollection;
 use crate::recovery::sentinels::blocker_covers;
-use crate::trees::{AncestorLists, Removed};
+use crate::trees::{AncestorLists, TreeState};
 use congest_graph::{NodeId, Weight};
 use congest_sim::{PhaseReport, SimConfig, SimError, Topology};
 
@@ -45,8 +46,8 @@ pub struct PathCtx<'a, W> {
     /// `ancestors.get(v, si)`: ids root..parent for members (empty
     /// otherwise).
     pub ancestors: AncestorLists,
-    /// The subtree-removal mask.
-    pub removed: Removed,
+    /// The run's tree state: the removed cells and the silent ones.
+    pub trees: TreeState,
 }
 
 impl<'a, W: Weight> PathCtx<'a, W> {
@@ -61,13 +62,13 @@ impl<'a, W: Weight> PathCtx<'a, W> {
         coll: &'a SsspCollection<W>,
     ) -> Result<(Self, PhaseReport), SimError> {
         let (ancestors, report) = crate::trees::collect_ancestors(topo, sim, coll)?;
-        Ok((PathCtx { coll, ancestors, removed: Removed::new(coll.n()) }, report))
+        Ok((PathCtx { coll, ancestors, trees: TreeState::new(coll.n()) }, report))
     }
 
     /// `true` iff the path ending at `(v, si)` is an alive hyperedge.
     #[must_use]
     pub fn alive(&self, v: NodeId, si: usize) -> bool {
-        self.coll.is_full_leaf(v, si) && !self.removed.get(v, si)
+        self.coll.is_full_leaf(v, si) && !self.trees.removed(v, si)
     }
 
     /// Non-root vertices of the path ending at `(v, si)` (ancestors minus

@@ -7,10 +7,12 @@
 //! Algorithm 13 repeatedly floods the counts with [`flood_scores`] (O(n)
 //! rounds), removes the maximum node with its subtrees in every tree
 //! ([`remove_subtrees`]), and stops when every node's count is at most
-//! `n·√|Q|`. Lemma A.16: at most √|Q| nodes are ever removed.
+//! `n·√|Q|`. Lemma A.16: at most √|Q| nodes are ever removed. The run's
+//! [`TreeState`] keeps the removed cells silent, so a recount sends only
+//! the counts of the cells still in a tree.
 
 use crate::csssp::SsspCollection;
-use crate::trees::{flood_scores, remove_subtrees, subtree_sums, Removed};
+use crate::trees::{flood_scores, remove_subtrees, subtree_sums, TreeState};
 use congest_graph::{NodeId, Weight};
 use congest_sim::{Recorder, SimConfig, SimError, Topology};
 
@@ -19,8 +21,9 @@ use congest_sim::{Recorder, SimConfig, SimError, Topology};
 pub struct BottleneckResult {
     /// The bottleneck set B, in removal order.
     pub b: Vec<NodeId>,
-    /// The `(node, tree)` cells that B's subtrees pruned.
-    pub removed: Removed,
+    /// The run's tree state: its removed cells are the `(node, tree)`
+    /// cells that B's subtrees pruned.
+    pub trees: TreeState,
     /// Maximum total_count before any removal.
     pub congestion_before: u64,
     /// Maximum total_count after all removals (≤ n·√|Q|, Lemma A.15).
@@ -41,11 +44,12 @@ pub fn compute_bottlenecks<W: Weight>(
 ) -> Result<BottleneckResult, SimError> {
     let n = coll.n();
     let s = coll.sources.len();
-    let mut removed = Removed::new(n);
+    let mut trees = TreeState::new(n);
     let mut b: Vec<NodeId> = Vec::new();
     // total_count(v): Algorithm 14's subtree sizes summed over the trees
-    // v forwards in (tree roots forward nothing in their own tree).
-    let (mut totals, report) = subtree_sums(topo, sim, coll, |_, _| true)?;
+    // v forwards in (tree roots forward nothing in their own tree; removed
+    // cells count 0).
+    let (mut totals, report) = subtree_sums(topo, sim, coll, &mut trees, |_, _| true)?;
     rec.record("bottleneck: initial counts", report);
     let congestion_before = totals.iter().copied().max().unwrap_or(0);
     let mut congestion_after;
@@ -66,17 +70,14 @@ pub fn compute_bottlenecks<W: Weight>(
         b.push(node);
         // Step 6: remove node's subtrees everywhere, then refresh counts
         // (the descendant/ancestor updates of [2,1], via re-aggregation).
-        let roots: Vec<(NodeId, usize)> = (0..s)
-            .filter(|&si| coll.is_member(node, si) && !removed.get(node, si))
-            .map(|si| (node, si))
-            .collect();
-        let report = remove_subtrees(topo, sim, coll, &mut removed, &roots)?;
+        let roots: Vec<(NodeId, usize)> = (0..s).map(|si| (node, si)).collect();
+        let report = remove_subtrees(topo, sim, coll, &mut trees, &roots)?;
         rec.record(format!("bottleneck: prune #{}", b.len() - 1), report);
-        let (recounted, report) = subtree_sums(topo, sim, coll, |v, si| !removed.get(v, si))?;
+        let (recounted, report) = subtree_sums(topo, sim, coll, &mut trees, |_, _| true)?;
         rec.record(format!("bottleneck: recount #{}", b.len() - 1), report);
         totals = recounted;
     }
-    Ok(BottleneckResult { b, removed, congestion_before, congestion_after })
+    Ok(BottleneckResult { b, trees, congestion_before, congestion_after })
 }
 
 #[cfg(test)]
@@ -114,7 +115,9 @@ mod tests {
     fn counts_are_subtree_sizes() {
         let g = gnm_connected(14, 28, true, WeightDist::Uniform(0, 5), 3);
         let (topo, coll) = in_coll(&g, &[2, 9], 3);
-        let (totals, _) = subtree_sums(&topo, SimConfig::default(), &coll, |_, _| true).unwrap();
+        let mut trees = TreeState::new(14);
+        let (totals, _) =
+            subtree_sums(&topo, SimConfig::default(), &coll, &mut trees, |_, _| true).unwrap();
         for v in 0..14u32 {
             // oracle: descendants incl self, over the trees where v has a
             // parent

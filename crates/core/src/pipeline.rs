@@ -283,7 +283,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
     // ---------------- Algorithm 9 (near case) ----------------
     // Step 1: bottleneck nodes with the paper's n√|Q| threshold.
     let threshold = ((n as f64) * (q.len() as f64).sqrt()).ceil() as u64;
-    let BottleneckResult { b, removed, congestion_before, congestion_after } =
+    let BottleneckResult { b, trees, congestion_before, congestion_after } =
         compute_bottlenecks(topo, sim, &cq, threshold, rec)?;
     stats.b_size = b.len();
     stats.congestion_before = congestion_before;
@@ -298,7 +298,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
             let nbrs = topo.neighbors(v as NodeId);
             let parent_ni: Vec<Option<usize>> = (0..q.len())
                 .map(|qi| {
-                    if removed.get(v as NodeId, qi) {
+                    if trees.removed(v as NodeId, qi) {
                         None
                     } else {
                         cq.parent(v as NodeId, qi)
@@ -312,7 +312,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
                 let vn = v as NodeId;
                 if vn != c
                     && cq.is_member(vn, qi)
-                    && !removed.get(vn, qi)
+                    && !trees.removed(vn, qi)
                     && !dvals.dist[v][qi].is_inf()
                 {
                     queues[qi].push_back((vn, dvals.dist[v][qi], dvals.first_at(v, qi)));

@@ -101,11 +101,11 @@ fn per_step_counts_are_pinned() {
             Algorithm::Ar20,
             &[
                 ("step1", [1216, 9408, 20586]),
-                ("step2", [2804, 69389, 108323]),
+                ("step2", [2730, 46120, 85054]),
                 ("step3", [54, 284, 468]),
                 ("step4", [33, 1575, 4725]),
                 ("step5", [0, 0, 0]),
-                ("step6", [2064, 35544, 87189]),
+                ("step6", [2039, 34392, 86037]),
                 ("step7", [384, 10973, 28633]),
             ],
             (
@@ -120,7 +120,7 @@ fn per_step_counts_are_pinned() {
             Algorithm::Ar18,
             &[
                 ("step1", [2240, 13528, 29666]),
-                ("step2", [522, 20396, 29216]),
+                ("step2", [495, 12502, 21322]),
                 ("step3", [650, 1890, 3780]),
                 ("step4", [316, 20160, 60480]),
                 ("step5", [0, 0, 0]),
@@ -133,11 +133,11 @@ fn per_step_counts_are_pinned() {
             Algorithm::Ar20,
             &[
                 ("step1", [1216, 51764, 123532]),
-                ("step2", [4419, 343608, 567034]),
+                ("step2", [3487, 256130, 479556]),
                 ("step3", [120, 5124, 9051]),
                 ("step4", [393, 74153, 222459]),
                 ("step5", [0, 0, 0]),
-                ("step6", [1990, 28699, 57930]),
+                ("step6", [1974, 28531, 57762]),
                 ("step7", [384, 17516, 50554]),
             ],
             (
@@ -152,7 +152,7 @@ fn per_step_counts_are_pinned() {
             Algorithm::Ar18,
             &[
                 ("step1", [2240, 52208, 124880]),
-                ("step2", [538, 39474, 61394]),
+                ("step2", [328, 27264, 49184]),
                 ("step3", [390, 2713, 6230]),
                 ("step4", [190, 36495, 109485]),
                 ("step5", [0, 0, 0]),

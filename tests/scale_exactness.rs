@@ -1,0 +1,78 @@
+//! Exactness at n = 512, where blockers fire and Step 6 carries real load:
+//! Ar20, Ar18 and Naive against Dijkstra on a hop-deep graph and on a
+//! sparse weighted digraph, with every pair's successor chain walked edge
+//! by edge. The tier-1 exactness suites stay at n ≤ 64, so these run
+//! separately, in release:
+//!
+//! ```text
+//! cargo test --release --test scale_exactness -- --ignored --nocapture
+//! ```
+//!
+//! Zero-weight families are left out until equal-weight routes break
+//! their ties by a rule every source shares: their successor planes can
+//! hold cycles although every distance is exact.
+
+use congest_apsp::{Algorithm, Solver};
+use congest_bench::workloads::hop_deep;
+use congest_graph::generators::{gnm_connected, WeightDist};
+use congest_graph::seq::apsp_dijkstra;
+use congest_graph::{DistMatrix, Graph, NodeId, Weight};
+use std::time::Instant;
+
+/// Every reachable pair's successor walk reaches its target along graph
+/// edges whose weights sum to the distance.
+fn assert_walkable(g: &Graph<u64>, dist: &DistMatrix<u64>, alg: Algorithm) {
+    let n = g.n() as NodeId;
+    for u in 0..n {
+        for v in 0..n {
+            let d = dist[u as usize][v as usize];
+            if u == v || d.is_inf() {
+                continue;
+            }
+            let (mut at, mut total) = (u, 0);
+            for _ in 0..n {
+                if at == v {
+                    break;
+                }
+                let next =
+                    dist.successor(at, v).unwrap_or_else(|| panic!("{alg:?}: ({u}, {v}) stops"));
+                let w = g.out_edges(at).filter(|&(t, _)| t == next).map(|(_, w)| w).min();
+                total += w.unwrap_or_else(|| panic!("{alg:?}: ({u}, {v}): {at} -> {next} no edge"));
+                at = next;
+            }
+            assert_eq!((at, total), (v, d), "{alg:?}: successor walk ({u}, {v})");
+        }
+    }
+}
+
+/// Runs the three algorithms on `g`, checks each against Dijkstra and
+/// walks its successor plane.
+fn check(name: &str, g: &Graph<u64>) {
+    let oracle = apsp_dijkstra(g);
+    for alg in [Algorithm::Ar20, Algorithm::Ar18, Algorithm::Naive] {
+        let t = Instant::now();
+        let out = Solver::builder(g).algorithm(alg).run().unwrap();
+        let solve_s = t.elapsed().as_secs_f64();
+        assert_eq!(out.dist, oracle, "{name} {alg:?}");
+        assert_walkable(g, &out.dist, alg);
+        println!(
+            "{name} {alg:?}: |Q| = {}, {} rounds, {} messages, solve {solve_s:.1} s, exact",
+            out.meta.q.len(),
+            out.recorder.total_rounds(),
+            out.recorder.total_messages()
+        );
+    }
+}
+
+#[test]
+#[ignore = "n = 512 in release: run with --ignored"]
+fn hop_deep_512_is_exact() {
+    check("hop_deep(512, 1)", &hop_deep(512, 1));
+}
+
+#[test]
+#[ignore = "n = 512 in release: run with --ignored"]
+fn gnm_512_is_exact() {
+    let g = gnm_connected(512, 1024, true, WeightDist::Uniform(1, 100), 1);
+    check("gnm_connected(512, 1024)", &g);
+}
