@@ -1,22 +1,27 @@
 //! Experiment implementations T1–T5 / F2–F4, one function per id;
 //! [`run`] dispatches by id, and [`ExperimentOutput::persist`] writes each
 //! result's CSV to `results/<id>.csv`.
+//!
+//! A tabular experiment states its columns once and pushes each row's
+//! cells once, and its `Table` writes them both padded for stdout and
+//! comma-separated for the CSV, so the two renderings cannot drift.
 
 use crate::stats::fit_exponent;
 use crate::workloads::{hop_deep, sparse_random};
+use congest_apsp::bf::run_bf;
 use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx, Selection};
 use congest_apsp::config::BlockerParams;
 use congest_apsp::csssp::{build_csssp, SsspCollection};
 use congest_apsp::pipeline::{
-    propagate_to_blockers, propagate_to_blockers_with, propagate_trivial_broadcast, PushDiscipline,
-    RoutedTable,
+    propagate_to_blockers_with, propagate_trivial_broadcast, PushDiscipline, RoutedTable,
+    Step6Stats,
 };
-use congest_apsp::{Algorithm, ApspConfig, BlockerMethod, Charging, Solver};
+use congest_apsp::{Algorithm, ApspConfig, BlockerMethod, Charging, Solver, SolverBuilder};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, dijkstra, Direction};
-use congest_graph::{DistMatrix, NodeId};
+use congest_graph::{DistMatrix, Graph, NodeId};
 use congest_sim::{Recorder, SimConfig, Topology};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::fs;
 
 /// Output of one experiment: a rendered text table plus CSV lines.
@@ -42,6 +47,144 @@ impl ExperimentOutput {
     }
 }
 
+/// One column of a [`Table`].
+struct Col {
+    /// Header on stdout. An empty header keeps the column off stdout; `|`
+    /// is a stdout-only separator that takes no cell.
+    head: &'static str,
+    /// Name in the CSV header; `None` keeps the column off the CSV.
+    csv: Option<&'static str>,
+    /// Width on stdout: right-aligned, or left-aligned when negative.
+    width: i8,
+}
+
+impl Col {
+    fn pad(&self, cell: &str) -> String {
+        let w = usize::from(self.width.unsigned_abs());
+        if self.width < 0 {
+            format!("{cell:<w$}")
+        } else {
+            format!("{cell:>w$}")
+        }
+    }
+}
+
+/// A column on both renderings.
+const fn col(head: &'static str, csv: &'static str, width: i8) -> Col {
+    Col { head, csv: Some(csv), width }
+}
+
+/// A `|` between column groups on stdout.
+const BAR: Col = Col { head: "|", csv: None, width: 1 };
+
+/// One experiment's stdout text and CSV, both written from the same cells.
+struct Table {
+    cols: &'static [Col],
+    text: String,
+    csv: String,
+}
+
+impl Table {
+    /// Starts a table: `title` and a header line on stdout, a header row in the CSV.
+    fn new(title: &str, cols: &'static [Col]) -> Table {
+        let heads: Vec<String> =
+            cols.iter().filter(|c| !c.head.is_empty()).map(|c| c.pad(c.head)).collect();
+        let names: Vec<&str> = cols.iter().filter_map(|c| c.csv).collect();
+        Table { cols, text: format!("{title}\n{}\n", heads.join(" ")), csv: names.join(",") + "\n" }
+    }
+
+    /// Appends one row: a cell per column, `|` separators excluded.
+    fn row(&mut self, cells: &[&dyn Display]) {
+        let mut cells = cells.iter();
+        let (mut text, mut csv) = (Vec::new(), Vec::new());
+        for c in self.cols {
+            let cell = match c.head {
+                "|" => "|".to_string(),
+                _ => cells.next().expect("a cell per column").to_string(),
+            };
+            if !c.head.is_empty() {
+                text.push(c.pad(&cell));
+            }
+            if c.csv.is_some() {
+                csv.push(cell);
+            }
+        }
+        assert!(cells.next().is_none(), "more cells than columns");
+        self.text += &(text.join(" ") + "\n");
+        self.csv += &(csv.join(",") + "\n");
+    }
+
+    fn finish(self, id: &'static str) -> ExperimentOutput {
+        ExperimentOutput { id, table: self.text, csv: self.csv }
+    }
+}
+
+/// Runs `solver`, asserts that its distances equal Dijkstra's `oracle`,
+/// and returns its rounds and |Q|.
+fn solved(oracle: &DistMatrix<u64>, solver: SolverBuilder<'_, u64>) -> (u64, usize) {
+    let solver = solver.build();
+    let out = solver.run().unwrap();
+    assert_eq!(out.dist, *oracle, "{:?}", solver.algorithm());
+    (out.recorder.total_rounds(), out.meta.q.len())
+}
+
+/// The h-hop CSSSP of every source of `g`, out-direction, fault-free.
+fn all_sources_csssp(g: &Graph<u64>, h: usize) -> (Topology, SsspCollection<u64>) {
+    let topo = Topology::from_graph(g);
+    let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+    let coll = build_csssp(
+        g,
+        &topo,
+        &sources,
+        h,
+        Direction::Out,
+        SimConfig::default(),
+        Charging::Quiesce,
+        &mut Recorder::new(),
+        &mut congest_apsp::Recovery::disabled(),
+        "csssp",
+    )
+    .unwrap();
+    (topo, coll)
+}
+
+/// Builds a blocker set for `coll` with `method` (the randomized one at
+/// seed 7), asserts that it covers every full path, and returns |Q| and
+/// its rounds.
+fn blocker(topo: &Topology, coll: &SsspCollection<u64>, method: BlockerMethod) -> (usize, u64) {
+    let (mut rec, sim) = (Recorder::new(), SimConfig::default());
+    let mut alg2 = |sel| {
+        alg2_blocker(topo, sim, coll, BlockerParams::default(), sel, &mut rec).map(|(q, _)| q)
+    };
+    let q = match method {
+        BlockerMethod::Randomized => alg2(Selection::Randomized { seed: 7 }),
+        BlockerMethod::Derandomized => alg2(Selection::Derandomized),
+        BlockerMethod::Greedy => greedy_blocker(topo, sim, coll, &mut rec),
+    }
+    .unwrap();
+    assert!(is_valid_blocker(coll, &q), "{method:?}");
+    (q.len(), rec.total_rounds())
+}
+
+/// Runs Step 6 under queue discipline `d` on the input an exact Step 5
+/// leaves (δ(x, c) at every x for each blocker c in `q`, from Dijkstra),
+/// and asserts that every blocker receives its exact in-distances.
+/// Returns that input, the stats and the rounds.
+fn step6(g: &Graph<u64>, q: &[NodeId], d: PushDiscipline) -> (RoutedTable<u64>, Step6Stats, u64) {
+    let exact = apsp_dijkstra(g);
+    let dvals = RoutedTable::new(DistMatrix::from_rows(
+        (0..g.n()).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
+    ));
+    let (topo, cfg, sim, mut rec) =
+        (Topology::from_graph(g), ApspConfig::default(), SimConfig::default(), Recorder::new());
+    let (out, stats) =
+        propagate_to_blockers_with(g, &topo, &cfg, sim, q, &dvals, d, &mut rec).unwrap();
+    for (qi, &c) in q.iter().enumerate() {
+        assert_eq!(&out.dist[qi], &dijkstra(g, c, Direction::In)[..], "delivery to {c}");
+    }
+    (dvals, stats, rec.total_rounds())
+}
+
 /// n values for the scaling sweeps; kept modest so `experiments all`
 /// finishes in minutes. Pass `--big` for the extended sweep.
 #[must_use]
@@ -53,102 +196,71 @@ pub fn t1_sizes(big: bool) -> Vec<usize> {
     }
 }
 
+/// Least-squares exponent of each series of `rounds` against n.
+fn exponents<const K: usize>(rounds: &[(usize, [u64; K])]) -> [f64; K] {
+    std::array::from_fn(|i| {
+        fit_exponent(&rounds.iter().map(|(n, r)| (*n as f64, r[i] as f64)).collect::<Vec<_>>())
+    })
+}
+
 /// T1 — the empiricized Table 1: measured rounds per algorithm vs n.
 #[must_use]
 pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
-    let mut table = String::new();
-    let mut csv = String::from("n,paper_det,paper_rand,ar18,naive,q_paper,q_ar18\n");
-    let _ = writeln!(
-        table,
-        "T1 (Table 1 empiricized): measured rounds, {charging:?} charging, G(n, m=3n) weighted digraphs"
+    const COLS: &[Col] = &[
+        col("n", "n", 5),
+        col("this-paper", "paper_det", 12),
+        col("paper-rand", "paper_rand", 12),
+        col("AR18 n^1.5", "ar18", 12),
+        col("naive", "naive", 12),
+        col("|Q|paper", "q_paper", 9),
+        col("|Q|ar18", "q_ar18", 9),
+    ];
+    let mut t = Table::new(
+        &format!(
+            "T1 (Table 1 empiricized): measured rounds, {charging:?} charging, G(n, m=3n) weighted digraphs"
+        ),
+        COLS,
     );
-    let _ = writeln!(
-        table,
-        "{:>5} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "n", "this-paper", "paper-rand", "AR18 n^1.5", "naive", "|Q|paper", "|Q|ar18"
-    );
-    let mut rows: Vec<(usize, u64, u64, u64, u64)> = Vec::new();
+    let mut rows: Vec<(usize, [u64; 4])> = Vec::new();
     for n in t1_sizes(big) {
         let g = sparse_random(n, 1000 + n as u64);
-        let cfg = ApspConfig { charging, ..Default::default() };
         let oracle = apsp_dijkstra(&g);
-        let paper = Solver::builder(&g).config(cfg).run().unwrap();
-        assert_eq!(paper.dist, oracle);
-        let rand = Solver::builder(&g)
-            .config(cfg)
-            .blocker_method(BlockerMethod::Randomized)
-            .run()
-            .unwrap();
-        assert_eq!(rand.dist, oracle);
-        let ar18 = Solver::builder(&g).config(cfg).algorithm(Algorithm::Ar18).run().unwrap();
-        assert_eq!(ar18.dist, oracle);
-        let naive = Solver::builder(&g).config(cfg).algorithm(Algorithm::Naive).run().unwrap();
-        assert_eq!(naive.dist, oracle);
-        let row = (
-            n,
-            paper.recorder.total_rounds(),
-            rand.recorder.total_rounds(),
-            ar18.recorder.total_rounds(),
-            naive.recorder.total_rounds(),
-        );
-        let _ = writeln!(
-            table,
-            "{:>5} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
-            row.0,
-            row.1,
-            row.2,
-            row.3,
-            row.4,
-            paper.meta.q.len(),
-            ar18.meta.q.len()
-        );
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{},{}",
-            row.0,
-            row.1,
-            row.2,
-            row.3,
-            row.4,
-            paper.meta.q.len(),
-            ar18.meta.q.len()
-        );
-        rows.push(row);
+        let run = |b: SolverBuilder<'_, u64>| solved(&oracle, b.charging(charging));
+        let (paper, q_paper) = run(Solver::builder(&g));
+        let (rand, _) = run(Solver::builder(&g).blocker_method(BlockerMethod::Randomized));
+        let (ar18, q_ar18) = run(Solver::builder(&g).algorithm(Algorithm::Ar18));
+        let (naive, _) = run(Solver::builder(&g).algorithm(Algorithm::Naive));
+        t.row(&[&n, &paper, &rand, &ar18, &naive, &q_paper, &q_ar18]);
+        rows.push((n, [paper, rand, ar18, naive]));
     }
-    type Row5 = (usize, u64, u64, u64, u64);
-    let fit = |f: &dyn Fn(&Row5) -> u64| {
-        fit_exponent(&rows.iter().map(|r| (r.0 as f64, f(r) as f64)).collect::<Vec<_>>())
-    };
-    let (e_paper, e_rand, e_ar, e_naive) =
-        (fit(&|r| r.1), fit(&|r| r.2), fit(&|r| r.3), fit(&|r| r.4));
-    let _ = writeln!(table, "\nfitted exponents (bounds: 4/3 ≈ 1.33 | 4/3 | 3/2 | 2):");
+    let [e_paper, e_rand, e_ar, e_naive] = exponents(&rows);
+    let _ = writeln!(t.text, "\nfitted exponents (bounds: 4/3 ≈ 1.33 | 4/3 | 3/2 | 2):");
     let _ = writeln!(
-        table,
+        t.text,
         "  this-paper {e_paper:.2} | paper-rand {e_rand:.2} | AR18 {e_ar:.2} | naive {e_naive:.2}"
     );
     let mut order = [("this-paper", e_paper), ("AR18", e_ar), ("naive", e_naive)];
     order.sort_by(|a, b| a.1.total_cmp(&b.1));
     let order = order.map(|(name, _)| name).join(" < ");
     let _ = writeln!(
-        table,
+        t.text,
         "  (Õ hides polylog factors which inflate small-n fits; fitted order {order}, where the bounds give this-paper < AR18 < naive)"
     );
     // projected crossover paper vs AR18 from the fitted power laws
     if e_ar > e_paper {
-        let last = rows.last().unwrap();
-        let c_paper = last.1 as f64 / (last.0 as f64).powf(e_paper);
-        let c_ar = last.3 as f64 / (last.0 as f64).powf(e_ar);
+        let (n, r) = rows.last().unwrap();
+        let c_paper = r[0] as f64 / (*n as f64).powf(e_paper);
+        let c_ar = r[2] as f64 / (*n as f64).powf(e_ar);
         let cross = (c_paper / c_ar).powf(1.0 / (e_ar - e_paper));
         let _ = writeln!(
-            table,
+            t.text,
             "  projected paper-vs-AR18 crossover at n ≈ {cross:.0} (beyond simulable range, as the paper's polylog constants predict)"
         );
     }
-    let id = match charging {
+    t.finish(match charging {
         Charging::Quiesce => "t1",
         Charging::WorstCase => "t1wc",
-    };
-    ExperimentOutput { id, table, csv }
+    })
 }
 
 /// T1-deep — the same comparison on hop-deep workloads (brooms), where
@@ -156,319 +268,166 @@ pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
 /// load; this is the regime the paper's worst-case bounds describe.
 #[must_use]
 pub fn t1_deep(big: bool) -> ExperimentOutput {
-    let mut table = String::new();
-    let mut csv = String::from("n,paper_det,ar18,naive,q_paper,q_ar18\n");
-    let _ = writeln!(
-        table,
-        "T1-deep: measured rounds on hop-deep brooms (full-length paths force real blocker sets)"
+    const COLS: &[Col] = &[
+        col("n", "n", 5),
+        col("this-paper", "paper_det", 12),
+        col("AR18 n^1.5", "ar18", 12),
+        col("naive", "naive", 12),
+        col("|Q|paper", "q_paper", 9),
+        col("|Q|ar18", "q_ar18", 9),
+    ];
+    let mut t = Table::new(
+        "T1-deep: measured rounds on hop-deep brooms (full-length paths force real blocker sets)",
+        COLS,
     );
-    let _ = writeln!(
-        table,
-        "{:>5} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "n", "this-paper", "AR18 n^1.5", "naive", "|Q|paper", "|Q|ar18"
-    );
-    let mut rows: Vec<(usize, u64, u64, u64)> = Vec::new();
+    let mut rows: Vec<(usize, [u64; 3])> = Vec::new();
     for n in t1_sizes(big) {
         let g = hop_deep(n, 2000 + n as u64);
         let oracle = apsp_dijkstra(&g);
-        let paper = Solver::builder(&g).run().unwrap();
-        assert_eq!(paper.dist, oracle);
-        let ar18 = Solver::builder(&g).algorithm(Algorithm::Ar18).run().unwrap();
-        assert_eq!(ar18.dist, oracle);
-        let naive = Solver::builder(&g).algorithm(Algorithm::Naive).run().unwrap();
-        assert_eq!(naive.dist, oracle);
-        let row = (
-            n,
-            paper.recorder.total_rounds(),
-            ar18.recorder.total_rounds(),
-            naive.recorder.total_rounds(),
-        );
-        let _ = writeln!(
-            table,
-            "{:>5} {:>12} {:>12} {:>12} {:>9} {:>9}",
-            row.0,
-            row.1,
-            row.2,
-            row.3,
-            paper.meta.q.len(),
-            ar18.meta.q.len()
-        );
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{}",
-            row.0,
-            row.1,
-            row.2,
-            row.3,
-            paper.meta.q.len(),
-            ar18.meta.q.len()
-        );
-        rows.push(row);
+        let (paper, q_paper) = solved(&oracle, Solver::builder(&g));
+        let (ar18, q_ar18) = solved(&oracle, Solver::builder(&g).algorithm(Algorithm::Ar18));
+        let (naive, _) = solved(&oracle, Solver::builder(&g).algorithm(Algorithm::Naive));
+        t.row(&[&n, &paper, &ar18, &naive, &q_paper, &q_ar18]);
+        rows.push((n, [paper, ar18, naive]));
     }
-    type Row4 = (usize, u64, u64, u64);
-    let fit = |f: &dyn Fn(&Row4) -> u64| {
-        fit_exponent(&rows.iter().map(|r| (r.0 as f64, f(r) as f64)).collect::<Vec<_>>())
-    };
+    let [e_paper, e_ar, e_naive] = exponents(&rows);
     let _ = writeln!(
-        table,
-        "\nfitted exponents: this-paper {:.2} (Õ(n^4/3)) | AR18 {:.2} (Õ(n^3/2)) | naive {:.2} (O(n^2))",
-        fit(&|r| r.1),
-        fit(&|r| r.2),
-        fit(&|r| r.3)
+        t.text,
+        "\nfitted exponents: this-paper {e_paper:.2} (Õ(n^4/3)) | AR18 {e_ar:.2} (Õ(n^3/2)) | naive {e_naive:.2} (O(n^2))"
     );
-    ExperimentOutput { id: "t1deep", table, csv }
+    t.finish("t1deep")
 }
 
 /// T2 — blocker constructions: size and rounds, greedy \[2\] vs Algorithm 2
 /// vs Algorithm 2′, on a hop-deep workload, h sweep.
 #[must_use]
 pub fn t2(n: usize) -> ExperimentOutput {
-    let mut table = String::new();
-    let mut csv =
-        String::from("h,paths,greedy_q,greedy_rounds,rand_q,rand_rounds,det_q,det_rounds,bound\n");
-    let _ = writeln!(
-        table,
-        "T2: blocker set constructions on broom(n={n}) — Lemma 3.10/3.11 vs the [2] baseline"
-    );
-    let _ = writeln!(
-        table,
-        "{:>3} {:>7} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>9}",
-        "h", "paths", "greedy|Q|", "rounds", "rand|Q|", "rounds", "det|Q|", "rounds", "O(n ln p/h)"
+    const COLS: &[Col] = &[
+        col("h", "h", 3),
+        col("paths", "paths", 7),
+        BAR,
+        col("greedy|Q|", "greedy_q", 8),
+        col("rounds", "greedy_rounds", 9),
+        BAR,
+        col("rand|Q|", "rand_q", 8),
+        col("rounds", "rand_rounds", 9),
+        BAR,
+        col("det|Q|", "det_q", 8),
+        col("rounds", "det_rounds", 9),
+        BAR,
+        col("O(n ln p/h)", "bound", 9),
+    ];
+    let mut t = Table::new(
+        &format!(
+            "T2: blocker set constructions on broom(n={n}) — Lemma 3.10/3.11 vs the [2] baseline"
+        ),
+        COLS,
     );
     let g = hop_deep(n, 5);
-    let topo = Topology::from_graph(&g);
-    let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
     for h in [2usize, 3, 4, 6, 8] {
-        let mut rec = Recorder::new();
-        let coll = build_csssp(
-            &g,
-            &topo,
-            &sources,
-            h,
-            Direction::Out,
-            SimConfig::default(),
-            Charging::Quiesce,
-            &mut rec,
-            &mut congest_apsp::Recovery::disabled(),
-            "csssp",
-        )
-        .unwrap();
-        let (ctx, _) = PathCtx::build(&topo, SimConfig::default(), &coll).unwrap();
-        let paths = ctx.alive_count();
-
-        let mut grec = Recorder::new();
-        let gres = greedy_blocker(&topo, SimConfig::default(), &coll, &mut grec).unwrap();
-        assert!(is_valid_blocker(&coll, &gres));
-
-        let mut rrec = Recorder::new();
-        let (rres, _) = alg2_blocker(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            BlockerParams::default(),
-            Selection::Randomized { seed: 7 },
-            &mut rrec,
-        )
-        .unwrap();
-        assert!(is_valid_blocker(&coll, &rres));
-
-        let mut drec = Recorder::new();
-        let (dres, _) = alg2_blocker(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            BlockerParams::default(),
-            Selection::Derandomized,
-            &mut drec,
-        )
-        .unwrap();
-        assert!(is_valid_blocker(&coll, &dres));
-
+        let (topo, coll) = all_sources_csssp(&g, h);
+        let paths = PathCtx::build(&topo, SimConfig::default(), &coll).unwrap().0.alive_count();
+        let (greedy_q, greedy_rounds) = blocker(&topo, &coll, BlockerMethod::Greedy);
+        let (rand_q, rand_rounds) = blocker(&topo, &coll, BlockerMethod::Randomized);
+        let (det_q, det_rounds) = blocker(&topo, &coll, BlockerMethod::Derandomized);
         let bound = (n as f64) * (paths.max(2) as f64).ln() / h as f64;
         // Lemma 3.10: Algorithm 2/2′ pick O((n/h)·ln p) nodes. Every
         // instance here clears the bound with constant 1 at least 3×, so
         // this pins the lemma's shape, not a constant.
-        for (sel, q) in [("Algorithm 2", rres.len()), ("Algorithm 2′", dres.len())] {
+        for (sel, q) in [("Algorithm 2", rand_q), ("Algorithm 2′", det_q)] {
             assert!(q as f64 <= bound, "h = {h}: {sel} |Q| = {q} above (n/h)·ln p = {bound:.1}");
         }
-        let _ = writeln!(
-            table,
-            "{:>3} {:>7} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>9.1}",
-            h,
-            paths,
-            gres.len(),
-            grec.total_rounds(),
-            rres.len(),
-            rrec.total_rounds(),
-            dres.len(),
-            drec.total_rounds(),
-            bound
-        );
-        let _ = writeln!(
-            csv,
-            "{h},{paths},{},{},{},{},{},{},{bound:.1}",
-            gres.len(),
-            grec.total_rounds(),
-            rres.len(),
-            rrec.total_rounds(),
-            dres.len(),
-            drec.total_rounds()
-        );
+        t.row(&[
+            &h,
+            &paths,
+            &greedy_q,
+            &greedy_rounds,
+            &rand_q,
+            &rand_rounds,
+            &det_q,
+            &det_rounds,
+            &format!("{bound:.1}"),
+        ]);
     }
-    ExperimentOutput { id: "t2", table, csv }
+    t.finish("t2")
 }
 
 /// F2 — the n·|Q| term: blocker rounds vs n at fixed h, greedy vs Alg 2′.
 #[must_use]
 pub fn f2() -> ExperimentOutput {
-    let mut table = String::new();
-    let mut csv = String::from("n,q,greedy_rounds,det_rounds,greedy_per_q,det_per_q\n");
-    let _ = writeln!(
-        table,
-        "F2: rounds vs n at h=3 on brooms — greedy pays O(n) per blocker node, Alg 2' does not"
-    );
-    let _ = writeln!(
-        table,
-        "{:>5} {:>5} {:>13} {:>13} {:>12} {:>12}",
-        "n", "|Q|", "greedy", "Alg2'", "greedy/|Q|", "Alg2'/|Q|"
+    const COLS: &[Col] = &[
+        col("n", "n", 5),
+        col("|Q|", "q", 5),
+        col("greedy", "greedy_rounds", 13),
+        col("Alg2'", "det_rounds", 13),
+        col("greedy/|Q|", "greedy_per_q", 12),
+        col("Alg2'/|Q|", "det_per_q", 12),
+    ];
+    let mut t = Table::new(
+        "F2: rounds vs n at h=3 on brooms — rounds per blocker node grow with n for greedy and Alg 2' alike; Alg 2' pays more per node",
+        COLS,
     );
     for n in [24usize, 40, 56, 80, 104] {
-        let g = hop_deep(n, 5);
-        let topo = Topology::from_graph(&g);
-        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let mut rec = Recorder::new();
-        let coll = build_csssp(
-            &g,
-            &topo,
-            &sources,
-            3,
-            Direction::Out,
-            SimConfig::default(),
-            Charging::Quiesce,
-            &mut rec,
-            &mut congest_apsp::Recovery::disabled(),
-            "csssp",
-        )
-        .unwrap();
-        let mut grec = Recorder::new();
-        let gres = greedy_blocker(&topo, SimConfig::default(), &coll, &mut grec).unwrap();
-        let mut drec = Recorder::new();
-        let (dres, _) = alg2_blocker(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            BlockerParams::default(),
-            Selection::Derandomized,
-            &mut drec,
-        )
-        .unwrap();
-        let q = gres.len().max(1) as u64;
-        let dq = dres.len().max(1) as u64;
-        let _ = writeln!(
-            table,
-            "{:>5} {:>5} {:>13} {:>13} {:>12} {:>12}",
-            n,
-            gres.len(),
-            grec.total_rounds(),
-            drec.total_rounds(),
-            grec.total_rounds() / q,
-            drec.total_rounds() / dq
-        );
-        let _ = writeln!(
-            csv,
-            "{n},{},{},{},{},{}",
-            gres.len(),
-            grec.total_rounds(),
-            drec.total_rounds(),
-            grec.total_rounds() / q,
-            drec.total_rounds() / dq
-        );
+        let (topo, coll) = all_sources_csssp(&hop_deep(n, 5), 3);
+        let (q, greedy) = blocker(&topo, &coll, BlockerMethod::Greedy);
+        let (det_q, det) = blocker(&topo, &coll, BlockerMethod::Derandomized);
+        let per_q = |rounds: u64, q: usize| rounds / q.max(1) as u64;
+        t.row(&[&n, &q, &greedy, &det, &per_q(greedy, q), &per_q(det, det_q)]);
     }
-    ExperimentOutput { id: "f2", table, csv }
+    t.finish("f2")
 }
 
 /// T3 — Step 6: pipelined Algorithms 8+9 vs trivial broadcast, plus the
 /// Lemma A.15/A.16 congestion and |B| bounds.
 #[must_use]
 pub fn t3() -> ExperimentOutput {
-    let mut table = String::new();
-    let mut csv = String::from(
-        "workload_n,q,pipe_rounds,trivial_rounds,cong_before,cong_after,threshold,b,sqrt_q,q_prime\n",
-    );
-    let _ = writeln!(
-        table,
-        "T3: reversed q-sink propagation (Step 6), |Q| = n/5 blockers, exact inputs"
-    );
-    let _ = writeln!(
-        table,
-        "{:>10} {:>4} {:>11} {:>13} {:>11} {:>10} {:>10} {:>4} {:>7} {:>5}",
-        "workload/n",
-        "|Q|",
-        "pipelined",
-        "trivial",
-        "cong-pre",
-        "cong-post",
-        "n√|Q|",
-        "|B|",
-        "√|Q|",
-        "|Q'|"
+    const COLS: &[Col] = &[
+        // stdout pads the workload and n apart; the CSV joins them with '-'
+        Col { head: "workload/n", csv: None, width: 10 },
+        Col { head: "", csv: Some("workload_n"), width: 0 },
+        col("|Q|", "q", 4),
+        col("pipelined", "pipe_rounds", 11),
+        col("trivial", "trivial_rounds", 13),
+        col("cong-pre", "cong_before", 11),
+        col("cong-post", "cong_after", 10),
+        col("n√|Q|", "threshold", 10),
+        col("|B|", "b", 4),
+        col("√|Q|", "sqrt_q", 7),
+        col("|Q'|", "q_prime", 5),
+    ];
+    let mut t = Table::new(
+        "T3: reversed q-sink propagation (Step 6), |Q| = n/5 blockers, exact inputs",
+        COLS,
     );
     for (wname, n) in
         [("rand", 24usize), ("rand", 56), ("rand", 104), ("deep", 24), ("deep", 56), ("deep", 104)]
     {
-        let g = if wname == "rand" {
-            sparse_random(n, 400 + n as u64)
-        } else {
-            hop_deep(n, 400 + n as u64)
-        };
-        let topo = Topology::from_graph(&g);
-        let cfg = ApspConfig::default();
+        let seed = 400 + n as u64;
+        let g = if wname == "rand" { sparse_random(n, seed) } else { hop_deep(n, seed) };
         let q: Vec<NodeId> = (0..n as NodeId).step_by(5).collect();
-        let exact = apsp_dijkstra(&g);
-        let dvals = RoutedTable::new(DistMatrix::from_rows(
-            (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
-        ));
-        let mut rec = Recorder::new();
-        let (out, stats) =
-            propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
-                .unwrap();
-        for (qi, &c) in q.iter().enumerate() {
-            assert_eq!(&out.dist[qi], &dijkstra(&g, c, Direction::In)[..], "delivery to {c}");
-        }
-        let mut trec = Recorder::new();
+        let (dvals, stats, rounds) = step6(&g, &q, PushDiscipline::RoundRobin);
+        let (topo, mut trec) = (Topology::from_graph(&g), Recorder::new());
         let _ = propagate_trivial_broadcast(&topo, SimConfig::default(), &q, &dvals, &mut trec)
             .unwrap();
         let threshold = (n as f64 * (q.len() as f64).sqrt()).ceil() as u64;
         let sq = (q.len() as f64).sqrt();
         assert!(stats.congestion_after <= threshold);
         assert!(stats.b_size as f64 <= sq + 1.0);
-        let _ = writeln!(
-            table,
-            "{wname:>5}{:>5} {:>4} {:>11} {:>13} {:>11} {:>10} {:>10} {:>4} {:>7.1} {:>5}",
-            n,
-            q.len(),
-            rec.total_rounds(),
-            trec.total_rounds(),
-            stats.congestion_before,
-            stats.congestion_after,
-            threshold,
-            stats.b_size,
-            sq,
-            stats.q_prime_size
-        );
-        let _ = writeln!(
-            csv,
-            "{wname}-{n},{},{},{},{},{},{threshold},{},{sq:.1},{}",
-            q.len(),
-            rec.total_rounds(),
-            trec.total_rounds(),
-            stats.congestion_before,
-            stats.congestion_after,
-            stats.b_size,
-            stats.q_prime_size
-        );
+        t.row(&[
+            &format!("{wname:>5}{n:>5}"),
+            &format!("{wname}-{n}"),
+            &q.len(),
+            &rounds,
+            &trec.total_rounds(),
+            &stats.congestion_before,
+            &stats.congestion_after,
+            &threshold,
+            &stats.b_size,
+            &format!("{sq:.1}"),
+            &stats.q_prime_size,
+        ]);
     }
-    ExperimentOutput { id: "t3", table, csv }
+    t.finish("t3")
 }
 
 /// F3 — Lemma 4.6/4.8 progress measure: the max per-node count of active
@@ -477,17 +436,8 @@ pub fn t3() -> ExperimentOutput {
 pub fn f3() -> ExperimentOutput {
     let n = 104;
     let g = sparse_random(n, 17);
-    let topo = Topology::from_graph(&g);
-    let cfg = ApspConfig::default();
     let q: Vec<NodeId> = (0..n as NodeId).step_by(4).collect();
-    let exact = apsp_dijkstra(&g);
-    let dvals = RoutedTable::new(DistMatrix::from_rows(
-        (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
-    ));
-    let mut rec = Recorder::new();
-    let (_, stats) =
-        propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
-            .unwrap();
+    let (_, stats, _) = step6(&g, &q, PushDiscipline::RoundRobin);
     let mut table = String::new();
     let mut csv = String::from("round,max_active_queues\n");
     let _ = writeln!(
@@ -512,16 +462,20 @@ pub fn f3() -> ExperimentOutput {
 #[must_use]
 pub fn t4() -> ExperimentOutput {
     use congest_derand::{brs_cover, BrsParams, Hypergraph};
-    let mut table = String::new();
-    let mut csv = String::from("groups,steps,set_picks,points_examined,points_per_set,fallbacks\n");
-    let _ = writeln!(
-        table,
-        "T4: good-set sampling (Lemma 3.8: ≥ 1/8 of sample points are good ⇒ few draws per accepted set)"
-    );
-    let _ = writeln!(
-        table,
-        "{:>7} {:>6} | {:>9} {:>9} {:>13} {:>9} | {:>9}",
-        "groups", "mode", "steps", "set-picks", "pts-examined", "pts/set", "fallbacks"
+    const COLS: &[Col] = &[
+        col("groups", "groups", 7),
+        col("mode", "mode", 6),
+        BAR,
+        col("steps", "steps", 9),
+        col("set-picks", "set_picks", 9),
+        col("pts-examined", "points_examined", 13),
+        col("pts/set", "points_per_set", 9),
+        BAR,
+        col("fallbacks", "fallbacks", 9),
+    ];
+    let mut t = Table::new(
+        "T4: good-set sampling (Lemma 3.8: ≥ 1/8 of sample points are good ⇒ few draws per accepted set)",
+        COLS,
     );
     for groups in [200usize, 400, 800] {
         // Flat instance: many size-3 disjoint edges force the sampling path
@@ -540,87 +494,56 @@ pub fn t4() -> ExperimentOutput {
             } else {
                 f64::NAN
             };
-            let _ = writeln!(
-                table,
-                "{:>7} {:>6} | {:>9} {:>9} {:>13} {:>9.1} | {:>9}",
-                groups,
-                mode,
-                stats.selection_steps,
-                stats.set_picks,
-                stats.sample_points_examined,
-                pts_per_set,
-                stats.fallbacks
-            );
-            let _ = writeln!(
-                csv,
-                "{groups},{},{},{},{pts_per_set:.2},{}",
-                stats.selection_steps,
-                stats.set_picks,
-                stats.sample_points_examined,
-                stats.fallbacks
-            );
+            t.row(&[
+                &groups,
+                &mode,
+                &stats.selection_steps,
+                &stats.set_picks,
+                &stats.sample_points_examined,
+                &format!("{pts_per_set:.1}"),
+                &stats.fallbacks,
+            ]);
         }
     }
     let _ = writeln!(
-        table,
+        t.text,
         "\n(randomized: pts/set ≈ expected retries ≤ 8 per Lemma 3.8; derandomized: scan depth into the affine space)"
     );
-    ExperimentOutput { id: "t4", table, csv }
+    t.finish("t4")
 }
 
 /// T5 — Theorem 1.1 correctness sweep: exactness across all families,
 /// orientations and weight regimes.
 #[must_use]
 pub fn t5() -> ExperimentOutput {
-    let mut table = String::new();
-    let mut csv = String::from("family,directed,weights,n,q,rounds,exact\n");
-    let _ = writeln!(table, "T5: exactness sweep (Theorem 1.1), paper configuration");
-    let _ = writeln!(
-        table,
-        "{:<11} {:>8} {:>13} {:>4} {:>4} {:>9} {:>6}",
-        "family", "directed", "weights", "n", "|Q|", "rounds", "exact"
-    );
+    const COLS: &[Col] = &[
+        col("family", "family", -11),
+        col("directed", "directed", 8),
+        col("weights", "weights", 13),
+        col("n", "n", 4),
+        col("|Q|", "q", 4),
+        col("rounds", "rounds", 9),
+        col("exact", "exact", 6),
+    ];
+    let mut t = Table::new("T5: exactness sweep (Theorem 1.1), paper configuration", COLS);
     let weight_regimes: [(&str, WeightDist); 3] = [
         ("unit", WeightDist::Unit),
         ("uniform", WeightDist::Uniform(0, 100)),
         ("zero-infl", WeightDist::ZeroInflated { p_zero: 0.3, hi: 50 }),
     ];
-    let mut all_ok = true;
     for fam in Family::ALL {
         for directed in [true, false] {
             for (wname, dist) in weight_regimes {
                 let g = fam.build(16, directed, dist, 123);
                 let out = Solver::builder(&g).run().unwrap();
-                let ok = out.dist == apsp_dijkstra(&g);
-                all_ok &= ok;
-                let _ = writeln!(
-                    table,
-                    "{:<11} {:>8} {:>13} {:>4} {:>4} {:>9} {:>6}",
-                    fam.name(),
-                    directed,
-                    wname,
-                    g.n(),
-                    out.meta.q.len(),
-                    out.recorder.total_rounds(),
-                    if ok { "yes" } else { "NO" }
-                );
-                let _ = writeln!(
-                    csv,
-                    "{},{},{},{},{},{},{}",
-                    fam.name(),
-                    directed,
-                    wname,
-                    g.n(),
-                    out.meta.q.len(),
-                    out.recorder.total_rounds(),
-                    ok
-                );
+                let (name, rounds) = (fam.name(), out.recorder.total_rounds());
+                assert_eq!(out.dist, apsp_dijkstra(&g), "T5: {name} directed={directed} {wname}");
+                t.row(&[&name, &directed, &wname, &g.n(), &out.meta.q.len(), &rounds, &"yes"]);
             }
         }
     }
-    assert!(all_ok, "T5 found an inexact configuration");
-    let _ = writeln!(table, "\nall {} configurations exact ✓", Family::ALL.len() * 6);
-    ExperimentOutput { id: "t5", table, csv }
+    let _ = writeln!(t.text, "\nall {} configurations exact ✓", Family::ALL.len() * 6);
+    t.finish("t5")
 }
 
 /// F4 — ablations: (a) Step-9 queue discipline; (b) CSSSP 2h-truncation vs
@@ -632,40 +555,18 @@ pub fn f4() -> ExperimentOutput {
     // (a) queue discipline
     let n = 80;
     let g = sparse_random(n, 9);
-    let topo = Topology::from_graph(&g);
-    let cfg = ApspConfig::default();
     let q: Vec<NodeId> = (0..n as NodeId).step_by(4).collect();
-    let exact = apsp_dijkstra(&g);
-    let dvals = RoutedTable::new(DistMatrix::from_rows(
-        (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
-    ));
     let _ = writeln!(table, "F4a: Step-9 queue discipline ablation (n={n}, |Q|={})", q.len());
     for (name, d) in [
         ("round-robin (paper)", PushDiscipline::RoundRobin),
         ("fixed-priority", PushDiscipline::FixedPriority),
         ("longest-first", PushDiscipline::LongestFirst),
     ] {
-        let mut rec = Recorder::new();
-        let (out, stats) = propagate_to_blockers_with(
-            &g,
-            &topo,
-            &cfg,
-            BlockerParams::default(),
-            &q,
-            &dvals,
-            d,
-            &mut rec,
-        )
-        .unwrap();
-        for (qi, &c) in q.iter().enumerate() {
-            assert_eq!(&out.dist[qi], &dijkstra(&g, c, Direction::In)[..]);
-        }
+        let (_, stats, rounds) = step6(&g, &q, d);
         let _ = writeln!(
             table,
-            "  {:<22} push rounds = {:>6}, total step-6 rounds = {:>6}",
-            name,
-            stats.round_robin_rounds,
-            rec.total_rounds()
+            "  {name:<22} push rounds = {:>6}, total step-6 rounds = {rounds:>6}",
+            stats.round_robin_rounds
         );
         let _ = writeln!(csv, "discipline,{name},{}", stats.round_robin_rounds);
     }
@@ -677,41 +578,18 @@ pub fn f4() -> ExperimentOutput {
     let trials = 20;
     for seed in 0..trials {
         let g = sparse_random(24, 9000 + seed);
-        let topo = Topology::from_graph(&g);
-        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let mut rec = Recorder::new();
         // the real construction
-        let coll = build_csssp(
-            &g,
-            &topo,
-            &sources,
-            3,
-            Direction::Out,
-            SimConfig::default(),
-            Charging::Quiesce,
-            &mut rec,
-            &mut congest_apsp::Recovery::disabled(),
-            "c",
-        )
-        .unwrap();
+        let (topo, coll) = all_sources_csssp(&g, 3);
         if coll.check_consistency(&g).is_err() {
             csssp_fail += 1;
         }
         // the strawman: h-hop BF, no 2h horizon, no truncation (run_bf
         // at h rounds, where build_csssp runs 2h and truncates)
+        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        let sim = SimConfig::default();
         let plain = SsspCollection::from_trees(g.n(), &sources, 3, Direction::Out, |s| {
-            congest_apsp::bf::run_bf(
-                &g,
-                &topo,
-                s,
-                Direction::Out,
-                3,
-                None,
-                false,
-                SimConfig::default(),
-                Charging::Quiesce,
-            )
-            .map(|(res, _)| res)
+            run_bf(&g, &topo, s, Direction::Out, 3, None, false, sim, Charging::Quiesce)
+                .map(|(res, _)| res)
         })
         .unwrap();
         if plain.check_consistency(&g).is_err() {
@@ -753,5 +631,27 @@ pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
         "f4" => vec![f4()],
         "all" => IDS.into_iter().filter(|&id| id != "all").flat_map(|id| run(id, big)).collect(),
         other => panic!("unknown experiment id: {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_row_renders_padded_on_stdout_and_bare_in_the_csv() {
+        const COLS: &[Col] = &[
+            col("name", "name", -6),
+            col("n", "n", 3),
+            BAR,
+            Col { head: "key", csv: None, width: 4 },
+            Col { head: "", csv: Some("key"), width: 0 },
+            col("ratio", "ratio", 6),
+        ];
+        let mut t = Table::new("title", COLS);
+        t.row(&[&"ab", &7, &"a 1", &"a-1", &format!("{:.1}", 1.0 / 3.0)]);
+        let out = t.finish("x");
+        assert_eq!(out.table, "title\nname     n |  key  ratio\nab       7 |  a 1    0.3\n");
+        assert_eq!(out.csv, "name,n,key,ratio\nab,7,a-1,0.3\n");
     }
 }

@@ -17,13 +17,6 @@ pub fn fit_exponent(points: &[(f64, f64)]) -> f64 {
     (k * sxy - sx * sy) / (k * sxx - sx * sx)
 }
 
-/// Geometric mean.
-#[must_use]
-pub fn geomean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty());
-    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,10 +32,5 @@ mod tests {
     fn exponent_of_linear() {
         let pts: Vec<(f64, f64)> = (1..=5).map(|i| (i as f64, 7.0 * i as f64)).collect();
         assert!((fit_exponent(&pts) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
     }
 }

@@ -48,3 +48,25 @@ fn unwritable_csv_exits_1_and_names_its_path() {
     assert!(!stdout.contains("CSV copies written"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// T4's table keys each row by (groups, mode); so does its CSV.
+#[test]
+fn t4_csv_keys_each_row_by_groups_and_mode() {
+    let dir = std::env::temp_dir().join(format!("congest-experiments-{}-t4", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(BIN).arg("t4").current_dir(&dir).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let csv = std::fs::read_to_string(dir.join("results/t4.csv")).unwrap();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let column = |name| header.iter().position(|&h| h == name);
+    let (groups, mode) = (column("groups").unwrap(), column("mode").expect("a mode column"));
+    let keys: Vec<(&str, &str)> = lines
+        .map(|l| l.split(',').collect::<Vec<_>>())
+        .map(|cells| (cells[groups], cells[mode]))
+        .collect();
+    let want: Vec<(&str, &str)> =
+        ["200", "400", "800"].into_iter().flat_map(|g| [(g, "rand"), (g, "det")]).collect();
+    assert_eq!(keys, want, "{csv}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -21,7 +21,7 @@ use crate::recovery::{sentinels, FaultReport, Recovery, SolverError};
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::primitives::all_to_all_broadcast;
-use congest_sim::{Recorder, Topology};
+use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
 
 /// Which blocker-set construction Step 2 uses.
@@ -127,7 +127,9 @@ pub(crate) fn run_ar20<W: Weight>(
     let mut rc = Recovery::from_config(cfg);
     let mut meta = ApspMeta { h: cfg.hop_param(n), ..Default::default() };
     let h = meta.h;
-    let sim = cfg.sim;
+    // Fault-free unless `rc` holds a fault plan, which then runs each
+    // attempt on its own salted config.
+    let sim = SimConfig::default();
 
     // Step 1: h-CSSSP for V (its out-trees thread first hops — the
     // extension seeds reuse them).
@@ -296,17 +298,7 @@ pub(crate) fn run_ar20<W: Weight>(
                 "",
                 sim,
                 &mut rec,
-                |sim, srec| {
-                    propagate_to_blockers(
-                        g,
-                        &topo,
-                        &ApspConfig { sim, ..*cfg },
-                        cfg.blocker,
-                        &q,
-                        &dvals,
-                        srec,
-                    )
-                },
+                |sim, srec| propagate_to_blockers(g, &topo, cfg, sim, &q, &dvals, srec),
                 |(out, _)| sentinels::transposed_delivery(&out.dist, &dvals.dist),
             )?;
             meta.step6 = Some(stats);

@@ -20,7 +20,7 @@ use crate::recovery::{sentinels, Recovery, SolverError};
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::primitives::all_to_all_broadcast;
-use congest_sim::{Recorder, Topology};
+use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
 
 /// One full Bellman–Ford per source (n sequential SSSPs). The engine
@@ -46,7 +46,7 @@ pub(crate) fn run_naive<W: Weight>(
         // parents (telescoping) plus the relaxation fixed point.
         let (res, rep) = rc.phase(
             &format!("naive: SSSP({x})"),
-            cfg.sim,
+            SimConfig::default(),
             |sim| run_full_sssp(g, &topo, x, Direction::Out, sim, cfg.charging),
             |res| {
                 sentinels::repaired_tree(g, Direction::Out, x, res)?;
@@ -79,7 +79,9 @@ pub(crate) fn run_ar18<W: Weight>(
     // h = ⌈√n⌉ balances O(nh) against O(n|Q|) with |Q| = Õ(n/h).
     let h = (n as f64).sqrt().ceil() as usize;
     let mut meta = ApspMeta { h, ..Default::default() };
-    let sim = cfg.sim;
+    // Fault-free unless `rc` holds a fault plan, which then runs each
+    // attempt on its own salted config.
+    let sim = SimConfig::default();
 
     // Step 1: h-CSSSP for V.
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
@@ -143,23 +145,26 @@ pub(crate) fn run_ar18<W: Weight>(
     }
 
     // Step 4: broadcast the n×|Q| table (O(n·|Q|) rounds, Lemma A.2), one
-    // (x, qi, δ(x, c)) item per cell, keyed by the cell.
+    // (x, qi, δ(x, c), x's next hop toward c) item per cell, keyed by the
+    // cell: the sink t needs the hop for its successor in Step 5, and only
+    // x holds it.
     let qn = q.len();
     if qn > 0 {
-        let initial: Vec<Vec<(NodeId, u32, W)>> = (0..n)
+        type Item<W> = (NodeId, u32, W, NodeId);
+        let initial: Vec<Vec<Item<W>>> = (0..n)
             .map(|x| {
                 (0..qn)
                     .filter(|&qi| !to_q[qi][x].is_inf())
-                    .map(|qi| (x as NodeId, qi as u32, to_q[qi][x]))
+                    .map(|qi| (x as NodeId, qi as u32, to_q[qi][x], to_q_next[qi][x]))
                     .collect()
             })
             .collect();
-        let key = move |&(x, qi, _): &(NodeId, u32, W)| x as usize * qn + qi as usize;
+        let key = move |&(x, qi, _, _): &Item<W>| x as usize * qn + qi as usize;
         let expected: usize = initial.iter().map(Vec::len).sum();
         let (_, rep) = rc.phase(
             "ar18/step4: (x, c) table broadcast",
             sim,
-            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 3, key),
+            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 4, key),
             |logs| sentinels::flood_complete(logs, expected),
         )?;
         rec.record("ar18/step4: (x, c) table broadcast", rep);

@@ -1,7 +1,7 @@
 //! Shared configuration for the distributed APSP algorithms.
 
 use congest_sim::fault::FaultSpec;
-use congest_sim::{RunUntil, SimConfig};
+use congest_sim::RunUntil;
 
 /// How phase durations are charged.
 ///
@@ -69,17 +69,12 @@ pub struct ApspConfig {
     pub charging: Charging,
     /// Blocker-set constants.
     pub blocker: BlockerParams,
-    /// Simulator settings (a raw fault model; see `fault`).
-    pub sim: SimConfig,
     /// Seed for the randomized variants (ignored by deterministic ones).
     pub seed: u64,
     /// Optional fault-injection plan: every pipeline phase runs under this
     /// spec (reseeded per phase and attempt) with phase-level
     /// detect-and-recover (see [`crate::recovery`]). `None` (the default)
-    /// means the literal fault-free code path. Setting `sim.fault` here
-    /// directly instead injects faults *without* recovery — useful for
-    /// studying raw damage, but the solver then makes no exactness
-    /// promise.
+    /// means the literal fault-free code path.
     pub fault: Option<FaultSpec>,
     /// Retry budget per phase under an active `fault` plan: a phase may
     /// run up to `1 + max_phase_retries` times before the solver gives up
@@ -93,7 +88,6 @@ impl Default for ApspConfig {
             h: None,
             charging: Charging::Quiesce,
             blocker: BlockerParams::default(),
-            sim: SimConfig::default(),
             seed: 0xC0FFEE,
             fault: None,
             max_phase_retries: 4,

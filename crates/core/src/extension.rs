@@ -54,7 +54,6 @@ pub fn extend_all_sources<W: Weight>(
 ) -> Result<DistMatrix<W>, SolverError> {
     let n = g.n();
     let h = coll.h as u64;
-    let sim: SimConfig = cfg.sim;
     let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n as NodeId {
         let xi = x as usize;
@@ -76,7 +75,7 @@ pub fn extend_all_sources<W: Weight>(
         }
         let (res, rep) = rc.phase(
             &format!("step7: extension from {x}"),
-            sim,
+            SimConfig::default(),
             |sim| {
                 let seeds = BfSeeds { dist: &init, first: &init_first };
                 run_bf(g, topo, x, Direction::Out, h, Some(seeds), false, sim, cfg.charging)

@@ -20,7 +20,7 @@
 use crate::bf::run_full_sssp;
 use crate::blocker::{alg2_blocker, Selection};
 use crate::bottleneck::{compute_bottlenecks, BottleneckResult};
-use crate::config::{ApspConfig, BlockerParams};
+use crate::config::{ApspConfig, Charging};
 use crate::csssp::build_csssp;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
@@ -205,19 +205,20 @@ impl<W: Weight> NodeLogic for RrNode<W> {
 /// `out.dist[qi][x]` as known at the blocker (INF where no path exists)
 /// plus the stats.
 ///
+/// Every phase runs on `sim`; Q′ is built with `cfg.blocker`'s constants.
+///
 /// # Errors
 /// Propagates engine errors.
-#[allow(clippy::too_many_lines)]
 pub fn propagate_to_blockers<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
     cfg: &ApspConfig,
-    params: BlockerParams,
+    sim: SimConfig,
     q: &[NodeId],
     dvals: &RoutedTable<W>,
     rec: &mut Recorder,
 ) -> Result<(RoutedTable<W>, Step6Stats), SimError> {
-    propagate_to_blockers_with(g, topo, cfg, params, q, dvals, PushDiscipline::RoundRobin, rec)
+    propagate_to_blockers_with(g, topo, cfg, sim, q, dvals, PushDiscipline::RoundRobin, rec)
 }
 
 /// [`propagate_to_blockers`] with an explicit near-case queue discipline
@@ -230,7 +231,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
     cfg: &ApspConfig,
-    params: BlockerParams,
+    sim: SimConfig,
     q: &[NodeId],
     dvals: &RoutedTable<W>,
     discipline: PushDiscipline,
@@ -248,7 +249,6 @@ pub fn propagate_to_blockers_with<W: Weight>(
         return Ok((out, stats));
     }
     let h2 = cfg.hop_param_sq(n);
-    let sim = cfg.sim;
 
     // Shared substrate: the n^{2/3}-in-CSSSP for source set Q (Alg 8
     // Step 1 / Alg 9 input). In-direction trees carry no first hops: the
@@ -275,10 +275,11 @@ pub fn propagate_to_blockers_with<W: Weight>(
 
     // ---------------- Algorithm 8 (far case) ----------------
     let mut qp_rec = Recorder::new();
-    let (q_prime, _) = alg2_blocker(topo, sim, &cq, params, Selection::Derandomized, &mut qp_rec)?;
+    let (q_prime, _) =
+        alg2_blocker(topo, sim, &cq, cfg.blocker, Selection::Derandomized, &mut qp_rec)?;
     rec.absorb("step6/alg8: Q' ", qp_rec);
     stats.q_prime_size = q_prime.len();
-    apply_relay_set(g, topo, cfg, q, &q_prime, &mut out, rec, "alg8")?;
+    apply_relay_set(g, topo, cfg.charging, sim, q, &q_prime, &mut out, rec, "alg8")?;
 
     // ---------------- Algorithm 9 (near case) ----------------
     // Step 1: bottleneck nodes with the paper's n√|Q| threshold.
@@ -289,7 +290,7 @@ pub fn propagate_to_blockers_with<W: Weight>(
     stats.congestion_before = congestion_before;
     stats.congestion_after = congestion_after;
     // Steps 2-4: SSSPs + broadcast for each b ∈ B.
-    apply_relay_set(g, topo, cfg, q, &b, &mut out, rec, "alg9-B")?;
+    apply_relay_set(g, topo, cfg.charging, sim, q, &b, &mut out, rec, "alg9-B")?;
 
     // Steps 6-9: round-robin push along the pruned trees.
     let engine = Engine::new(topo, sim);
@@ -369,7 +370,8 @@ pub fn propagate_to_blockers_with<W: Weight>(
 fn apply_relay_set<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
-    cfg: &ApspConfig,
+    charging: Charging,
+    sim: SimConfig,
     q: &[NodeId],
     relays: &[NodeId],
     out: &mut RoutedTable<W>,
@@ -380,7 +382,6 @@ fn apply_relay_set<W: Weight>(
         return Ok(());
     }
     let n = g.n();
-    let sim = cfg.sim;
     // δ(x, r) and x's next hop at x (in-SSSP), δ(r, c) and r's first hop
     // at c (out-SSSP), r in sequence.
     let mut to_relay: Vec<Vec<W>> = Vec::with_capacity(relays.len()); // [ri][x]
@@ -388,10 +389,10 @@ fn apply_relay_set<W: Weight>(
     let mut from_relay: Vec<Vec<W>> = Vec::with_capacity(relays.len()); // [ri][v]
     let mut from_relay_first: Vec<Vec<NodeId>> = Vec::with_capacity(relays.len()); // [ri][v]
     for &r in relays {
-        let (res_in, rep) = run_full_sssp(g, topo, r, Direction::In, sim, cfg.charging)?;
+        let (res_in, rep) = run_full_sssp(g, topo, r, Direction::In, sim, charging)?;
         rec.record(format!("step6/{label}: in-SSSP({r})"), rep);
         to_relay.push(res_in.entries.iter().map(|e| e.dist).collect());
-        let (res_out, rep) = run_full_sssp(g, topo, r, Direction::Out, sim, cfg.charging)?;
+        let (res_out, rep) = run_full_sssp(g, topo, r, Direction::Out, sim, charging)?;
         rec.record(format!("step6/{label}: out-SSSP({r})"), rep);
         from_relay.push(res_out.entries.iter().map(|e| e.dist).collect());
         to_relay_next.push(res_in.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
@@ -519,7 +520,7 @@ mod tests {
         ));
         let mut rec = Recorder::new();
         let (out, stats) =
-            propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
+            propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec)
                 .unwrap();
         for (qi, &c) in q.iter().enumerate() {
             let oracle = dijkstra(&g, c, Direction::In);
@@ -585,7 +586,7 @@ mod tests {
         }
         let mut rec = Recorder::new();
         let (out, _) =
-            propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
+            propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec)
                 .unwrap();
         for (qi, &c) in q.iter().enumerate() {
             for x in 0..n {
@@ -619,7 +620,7 @@ mod tests {
             &g,
             &topo,
             &cfg,
-            BlockerParams::default(),
+            SimConfig::default(),
             &[],
             &RoutedTable::new(DistMatrix::filled(8, 0, u64::INF)),
             &mut rec,
@@ -662,7 +663,7 @@ mod tests {
         ));
         let mut rec = Recorder::new();
         let (_, stats) =
-            propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
+            propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec)
                 .unwrap();
         // the max active-tree count must never increase over checkpoints
         // beyond its starting value's neighborhood (weak monotonicity: the
@@ -703,7 +704,7 @@ mod discipline_tests {
                 &g,
                 &topo,
                 &cfg,
-                crate::config::BlockerParams::default(),
+                SimConfig::default(),
                 &q,
                 &dvals,
                 d,

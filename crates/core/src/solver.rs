@@ -27,7 +27,6 @@ use crate::config::{ApspConfig, BlockerParams, Charging};
 use crate::recovery::SolverError;
 use congest_graph::{Graph, Weight};
 use congest_sim::fault::FaultSpec;
-use congest_sim::SimConfig;
 
 /// Which APSP algorithm the [`Solver`] runs.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -76,7 +75,7 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
     }
 
     /// Replaces the whole [`ApspConfig`] (hop parameter, charging,
-    /// blocker constants, simulator settings, seed) in one call.
+    /// blocker constants, seed, fault plan) in one call.
     #[must_use]
     pub fn config(mut self, cfg: ApspConfig) -> Self {
         self.solver.cfg = cfg;
@@ -94,13 +93,6 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
     #[must_use]
     pub fn charging(mut self, charging: Charging) -> Self {
         self.solver.cfg.charging = charging;
-        self
-    }
-
-    /// Sets the simulator configuration (its fault model).
-    #[must_use]
-    pub fn sim(mut self, sim: SimConfig) -> Self {
-        self.solver.cfg.sim = sim;
         self
     }
 

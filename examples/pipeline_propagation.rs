@@ -8,7 +8,6 @@
 //! cargo run --release --example pipeline_propagation
 //! ```
 
-use congest_apsp::config::BlockerParams;
 use congest_apsp::pipeline::{propagate_to_blockers, propagate_trivial_broadcast, RoutedTable};
 use congest_apsp::ApspConfig;
 use congest_graph::generators::{gnm_connected, WeightDist};
@@ -34,8 +33,7 @@ fn main() {
     // Paper pipeline (Algorithms 8 + 9).
     let mut rec = Recorder::new();
     let (out, stats) =
-        propagate_to_blockers(&g, &topo, &cfg, BlockerParams::default(), &q, &dvals, &mut rec)
-            .unwrap();
+        propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec).unwrap();
     for (qi, &c) in q.iter().enumerate() {
         let oracle = dijkstra(&g, c, Direction::In);
         assert_eq!(&out.dist[qi], &oracle[..], "delivery to blocker {c} incomplete");

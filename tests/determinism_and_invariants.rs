@@ -122,7 +122,7 @@ fn per_step_counts_are_pinned() {
                 ("step1", [2240, 13528, 29666]),
                 ("step2", [495, 12502, 21322]),
                 ("step3", [650, 1890, 3780]),
-                ("step4", [316, 20160, 60480]),
+                ("step4", [316, 20160, 80640]),
                 ("step5", [0, 0, 0]),
             ],
             (&[26, 8, 16, 18, 0], None, None),
@@ -154,7 +154,7 @@ fn per_step_counts_are_pinned() {
                 ("step1", [2240, 52208, 124880]),
                 ("step2", [328, 27264, 49184]),
                 ("step3", [390, 2713, 6230]),
-                ("step4", [190, 36495, 109485]),
+                ("step4", [190, 36495, 145980]),
                 ("step5", [0, 0, 0]),
             ],
             (&[25, 31, 23], None, None),

@@ -1,8 +1,9 @@
 //! Exactness at n = 512, where blockers fire and Step 6 carries real load:
-//! Ar20, Ar18 and Naive against Dijkstra on a hop-deep graph and on a
-//! sparse weighted digraph, with every pair's successor chain walked edge
-//! by edge. The tier-1 exactness suites stay at n ≤ 64, so these run
-//! separately, in release:
+//! Ar20, Ar18 and Naive against Dijkstra on a hop-deep graph, on a sparse
+//! weighted digraph and on `sparse_random`, where Step 6's relays carry
+//! the most, with every pair's successor chain walked edge by edge. The
+//! tier-1 exactness suites stay at n ≤ 64, so these run separately, in
+//! release:
 //!
 //! ```text
 //! cargo test --release --test scale_exactness -- --ignored --nocapture
@@ -13,7 +14,7 @@
 //! hold cycles although every distance is exact.
 
 use congest_apsp::{Algorithm, Solver};
-use congest_bench::workloads::hop_deep;
+use congest_bench::workloads::{hop_deep, sparse_random};
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight};
@@ -75,4 +76,10 @@ fn hop_deep_512_is_exact() {
 fn gnm_512_is_exact() {
     let g = gnm_connected(512, 1024, true, WeightDist::Uniform(1, 100), 1);
     check("gnm_connected(512, 1024)", &g);
+}
+
+#[test]
+#[ignore = "n = 512 in release: run with --ignored"]
+fn sparse_random_512_is_exact() {
+    check("sparse_random(512, 1)", &sparse_random(512, 1));
 }

@@ -10,6 +10,7 @@
 //! and real-valued (F64) graph classes, for all three algorithms.
 
 use congest_apsp::{Algorithm, Solver, Step6Method};
+use congest_bench::workloads::hop_deep;
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use congest_graph::{Graph, NodeId, Weight, F64};
@@ -167,5 +168,28 @@ fn message_size_within_congest_budget_with_tracking() {
             out.recorder.max_msg_words() >= 3,
             "{algorithm:?}: tracked relax messages must be ≥ 3 words"
         );
+    }
+}
+
+/// A table broadcast tells every sink the source's next hop with its
+/// distance, since only the source holds it: 4 words per message, in
+/// Ar18's Step 4 and in Step 6's relay broadcasts alike.
+#[test]
+fn table_broadcasts_carry_the_next_hop() {
+    let g = hop_deep(64, 1);
+    for algorithm in [Algorithm::Ar18, Algorithm::Ar20] {
+        let out = Solver::builder(&g).algorithm(algorithm).run().unwrap();
+        let tables: Vec<_> =
+            out.recorder.phases().iter().filter(|p| p.name.ends_with("table broadcast")).collect();
+        assert!(!tables.is_empty(), "{algorithm:?}: blockers fire on hop_deep(64, 1)");
+        for p in tables {
+            assert!(p.messages > 0, "{algorithm:?}/{}", p.name);
+            assert_eq!(
+                (p.payload_words, p.max_msg_words),
+                (4 * p.messages, 4),
+                "{algorithm:?}/{}: words per message",
+                p.name
+            );
+        }
     }
 }
