@@ -9,14 +9,15 @@
 use crate::stats::fit_exponent;
 use crate::workloads::{hop_deep, sparse_random};
 use congest_apsp::bf::run_bf;
-use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx, Selection};
-use congest_apsp::config::BlockerParams;
+use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx};
 use congest_apsp::csssp::{build_csssp, SsspCollection};
 use congest_apsp::pipeline::{
     propagate_to_blockers_with, propagate_trivial_broadcast, PushDiscipline, RoutedTable,
     Step6Stats,
 };
-use congest_apsp::{Algorithm, ApspConfig, BlockerMethod, Charging, Solver, SolverBuilder};
+use congest_apsp::{
+    Algorithm, ApspConfig, BlockerParams, Charging, Selection, Solver, SolverBuilder,
+};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, dijkstra, Direction};
 use congest_graph::{DistMatrix, Graph, NodeId};
@@ -148,21 +149,23 @@ fn all_sources_csssp(g: &Graph<u64>, h: usize) -> (Topology, SsspCollection<u64>
     (topo, coll)
 }
 
-/// Builds a blocker set for `coll` with `method` (the randomized one at
-/// seed 7), asserts that it covers every full path, and returns |Q| and
-/// its rounds.
-fn blocker(topo: &Topology, coll: &SsspCollection<u64>, method: BlockerMethod) -> (usize, u64) {
+/// Builds a blocker set for `coll`, greedy's for `None` and Algorithm
+/// 2/2′'s for `Some(selection)`, asserts that it covers every full path,
+/// and returns |Q| and its rounds.
+fn blocker(
+    topo: &Topology,
+    coll: &SsspCollection<u64>,
+    selection: Option<Selection>,
+) -> (usize, u64) {
     let (mut rec, sim) = (Recorder::new(), SimConfig::default());
-    let mut alg2 = |sel| {
-        alg2_blocker(topo, sim, coll, BlockerParams::default(), sel, &mut rec).map(|(q, _)| q)
-    };
-    let q = match method {
-        BlockerMethod::Randomized => alg2(Selection::Randomized { seed: 7 }),
-        BlockerMethod::Derandomized => alg2(Selection::Derandomized),
-        BlockerMethod::Greedy => greedy_blocker(topo, sim, coll, &mut rec),
+    let q = match selection {
+        Some(sel) => {
+            alg2_blocker(topo, sim, coll, BlockerParams::default(), sel, &mut rec).map(|(q, _)| q)
+        }
+        None => greedy_blocker(topo, sim, coll, &mut rec),
     }
     .unwrap();
-    assert!(is_valid_blocker(coll, &q), "{method:?}");
+    assert!(is_valid_blocker(coll, &q), "{selection:?}");
     (q.len(), rec.total_rounds())
 }
 
@@ -227,7 +230,8 @@ pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
         let oracle = apsp_dijkstra(&g);
         let run = |b: SolverBuilder<'_, u64>| solved(&oracle, b.charging(charging));
         let (paper, q_paper) = run(Solver::builder(&g));
-        let (rand, _) = run(Solver::builder(&g).blocker_method(BlockerMethod::Randomized));
+        let (rand, _) =
+            run(Solver::builder(&g).selection(Selection::Randomized { seed: 0xC0FFEE }));
         let (ar18, q_ar18) = run(Solver::builder(&g).algorithm(Algorithm::Ar18));
         let (naive, _) = run(Solver::builder(&g).algorithm(Algorithm::Naive));
         t.row(&[&n, &paper, &rand, &ar18, &naive, &q_paper, &q_ar18]);
@@ -327,9 +331,9 @@ pub fn t2(n: usize) -> ExperimentOutput {
     for h in [2usize, 3, 4, 6, 8] {
         let (topo, coll) = all_sources_csssp(&g, h);
         let paths = PathCtx::build(&topo, SimConfig::default(), &coll).unwrap().0.alive_count();
-        let (greedy_q, greedy_rounds) = blocker(&topo, &coll, BlockerMethod::Greedy);
-        let (rand_q, rand_rounds) = blocker(&topo, &coll, BlockerMethod::Randomized);
-        let (det_q, det_rounds) = blocker(&topo, &coll, BlockerMethod::Derandomized);
+        let (greedy_q, greedy_rounds) = blocker(&topo, &coll, None);
+        let (rand_q, rand_rounds) = blocker(&topo, &coll, Some(Selection::Randomized { seed: 7 }));
+        let (det_q, det_rounds) = blocker(&topo, &coll, Some(Selection::Derandomized));
         let bound = (n as f64) * (paths.max(2) as f64).ln() / h as f64;
         // Lemma 3.10: Algorithm 2/2′ pick O((n/h)·ln p) nodes. Every
         // instance here clears the bound with constant 1 at least 3×, so
@@ -369,8 +373,8 @@ pub fn f2() -> ExperimentOutput {
     );
     for n in [24usize, 40, 56, 80, 104] {
         let (topo, coll) = all_sources_csssp(&hop_deep(n, 5), 3);
-        let (q, greedy) = blocker(&topo, &coll, BlockerMethod::Greedy);
-        let (det_q, det) = blocker(&topo, &coll, BlockerMethod::Derandomized);
+        let (q, greedy) = blocker(&topo, &coll, None);
+        let (det_q, det) = blocker(&topo, &coll, Some(Selection::Derandomized));
         let per_q = |rounds: u64, q: usize| rounds / q.max(1) as u64;
         t.row(&[&n, &q, &greedy, &det, &per_q(greedy, q), &per_q(det, det_q)]);
     }
@@ -461,7 +465,7 @@ pub fn f3() -> ExperimentOutput {
 /// the derandomized scan length.
 #[must_use]
 pub fn t4() -> ExperimentOutput {
-    use congest_derand::{brs_cover, BrsParams, Hypergraph};
+    use congest_derand::{brs_cover, Hypergraph};
     const COLS: &[Col] = &[
         col("groups", "groups", 7),
         col("mode", "mode", 6),
@@ -483,11 +487,10 @@ pub fn t4() -> ExperimentOutput {
         let edges: Vec<Vec<u32>> =
             (0..groups).map(|g| ((g * 3) as u32..(g * 3 + 3) as u32).collect()).collect();
         let hg = Hypergraph::new(groups * 3, edges);
-        for (mode, sel) in [
-            ("rand", congest_derand::Selection::Randomized { seed: 3 }),
-            ("det", congest_derand::Selection::Derandomized),
-        ] {
-            let (cover, stats) = brs_cover(&hg, BrsParams::exercise_sampling(), sel);
+        for (mode, sel) in
+            [("rand", Selection::Randomized { seed: 3 }), ("det", Selection::Derandomized)]
+        {
+            let (cover, stats) = brs_cover(&hg, BlockerParams::exercise_sampling(), sel);
             assert!(congest_derand::verify_cover(&hg, &cover));
             let pts_per_set = if stats.set_picks > 0 {
                 stats.sample_points_examined as f64 / stats.set_picks as f64
@@ -523,7 +526,6 @@ pub fn t5() -> ExperimentOutput {
         col("n", "n", 4),
         col("|Q|", "q", 4),
         col("rounds", "rounds", 9),
-        col("exact", "exact", 6),
     ];
     let mut t = Table::new("T5: exactness sweep (Theorem 1.1), paper configuration", COLS);
     let weight_regimes: [(&str, WeightDist); 3] = [
@@ -538,7 +540,7 @@ pub fn t5() -> ExperimentOutput {
                 let out = Solver::builder(&g).run().unwrap();
                 let (name, rounds) = (fam.name(), out.recorder.total_rounds());
                 assert_eq!(out.dist, apsp_dijkstra(&g), "T5: {name} directed={directed} {wname}");
-                t.row(&[&name, &directed, &wname, &g.n(), &out.meta.q.len(), &rounds, &"yes"]);
+                t.row(&[&name, &directed, &wname, &g.n(), &out.meta.q.len(), &rounds]);
             }
         }
     }

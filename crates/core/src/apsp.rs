@@ -10,39 +10,18 @@
 //! 7. h-hop extension per source                → [`crate::extension`]
 
 use crate::bf::run_bf;
-use crate::blocker::{alg2_blocker, greedy_blocker, Alg2Stats, Selection};
-use crate::config::{ApspConfig, BlockerParams};
+use crate::blocker::{alg2_blocker, Alg2Stats};
+use crate::config::ApspConfig;
 use crate::csssp::build_csssp;
 use crate::extension::extend_all_sources;
-use crate::pipeline::{
-    propagate_to_blockers, propagate_trivial_broadcast, RoutedTable, Step6Stats,
-};
+use crate::pipeline::{propagate_to_blockers, RoutedTable, Step6Stats};
 use crate::recovery::{sentinels, FaultReport, Recovery, SolverError};
+use congest_derand::Selection;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
-
-/// Which blocker-set construction Step 2 uses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BlockerMethod {
-    /// Greedy baseline of \[2\] (adds the n·|Q| term).
-    Greedy,
-    /// Algorithm 2 (randomized, pairwise-independent sampling).
-    Randomized,
-    /// Algorithm 2′ (derandomized — the paper's deterministic result).
-    Derandomized,
-}
-
-/// Which Step-6 implementation to use.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Step6Method {
-    /// Algorithms 8 + 9 (the paper's Õ(n^{4/3}) pipeline).
-    Pipelined,
-    /// All-to-all broadcast of all n·|Q| values (the Õ(n^{5/3}) strawman).
-    TrivialBroadcast,
-}
 
 /// Metadata about one APSP run (sizes and lemma counters).
 #[derive(Clone, Debug, Default)]
@@ -51,9 +30,9 @@ pub struct ApspMeta {
     pub h: usize,
     /// The blocker set Q.
     pub q: Vec<NodeId>,
-    /// Blocker-construction counters (Algorithm 2/2′ only).
+    /// Blocker-construction counters (Algorithm 2/2′; Ar20 only).
     pub blocker_stats: Option<Alg2Stats>,
-    /// Step-6 counters (pipelined method only).
+    /// Step-6 counters (Ar20 only).
     pub step6: Option<Step6Stats>,
 }
 
@@ -101,30 +80,20 @@ impl<W: Weight> ApspOutcome<W> {
     }
 }
 
-/// Runs Algorithm 1 (the paper's Õ(n^{4/3}) APSP). `method` selects the
-/// Step-2 blocker construction, `step6` the Step-6 implementation; the
-/// paper's headline configuration is `(Derandomized, Pipelined)`.
-///
-/// This is the engine behind [`crate::Solver`] with
-/// [`crate::Algorithm::Ar20`]; external callers go through the builder.
+/// Runs Algorithm 1 (the paper's Õ(n^{4/3}) APSP) inside the frame of
+/// [`crate::Solver::run`], which checks the input and builds `topo`, `rec`
+/// and `rc`. `selection` picks Algorithm 2 or 2′ for Step 2; Step 6 runs
+/// the pipelined Algorithms 8 and 9. Returns the distances with their
+/// successor plane, and the run's sizes and counters.
 pub(crate) fn run_ar20<W: Weight>(
     g: &Graph<W>,
+    topo: &Topology,
     cfg: &ApspConfig,
-    method: BlockerMethod,
-    step6: Step6Method,
-) -> Result<ApspOutcome<W>, SolverError> {
-    // Step 2 and Step 6's Q′ both run Algorithm 2 on these constants.
-    if !cfg.blocker.in_range() {
-        let BlockerParams { eps, delta } = cfg.blocker;
-        return Err(SolverError::InvalidBlockerParams { eps, delta });
-    }
-    if !g.is_comm_connected() {
-        return Err(SolverError::Disconnected);
-    }
+    selection: Selection,
+    rec: &mut Recorder,
+    rc: &mut Recovery,
+) -> Result<(DistMatrix<W>, ApspMeta), SolverError> {
     let n = g.n();
-    let topo = Topology::from_graph(g);
-    let mut rec = Recorder::new();
-    let mut rc = Recovery::from_config(cfg);
     let mut meta = ApspMeta { h: cfg.hop_param(n), ..Default::default() };
     let h = meta.h;
     // Fault-free unless `rc` holds a fault plan, which then runs each
@@ -136,46 +105,29 @@ pub(crate) fn run_ar20<W: Weight>(
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
     let coll = build_csssp(
         g,
-        &topo,
+        topo,
         &sources,
         h,
         Direction::Out,
         sim,
         cfg.charging,
-        &mut rec,
-        &mut rc,
+        rec,
+        rc,
         "step1: h-CSSSP for V",
     )?;
 
     // Step 2: blocker set (a multi-engine phase: recoverable as one unit,
     // with the covering property — every full root-to-leaf path hits Q —
     // as the sentinel).
-    let q = match method {
-        BlockerMethod::Greedy => rc.compound(
-            "step2: greedy blocker set",
-            "step2/",
-            sim,
-            &mut rec,
-            |sim, brec| greedy_blocker(&topo, sim, &coll, brec),
-            |q| sentinels::blocker_covers(&coll, q),
-        )?,
-        BlockerMethod::Randomized | BlockerMethod::Derandomized => {
-            let sel = match method {
-                BlockerMethod::Randomized => Selection::Randomized { seed: cfg.seed },
-                _ => Selection::Derandomized,
-            };
-            let (q, stats) = rc.compound(
-                "step2: blocker set (Algorithm 2)",
-                "step2/",
-                sim,
-                &mut rec,
-                |sim, brec| alg2_blocker(&topo, sim, &coll, cfg.blocker, sel, brec),
-                |(q, _)| sentinels::blocker_covers(&coll, q),
-            )?;
-            meta.blocker_stats = Some(stats);
-            q
-        }
-    };
+    let (q, stats) = rc.compound(
+        "step2: blocker set (Algorithm 2)",
+        "step2/",
+        sim,
+        rec,
+        |sim, brec| alg2_blocker(topo, sim, &coll, cfg.blocker, selection, brec),
+        |(q, _)| sentinels::blocker_covers(&coll, q),
+    )?;
+    meta.blocker_stats = Some(stats);
     meta.q = q.clone();
 
     // Step 3: h-in-SSSP per blocker; to_q[qi][x] = δ_h(x, q_qi) at x. An
@@ -191,7 +143,7 @@ pub(crate) fn run_ar20<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("step3: h-in-SSSP({c})"),
             sim,
-            |sim| run_bf(g, &topo, c, Direction::In, h as u64, None, false, sim, cfg.charging),
+            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, false, sim, cfg.charging),
             |res| sentinels::bounded_tree(c, h as u64, res),
         )?;
         rec.record(format!("step3: h-in-SSSP({c})"), rep);
@@ -222,7 +174,7 @@ pub(crate) fn run_ar20<W: Weight>(
         let (_, rep) = rc.phase(
             "step4: QxQ matrix broadcast",
             sim,
-            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 3, key),
+            |sim| all_to_all_broadcast(topo, sim, initial.clone(), 3, key),
             |logs| sentinels::flood_complete(logs, expected),
         )?;
         rec.record("step4: QxQ matrix broadcast", rep);
@@ -291,82 +243,54 @@ pub(crate) fn run_ar20<W: Weight>(
     // Step 6: reversed q-sink propagation. Step 6 only *routes* the
     // locally known-exact dvals table, so the sentinel can demand the
     // delivered table equal its transpose cell-for-cell.
-    let at_blocker = match step6 {
-        Step6Method::Pipelined => {
-            let (out, stats) = rc.compound(
-                "step6: pipelined propagation",
-                "",
-                sim,
-                &mut rec,
-                |sim, srec| propagate_to_blockers(g, &topo, cfg, sim, &q, &dvals, srec),
-                |(out, _)| sentinels::transposed_delivery(&out.dist, &dvals.dist),
-            )?;
-            meta.step6 = Some(stats);
-            out
-        }
-        Step6Method::TrivialBroadcast => rc.compound(
-            "step6: trivial broadcast",
-            "",
-            sim,
-            &mut rec,
-            |sim, srec| propagate_trivial_broadcast(&topo, sim, &q, &dvals, srec),
-            |out| sentinels::transposed_delivery(&out.dist, &dvals.dist),
-        )?,
-    };
+    let (at_blocker, stats) = rc.compound(
+        "step6: pipelined propagation",
+        "",
+        sim,
+        rec,
+        |sim, srec| propagate_to_blockers(g, topo, cfg, sim, &q, &dvals, srec),
+        |(out, _)| sentinels::transposed_delivery(&out.dist, &dvals.dist),
+    )?;
+    meta.step6 = Some(stats);
 
     // Step 7: h-hop extension per source (assembles the successor plane).
-    let dist = extend_all_sources(g, &topo, cfg, &coll, &q, &at_blocker, &mut rec, &mut rc)?;
-
-    // Final whole-matrix certificate (fault-active runs only): zero
-    // diagonal, relaxation fixed point, successor telescoping.
-    crate::recovery::final_certificate(g, &dist, &rc)?;
-    Ok(ApspOutcome { dist, recorder: rec, meta, fault_report: rc.report() })
+    let dist = extend_all_sources(g, topo, cfg, &coll, &q, &at_blocker, rec, rc)?;
+    Ok((dist, meta))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::{Algorithm, Solver};
+    use congest_derand::BlockerParams;
     use congest_graph::generators::{gnm_connected, Family, WeightDist};
     use congest_graph::seq::apsp_dijkstra;
 
-    fn check_exact(g: &Graph<u64>, method: BlockerMethod, step6: Step6Method) {
-        let out = Solver::builder(g).blocker_method(method).step6_method(step6).run().unwrap();
+    fn check_exact(g: &Graph<u64>, selection: Selection) {
+        let out = Solver::builder(g).selection(selection).run().unwrap();
         let oracle = apsp_dijkstra(g);
-        assert_eq!(out.dist, oracle, "{method:?}/{step6:?}");
+        assert_eq!(out.dist, oracle, "{selection:?}");
     }
 
     #[test]
     fn paper_configuration_exact_on_random_graphs() {
         for seed in 0..3 {
             let g = gnm_connected(16, 32, true, WeightDist::Uniform(0, 9), seed);
-            check_exact(&g, BlockerMethod::Derandomized, Step6Method::Pipelined);
+            check_exact(&g, Selection::Derandomized);
         }
     }
 
     #[test]
     fn randomized_blocker_exact() {
         let g = gnm_connected(15, 30, true, WeightDist::Uniform(1, 9), 7);
-        check_exact(&g, BlockerMethod::Randomized, Step6Method::Pipelined);
-    }
-
-    #[test]
-    fn greedy_blocker_exact() {
-        let g = gnm_connected(15, 30, false, WeightDist::Uniform(0, 5), 2);
-        check_exact(&g, BlockerMethod::Greedy, Step6Method::Pipelined);
-    }
-
-    #[test]
-    fn trivial_step6_exact() {
-        let g = gnm_connected(14, 28, true, WeightDist::Uniform(0, 7), 5);
-        check_exact(&g, BlockerMethod::Derandomized, Step6Method::TrivialBroadcast);
+        check_exact(&g, Selection::Randomized { seed: 0xC0FFEE });
     }
 
     #[test]
     fn exact_on_families() {
         for fam in [Family::Path, Family::Star, Family::Broom, Family::Layered] {
             let g = fam.build(15, true, WeightDist::Uniform(1, 6), 3);
-            check_exact(&g, BlockerMethod::Derandomized, Step6Method::Pipelined);
+            check_exact(&g, Selection::Derandomized);
         }
     }
 
@@ -389,14 +313,14 @@ mod tests {
         for (eps, delta) in bad {
             let params = BlockerParams { eps, delta };
             assert!(!params.in_range(), "{params:?}");
-            // Step 6's Q′ reads the constants too, so every Ar20 method
-            // refuses them.
-            for method in [BlockerMethod::Derandomized, BlockerMethod::Greedy] {
-                match Solver::builder(&g).blocker_method(method).blocker_params(params).run() {
+            // Step 6's Q′ reads the constants too, so every Ar20
+            // selection refuses them.
+            for selection in [Selection::Derandomized, Selection::Randomized { seed: 1 }] {
+                match Solver::builder(&g).selection(selection).blocker_params(params).run() {
                     Err(SolverError::InvalidBlockerParams { eps: e, delta: d }) => {
                         assert_eq!((e.to_bits(), d.to_bits()), (eps.to_bits(), delta.to_bits()));
                     }
-                    other => panic!("{params:?}/{method:?}: {:?}", other.map(|o| o.meta.q)),
+                    other => panic!("{params:?}/{selection:?}: {:?}", other.map(|o| o.meta.q)),
                 }
             }
             // Ar18 and Naive never read them.

@@ -11,7 +11,7 @@
 //!   Measured rounds scale as Θ̃(n^{3/2}) — the bound the paper improves
 //!   to Õ(n^{4/3}).
 
-use crate::apsp::{ApspMeta, ApspOutcome};
+use crate::apsp::ApspMeta;
 use crate::bf::run_full_sssp;
 use crate::blocker::greedy_blocker;
 use crate::config::ApspConfig;
@@ -23,23 +23,20 @@ use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
 
-/// One full Bellman–Ford per source (n sequential SSSPs). The engine
-/// behind [`crate::Solver`] with [`crate::Algorithm::Naive`].
+/// One full Bellman–Ford per source (n sequential SSSPs), inside the frame
+/// of [`crate::Solver::run`] with [`crate::Algorithm::Naive`].
 ///
 /// Each SSSP threads first hops through its relax messages, so the outcome
 /// carries the same target-major successor plane the AR pipelines produce
 /// — an independent witness for the differential plane tests.
 pub(crate) fn run_naive<W: Weight>(
     g: &Graph<W>,
+    topo: &Topology,
     cfg: &ApspConfig,
-) -> Result<ApspOutcome<W>, SolverError> {
-    if !g.is_comm_connected() {
-        return Err(SolverError::Disconnected);
-    }
+    rec: &mut Recorder,
+    rc: &mut Recovery,
+) -> Result<(DistMatrix<W>, ApspMeta), SolverError> {
     let n = g.n();
-    let topo = Topology::from_graph(g);
-    let mut rec = Recorder::new();
-    let mut rc = Recovery::from_config(cfg);
     let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n as NodeId {
         // A full-horizon SSSP admits a complete certificate: realizable
@@ -47,7 +44,7 @@ pub(crate) fn run_naive<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("naive: SSSP({x})"),
             SimConfig::default(),
-            |sim| run_full_sssp(g, &topo, x, Direction::Out, sim, cfg.charging),
+            |sim| run_full_sssp(g, topo, x, Direction::Out, sim, cfg.charging),
             |res| {
                 sentinels::repaired_tree(g, Direction::Out, x, res)?;
                 sentinels::exact_row(g, Direction::Out, x, |t| res.entries[t].dist)
@@ -59,23 +56,19 @@ pub(crate) fn run_naive<W: Weight>(
             dist.set_successor(x, t as NodeId, res.entries[t].first.unwrap_or(NO_SUCC));
         }
     }
-    crate::recovery::final_certificate(g, &dist, &rc)?;
-    Ok(ApspOutcome { dist, recorder: rec, meta: ApspMeta::default(), fault_report: rc.report() })
+    Ok((dist, ApspMeta::default()))
 }
 
-/// The Õ(n^{3/2})-round deterministic baseline (\[2\]-style). The engine
-/// behind [`crate::Solver`] with [`crate::Algorithm::Ar18`].
+/// The Õ(n^{3/2})-round deterministic baseline (\[2\]-style), inside the
+/// frame of [`crate::Solver::run`] with [`crate::Algorithm::Ar18`].
 pub(crate) fn run_ar18<W: Weight>(
     g: &Graph<W>,
+    topo: &Topology,
     cfg: &ApspConfig,
-) -> Result<ApspOutcome<W>, SolverError> {
-    if !g.is_comm_connected() {
-        return Err(SolverError::Disconnected);
-    }
+    rec: &mut Recorder,
+    rc: &mut Recovery,
+) -> Result<(DistMatrix<W>, ApspMeta), SolverError> {
     let n = g.n();
-    let topo = Topology::from_graph(g);
-    let mut rec = Recorder::new();
-    let mut rc = Recovery::from_config(cfg);
     // h = ⌈√n⌉ balances O(nh) against O(n|Q|) with |Q| = Õ(n/h).
     let h = (n as f64).sqrt().ceil() as usize;
     let mut meta = ApspMeta { h, ..Default::default() };
@@ -87,14 +80,14 @@ pub(crate) fn run_ar18<W: Weight>(
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
     let coll = build_csssp(
         g,
-        &topo,
+        topo,
         &sources,
         h,
         Direction::Out,
         sim,
         cfg.charging,
-        &mut rec,
-        &mut rc,
+        rec,
+        rc,
         "ar18/step1: sqrt(n)-CSSSP",
     )?;
 
@@ -103,8 +96,8 @@ pub(crate) fn run_ar18<W: Weight>(
         "ar18/step2: greedy blocker set",
         "ar18/step2/",
         sim,
-        &mut rec,
-        |sim, brec| greedy_blocker(&topo, sim, &coll, brec),
+        rec,
+        |sim, brec| greedy_blocker(topo, sim, &coll, brec),
         |q| sentinels::blocker_covers(&coll, q),
     )?;
     meta.q = q.clone();
@@ -127,7 +120,7 @@ pub(crate) fn run_ar18<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("ar18/step3: in-SSSP({c})"),
             sim,
-            |sim| run_full_sssp(g, &topo, c, Direction::In, sim, cfg.charging),
+            |sim| run_full_sssp(g, topo, c, Direction::In, sim, cfg.charging),
             full_cert(Direction::In),
         )?;
         rec.record(format!("ar18/step3: in-SSSP({c})"), rep);
@@ -136,7 +129,7 @@ pub(crate) fn run_ar18<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("ar18/step3: out-SSSP({c})"),
             sim,
-            |sim| run_full_sssp(g, &topo, c, Direction::Out, sim, cfg.charging),
+            |sim| run_full_sssp(g, topo, c, Direction::Out, sim, cfg.charging),
             full_cert(Direction::Out),
         )?;
         rec.record(format!("ar18/step3: out-SSSP({c})"), rep);
@@ -164,7 +157,7 @@ pub(crate) fn run_ar18<W: Weight>(
         let (_, rep) = rc.phase(
             "ar18/step4: (x, c) table broadcast",
             sim,
-            |sim| all_to_all_broadcast(&topo, sim, initial.clone(), 4, key),
+            |sim| all_to_all_broadcast(topo, sim, initial.clone(), 4, key),
             |logs| sentinels::flood_complete(logs, expected),
         )?;
         rec.record("ar18/step4: (x, c) table broadcast", rep);
@@ -203,8 +196,7 @@ pub(crate) fn run_ar18<W: Weight>(
         }
     }
     rec.record_local("ar18/step5: local combine", step5.elapsed());
-    crate::recovery::final_certificate(g, &dist, &rc)?;
-    Ok(ApspOutcome { dist, recorder: rec, meta, fault_report: rc.report() })
+    Ok((dist, meta))
 }
 
 #[cfg(test)]

@@ -27,10 +27,9 @@
 //! points (the paper's linear-size biased space is unspecified).
 
 use super::PathCtx;
-use crate::config::BlockerParams;
 use crate::csssp::SsspCollection;
 use crate::trees::{flood_scores, remove_subtrees, subtree_sums};
-use congest_derand::{AffineSpace, SampleSpace};
+use congest_derand::{AffineSpace, BlockerParams, Selection};
 use congest_graph::{NodeId, Weight};
 use congest_sim::primitives::{
     all_to_all_broadcast, broadcast_stream, build_bfs_tree, convergecast_budget, convergecast_sum,
@@ -39,20 +38,6 @@ use congest_sim::primitives::{
 use congest_sim::{BitSet, Recorder, RunUntil, SimConfig, SimError, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// How selection steps pick candidate sets.
-#[derive(Copy, Clone, Debug)]
-pub enum Selection {
-    /// Algorithm 2: the leader draws random sample points until one is
-    /// good (expected ≤ 8 draws, Lemma 3.8).
-    Randomized {
-        /// RNG seed (leader-local).
-        seed: u64,
-    },
-    /// Algorithm 2′/7: deterministic scan of the sample space in blocks of
-    /// n points, each aggregated in O(n) rounds (Algorithms 11/12).
-    Derandomized,
-}
 
 /// Counters for the quantities bounded by Lemmas 3.8–3.11.
 #[derive(Clone, Debug, Default)]
@@ -481,7 +466,6 @@ mod tests {
     use super::*;
     use crate::blocker::is_valid_blocker;
     use crate::blocker::tests::build_collection;
-    use crate::config::BlockerParams;
 
     #[test]
     fn derandomized_valid_and_deterministic() {

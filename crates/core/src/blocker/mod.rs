@@ -5,9 +5,10 @@
 //! * [`greedy_blocker`] — the baseline of Agarwal et al. \[2\]: one max-score vertex
 //!   per iteration with an O(n)-round cleanup, O(nh + n·|Q|) rounds total.
 //!   This is the `n·|Q|` term the paper removes.
-//! * [`alg2_blocker`] with [`Selection::Randomized`] — the paper's Algorithm 2.
-//! * [`alg2_blocker`] with [`Selection::Derandomized`] — Algorithm 2′ (Algorithm 7
-//!   with the ν-aggregation of Algorithms 11/12).
+//! * [`alg2_blocker`] with [`Selection::Randomized`](crate::Selection::Randomized)
+//!   — the paper's Algorithm 2.
+//! * [`alg2_blocker`] with [`Selection::Derandomized`](crate::Selection::Derandomized)
+//!   — Algorithm 2′ (Algorithm 7 with the ν-aggregation of Algorithms 11/12).
 //!
 //! Both functions run the pick loop of [`crate::trees`]: scores by
 //! [`subtree_sums`](crate::trees::subtree_sums), published by
@@ -26,7 +27,7 @@
 mod alg2;
 mod greedy;
 
-pub use alg2::{alg2_blocker, Alg2Stats, Selection};
+pub use alg2::{alg2_blocker, Alg2Stats};
 pub use greedy::greedy_blocker;
 
 use crate::csssp::SsspCollection;

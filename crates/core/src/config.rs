@@ -1,5 +1,6 @@
 //! Shared configuration for the distributed APSP algorithms.
 
+use congest_derand::BlockerParams;
 use congest_sim::fault::FaultSpec;
 use congest_sim::RunUntil;
 
@@ -35,31 +36,6 @@ impl Charging {
     }
 }
 
-/// Parameters of the blocker-set construction (paper §3: ε, δ ≤ 1/12).
-#[derive(Copy, Clone, Debug)]
-pub struct BlockerParams {
-    /// Stage/phase granularity constant ε.
-    pub eps: f64,
-    /// Selection probability constant δ.
-    pub delta: f64,
-}
-
-impl Default for BlockerParams {
-    fn default() -> Self {
-        BlockerParams { eps: 1.0 / 12.0, delta: 1.0 / 12.0 }
-    }
-}
-
-impl BlockerParams {
-    /// Whether Algorithm 2 accepts these constants: 0 < ε ≤ 0.3,
-    /// 0 < δ ≤ 0.3 and 1 − 3δ − ε > 0 (a NaN fails every test).
-    #[must_use]
-    pub(crate) fn in_range(&self) -> bool {
-        let BlockerParams { eps, delta } = *self;
-        eps > 0.0 && eps <= 0.3 && delta > 0.0 && delta <= 0.3 && 1.0 - 3.0 * delta - eps > 0.0
-    }
-}
-
 /// Top-level configuration for the APSP algorithms.
 #[derive(Copy, Clone, Debug)]
 pub struct ApspConfig {
@@ -67,10 +43,8 @@ pub struct ApspConfig {
     pub h: Option<usize>,
     /// Round-charging mode.
     pub charging: Charging,
-    /// Blocker-set constants.
+    /// Blocker-set constants ε, δ: Ar20's Step 2 and Step 6's Q′.
     pub blocker: BlockerParams,
-    /// Seed for the randomized variants (ignored by deterministic ones).
-    pub seed: u64,
     /// Optional fault-injection plan: every pipeline phase runs under this
     /// spec (reseeded per phase and attempt) with phase-level
     /// detect-and-recover (see [`crate::recovery`]). `None` (the default)
@@ -88,7 +62,6 @@ impl Default for ApspConfig {
             h: None,
             charging: Charging::Quiesce,
             blocker: BlockerParams::default(),
-            seed: 0xC0FFEE,
             fault: None,
             max_phase_retries: 4,
         }

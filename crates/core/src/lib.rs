@@ -13,7 +13,7 @@
 //! [`DistMatrix`](congest_graph::DistMatrix) arena:
 //!
 //! ```
-//! use congest_apsp::{Algorithm, BlockerMethod, Solver, Step6Method};
+//! use congest_apsp::{Algorithm, Selection, Solver};
 //! use congest_graph::generators::{gnm_connected, WeightDist};
 //!
 //! let g = gnm_connected(16, 32, true, WeightDist::Uniform(0, 9), 42);
@@ -30,13 +30,13 @@
 //!     .unwrap();
 //! assert_eq!(compared.dist, out.dist);
 //!
-//! // Knobs of the paper's pipeline: blocker construction and Step 6.
-//! let strawman = Solver::builder(&g)
-//!     .blocker_method(BlockerMethod::Greedy)
-//!     .step6_method(Step6Method::TrivialBroadcast)
+//! // Step 2's blocker construction: Algorithm 2′ by default, or the
+//! // randomized Algorithm 2 with its seed.
+//! let randomized = Solver::builder(&g)
+//!     .selection(Selection::Randomized { seed: 7 })
 //!     .run()
 //!     .unwrap();
-//! assert_eq!(strawman.dist, out.dist);
+//! assert_eq!(randomized.dist, out.dist);
 //! ```
 //!
 //! ## Step-7 successor tracking (routing, not just distances)
@@ -136,7 +136,8 @@ pub mod recovery;
 pub mod solver;
 pub mod trees;
 
-pub use apsp::{ApspMeta, ApspOutcome, BlockerMethod, Step6Method};
-pub use config::{ApspConfig, BlockerParams, Charging};
+pub use apsp::{ApspMeta, ApspOutcome};
+pub use config::{ApspConfig, Charging};
+pub use congest_derand::{BlockerParams, Selection};
 pub use recovery::{FaultReport, Recovery, SolverError};
 pub use solver::{Algorithm, Solver, SolverBuilder};

@@ -18,10 +18,11 @@
 //!   progress measure (experiment F3).
 
 use crate::bf::run_full_sssp;
-use crate::blocker::{alg2_blocker, Selection};
+use crate::blocker::alg2_blocker;
 use crate::bottleneck::{compute_bottlenecks, BottleneckResult};
 use crate::config::{ApspConfig, Charging};
 use crate::csssp::build_csssp;
+use congest_derand::Selection;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::primitives::all_to_all_broadcast;
@@ -554,7 +555,8 @@ mod tests {
     /// A routed dvals table (exact distances + any valid first hop per
     /// value) must reach the blockers with first hops that telescope in the
     /// exact metric — whichever of the three delivery mechanisms (alg8
-    /// relays, alg9 bottleneck relays, round-robin push) carried each value.
+    /// relays, alg9 bottleneck relays, round-robin push) carried each
+    /// value, and when the trivial broadcast carries them all.
     #[test]
     fn tracked_delivery_first_hops_telescope() {
         let n = 16;
@@ -584,30 +586,36 @@ mod tests {
                 }
             }
         }
-        let mut rec = Recorder::new();
-        let (out, _) =
-            propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec)
-                .unwrap();
-        for (qi, &c) in q.iter().enumerate() {
-            for x in 0..n {
-                let d = out.dist[qi][x];
-                if x == c as usize {
-                    assert_eq!(out.first_at(qi, x), NO_SUCC, "zero-length path has no first hop");
-                    continue;
+        let telescopes = |out: &RoutedTable<u64>, how: &str| {
+            for (qi, &c) in q.iter().enumerate() {
+                for x in 0..n {
+                    let d = out.dist[qi][x];
+                    assert_eq!(d, exact[x][c as usize], "{how}: δ({x},{c})");
+                    if x == c as usize {
+                        assert_eq!(out.first_at(qi, x), NO_SUCC, "{how}: zero-length path");
+                        continue;
+                    }
+                    if d == u64::INF {
+                        continue;
+                    }
+                    let f = out.first_at(qi, x);
+                    assert_ne!(f, NO_SUCC, "{how}: delivered δ({x},{c}) lost its first hop");
+                    let w = min_edge(x, f).expect("first hop must be an out-neighbor");
+                    assert_eq!(
+                        d,
+                        w.plus(exact[f as usize][c as usize]),
+                        "{how}: blocker {c}, source {x}: first hop {f} does not telescope"
+                    );
                 }
-                if d == u64::INF {
-                    continue;
-                }
-                let f = out.first_at(qi, x);
-                assert_ne!(f, NO_SUCC, "delivered δ({x},{c}) lost its first hop");
-                let w = min_edge(x, f).expect("first hop must be an out-neighbor");
-                assert_eq!(
-                    d,
-                    w.plus(exact[f as usize][c as usize]),
-                    "blocker {c}, source {x}: first hop {f} does not telescope"
-                );
             }
-        }
+        };
+        let sim = SimConfig::default();
+        let (out, _) =
+            propagate_to_blockers(&g, &topo, &cfg, sim, &q, &dvals, &mut Recorder::new()).unwrap();
+        telescopes(&out, "pipelined");
+        let out =
+            propagate_trivial_broadcast(&topo, sim, &q, &dvals, &mut Recorder::new()).unwrap();
+        telescopes(&out, "trivial broadcast");
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl Recovery {
         }
     }
 
-    /// A handle configured from the solver knobs.
+    /// A handle for `cfg`'s fault plan and retry budget.
     #[must_use]
     pub fn from_config(cfg: &crate::ApspConfig) -> Self {
         Recovery::new(cfg.fault, cfg.max_phase_retries)
@@ -237,46 +237,10 @@ impl Recovery {
         &mut self,
         name: &str,
         base: SimConfig,
-        mut attempt: impl FnMut(SimConfig) -> Result<(T, PhaseReport), SimError>,
+        attempt: impl FnMut(SimConfig) -> Result<(T, PhaseReport), SimError>,
         sentinel: impl Fn(&T) -> Result<(), String>,
     ) -> Result<(T, PhaseReport), SolverError> {
-        if self.spec.is_none() {
-            return Ok(attempt(base)?);
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        let mut last_error = None;
-        for attempt_no in 0..=self.max_retries {
-            if attempt_no > 0 {
-                self.report.retries += 1;
-                if attempt_no == 1 {
-                    self.report.phases_retried += 1;
-                }
-                note_retry(name, attempt_no);
-            }
-            match attempt(self.salted(seq, attempt_no)) {
-                Err(e) => last_error = Some(e),
-                Ok((t, rep)) => {
-                    self.report.faults.merge(&rep.faults);
-                    let clean = rep.faults.is_zero();
-                    let verified = sentinel(&t).is_ok();
-                    if !verified {
-                        self.report.sentinel_trips += 1;
-                        note_sentinel_trip(name);
-                    }
-                    if clean && verified {
-                        return Ok((t, rep));
-                    }
-                    self.report.rounds_lost += rep.rounds;
-                    last_error = None;
-                }
-            }
-        }
-        Err(SolverError::Unrecoverable {
-            phase: name.to_string(),
-            attempts: self.max_retries + 1,
-            last_error,
-        })
+        self.retry(name, base, attempt, |rep| (rep.faults, rep.rounds), sentinel)
     }
 
     /// Runs one *multi-engine* phase (e.g. the blocker construction or the
@@ -297,11 +261,34 @@ impl Recovery {
         mut attempt: impl FnMut(SimConfig, &mut Recorder) -> Result<T, SimError>,
         sentinel: impl Fn(&T) -> Result<(), String>,
     ) -> Result<T, SolverError> {
+        let (t, scratch) = self.retry(
+            name,
+            base,
+            |sim| {
+                let mut scratch = Recorder::new();
+                attempt(sim, &mut scratch).map(|t| (t, scratch))
+            },
+            |scratch| (scratch.total_faults(), scratch.total_rounds()),
+            sentinel,
+        )?;
+        rec.absorb(prefix, scratch);
+        Ok(t)
+    }
+
+    /// The retry loop of [`phase`](Self::phase) and
+    /// [`compound`](Self::compound). An attempt returns its output and
+    /// what it ran, a [`PhaseReport`] or a scratch [`Recorder`]; `tally`
+    /// reads the faults injected into that run and the rounds it took.
+    fn retry<T, R>(
+        &mut self,
+        name: &str,
+        base: SimConfig,
+        mut attempt: impl FnMut(SimConfig) -> Result<(T, R), SimError>,
+        tally: impl Fn(&R) -> (FaultCounters, u64),
+        sentinel: impl Fn(&T) -> Result<(), String>,
+    ) -> Result<(T, R), SolverError> {
         if self.spec.is_none() {
-            let mut scratch = Recorder::new();
-            let t = attempt(base, &mut scratch)?;
-            rec.absorb(prefix, scratch);
-            return Ok(t);
+            return Ok(attempt(base)?);
         }
         let seq = self.seq;
         self.seq += 1;
@@ -314,23 +301,20 @@ impl Recovery {
                 }
                 note_retry(name, attempt_no);
             }
-            let mut scratch = Recorder::new();
-            match attempt(self.salted(seq, attempt_no), &mut scratch) {
+            match attempt(self.salted(seq, attempt_no)) {
                 Err(e) => last_error = Some(e),
-                Ok(t) => {
-                    let faults = scratch.total_faults();
+                Ok((t, ran)) => {
+                    let (faults, rounds) = tally(&ran);
                     self.report.faults.merge(&faults);
-                    let clean = faults.is_zero();
                     let verified = sentinel(&t).is_ok();
                     if !verified {
                         self.report.sentinel_trips += 1;
                         note_sentinel_trip(name);
                     }
-                    if clean && verified {
-                        rec.absorb(prefix, scratch);
-                        return Ok(t);
+                    if faults.is_zero() && verified {
+                        return Ok((t, ran));
                     }
-                    self.report.rounds_lost += scratch.total_rounds();
+                    self.report.rounds_lost += rounds;
                     last_error = None;
                 }
             }

@@ -2,31 +2,34 @@
 //! algorithm in the workspace, configured through a builder:
 //!
 //! ```
-//! use congest_apsp::{Algorithm, BlockerMethod, Solver, Step6Method};
+//! use congest_apsp::{Algorithm, Selection, Solver};
 //! use congest_graph::generators::{gnm_connected, WeightDist};
 //!
 //! let g = gnm_connected(16, 32, true, WeightDist::Uniform(0, 9), 42);
 //! let out = Solver::builder(&g)
 //!     .algorithm(Algorithm::Ar20) // the paper's Õ(n^{4/3}) pipeline
-//!     .blocker_method(BlockerMethod::Derandomized)
-//!     .step6_method(Step6Method::Pipelined)
+//!     .selection(Selection::Derandomized) // Algorithm 2′ in Step 2
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(out.dist, congest_graph::seq::apsp_dijkstra(&g));
 //! ```
 //!
-//! Every knob has the paper's headline configuration as its default, so
-//! `Solver::builder(&g).run()` is the deterministic Õ(n^{4/3}) result.
-//! The builder is the single place future scaling work (sharded compute,
-//! alternate backends, trace-driven workloads) plugs into without growing
-//! yet another free-function signature.
+//! Every setter has the paper's headline configuration as its default,
+//! so `Solver::builder(&g).run()` is the deterministic Õ(n^{4/3}) result:
+//! Ar20 with Algorithm 2′ in Step 2 and the pipelined Algorithms 8–9 in
+//! Step 6. [`Solver::run`] is the one frame around all three algorithms:
+//! it checks the input, builds the topology, the phase ledger and the
+//! recovery handle, hands them to the algorithm's driver, and certifies
+//! and assembles what the driver returns.
 
-use crate::apsp::{run_ar20, ApspOutcome, BlockerMethod, Step6Method};
+use crate::apsp::{run_ar20, ApspOutcome};
 use crate::baselines::{run_ar18, run_naive};
-use crate::config::{ApspConfig, BlockerParams, Charging};
-use crate::recovery::SolverError;
+use crate::config::{ApspConfig, Charging};
+use crate::recovery::{final_certificate, Recovery, SolverError};
+use congest_derand::{BlockerParams, Selection};
 use congest_graph::{Graph, Weight};
 use congest_sim::fault::FaultSpec;
+use congest_sim::{Recorder, Topology};
 
 /// Which APSP algorithm the [`Solver`] runs.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -36,11 +39,11 @@ pub enum Algorithm {
     #[default]
     Ar20,
     /// The Õ(n^{3/2}) predecessor (Agarwal, Ramachandran, King &
-    /// Pontecorvi, PODC 2018 reconstruction). Ignores the blocker/Step-6
-    /// knobs: it always uses the greedy blocker set and a full broadcast.
+    /// Pontecorvi, PODC 2018 reconstruction): the greedy blocker set and a
+    /// full broadcast. Ignores the selection and the blocker constants.
     Ar18,
     /// One full Bellman–Ford per source — the folklore O(n²) baseline.
-    /// Ignores the blocker/Step-6 knobs.
+    /// Ignores the selection and the blocker constants.
     Naive,
 }
 
@@ -58,27 +61,12 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
         self
     }
 
-    /// Selects the Step-2 blocker construction (default
-    /// [`BlockerMethod::Derandomized`]; [`Algorithm::Ar20`] only).
+    /// Selects Step 2's blocker construction: Algorithm 2′ (default
+    /// [`Selection::Derandomized`]) or Algorithm 2 with its seed
+    /// ([`Algorithm::Ar20`] only).
     #[must_use]
-    pub fn blocker_method(mut self, method: BlockerMethod) -> Self {
-        self.solver.blocker = method;
-        self
-    }
-
-    /// Selects the Step-6 implementation (default
-    /// [`Step6Method::Pipelined`]; [`Algorithm::Ar20`] only).
-    #[must_use]
-    pub fn step6_method(mut self, method: Step6Method) -> Self {
-        self.solver.step6 = method;
-        self
-    }
-
-    /// Replaces the whole [`ApspConfig`] (hop parameter, charging,
-    /// blocker constants, seed, fault plan) in one call.
-    #[must_use]
-    pub fn config(mut self, cfg: ApspConfig) -> Self {
-        self.solver.cfg = cfg;
+    pub fn selection(mut self, selection: Selection) -> Self {
+        self.solver.selection = selection;
         self
     }
 
@@ -96,15 +84,7 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
         self
     }
 
-    /// Sets the seed for the randomized blocker variant (ignored by the
-    /// deterministic configurations).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.solver.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the blocker-set constants ε, δ.
+    /// Sets the blocker-set constants ε, δ ([`Algorithm::Ar20`] only).
     #[must_use]
     pub fn blocker_params(mut self, params: BlockerParams) -> Self {
         self.solver.cfg.blocker = params;
@@ -156,14 +136,12 @@ pub struct Solver<'g, W: Weight> {
     g: &'g Graph<W>,
     cfg: ApspConfig,
     algorithm: Algorithm,
-    blocker: BlockerMethod,
-    step6: Step6Method,
+    selection: Selection,
 }
 
 impl<'g, W: Weight> Solver<'g, W> {
     /// Starts a builder over `g` with the paper's headline defaults:
-    /// `Ar20` / `Derandomized` / `Pipelined`, h = ⌈n^{1/3}⌉, quiescence
-    /// charging.
+    /// `Ar20` / `Derandomized`, h = ⌈n^{1/3}⌉, quiescence charging.
     #[must_use]
     pub fn builder(g: &'g Graph<W>) -> SolverBuilder<'g, W> {
         SolverBuilder {
@@ -171,8 +149,7 @@ impl<'g, W: Weight> Solver<'g, W> {
                 g,
                 cfg: ApspConfig::default(),
                 algorithm: Algorithm::default(),
-                blocker: BlockerMethod::Derandomized,
-                step6: Step6Method::Pipelined,
+                selection: Selection::default(),
             },
         }
     }
@@ -183,33 +160,46 @@ impl<'g, W: Weight> Solver<'g, W> {
         self.algorithm
     }
 
-    /// The configured [`ApspConfig`].
-    #[must_use]
-    pub fn config(&self) -> &ApspConfig {
-        &self.cfg
-    }
-
     /// Runs the configured algorithm to completion.
     ///
     /// # Errors
     /// [`SolverError::InvalidBlockerParams`] when [`Algorithm::Ar20`] is
-    /// given blocker constants out of range, before any phase runs;
-    /// [`SolverError::Disconnected`] when the communication graph is
-    /// disconnected; [`SolverError::Sim`] on an engine abort without a
-    /// fault plan; [`SolverError::Unrecoverable`] when an armed fault plan
-    /// defeats the per-phase retry budget. Never damaged results: a
-    /// successful outcome is bit-identical to the fault-free run.
+    /// given blocker constants out of range, before any phase runs and
+    /// before connectivity is checked; [`SolverError::Disconnected`] when
+    /// the communication graph is disconnected; [`SolverError::Sim`] on an
+    /// engine abort without a fault plan; [`SolverError::Unrecoverable`]
+    /// when an armed fault plan defeats the per-phase retry budget. Never
+    /// damaged results: a successful outcome is bit-identical to the
+    /// fault-free run.
     pub fn run(&self) -> Result<ApspOutcome<W>, SolverError> {
         let span = congest_telemetry::with(|t| t.span_start("solver.run"));
-        let result = match self.algorithm {
-            Algorithm::Ar20 => run_ar20(self.g, &self.cfg, self.blocker, self.step6),
-            Algorithm::Ar18 => run_ar18(self.g, &self.cfg),
-            Algorithm::Naive => run_naive(self.g, &self.cfg),
-        };
+        let (g, cfg) = (self.g, &self.cfg);
+        let result = (|| {
+            // Ar20's Step 2 and Step 6's Q′ both run Algorithm 2 on these
+            // constants; Ar18 and Naive never read them.
+            if self.algorithm == Algorithm::Ar20 && !cfg.blocker.in_range() {
+                let BlockerParams { eps, delta } = cfg.blocker;
+                return Err(SolverError::InvalidBlockerParams { eps, delta });
+            }
+            if !g.is_comm_connected() {
+                return Err(SolverError::Disconnected);
+            }
+            let topo = Topology::from_graph(g);
+            let (mut rec, mut rc) = (Recorder::new(), Recovery::from_config(cfg));
+            let (dist, meta) = match self.algorithm {
+                Algorithm::Ar20 => run_ar20(g, &topo, cfg, self.selection, &mut rec, &mut rc),
+                Algorithm::Ar18 => run_ar18(g, &topo, cfg, &mut rec, &mut rc),
+                Algorithm::Naive => run_naive(g, &topo, cfg, &mut rec, &mut rc),
+            }?;
+            // Whole-matrix certificate (fault-active runs only): zero
+            // diagonal, relaxation fixed point, successor telescoping.
+            final_certificate(g, &dist, &rc)?;
+            Ok(ApspOutcome { dist, recorder: rec, meta, fault_report: rc.report() })
+        })();
         if let Some(id) = span {
             // Emit the per-phase slices (span names = `Recorder` phase
             // labels), then close the solver span annotated with the
-            // algorithm, the knob set, and the recovery outcome.
+            // configuration and the recovery outcome.
             let tele = congest_telemetry::global();
             match &result {
                 Ok(out) => {
@@ -222,17 +212,15 @@ impl<'g, W: Weight> Solver<'g, W> {
         result
     }
 
-    /// Solver-span annotations: algorithm, knob set, recovery outcome.
+    /// Solver-span annotations: algorithm, selection, recovery outcome.
     fn span_attrs(&self, out: &ApspOutcome<W>) -> Vec<(String, String)> {
         let fr = out.fault_report;
         let mut attrs = vec![
             ("algorithm".to_string(), format!("{:?}", self.algorithm)),
-            ("blocker_method".to_string(), format!("{:?}", self.blocker)),
-            ("step6_method".to_string(), format!("{:?}", self.step6)),
+            ("selection".to_string(), format!("{:?}", self.selection)),
             ("n".to_string(), self.g.n().to_string()),
             ("h".to_string(), out.meta.h.to_string()),
             ("charging".to_string(), format!("{:?}", self.cfg.charging)),
-            ("seed".to_string(), self.cfg.seed.to_string()),
             ("retries".to_string(), fr.retries.to_string()),
             ("sentinel_trips".to_string(), fr.sentinel_trips.to_string()),
         ];
@@ -279,15 +267,31 @@ mod tests {
         let solver = Solver::builder(&g)
             .hop_param(2)
             .charging(Charging::WorstCase)
-            .seed(7)
+            .selection(Selection::Randomized { seed: 7 })
             .blocker_params(BlockerParams { eps: 0.05, delta: 0.05 })
             .build();
-        assert_eq!(solver.config().h, Some(2));
-        assert_eq!(solver.config().charging, Charging::WorstCase);
-        assert_eq!(solver.config().seed, 7);
         let out = solver.run().unwrap();
         assert_eq!(out.meta.h, 2);
         assert_eq!(out.dist, apsp_dijkstra(&g));
+        let quiesce = Solver::builder(&g).hop_param(2).run().unwrap();
+        assert!(out.recorder.total_rounds() > quiesce.recorder.total_rounds(), "worst case");
+    }
+
+    /// The frame checks Ar20's constants before connectivity, and only
+    /// Ar20's: on a disconnected graph with out-of-range constants, Ar20
+    /// refuses the constants while Ar18 and Naive report the graph.
+    #[test]
+    fn the_frame_checks_constants_before_connectivity() {
+        let g: Graph<u64> = Graph::from_edges(4, true, vec![congest_graph::Edge::new(0, 1, 1)]);
+        let bad = BlockerParams { eps: 0.5, delta: 0.1 };
+        let run = |algorithm| Solver::builder(&g).algorithm(algorithm).blocker_params(bad).run();
+        assert!(matches!(
+            run(Algorithm::Ar20),
+            Err(SolverError::InvalidBlockerParams { eps, delta }) if (eps, delta) == (0.5, 0.1)
+        ));
+        for algorithm in [Algorithm::Ar18, Algorithm::Naive] {
+            assert!(matches!(run(algorithm), Err(SolverError::Disconnected)), "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -1,92 +1,22 @@
-//! Pairwise-independent sample spaces.
+//! The pairwise-independent sample space behind Algorithm 2/2′ (§3.2).
 //!
-//! Two constructions back the paper's derandomization (§3.2, Appendix A.3):
-//!
-//! 1. [`Gf2Space`] — Luby's linear-size space: pick l with 2n < 2^l ≤ 4n,
-//!    associate with index i the l-bit vector of 2i+1 (last bit forced to
-//!    1, exactly the paper's encoding), and for a sample point z ∈ {0,1}^l
-//!    set `X_i(z) = ⊕_k (i_k · z_k)`. The X_i are uniform on {0,1} and
-//!    pairwise independent. This is the construction the paper cites; it
-//!    produces *unbiased* (p = 1/2) bits.
-//!
-//! 2. [`AffineSpace`] — the classical biased construction over GF(q):
-//!    sample points are pairs (a, b) ∈ GF(q)², and
-//!    `X_v = [ (a·v + b) mod q < k ]` with k = round(p·q). The X_v are
-//!    pairwise independent with bias k/q (within 1/q of the requested p).
-//!    Algorithm 2 samples with bias p = δ/(1+ε)^j < 1/2, which the GF(2)
-//!    space cannot express; the paper leaves the biased linear-size space
-//!    unspecified, so we use this classical q²-point space and enumerate it
-//!    lazily in blocks. Lemma 3.8's good-point argument needs only pairwise
-//!    independence and the bias, which this space provides, and the lazy
-//!    scan pays only for the blocks it examines before a good point.
+//! [`AffineSpace`] is the classical biased construction over GF(q):
+//! sample points are pairs (a, b) ∈ GF(q)², and
+//! `X_v = [ (a·v + b) mod q < k ]` with k = round(p·q). The X_v are
+//! pairwise independent with bias k/q (within 1/q of the requested p).
+//! It stands in for the paper's linear-size space (Appendix A.3), because
+//! Algorithm 2 samples with bias p = δ/(1+ε)^j < 1/2, which Luby's
+//! unbiased GF(2) space cannot express and whose biased linear-size
+//! counterpart the paper leaves unspecified. Lemma 3.8's good-point
+//! argument needs only pairwise independence and the bias, and a lazy
+//! scan in blocks pays only for the blocks it examines before a good
+//! point.
 
 use crate::primes::next_prime;
 
-/// Common interface of the two sample spaces: an indexed family of 0/1
-/// assignments `X^{(µ)} : {0..n_vars} -> {0,1}` that is pairwise
-/// independent when µ is uniform.
-pub trait SampleSpace {
-    /// Number of sample points.
-    fn len(&self) -> u64;
-    /// `true` if the space is empty (never the case in practice).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Number of indexed variables.
-    fn n_vars(&self) -> u64;
-    /// Marginal probability `Pr[X_v = 1]`.
-    fn bias(&self) -> f64;
-    /// Evaluates variable `v` under sample point `mu`.
-    fn eval(&self, mu: u64, v: u64) -> bool;
-    /// The set bits of sample point `mu` (the selected set A).
-    fn selected(&self, mu: u64) -> Vec<u64> {
-        (0..self.n_vars()).filter(|&v| self.eval(mu, v)).collect()
-    }
-}
-
-/// Luby's GF(2) space (Appendix A.3): size 2^l with 2n < 2^l ≤ 4n.
-#[derive(Clone, Debug)]
-pub struct Gf2Space {
-    n_vars: u64,
-    l: u32,
-}
-
-impl Gf2Space {
-    /// Builds the space for `n_vars` variables.
-    #[must_use]
-    pub fn new(n_vars: u64) -> Self {
-        assert!(n_vars >= 1);
-        // smallest l with 2^l > 2n  (then 2^l <= 4n automatically)
-        let l = 64 - (2 * n_vars).leading_zeros();
-        Gf2Space { n_vars, l }
-    }
-
-    /// The string length l (for inspection in tests).
-    #[must_use]
-    pub fn l(&self) -> u32 {
-        self.l
-    }
-}
-
-impl SampleSpace for Gf2Space {
-    fn len(&self) -> u64 {
-        1u64 << self.l
-    }
-    fn n_vars(&self) -> u64 {
-        self.n_vars
-    }
-    fn bias(&self) -> f64 {
-        0.5
-    }
-    fn eval(&self, mu: u64, v: u64) -> bool {
-        debug_assert!(mu < self.len() && v < self.n_vars);
-        // index vector: binary encoding of v with last bit forced to 1
-        let iv = (v << 1) | 1;
-        ((iv & mu).count_ones() & 1) == 1
-    }
-}
-
-/// Classical affine pairwise-independent space over GF(q) with bias ≈ p.
+/// Classical affine pairwise-independent space over GF(q) with bias ≈ p:
+/// an indexed family of 0/1 assignments `X^{(µ)} : {0..n_vars} -> {0,1}`
+/// that is pairwise independent when µ is uniform.
 #[derive(Clone, Debug)]
 pub struct AffineSpace {
     n_vars: u64,
@@ -120,19 +50,34 @@ impl AffineSpace {
     pub fn k(&self) -> u64 {
         self.k
     }
-}
 
-impl SampleSpace for AffineSpace {
-    fn len(&self) -> u64 {
+    /// Number of sample points, q².
+    #[must_use]
+    pub fn len(&self) -> u64 {
         self.q * self.q
     }
-    fn n_vars(&self) -> u64 {
+
+    /// `true` if the space is empty (never: q ≥ 17).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of indexed variables.
+    #[must_use]
+    pub fn n_vars(&self) -> u64 {
         self.n_vars
     }
-    fn bias(&self) -> f64 {
+
+    /// Marginal probability `Pr[X_v = 1]`.
+    #[must_use]
+    pub fn bias(&self) -> f64 {
         self.k as f64 / self.q as f64
     }
-    fn eval(&self, mu: u64, v: u64) -> bool {
+
+    /// Evaluates variable `v` under sample point `mu`.
+    #[must_use]
+    pub fn eval(&self, mu: u64, v: u64) -> bool {
         debug_assert!(mu < self.len() && v < self.n_vars);
         // Enumerate with `a` varying fastest: a = 0 (the degenerate
         // all-or-nothing assignments) appears only once per q points, so
@@ -140,6 +85,12 @@ impl SampleSpace for AffineSpace {
         let (a, b) = (mu % self.q, mu / self.q);
         let h = (crate::primes::mod_mul(a, v % self.q, self.q) + b) % self.q;
         h < self.k
+    }
+
+    /// The set bits of sample point `mu` (the selected set A).
+    #[must_use]
+    pub fn selected(&self, mu: u64) -> Vec<u64> {
+        (0..self.n_vars).filter(|&v| self.eval(mu, v)).collect()
     }
 }
 
@@ -150,7 +101,7 @@ mod tests {
     /// Exhaustively verify exact pairwise independence: for all pairs
     /// (v, v'), the joint distribution of (X_v, X_v') over the whole space
     /// factorizes.
-    fn assert_pairwise_independent(space: &impl SampleSpace) {
+    fn assert_pairwise_independent(space: &AffineSpace) {
         let n = space.n_vars();
         let m = space.len();
         let ones: Vec<u64> =
@@ -170,22 +121,6 @@ mod tests {
                     "pairwise independence of (X_{v}, X_{w})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn gf2_space_size_in_range() {
-        for n in [1u64, 2, 3, 5, 8, 17, 100] {
-            let s = Gf2Space::new(n);
-            assert!(s.len() > 2 * n, "n={n}: {} <= 2n", s.len());
-            assert!(s.len() <= 4 * n.max(1), "n={n}: {} > 4n", s.len());
-        }
-    }
-
-    #[test]
-    fn gf2_exact_pairwise_independence() {
-        for n in [2u64, 5, 9, 16] {
-            assert_pairwise_independent(&Gf2Space::new(n));
         }
     }
 
@@ -214,14 +149,6 @@ mod tests {
                 assert_eq!(sel.contains(&v), s.eval(mu, v));
             }
         }
-    }
-
-    #[test]
-    fn gf2_expected_set_size_near_half() {
-        let s = Gf2Space::new(20);
-        let total: u64 = (0..s.len()).map(|mu| s.selected(mu).len() as u64).sum();
-        let avg = total as f64 / s.len() as f64;
-        assert!((avg - 10.0).abs() < 0.51, "avg = {avg}");
     }
 }
 
@@ -252,15 +179,6 @@ mod proptests {
             let s = AffineSpace::new(n, p);
             let both = (0..s.len()).filter(|&mu| s.eval(mu, a) && s.eval(mu, b)).count() as u128;
             prop_assert_eq!(both * (s.len() as u128), (s.k() * s.q()) as u128 * (s.k() * s.q()) as u128);
-        }
-
-        /// GF(2) space: XOR-linearity makes each variable exactly balanced.
-        #[test]
-        fn gf2_balanced(n in 1u64..200, v in 0u64..200) {
-            let v = v % n;
-            let s = Gf2Space::new(n);
-            let ones = (0..s.len()).filter(|&mu| s.eval(mu, v)).count() as u64;
-            prop_assert_eq!(ones * 2, s.len());
         }
     }
 }

@@ -14,7 +14,7 @@
 //! single node when none is good, while this scan covers the whole space,
 //! so the two can part only there.
 
-use crate::pairwise::{AffineSpace, SampleSpace};
+use crate::pairwise::AffineSpace;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -88,22 +88,23 @@ pub fn greedy_cover(hg: &Hypergraph) -> Vec<u32> {
     cover
 }
 
-/// Parameters of the BRS algorithm; the paper requires ε, δ ≤ 1/12.
+/// The blocker-set constants ε, δ (paper §3: ε, δ ≤ 1/12), read by
+/// [`brs_cover`] and by the distributed Algorithm 2/2′ in `congest_apsp`.
 #[derive(Copy, Clone, Debug)]
-pub struct BrsParams {
-    /// Stage/phase granularity constant.
+pub struct BlockerParams {
+    /// Stage/phase granularity constant ε.
     pub eps: f64,
-    /// Selection probability constant.
+    /// Selection probability constant δ.
     pub delta: f64,
 }
 
-impl Default for BrsParams {
+impl Default for BlockerParams {
     fn default() -> Self {
-        BrsParams { eps: 1.0 / 12.0, delta: 1.0 / 12.0 }
+        BlockerParams { eps: 1.0 / 12.0, delta: 1.0 / 12.0 }
     }
 }
 
-impl BrsParams {
+impl BlockerParams {
     /// Small-instance preset: with the paper's δ = 1/12, the Step 9
     /// single-node threshold `δ³/(1+ε)·|Pij|` is below 1 unless
     /// |Pij| > ~1700, so at simulable sizes every selection resolves via
@@ -113,21 +114,35 @@ impl BrsParams {
     /// can exercise and measure the good-set machinery.
     #[must_use]
     pub fn exercise_sampling() -> Self {
-        BrsParams { eps: 1.0 / 12.0, delta: 1.0 / 6.0 }
+        BlockerParams { eps: 1.0 / 12.0, delta: 1.0 / 6.0 }
+    }
+
+    /// Whether Algorithm 2 accepts these constants: 0 < ε ≤ 0.3,
+    /// 0 < δ ≤ 0.3 and 1 − 3δ − ε > 0 (a NaN fails every test). The
+    /// paper's guarantees need ε, δ ≤ 1/12; up to 0.3 is accepted for
+    /// small-instance experiments, since coverage still progresses while
+    /// 1 − 3δ − ε stays positive.
+    #[must_use]
+    pub fn in_range(&self) -> bool {
+        let BlockerParams { eps, delta } = *self;
+        eps > 0.0 && eps <= 0.3 && delta > 0.0 && delta <= 0.3 && 1.0 - 3.0 * delta - eps > 0.0
     }
 }
 
-/// How selection steps choose candidate sets.
-#[derive(Copy, Clone, Debug)]
+/// How selection steps pick a candidate set: Algorithm 2 or Algorithm 2′.
+/// [`brs_cover`] and the distributed blocker construction in
+/// `congest_apsp` both read it.
+#[derive(Copy, Clone, Debug, Default)]
 pub enum Selection {
     /// Algorithm 2: draw pairwise-independent sample points at random and
     /// retry until a good set appears (expected ≤ 8 tries, Lemma 3.8).
     Randomized {
-        /// RNG seed.
+        /// RNG seed (the leader's, in the distributed version).
         seed: u64,
     },
-    /// Algorithm 2′/7: scan the affine sample space in a fixed order and
-    /// take the first good point.
+    /// Algorithm 2′/7, the paper's deterministic result: scan the affine
+    /// sample space in a fixed order and take the first good point.
+    #[default]
     Derandomized,
 }
 
@@ -219,15 +234,15 @@ fn coverage(hg: &Hypergraph, edges: &[usize], in_set: &[bool]) -> usize {
 /// Algorithm 2 / 2′). Returns the cover and the stats counters.
 ///
 /// # Panics
-/// Panics if some edge is empty (uncoverable).
+/// Panics if `params` is out of range ([`BlockerParams::in_range`]) or
+/// some edge is empty (uncoverable).
 #[must_use]
-pub fn brs_cover(hg: &Hypergraph, params: BrsParams, selection: Selection) -> (Vec<u32>, BrsStats) {
-    // The paper requires ε, δ ≤ 1/12 for the Lemma 3.8–3.10 guarantees;
-    // values up to 0.3 are accepted for small-instance experimentation
-    // (coverage progress still holds because 1 - 3δ - ε stays positive).
-    assert!(params.eps > 0.0 && params.eps <= 0.3);
-    assert!(params.delta > 0.0 && params.delta <= 0.3);
-    assert!(1.0 - 3.0 * params.delta - params.eps > 0.0);
+pub fn brs_cover(
+    hg: &Hypergraph,
+    params: BlockerParams,
+    selection: Selection,
+) -> (Vec<u32>, BrsStats) {
+    assert!(params.in_range(), "blocker constants out of range: {params:?}");
     let mut st = BrsState::new(hg);
     let one_eps = 1.0 + params.eps;
     let mut rng = match selection {
@@ -403,7 +418,7 @@ mod tests {
         for seed in 0..5 {
             let hg = random_hypergraph(40, 80, 6, seed);
             let (cover, stats) =
-                brs_cover(&hg, BrsParams::default(), Selection::Randomized { seed });
+                brs_cover(&hg, BlockerParams::default(), Selection::Randomized { seed });
             assert!(verify_cover(&hg, &cover), "seed {seed}");
             assert!(stats.selection_steps > 0);
         }
@@ -412,8 +427,8 @@ mod tests {
     #[test]
     fn brs_derandomized_covers_and_is_deterministic() {
         let hg = random_hypergraph(35, 70, 5, 9);
-        let (c1, s1) = brs_cover(&hg, BrsParams::default(), Selection::Derandomized);
-        let (c2, _) = brs_cover(&hg, BrsParams::default(), Selection::Derandomized);
+        let (c1, s1) = brs_cover(&hg, BlockerParams::default(), Selection::Derandomized);
+        let (c2, _) = brs_cover(&hg, BlockerParams::default(), Selection::Derandomized);
         assert!(verify_cover(&hg, &c1));
         assert_eq!(c1, c2, "derandomized run must be deterministic");
         assert_eq!(s1.fallbacks + s1.set_picks + s1.singleton_picks, s1.selection_steps);
@@ -428,7 +443,7 @@ mod tests {
         for seed in 0..8 {
             let hg = random_hypergraph(50, 120, 6, 100 + seed);
             let g = greedy_cover(&hg);
-            let (b, _) = brs_cover(&hg, BrsParams::default(), Selection::Derandomized);
+            let (b, _) = brs_cover(&hg, BlockerParams::default(), Selection::Derandomized);
             total_brs += b.len();
             total_greedy += g.len();
         }
@@ -438,7 +453,7 @@ mod tests {
     #[test]
     fn brs_selection_steps_polylog() {
         let hg = random_hypergraph(60, 200, 8, 77);
-        let (_, stats) = brs_cover(&hg, BrsParams::default(), Selection::Derandomized);
+        let (_, stats) = brs_cover(&hg, BlockerParams::default(), Selection::Derandomized);
         // Lemma 3.9: O(log^3 n / (δ³ε²)); for n=60 this constant-heavy bound
         // is astronomically loose — just check the count is sane.
         assert!(stats.selection_steps < 2000, "steps = {}", stats.selection_steps);
@@ -447,7 +462,7 @@ mod tests {
     #[test]
     fn single_vertex_edges() {
         let hg = Hypergraph::new(4, vec![vec![1], vec![3]]);
-        let (cover, _) = brs_cover(&hg, BrsParams::default(), Selection::Derandomized);
+        let (cover, _) = brs_cover(&hg, BlockerParams::default(), Selection::Derandomized);
         let mut c = cover.clone();
         c.sort_unstable();
         assert_eq!(c, vec![1, 3]);
@@ -485,7 +500,7 @@ mod sampling_path_tests {
     fn set_selection_path_exercised_derandomized() {
         let hg = flat_instance(400, 3);
         let (cover, stats) =
-            brs_cover(&hg, BrsParams::exercise_sampling(), Selection::Derandomized);
+            brs_cover(&hg, BlockerParams::exercise_sampling(), Selection::Derandomized);
         assert!(verify_cover(&hg, &cover));
         assert!(stats.set_picks > 0, "sampling path not exercised: {stats:?}");
         assert_eq!(stats.fallbacks, 0, "no fallback expected: {stats:?}");
@@ -495,7 +510,7 @@ mod sampling_path_tests {
     fn set_selection_path_exercised_randomized() {
         let hg = flat_instance(400, 3);
         let (cover, stats) =
-            brs_cover(&hg, BrsParams::exercise_sampling(), Selection::Randomized { seed: 5 });
+            brs_cover(&hg, BlockerParams::exercise_sampling(), Selection::Randomized { seed: 5 });
         assert!(verify_cover(&hg, &cover));
         assert!(stats.set_picks > 0, "sampling path not exercised: {stats:?}");
     }
@@ -508,7 +523,7 @@ mod sampling_path_tests {
         // well under 8x retries... allow a loose bound.
         let hg = flat_instance(400, 3);
         let (_, stats) =
-            brs_cover(&hg, BrsParams::exercise_sampling(), Selection::Randomized { seed: 11 });
+            brs_cover(&hg, BlockerParams::exercise_sampling(), Selection::Randomized { seed: 11 });
         if stats.set_picks > 0 {
             let avg = stats.sample_points_examined as f64 / stats.set_picks as f64;
             assert!(avg <= 64.0, "avg sample points per good set = {avg}");

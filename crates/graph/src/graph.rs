@@ -82,11 +82,6 @@ impl<W: Weight> Csr<W> {
     }
 
     #[inline]
-    fn degree(&self, v: NodeId) -> usize {
-        (self.index[v as usize + 1] - self.index[v as usize]) as usize
-    }
-
-    #[inline]
     fn row_slices(&self, v: NodeId) -> (&[NodeId], &[W]) {
         let lo = self.index[v as usize] as usize;
         let hi = self.index[v as usize + 1] as usize;
@@ -196,15 +191,6 @@ impl<W: Weight> Graph<W> {
         self.into.row(v)
     }
 
-    /// Outgoing adjacency of `v` as parallel `(targets, weights)` CSR row
-    /// slices, sorted by target id. The zero-cost access path for dense
-    /// per-edge scans (e.g. successor-matrix derivation in the oracle).
-    #[inline]
-    #[must_use]
-    pub fn out_row(&self, v: NodeId) -> (&[NodeId], &[W]) {
-        self.out.row_slices(v)
-    }
-
     /// Incoming adjacency of `v` as parallel `(sources, weights)` CSR row
     /// slices, sorted by source id.
     #[inline]
@@ -213,32 +199,12 @@ impl<W: Weight> Graph<W> {
         self.into.row_slices(v)
     }
 
-    /// Out-degree of `v`.
-    #[inline]
-    #[must_use]
-    pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out.degree(v)
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    #[must_use]
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.into.degree(v)
-    }
-
     /// Communication neighbors of `v` in the underlying undirected graph
     /// (used by the CONGEST simulator; §1.1 of the paper).
     #[inline]
     #[must_use]
     pub fn comm_neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.comm[v as usize]
-    }
-
-    /// Total number of undirected communication channels.
-    #[must_use]
-    pub fn comm_channel_count(&self) -> usize {
-        self.comm.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// `true` iff `u` and `v` share a communication channel.
@@ -322,8 +288,6 @@ mod tests {
         assert_eq!(out0, vec![(1, 1), (2, 5)]);
         let in3: Vec<_> = g.in_edges(3).collect();
         assert_eq!(in3, vec![(1, 1), (2, 1)]);
-        assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(0), 0);
     }
 
     #[test]
@@ -335,16 +299,12 @@ mod tests {
         assert!(g.are_comm_neighbors(1, 3));
         assert!(!g.are_comm_neighbors(0, 3));
         assert!(g.is_comm_connected());
-        assert_eq!(g.comm_channel_count(), 4);
     }
 
     #[test]
     fn row_slices_mirror_edge_iterators() {
         let g = diamond();
         for v in 0..4u32 {
-            let (t, w) = g.out_row(v);
-            let pairs: Vec<_> = t.iter().copied().zip(w.iter().copied()).collect();
-            assert_eq!(pairs, g.out_edges(v).collect::<Vec<_>>());
             let (s, w) = g.in_row(v);
             let pairs: Vec<_> = s.iter().copied().zip(w.iter().copied()).collect();
             assert_eq!(pairs, g.in_edges(v).collect::<Vec<_>>());

@@ -177,27 +177,6 @@ pub fn hop_limited_min_hops<W: Weight>(
         .collect()
 }
 
-/// Exact weighted hop-diameter proxy: max over reachable pairs of the
-/// minimal hop count among shortest paths. Expensive (O(n·n·m)); intended
-/// for tests and small experiment set-up only.
-#[must_use]
-pub fn max_shortest_path_hops<W: Weight>(g: &Graph<W>) -> usize {
-    let n = g.n();
-    let mut worst = 0;
-    for s in 0..n as NodeId {
-        let exact = dijkstra(g, s, Direction::Out);
-        let hops = hop_limited_min_hops(g, s, n, Direction::Out);
-        for v in 0..n {
-            if !exact[v].is_inf() {
-                if let Some(k) = hops[v] {
-                    worst = worst.max(k);
-                }
-            }
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,11 +269,5 @@ mod tests {
         );
         let d = dijkstra(&g, 0, Direction::Out);
         assert_eq!(d[2], F64::new(0.75));
-    }
-
-    #[test]
-    fn max_hops_path() {
-        let g = path(6, true, WeightDist::Unit, 0);
-        assert_eq!(max_shortest_path_hops(&g), 5);
     }
 }

@@ -594,8 +594,6 @@ pub struct ResilientClient<W> {
     conn: Option<Client<W>>,
     last_generation: Option<u64>,
     stats: ResilienceStats,
-    /// Test hook: where backoffs go. Defaults to `thread::sleep`.
-    sleeper: Box<dyn FnMut(Duration) + Send>,
 }
 
 impl<W: PortableWeight> ResilientClient<W> {
@@ -611,17 +609,7 @@ impl<W: PortableWeight> ResilientClient<W> {
             conn: None,
             last_generation: None,
             stats: ResilienceStats::default(),
-            sleeper: Box::new(std::thread::sleep),
         }
-    }
-
-    /// Replaces the backoff sleeper — tests capture the requested
-    /// durations instead of actually sleeping, making retry schedules
-    /// assertable under a virtual clock.
-    #[must_use]
-    pub fn with_sleeper(mut self, sleeper: impl FnMut(Duration) + Send + 'static) -> Self {
-        self.sleeper = Box::new(sleeper);
-        self
     }
 
     /// The policy in force.
@@ -799,7 +787,7 @@ impl<W: PortableWeight> ResilientClient<W> {
         let backoff = self.policy.backoff(attempt, prev_backoff);
         let slept = backoff.min(deadline.saturating_duration_since(Instant::now()));
         if !slept.is_zero() {
-            (self.sleeper)(slept);
+            std::thread::sleep(slept);
         }
         attempts.push(Attempt { attempt, error, backoff: slept, pending });
         backoff

@@ -30,19 +30,6 @@ impl BfsTree {
     pub fn height(&self) -> u64 {
         self.depth.iter().copied().max().unwrap_or(0)
     }
-
-    /// Nodes in root-to-leaves (BFS) order.
-    #[must_use]
-    pub fn topological_order(&self) -> Vec<NodeId> {
-        let mut order = vec![self.root];
-        let mut i = 0;
-        while i < order.len() {
-            let v = order[i];
-            order.extend(self.children[v as usize].iter().copied());
-            i += 1;
-        }
-        order
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -195,7 +182,6 @@ mod tests {
         }
         let total_children: usize = tree.children.iter().map(Vec::len).sum();
         assert_eq!(total_children, 39);
-        assert_eq!(tree.topological_order().len(), 40);
     }
 
     #[test]

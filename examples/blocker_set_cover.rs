@@ -9,10 +9,10 @@
 //! cargo run --release --example blocker_set_cover
 //! ```
 
-use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx, Selection};
-use congest_apsp::config::{BlockerParams, Charging};
+use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx};
 use congest_apsp::csssp::build_csssp;
-use congest_derand::{brs_cover, greedy_cover, verify_cover, BrsParams};
+use congest_apsp::{BlockerParams, Charging, Selection};
+use congest_derand::{brs_cover, greedy_cover, verify_cover};
 use congest_graph::generators::{broom, WeightDist};
 use congest_graph::seq::Direction;
 use congest_graph::NodeId;
@@ -93,7 +93,7 @@ fn main() {
     // Sequential oracles on the same hypergraph.
     let hg = ctx.hypergraph(g.n());
     let sg = greedy_cover(&hg);
-    let (sb, _) = brs_cover(&hg, BrsParams::default(), congest_derand::Selection::Derandomized);
+    let (sb, _) = brs_cover(&hg, BlockerParams::default(), Selection::Derandomized);
     assert!(verify_cover(&hg, &sg) && verify_cover(&hg, &sb));
     println!("\nsequential oracles  : greedy cover = {}, BRS cover = {}", sg.len(), sb.len());
     println!(

@@ -2,7 +2,7 @@
 //! the sequential Dijkstra matrix on every workload family, directed and
 //! undirected, with integer, zero-inflated and real weights (Theorem 1.1).
 
-use congest_apsp::{Algorithm, ApspConfig, BlockerMethod, Solver};
+use congest_apsp::{Algorithm, Selection, Solver};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use congest_graph::{Graph, F64};
@@ -11,7 +11,8 @@ fn check_all_algorithms(g: &Graph<u64>, label: &str) {
     let oracle = apsp_dijkstra(g);
     let paper = Solver::builder(g).run().unwrap();
     assert_eq!(paper.dist, oracle, "{label}: paper algorithm");
-    let rand = Solver::builder(g).blocker_method(BlockerMethod::Randomized).run().unwrap();
+    let rand =
+        Solver::builder(g).selection(Selection::Randomized { seed: 0xC0FFEE }).run().unwrap();
     assert_eq!(rand.dist, oracle, "{label}: randomized blocker variant");
     let ar18 = Solver::builder(g).algorithm(Algorithm::Ar18).run().unwrap();
     assert_eq!(ar18.dist, oracle, "{label}: AR18 baseline");
@@ -76,17 +77,6 @@ fn exact_under_worst_case_charging() {
     let g = Family::SparseRandom.build(12, true, WeightDist::Uniform(0, 9), 37);
     let out = Solver::builder(&g).charging(Charging::WorstCase).run().unwrap();
     assert_eq!(out.dist, apsp_dijkstra(&g));
-}
-
-#[test]
-fn config_round_trips_through_builder() {
-    // `.config(cfg)` must behave exactly like the per-knob setters.
-    let g = Family::SparseRandom.build(12, true, WeightDist::Uniform(0, 9), 38);
-    let cfg = ApspConfig { h: Some(2), ..Default::default() };
-    let via_config = Solver::builder(&g).config(cfg).run().unwrap();
-    let via_knob = Solver::builder(&g).hop_param(2).run().unwrap();
-    assert_eq!(via_config.dist, via_knob.dist);
-    assert_eq!(via_config.meta.h, 2);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! local Step 5, blocker validity through the public API, congestion
 //! bounds, and randomized-variant stability across seeds.
 
-use congest_apsp::{Algorithm, ApspOutcome, BlockerMethod, Charging, Solver, Step6Method};
+use congest_apsp::{Algorithm, ApspOutcome, Charging, Selection, Solver};
 use congest_bench::workloads::{hop_deep, sparse_random};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
@@ -210,8 +210,7 @@ fn randomized_variant_same_answer_any_seed() {
     let oracle = apsp_dijkstra(&g);
     let mut rounds = Vec::new();
     for seed in [1u64, 99, 12345] {
-        let out =
-            Solver::builder(&g).blocker_method(BlockerMethod::Randomized).seed(seed).run().unwrap();
+        let out = Solver::builder(&g).selection(Selection::Randomized { seed }).run().unwrap();
         assert_eq!(out.dist, oracle, "seed {seed}");
         rounds.push(out.recorder.total_rounds());
     }
@@ -273,12 +272,4 @@ fn quiesce_never_slower_than_worst_case() {
     let worst = Solver::builder(&g).charging(Charging::WorstCase).run().unwrap();
     assert_eq!(quiesce.dist, worst.dist);
     assert!(quiesce.recorder.total_rounds() <= worst.recorder.total_rounds());
-}
-
-#[test]
-fn trivial_step6_matches_pipelined() {
-    let g = Family::Grid.build(16, false, WeightDist::Uniform(1, 9), 8);
-    let a = Solver::builder(&g).run().unwrap();
-    let b = Solver::builder(&g).step6_method(Step6Method::TrivialBroadcast).run().unwrap();
-    assert_eq!(a.dist, b.dist);
 }

@@ -2,7 +2,7 @@
 //! distributed APSP must always equal the oracle, blocker sets must always
 //! cover, and the simulator must never report a CONGEST violation.
 
-use congest_apsp::{Algorithm, BlockerMethod, Solver};
+use congest_apsp::{Algorithm, Selection, Solver};
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use proptest::prelude::*;
@@ -41,11 +41,8 @@ proptest! {
         algo_seed in 0u64..10_000,
     ) {
         let g = gnm_connected(n, 2 * n, true, WeightDist::Uniform(0, 20), seed);
-        let out = Solver::builder(&g)
-            .blocker_method(BlockerMethod::Randomized)
-            .seed(algo_seed)
-            .run()
-            .unwrap();
+        let out =
+            Solver::builder(&g).selection(Selection::Randomized { seed: algo_seed }).run().unwrap();
         prop_assert_eq!(out.dist, apsp_dijkstra(&g));
     }
 }

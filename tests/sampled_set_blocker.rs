@@ -12,10 +12,10 @@
 //! Algorithm 2′ is also checked pick for pick against `congest_derand`'s
 //! sequential BRS cover, on combs and on the usual families.
 
-use congest_apsp::blocker::{alg2_blocker, Alg2Stats, PathCtx, Selection};
-use congest_apsp::csssp::build_csssp;
-use congest_apsp::{BlockerMethod, BlockerParams, Charging, Recovery, Solver};
-use congest_derand::{brs_cover, BrsParams};
+use congest_apsp::blocker::{alg2_blocker, Alg2Stats, PathCtx};
+use congest_apsp::csssp::{build_csssp, SsspCollection};
+use congest_apsp::{BlockerParams, Charging, Recovery, Selection, Solver};
+use congest_derand::brs_cover;
 use congest_graph::generators::{broom, gnm_connected, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, Direction};
 use congest_graph::{DistMatrix, Edge, Graph, NodeId, Weight};
@@ -75,24 +75,24 @@ fn lemma_3_10_bound(g: &Graph<u64>) -> f64 {
     g.n() as f64 / H as f64 * (2.0 * K as f64).ln()
 }
 
-/// Runs Ar20 on the comb with `method`, checks the answer and |Q| against
-/// Lemma 3.10, and returns the blocker set, the round and message totals
-/// and the Algorithm-2 counters.
-fn solve(g: &Graph<u64>, method: BlockerMethod) -> (Vec<NodeId>, u64, u64, Alg2Stats) {
+/// Runs Ar20 on the comb with `selection`, checks the answer and |Q|
+/// against Lemma 3.10, and returns the blocker set, the round and message
+/// totals and the Algorithm-2 counters.
+fn solve(g: &Graph<u64>, selection: Selection) -> (Vec<NodeId>, u64, u64, Alg2Stats) {
     let out = Solver::builder(g)
-        .blocker_method(method)
+        .selection(selection)
         .hop_param(H)
         .blocker_params(SAMPLING)
         .run()
         .unwrap();
-    assert_eq!(out.dist, apsp_dijkstra(g), "{method:?} is exact");
+    assert_eq!(out.dist, apsp_dijkstra(g), "{selection:?} is exact");
     assert_walkable(g, &out.dist);
     let stats = out.meta.blocker_stats.expect("Algorithm 2/2′ reports its counters");
-    assert!(stats.set_picks > 0, "{method:?} picked no sampled set: {stats:?}");
+    assert!(stats.set_picks > 0, "{selection:?} picked no sampled set: {stats:?}");
     let bound = lemma_3_10_bound(g);
     assert!(
         out.meta.q.len() as f64 <= bound,
-        "{method:?}: |Q| = {} > {bound:.1}",
+        "{selection:?}: |Q| = {} > {bound:.1}",
         out.meta.q.len()
     );
     let (rounds, messages) = (out.recorder.total_rounds(), out.recorder.total_messages());
@@ -102,22 +102,73 @@ fn solve(g: &Graph<u64>, method: BlockerMethod) -> (Vec<NodeId>, u64, u64, Alg2S
 #[test]
 fn derandomized_selection_picks_a_sampled_set_deterministically() {
     let g = comb(K, H);
-    let (q, rounds, messages, stats) = solve(&g, BlockerMethod::Derandomized);
+    let (q, rounds, messages, stats) = solve(&g, Selection::Derandomized);
     assert!(stats.sample_points_examined > 0, "{stats:?}");
     assert_eq!(q.len(), 128, "{stats:?}");
     // Golden totals: the whole Ar20 run, good-set commits included.
     assert_eq!((rounds, messages), (13_818, 436_608), "{stats:?}");
-    let again = solve(&g, BlockerMethod::Derandomized);
+    let again = solve(&g, Selection::Derandomized);
     assert_eq!((&q, rounds, messages), (&again.0, again.1, again.2), "2′ is deterministic");
 }
 
 #[test]
 fn randomized_selection_picks_a_sampled_set() {
     let g = comb(K, H);
-    let (_, rounds, messages, stats) = solve(&g, BlockerMethod::Randomized);
+    let (_, rounds, messages, stats) = solve(&g, Selection::Randomized { seed: 0xC0FFEE });
     assert_eq!(stats.good_set_sizes.len() as u64, stats.set_picks, "{stats:?}");
-    // Golden totals at the default seed.
+    // Golden totals at seed 0xC0FFEE.
     assert_eq!((rounds, messages), (14_817, 1_267_356), "{stats:?}");
+}
+
+/// The all-sources h-hop collection of `g`, as Ar20's Step 1 builds it.
+fn step1(g: &Graph<u64>, h: usize) -> (Topology, SsspCollection<u64>) {
+    let topo = Topology::from_graph(g);
+    let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+    let coll = build_csssp(
+        g,
+        &topo,
+        &sources,
+        h,
+        Direction::Out,
+        SimConfig::default(),
+        Charging::Quiesce,
+        &mut Recorder::new(),
+        &mut Recovery::disabled(),
+        "csssp",
+    )
+    .unwrap();
+    (topo, coll)
+}
+
+/// The solver hands the seed inside `Selection::Randomized` to Algorithm
+/// 2: for two seeds that pick different blocker sets on the comb, Ar20's
+/// Q equals `alg2_blocker`'s on the Step-1 collection, in pick order.
+#[test]
+fn the_selection_seed_reaches_algorithm_2() {
+    let g = comb(K, H);
+    let (topo, coll) = step1(&g, H);
+    let mut picks = Vec::new();
+    for seed in [0xC0FFEE, 7] {
+        let selection = Selection::Randomized { seed };
+        let solved = Solver::builder(&g)
+            .selection(selection)
+            .hop_param(H)
+            .blocker_params(SAMPLING)
+            .run()
+            .unwrap();
+        let (q, _) = alg2_blocker(
+            &topo,
+            SimConfig::default(),
+            &coll,
+            SAMPLING,
+            selection,
+            &mut Recorder::new(),
+        )
+        .unwrap();
+        assert_eq!(solved.meta.q, q, "seed {seed:#x}");
+        picks.push(q);
+    }
+    assert_ne!(picks[0], picks[1], "the two seeds pick alike, so the check proves nothing");
 }
 
 /// Runs Algorithm 2′ on the all-sources h-hop collection of `g` and the
@@ -125,29 +176,13 @@ fn randomized_selection_picks_a_sampled_set() {
 /// checks they pick the same nodes in the same order through the same
 /// kinds of selection steps. Returns Algorithm 2′'s counters.
 fn assert_matches_brs(g: &Graph<u64>, h: usize, params: BlockerParams) -> Alg2Stats {
-    let topo = Topology::from_graph(g);
-    let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+    let (topo, coll) = step1(g, h);
     let sim = SimConfig::default();
-    let mut rec = Recorder::new();
-    let coll = build_csssp(
-        g,
-        &topo,
-        &sources,
-        h,
-        Direction::Out,
-        sim,
-        Charging::Quiesce,
-        &mut rec,
-        &mut Recovery::disabled(),
-        "csssp",
-    )
-    .unwrap();
     let (ctx, _) = PathCtx::build(&topo, sim, &coll).unwrap();
-    let brs_params = BrsParams { eps: params.eps, delta: params.delta };
-    let (cover, brs) =
-        brs_cover(&ctx.hypergraph(g.n()), brs_params, congest_derand::Selection::Derandomized);
+    let (cover, brs) = brs_cover(&ctx.hypergraph(g.n()), params, Selection::Derandomized);
     let (q, alg2) =
-        alg2_blocker(&topo, sim, &coll, params, Selection::Derandomized, &mut rec).unwrap();
+        alg2_blocker(&topo, sim, &coll, params, Selection::Derandomized, &mut Recorder::new())
+            .unwrap();
     assert_eq!(q, cover, "h = {h}, {params:?}");
     assert_eq!(
         (alg2.selection_steps, alg2.singleton_picks, alg2.set_picks, alg2.sample_points_examined),

@@ -3,12 +3,12 @@
 //!
 //! * `DistMatrix::from_rows` → `row()` / `get()` / `as_slice()` must
 //!   round-trip exactly, for any shape.
-//! * `Solver` under every algorithm/knob combination must match
+//! * `Solver` under every algorithm and selection must match
 //!   `apsp_dijkstra` on small random graphs.
 //! * The compute → serve handoff (`into_oracle`) must move the arena, not
 //!   copy it.
 
-use congest_apsp::{Algorithm, BlockerMethod, Solver, Step6Method};
+use congest_apsp::{Algorithm, Selection, Solver};
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use congest_graph::DistMatrix;
@@ -57,10 +57,10 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs eight full CONGEST simulations; keep the count small.
+    // Each case runs four full CONGEST simulations; keep the count small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every algorithm/knob combination reachable through the builder is
+    /// Every algorithm and selection reachable through the builder is
     /// exact on small random graphs and carries a successor plane.
     #[test]
     fn solver_knob_matrix_is_exact(
@@ -71,17 +71,10 @@ proptest! {
     ) {
         let g = gnm_connected(n, extra, directed, WeightDist::Uniform(0, 20), seed);
         let oracle = apsp_dijkstra(&g);
-        for blocker in [
-            BlockerMethod::Greedy,
-            BlockerMethod::Randomized,
-            BlockerMethod::Derandomized,
-        ] {
-            for step6 in [Step6Method::Pipelined, Step6Method::TrivialBroadcast] {
-                let out =
-                    Solver::builder(&g).blocker_method(blocker).step6_method(step6).run().unwrap();
-                prop_assert!(out.dist == oracle, "Ar20/{blocker:?}/{step6:?} diverged");
-                prop_assert!(out.dist.successors().is_some(), "Ar20/{blocker:?}/{step6:?}: no plane");
-            }
+        for selection in [Selection::Randomized { seed: 0xC0FFEE }, Selection::Derandomized] {
+            let out = Solver::builder(&g).selection(selection).run().unwrap();
+            prop_assert!(out.dist == oracle, "Ar20/{selection:?} diverged");
+            prop_assert!(out.dist.successors().is_some(), "Ar20/{selection:?}: no plane");
         }
         for algorithm in [Algorithm::Ar18, Algorithm::Naive] {
             let out = Solver::builder(&g).algorithm(algorithm).run().unwrap();

@@ -9,7 +9,7 @@
 //! and to the Dijkstra distances — across directed/undirected, zero-weight
 //! and real-valued (F64) graph classes, for all three algorithms.
 
-use congest_apsp::{Algorithm, Solver, Step6Method};
+use congest_apsp::{Algorithm, Selection, Solver};
 use congest_bench::workloads::hop_deep;
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
@@ -129,17 +129,15 @@ fn f64_plane_is_exact() {
 }
 
 /// Small hop parameters force traffic through every Step-6 delivery
-/// mechanism (relays and the round-robin push) and the trivial-broadcast
-/// alternative; the adopted plane must stay valid in each configuration.
+/// mechanism (relays and the round-robin push); the adopted plane must
+/// stay valid under both Step-2 selections.
 #[test]
 fn plane_valid_under_step6_variants_and_small_h() {
     let g = gnm_connected(15, 28, true, WeightDist::Uniform(0, 7), 23);
     for h in [1usize, 2] {
-        check_plane_contract(&g, Solver::builder(&g).hop_param(h).build());
-        check_plane_contract(
-            &g,
-            Solver::builder(&g).hop_param(h).step6_method(Step6Method::TrivialBroadcast).build(),
-        );
+        for selection in [Selection::Derandomized, Selection::Randomized { seed: 0xC0FFEE }] {
+            check_plane_contract(&g, Solver::builder(&g).hop_param(h).selection(selection).build());
+        }
     }
 }
 
