@@ -8,23 +8,29 @@
 //! good-set criterion (Definition 3.1). Helper algorithms:
 //!
 //! * score / score_ij — per-tree convergecasts (\[2\]'s Algorithm 3 and the
-//!   Step 8 machinery): [`crate::trees::subtree_sums`], each followed by a
-//!   [`crate::trees::flood_scores`]. Both run on the one
+//!   Step 8 machinery): [`crate::trees::subtree_sums`]. Both run on the one
 //!   [`crate::trees::TreeState`] of the run, so after the first score only
 //!   counts that can still change are sent: score_ij marks a subset of the
 //!   alive paths, and the alive paths only shrink;
+//! * Vi (Steps 3–4) — each stage opens with a max-flood of the scores
+//!   ([`crate::trees::flood_scores`], O(D) rounds), whose maximum names the
+//!   highest stage with a nonempty Vi, and a flood of Vi's member ids
+//!   (O(|Vi| + D) rounds). After each commit only the members whose score
+//!   fell below the stage's threshold flood their ids; the picks left Vi
+//!   too, and every node already knows them. Every node derives Vi from
+//!   these floods alone, and so does the driver, from node 0's log;
+//! * Step 9's maximum score_ij — one max-flood over Vi's members;
 //! * Compute-Pi / Compute-Pij (Algorithms 3–4) — realized by the
 //!   ancestor-collection of Algorithm 7 Step 1 plus node-local checks
-//!   against broadcast score data (same information, same O(|S|·h) cost);
+//!   against Vi's member ids (same information, same O(|S|·h) cost);
 //! * Compute-|Pij| (Algorithm 5) — pipelined aggregation to the leader
 //!   over a BFS tree (Algorithms 11/12) and a broadcast back;
 //! * Remove-Subtrees (Algorithm 6) — [`crate::trees::remove_subtrees`].
 //!
-//! Two deliberate deviations from the paper's text: score values
-//! are broadcast instead of Vi member ids (same O(n) cost, lets nodes skip
-//! empty stages/phases locally), and the biased pairwise-independent space
-//! is the classical affine GF(q)² space scanned lazily in blocks of n
-//! points (the paper's linear-size biased space is unspecified).
+//! One deliberate deviation from the paper's text: the biased
+//! pairwise-independent space is the classical affine GF(q)² space scanned
+//! lazily in blocks of n points (the paper's linear-size biased space is
+//! unspecified).
 
 use super::PathCtx;
 use crate::csssp::SsspCollection;
@@ -35,7 +41,7 @@ use congest_sim::primitives::{
     all_to_all_broadcast, broadcast_stream, build_bfs_tree, convergecast_budget, convergecast_sum,
     BfsTree,
 };
-use congest_sim::{BitSet, Recorder, RunUntil, SimConfig, SimError, Topology};
+use congest_sim::{BitSet, PhaseReport, Recorder, RunUntil, SimConfig, SimError, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -66,10 +72,10 @@ struct Driver<'a, W: Weight> {
     ctx: PathCtx<'a, W>,
     bfs: BfsTree,
     params: BlockerParams,
-    /// Globally-broadcast scores (every node's view after the score flood).
+    /// Each node's own score from the last convergecast: node-local, read
+    /// only to decide what that node floods.
     scores: Vec<u64>,
     q: Vec<NodeId>,
-    in_q: Vec<bool>,
     stats: Alg2Stats,
     rng: Option<ChaCha8Rng>,
 }
@@ -86,24 +92,48 @@ struct ViView {
 }
 
 impl<'a, W: Weight> Driver<'a, W> {
-    /// Per-tree convergecast of alive-path counts + O(n) score flood.
-    fn refresh_scores(&mut self, rec: &mut Recorder, label: &str) -> Result<(), SimError> {
+    /// Per-tree convergecast of alive-path counts (every node learns its
+    /// own score).
+    fn rescore(&mut self, rec: &mut Recorder, label: &str) -> Result<(), SimError> {
         let coll = self.coll;
         let (scores, report) =
             subtree_sums(self.topo, self.sim, coll, &mut self.ctx.trees, |v, si| {
                 coll.is_full_leaf(v, si)
             })?;
         rec.record(format!("{label}: score convergecast"), report);
-        // Flood (score, id) so every node can derive Vi for any stage
-        // (Lemma 3.2 cost; carries score values instead of ids).
-        let (_, report) = flood_scores(self.topo, self.sim, |v| scores[v])?;
-        rec.record(format!("{label}: score flood"), report);
         self.scores = scores;
         Ok(())
     }
 
-    /// Vi with the alive paths and their number of Vi vertices.
-    fn vi_view(&self, mask: Vec<bool>, list: Vec<NodeId>) -> ViView {
+    /// The maximum score, which every node learns from one max-flood.
+    fn max_score(&self, rec: &mut Recorder) -> Result<u64, SimError> {
+        let (best, report) = flood_scores(self.topo, self.sim, |v| self.scores[v])?;
+        rec.record("alg2: stage entry: score flood (max)", report);
+        Ok(best.map_or(0, |(score, _)| score))
+    }
+
+    /// Floods the ids of the nodes for which `member` holds, one word
+    /// each, and returns the ids node 0 learned, ascending.
+    fn flood_ids(
+        &self,
+        member: impl Fn(NodeId) -> bool,
+    ) -> Result<(Vec<NodeId>, PhaseReport), SimError> {
+        let initial = (0..self.coll.n() as NodeId)
+            .map(|v| if member(v) { vec![v] } else { Vec::new() })
+            .collect();
+        let (logs, report) =
+            all_to_all_broadcast(self.topo, self.sim, initial, 1, |&v| v as usize)?;
+        // Item-index order is the order of the initial items: by node.
+        Ok((logs.log(0).copied().collect(), report))
+    }
+
+    /// Vi (ascending) with the alive paths and their number of Vi vertices.
+    fn vi_view(&self, list: &[NodeId]) -> ViView {
+        let mut mask = vec![false; self.coll.n()];
+        for &v in list {
+            mask[v as usize] = true;
+        }
+        let list = list.to_vec();
         let paths = self
             .ctx
             .alive_paths()
@@ -153,13 +183,14 @@ impl<'a, W: Weight> Driver<'a, W> {
         self.aggregate_publish(vals, rec, "alg2: |Pij| sizes")
     }
 
-    /// score_ij for every node (broadcast) plus the per-leaf Pij marks.
+    /// score_ij at every node, and Vi's maximum score_ij with its node,
+    /// which every node learns (the higher score, the smaller id on ties).
     fn scoreij(
         &mut self,
         vi: &ViView,
         thr_j: f64,
         rec: &mut Recorder,
-    ) -> Result<Vec<u64>, SimError> {
+    ) -> Result<(u64, NodeId), SimError> {
         // The leaves of Pij's paths, tree-major like the parent plane.
         let n = self.coll.n();
         let mut pij = BitSet::new();
@@ -173,11 +204,13 @@ impl<'a, W: Weight> Driver<'a, W> {
                 pij.get(si * n + v as usize)
             })?;
         rec.record("alg2: scoreij convergecast", report);
-        // Step 8: broadcast scoreij values of Vi members.
-        let (_, report) =
+        // Step 9: the maximum over Vi's members, by one max-flood.
+        let (best, report) =
             flood_scores(self.topo, self.sim, |v| if vi.mask[v] { scoreij[v] } else { 0 })?;
         rec.record("alg2: scoreij broadcast", report);
-        Ok(scoreij)
+        // Each of Pij's paths holds a Vi vertex, so some score_ij is
+        // positive; only a faulty flood leaves the maximum unknown.
+        Ok(best.unwrap_or((0, vi.list[0])))
     }
 
     /// Coverage of candidate set A over Pi and Pij (leaf-local counts,
@@ -222,20 +255,20 @@ impl<'a, W: Weight> Driver<'a, W> {
         cov_pi as f64 >= need_pi && cov_pij as f64 >= need_pij
     }
 
-    /// Adds `nodes` to Q, removes the covered subtrees (Algorithm 6) and
-    /// refreshes scores (Step 15–16).
+    /// Adds `nodes` (a subset of Vi, whose positive scores keep it out of
+    /// Q) to Q, removes the covered subtrees (Algorithm 6) and rescores
+    /// (Steps 15–16). The members that the new scores put below `thr_i`
+    /// flood their ids; the picks left Vi too, and every node knows them.
+    /// Returns Vi without both.
     fn commit(
         &mut self,
         nodes: &[NodeId],
+        vi: &ViView,
+        thr_i: f64,
         rec: &mut Recorder,
         label: &str,
-    ) -> Result<(), SimError> {
-        for &c in nodes {
-            if !self.in_q[c as usize] {
-                self.in_q[c as usize] = true;
-                self.q.push(c);
-            }
-        }
+    ) -> Result<Vec<NodeId>, SimError> {
+        self.q.extend_from_slice(nodes);
         // Every tree where a pick is a non-root member.
         let mut roots = Vec::new();
         for &c in nodes {
@@ -247,12 +280,22 @@ impl<'a, W: Weight> Driver<'a, W> {
         }
         let report = remove_subtrees(self.topo, self.sim, self.coll, &mut self.ctx.trees, &roots)?;
         rec.record(format!("{label}: cleanup"), report);
-        self.refresh_scores(rec, label)?;
-        Ok(())
+        self.rescore(rec, label)?;
+        let mut stays = vi.mask.clone();
+        for &v in nodes {
+            stays[v as usize] = false;
+        }
+        let (left, report) =
+            self.flood_ids(|v| stays[v as usize] && (self.scores[v as usize] as f64) < thr_i)?;
+        rec.record(format!("{label}: score flood"), report);
+        for &v in &left {
+            stays[v as usize] = false;
+        }
+        Ok(vi.list.iter().copied().filter(|&v| stays[v as usize]).collect())
     }
 
-    /// One selection step at stage i, phase j. Returns the chosen nodes.
-    #[allow(clippy::too_many_lines)]
+    /// One selection step at stage i, phase j. Returns the chosen nodes,
+    /// a subset of Vi, with the label of their commit.
     fn selection_step(
         &mut self,
         i: i32,
@@ -260,24 +303,17 @@ impl<'a, W: Weight> Driver<'a, W> {
         vi: &ViView,
         pij_size: u64,
         rec: &mut Recorder,
-    ) -> Result<Vec<NodeId>, SimError> {
+    ) -> Result<(Vec<NodeId>, &'static str), SimError> {
         let one_eps = 1.0 + self.params.eps;
         let thr_j = one_eps.powi(j - 1);
         self.stats.selection_steps += 1;
-        let scoreij = self.scoreij(vi, thr_j, rec)?;
+        let (best_score, best) = self.scoreij(vi, thr_j, rec)?;
 
         // Step 9: high-coverage singleton.
-        let best = vi
-            .list
-            .iter()
-            .copied()
-            .max_by_key(|&v| (scoreij[v as usize], std::cmp::Reverse(v)))
-            .expect("Vi nonempty");
         let single_threshold = self.params.delta.powi(3) / one_eps * pij_size as f64;
-        if scoreij[best as usize] as f64 > single_threshold {
+        if best_score as f64 > single_threshold {
             self.stats.singleton_picks += 1;
-            self.commit(&[best], rec, "alg2: singleton pick")?;
-            return Ok(vec![best]);
+            return Ok((vec![best], "alg2: singleton pick"));
         }
 
         // Steps 11-14: sampled good set with bias δ/(1+ε)^j.
@@ -297,11 +333,7 @@ impl<'a, W: Weight> Driver<'a, W> {
                     let a: Vec<NodeId> =
                         space.selected(mu).into_iter().map(|idx| vi.list[idx as usize]).collect();
                     // Step 13: members of A announce themselves.
-                    let initial: Vec<Vec<NodeId>> = (0..self.coll.n() as NodeId)
-                        .map(|v| if a.contains(&v) { vec![v] } else { Vec::new() })
-                        .collect();
-                    let (_, rep) =
-                        all_to_all_broadcast(self.topo, self.sim, initial, 1, |&v| v as usize)?;
+                    let (_, rep) = self.flood_ids(|v| a.contains(&v))?;
                     rec.record("alg2: A-id broadcast", rep);
                     let (cov_pi, cov_pij) = self.coverage(&a, vi, thr_j, rec)?;
                     if self.is_good(a.len(), cov_pi, cov_pij, i, pij_size) {
@@ -373,16 +405,14 @@ impl<'a, W: Weight> Driver<'a, W> {
             Some(a) => {
                 self.stats.set_picks += 1;
                 self.stats.good_set_sizes.push(a.len());
-                self.commit(&a, rec, "alg2: good set pick")?;
-                Ok(a)
+                Ok((a, "alg2: good set pick"))
             }
             None => {
                 // Guaranteed-progress fallback: on tiny instances the
                 // paper's constants can leave no good point within the
                 // scan budget. Never observed with paper parameters.
                 self.stats.fallbacks += 1;
-                self.commit(&[best], rec, "alg2: fallback pick")?;
-                Ok(vec![best])
+                Ok((vec![best], "alg2: fallback pick"))
             }
         }
     }
@@ -419,17 +449,16 @@ pub fn alg2_blocker<W: Weight>(
         params,
         scores: vec![0; n],
         q: Vec::new(),
-        in_q: vec![false; n],
         stats: Alg2Stats::default(),
         rng: match selection {
             Selection::Randomized { seed } => Some(ChaCha8Rng::seed_from_u64(seed)),
             Selection::Derandomized => None,
         },
     };
-    driver.refresh_scores(rec, "alg2: initial")?;
+    driver.rescore(rec, "alg2: initial")?;
 
     let one_eps = 1.0 + params.eps;
-    let max_score = driver.scores.iter().copied().max().unwrap_or(0);
+    let mut max_score = driver.max_score(rec)?;
     if max_score == 0 {
         return Ok((driver.q, driver.stats));
     }
@@ -438,26 +467,36 @@ pub fn alg2_blocker<W: Weight>(
 
     for i in (1..=i_start).rev() {
         let vi_threshold = one_eps.powi(i - 1);
-        loop {
-            // Steps 3-4 (+ Step 16 reconstruction): Vi from broadcast
-            // scores, Pi/Pij membership leaf-local.
-            let mask: Vec<bool> =
-                driver.scores.iter().map(|&sc| sc as f64 >= vi_threshold).collect();
-            let list: Vec<NodeId> = (0..n as NodeId).filter(|&v| mask[v as usize]).collect();
-            if list.is_empty() {
-                break;
-            }
-            let vi = driver.vi_view(mask, list);
+        if (max_score as f64) < vi_threshold {
+            continue; // Vi is empty: the maximum names a lower stage
+        }
+        // Steps 3-4: Vi's members announce themselves; Pi/Pij membership
+        // is leaf-local.
+        let (mut list, report) =
+            driver.flood_ids(|v| driver.scores[v as usize] as f64 >= vi_threshold)?;
+        rec.record("alg2: stage entry: score flood (Vi ids)", report);
+        while !list.is_empty() {
+            let vi = driver.vi_view(&list);
             let sizes = driver.pij_sizes(&vi, jmax, rec)?;
             // Work at the largest j whose Pij is nonempty (the paper's
             // descending phase order reaches exactly this j next).
             let Some(j) = (1..=jmax).rev().find(|&j| sizes[j - 1] > 0) else {
                 break; // Pi empty for this stage
             };
-            driver.selection_step(i, j as i32, &vi, sizes[j - 1], rec)?;
+            let (picks, label) = driver.selection_step(i, j as i32, &vi, sizes[j - 1], rec)?;
+            list = driver.commit(&picks, &vi, vi_threshold, rec, label)?;
+        }
+        // The next stage to enter; stage 1's Vi held every positive score.
+        if i > 1 {
+            max_score = driver.max_score(rec)?;
         }
     }
-    debug_assert_eq!(driver.ctx.alive_count(), 0, "all paths must be covered");
+    // A faulty flood can end the stages early; the Step-2 sentinel
+    // rejects such a run.
+    debug_assert!(
+        sim.fault.is_some() || driver.ctx.alive_count() == 0,
+        "all paths must be covered"
+    );
     Ok((driver.q, driver.stats))
 }
 
@@ -466,6 +505,7 @@ mod tests {
     use super::*;
     use crate::blocker::is_valid_blocker;
     use crate::blocker::tests::build_collection;
+    use congest_sim::fault::FaultSpec;
 
     #[test]
     fn derandomized_valid_and_deterministic() {
@@ -531,6 +571,32 @@ mod tests {
         let gres =
             crate::blocker::greedy_blocker(&topo, SimConfig::default(), &coll, &mut grec).unwrap();
         assert!(res.len() <= 4 * gres.len().max(1), "alg2 {} vs greedy {}", res.len(), gres.len());
+    }
+
+    /// Every ancestor message travels parent to child, so a drop in that
+    /// phase leaves short paths below it. Algorithm 2′ must still return,
+    /// with the faults counted, for the Step-2 sentinel to judge its Q.
+    #[test]
+    fn lost_ancestor_ids_leave_the_run_to_the_sentinel() {
+        let (_, topo, coll) = build_collection(18, 40, 3, 4);
+        for seed in [1, 5, 6, 9] {
+            let sim = SimConfig { fault: Some(FaultSpec::seeded(seed).drops(5_000)) };
+            let mut rec = Recorder::new();
+            let res = alg2_blocker(
+                &topo,
+                sim,
+                &coll,
+                BlockerParams::default(),
+                Selection::Derandomized,
+                &mut rec,
+            );
+            let ancestors = &rec.phases()[0];
+            assert_eq!(ancestors.name, "alg2: ancestors (Alg 7 Step 1)");
+            assert!(ancestors.faults.dropped > 0, "seed {seed}: no id was lost");
+            if let Ok((q, _)) = res {
+                assert!(q.iter().all(|&v| (v as usize) < coll.n()), "seed {seed}: {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The deterministic greedy blocker-set baseline of Agarwal et al. \[2\].
 //!
 //! One vertex per iteration: compute `score(v)` (paths through v) with
-//! [`subtree_sums`], flood the scores with [`flood_scores`] (O(n) rounds),
-//! pick the global maximum, remove the covered paths with
+//! [`subtree_sums`], find the global maximum with [`flood_scores`] (a
+//! max-flood, O(D) rounds), pick it, remove the covered paths with
 //! [`remove_subtrees`] (Algorithm 6), re-score, repeat. One [`TreeState`]
 //! carries the removed and silent cells from pick to pick, so a re-score
 //! sends only the counts that can still change. The startup costs
-//! O(|S|·h) rounds and every chosen vertex costs O(n) more — this is
-//! exactly the `O(nh + n·|Q|)` bound whose `n·|Q|` term the paper's
-//! Algorithm 2′ eliminates (§1, contribution 1).
+//! O(|S|·h) rounds and every chosen vertex costs a max-flood, a cleanup
+//! and a re-score more. \[2\] charges each pick O(n) rounds, which gives
+//! the `O(nh + n·|Q|)` bound whose `n·|Q|` term the paper's Algorithm 2′
+//! eliminates (§1, contribution 1); here a pick's flood costs O(D) and its
+//! cleanup and re-score O(h + congestion) on the cells still live.
 
 use crate::csssp::SsspCollection;
 use crate::trees::{flood_scores, remove_subtrees, subtree_sums, TreeState};
@@ -36,7 +38,7 @@ pub fn greedy_blocker<W: Weight>(
     rec.record("greedy: initial scores", report);
 
     for iter in 0..n {
-        // Every node learns the same maximum (Lemma A.2: O(n) rounds).
+        // Every node learns the same maximum (a max-flood: O(D) rounds).
         let (best, report) = flood_scores(topo, sim, |v| scores[v])?;
         rec.record(format!("greedy: score broadcast #{iter}"), report);
         let Some((_, c)) = best else {
@@ -105,7 +107,7 @@ mod tests {
 
     #[test]
     fn greedy_rounds_grow_with_q() {
-        // Round accounting: |Q|+1 score broadcasts of O(n) rounds each.
+        // Round accounting: |Q|+1 max-floods, the last one finding none.
         let (_, topo, coll) = build_collection(20, 44, 2, 6);
         let mut rec = Recorder::new();
         let res = greedy_blocker(&topo, SimConfig::default(), &coll, &mut rec).unwrap();

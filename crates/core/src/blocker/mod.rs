@@ -3,16 +3,19 @@
 //!
 //! Three constructions:
 //! * [`greedy_blocker`] — the baseline of Agarwal et al. \[2\]: one max-score vertex
-//!   per iteration with an O(n)-round cleanup, O(nh + n·|Q|) rounds total.
-//!   This is the `n·|Q|` term the paper removes.
+//!   per iteration, each charged O(n) rounds there, O(nh + n·|Q|) rounds
+//!   total. This is the `n·|Q|` term the paper removes. Here a pick costs a
+//!   max-flood (O(D)) plus a cleanup and a re-score over the live cells.
 //! * [`alg2_blocker`] with [`Selection::Randomized`](crate::Selection::Randomized)
 //!   — the paper's Algorithm 2.
 //! * [`alg2_blocker`] with [`Selection::Derandomized`](crate::Selection::Derandomized)
 //!   — Algorithm 2′ (Algorithm 7 with the ν-aggregation of Algorithms 11/12).
 //!
 //! Both functions run the pick loop of [`crate::trees`]: scores by
-//! [`subtree_sums`](crate::trees::subtree_sums), published by
-//! [`flood_scores`](crate::trees::flood_scores), picks pruned by
+//! [`subtree_sums`](crate::trees::subtree_sums), their maximum found by
+//! the max-flood [`flood_scores`](crate::trees::flood_scores) (Algorithm
+//! 2/2′ also floods Vi's member ids, and after each commit only the ids of
+//! the members that left it), picks pruned by
 //! [`remove_subtrees`](crate::trees::remove_subtrees). One [`TreeState`]
 //! per run holds the removed cells and the cells whose first score was 0,
 //! so every later sum sends only the counts that can still change.
@@ -53,7 +56,7 @@ pub struct PathCtx<'a, W> {
 
 impl<'a, W: Weight> PathCtx<'a, W> {
     /// Builds the context by running the ancestor-collection protocol
-    /// (Algorithm 7 Step 1; O(|S|·h) rounds, reported).
+    /// (Algorithm 7 Step 1, every tree at once; reported).
     ///
     /// # Errors
     /// Propagates engine errors.

@@ -4,8 +4,8 @@
 //! `total_count` is the number of messages it would forward if every
 //! source pushed its distance value up every tree — i.e. the sum over
 //! trees of its subtree sizes ([`subtree_sums`] of every alive member).
-//! Algorithm 13 repeatedly floods the counts with [`flood_scores`] (O(n)
-//! rounds), removes the maximum node with its subtrees in every tree
+//! Algorithm 13 repeatedly finds the maximum count with [`flood_scores`]
+//! (a max-flood, O(D) rounds), removes its node with its subtrees in every tree
 //! ([`remove_subtrees`]), and stops when every node's count is at most
 //! `n·√|Q|`. Lemma A.16: at most √|Q| nodes are ever removed. The run's
 //! [`TreeState`] keeps the removed cells silent, so a recount sends only
@@ -63,7 +63,7 @@ pub fn compute_bottlenecks<W: Weight>(
             break;
         }
         assert!(b.len() < cap + n, "bottleneck loop failed to converge");
-        // Step 4: flood (total_count, id); O(n) rounds.
+        // Step 4: max-flood of (total_count, id); O(D) rounds.
         let (best, report) = flood_scores(topo, sim, |v| totals[v])?;
         rec.record(format!("bottleneck: count broadcast #{}", b.len()), report);
         let (_, node) = best.expect("threshold exceeded, so counts exist");

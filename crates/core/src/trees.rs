@@ -14,12 +14,14 @@
 //!   run's [`TreeState`].
 //! * [`collect_ancestors`] — Algorithm 7 Step 1 (the Ancestors algorithm
 //!   of \[2\]): every node learns the ids on its root path in every tree,
-//!   streamed one id per round per channel, one source at a time.
+//!   streamed as `(tree, id)` pairs, every tree at once, first in first
+//!   out on each channel.
 //!
-//! A pick loop sums, floods the sums with [`flood_scores`] so every node
-//! learns the maximum (O(n) rounds, Lemma A.2), prunes the pick's subtrees
-//! and sums again. Each caller keeps its own marks and root rule; the run
-//! threads one [`TreeState`] through its sums and removals.
+//! A pick loop sums, finds the maximum with [`flood_scores`] (a max-flood:
+//! O(D) rounds, every channel carrying only values that beat what it
+//! already carried), prunes the pick's subtrees and sums again. Each
+//! caller keeps its own marks and root rule; the run threads one
+//! [`TreeState`] through its sums and removals.
 //!
 //! Within a run, a cell (a node's place in one tree) goes *silent* once
 //! its count can no longer change, and silent cells send nothing. Each
@@ -34,14 +36,14 @@
 //!   in its own tree.
 //!
 //! The paper charges O(|S|·h) rounds for these (sequential per source);
-//! the convergecast and removal protocols here pipeline across trees and
-//! finish in O(h + congestion) ≤ O(|S|·h) rounds, where the congestion
-//! counts only the live cells a channel carries, which only tightens the
-//! measured constants.
+//! all three protocols here pipeline across trees. The convergecast and
+//! removal finish in O(h + congestion) ≤ O(|S|·h) rounds, where the
+//! congestion counts only the live cells a channel carries; the ancestor
+//! collection finishes near the largest number of ids one channel carries,
+//! plus O(h).
 
 use crate::csssp::SsspCollection;
-use congest_graph::{NodeId, Weight};
-use congest_sim::primitives::all_to_all_broadcast;
+use congest_graph::{NodeId, Weight, NO_SUCC};
 use congest_sim::{
     BitSet, Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, RunUntil, SimConfig,
     SimError, Topology,
@@ -243,9 +245,60 @@ pub fn subtree_sums<W: Weight>(
     Ok((sums, report))
 }
 
-/// Floods every positive `scores(v)` as a `(score, v)` pair (O(n) rounds,
-/// Lemma A.2) and returns the maximum every node learns: the higher score,
-/// the smaller id on ties; `None` when no score is positive.
+// ---------------------------------------------------------------------
+// Max-flood
+// ---------------------------------------------------------------------
+
+/// A `(score, id)` ordered as [`flood_scores`] ranks it: the higher score,
+/// then the smaller id.
+type Ranked = (u64, Reverse<NodeId>);
+
+struct MaxFloodNode {
+    /// The best value this node knows; `None` until it knows a positive
+    /// score.
+    best: Option<Ranked>,
+    /// Per neighbor: the best value the channel has carried, either way.
+    carried: Vec<Option<Ranked>>,
+}
+
+impl NodeLogic for MaxFloodNode {
+    type Msg = (u64, NodeId);
+
+    fn on_round(
+        &mut self,
+        env: &NodeEnv<'_>,
+        inbox: &[Envelope<(u64, NodeId)>],
+        out: &mut Outbox<'_, (u64, NodeId)>,
+    ) {
+        for e in inbox {
+            let got = Some((e.msg.0, Reverse(e.msg.1)));
+            let ni = env.neighbor_index(e.from).expect("sender is a neighbor");
+            self.carried[ni] = self.carried[ni].max(got);
+            self.best = self.best.max(got);
+        }
+        // A channel carries a value only if it beats all it carried.
+        if let Some((score, Reverse(id))) = self.best {
+            for (ni, carried) in self.carried.iter_mut().enumerate() {
+                if *carried < self.best {
+                    out.send_nbr(ni, (score, id));
+                    *carried = self.best;
+                }
+            }
+        }
+    }
+
+    fn msg_words(&self, _msg: &(u64, NodeId)) -> u32 {
+        2
+    }
+}
+
+/// Every node learns the maximum of the positive `scores(v)` as a `(score,
+/// v)` pair, the higher score first and the smaller id on ties; `None`
+/// when no score is positive. A max-flood: a node sends its best pair on a
+/// channel only when it beats every pair that channel has carried in
+/// either direction, so each channel carries strictly increasing pairs,
+/// the run ends within O(D) rounds, and a channel carries at most as many
+/// messages as there are positive scores.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -254,14 +307,16 @@ pub fn flood_scores(
     sim: SimConfig,
     scores: impl Fn(usize) -> u64,
 ) -> Result<(Option<(u64, NodeId)>, PhaseReport), SimError> {
-    let initial: Vec<Vec<(u64, NodeId)>> = (0..topo.n())
-        .map(|v| match scores(v) {
-            0 => Vec::new(),
-            sc => vec![(sc, v as NodeId)],
+    let mut nodes: Vec<MaxFloodNode> = (0..topo.n())
+        .map(|v| MaxFloodNode {
+            best: Some(scores(v)).filter(|&sc| sc > 0).map(|sc| (sc, Reverse(v as NodeId))),
+            carried: vec![None; topo.degree(v as NodeId)],
         })
         .collect();
-    let (logs, report) = all_to_all_broadcast(topo, sim, initial, 2, |&(_, v)| v as usize)?;
-    let best = logs.log(0).copied().max_by_key(|&(sc, id)| (sc, Reverse(id)));
+    // The maximum crosses the graph in D ≤ n - 1 rounds.
+    let until = RunUntil::Quiesce { max: topo.n() as u64 + 8 };
+    let report = Engine::new(topo, sim).run(&mut nodes, until)?;
+    let best = nodes[0].best.map(|(sc, Reverse(id))| (sc, id));
     Ok((best, report))
 }
 
@@ -368,87 +423,108 @@ pub fn remove_subtrees<W: Weight>(
 // Ancestor collection (Algorithm 7 Step 1 / Ancestors of [2])
 // ---------------------------------------------------------------------
 
-struct AncestorNode<'a> {
-    /// This tree's children of the node.
-    children: &'a [NodeId],
-    /// Whether this node is a member of the current tree.
-    member: bool,
-    /// Received root-path ids so far, root first (without self).
-    path: Vec<NodeId>,
-    /// Expected path length (own depth).
-    depth: usize,
-    /// Next index of `path ++ [self]` to forward to children.
-    next_fwd: usize,
+struct AncestorNode<'a, W> {
+    /// The trees (read-only; the node reads its own depths and children).
+    coll: &'a SsspCollection<W>,
+    /// This node's cells of the CSR, tree after tree: its root path in
+    /// each tree, filled root first as the ids arrive; [`NO_SUCC`] marks
+    /// the slots still to come.
+    ids: &'a mut [NodeId],
+    /// This node's CSR offsets, one per tree plus the end; `ids` starts
+    /// at the first.
+    off: &'a [u32],
+    /// Per neighbor: `(tree, id)` pairs to forward, first in first out.
+    queues: Vec<VecDeque<(u32, NodeId)>>,
+    queued: usize,
 }
 
-impl NodeLogic for AncestorNode<'_> {
-    type Msg = NodeId;
+impl<W: Weight> AncestorNode<'_, W> {
+    /// Queues `id` for this node's children in tree `si`.
+    fn forward(&mut self, me: NodeId, neighbors: &[NodeId], si: u32, id: NodeId) {
+        for &c in self.coll.children(me, si as usize) {
+            let ni = neighbors.binary_search(&c).expect("child is a neighbor");
+            self.queues[ni].push_back((si, id));
+            self.queued += 1;
+        }
+    }
+}
+
+impl<W: Weight> NodeLogic for AncestorNode<'_, W> {
+    type Msg = (u32, NodeId);
 
     fn on_round(
         &mut self,
         env: &NodeEnv<'_>,
-        inbox: &[Envelope<NodeId>],
-        out: &mut Outbox<'_, NodeId>,
+        inbox: &[Envelope<(u32, NodeId)>],
+        out: &mut Outbox<'_, (u32, NodeId)>,
     ) {
+        // A tree's ids arrive from the parent, root first; once the last
+        // (the parent's own) is in, this node's id follows it down.
         for e in inbox {
-            self.path.push(e.msg);
+            let (si, id) = e.msg;
+            let cell = (self.off[si as usize] - self.off[0]) as usize
+                ..(self.off[si as usize + 1] - self.off[0]) as usize;
+            let path = &mut self.ids[cell];
+            let k = path.partition_point(|&x| x != NO_SUCC);
+            path[k] = id;
+            let full = k + 1 == path.len();
+            self.forward(env.id, env.neighbors, si, id);
+            if full {
+                self.forward(env.id, env.neighbors, si, env.id);
+            }
         }
-        if !self.member || self.children.is_empty() {
-            return;
-        }
-        // Stream a child must receive, in index order: our root path
-        // (indices 0..depth) followed by our own id (index = depth). Index
-        // k is available once it has arrived from our parent; our own id
-        // only goes out after the full prefix.
-        let k = self.next_fwd;
-        if k <= self.depth {
-            let item = if k < self.path.len() {
-                Some(self.path[k])
-            } else if k == self.depth && self.path.len() == self.depth {
-                Some(env.id)
-            } else {
-                None
-            };
-            if let Some(item) = item {
-                for &c in self.children {
-                    let ni = env.neighbor_index(c).expect("child is a neighbor");
-                    out.send_nbr(ni, item);
-                }
-                self.next_fwd += 1;
+        for (ni, queue) in self.queues.iter_mut().enumerate() {
+            if let Some(msg) = queue.pop_front() {
+                out.send_nbr(ni, msg);
+                self.queued -= 1;
             }
         }
     }
 
     fn active(&self) -> bool {
-        self.member && !self.children.is_empty() && self.next_fwd <= self.depth
+        self.queued > 0
+    }
+
+    fn msg_words(&self, _msg: &(u32, NodeId)) -> u32 {
+        2
     }
 }
 
-/// Every node's root path in every tree, as one tree-major CSR: the path
-/// of `v` in tree `si` is the id run of cell `si·n + v`, root first,
+/// Every node's root path in every tree, as one node-major CSR: the path
+/// of `v` in tree `si` is the id run of cell `v·|S| + si`, root first,
 /// excluding `v` itself, and empty for non-members. A cell costs a 4-byte
 /// offset plus 4 bytes per ancestor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AncestorLists {
-    n: usize,
+    s: usize,
     /// Offsets into `ids`, one per cell plus one.
     off: Vec<u32>,
     ids: Vec<NodeId>,
 }
 
 impl AncestorLists {
-    /// The ids on `v`'s root path in tree `si`: root..parent.
+    /// The ids on `v`'s root path in tree `si`: root..parent. After a lossy
+    /// run, the ids that arrived, in order.
     #[must_use]
     pub fn get(&self, v: NodeId, si: usize) -> &[NodeId] {
-        let cell = si * self.n + v as usize;
-        &self.ids[self.off[cell] as usize..self.off[cell + 1] as usize]
+        let cell = v as usize * self.s + si;
+        let path = &self.ids[self.off[cell] as usize..self.off[cell + 1] as usize];
+        // The ids fill each path from its start; a lost one leaves the
+        // slots at the end unfilled.
+        &path[..path.partition_point(|&x| x != NO_SUCC)]
     }
 }
 
 /// Collects, at every member node and for every tree, the ids on its root
-/// path (root first, excluding the node itself). Runs per source in
-/// sequence: O(h) rounds each, O(|S|·h) total — the Algorithm 7 Step 1
-/// cost.
+/// path (root first, excluding the node itself). Every tree streams at
+/// once: a node forwards each id it receives, and then its own, to its
+/// children as one 2-word `(tree, id)` message, one per channel per round,
+/// first in first out. A member at depth d receives d ids, so the run ends
+/// near the largest number of ids one channel carries, plus O(h), within
+/// the paper's O(|S|·h) charge for Algorithm 7 Step 1. The ids land
+/// straight in the CSR, whose offsets the members' depths fix in advance.
+/// A lost id shortens the paths at and below its receiver, which keep the
+/// ids that did arrive.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -460,35 +536,43 @@ pub fn collect_ancestors<W: Weight>(
     sim: SimConfig,
     coll: &SsspCollection<W>,
 ) -> Result<(AncestorLists, PhaseReport), SimError> {
-    let n = topo.n();
-    let s = coll.sources.len();
-    let engine = Engine::new(topo, sim);
+    let (n, s) = (topo.n(), coll.sources.len());
     // A member at depth d receives d ids.
-    let depths: usize =
-        coll.hops.iter().flatten().filter(|&&d| d != u32::MAX).map(|&d| d as usize).sum();
+    let depth = |d: u32| if d == u32::MAX { 0 } else { d };
     let mut off = Vec::with_capacity(n * s + 1);
     off.push(0u32);
-    let mut ids = Vec::with_capacity(depths);
-    let mut total = PhaseReport { node_sent: vec![0; n], ..Default::default() };
-    for si in 0..s {
-        let mut nodes: Vec<AncestorNode> = (0..n as NodeId)
-            .map(|v| AncestorNode {
-                children: coll.children(v, si),
-                member: coll.is_member(v, si),
-                path: Vec::new(),
-                depth: if coll.is_member(v, si) { coll.hops[v as usize][si] as usize } else { 0 },
-                next_fwd: 0,
-            })
-            .collect();
-        let budget = 4 * (coll.h as u64 + 2) + 16;
-        let report = engine.run(&mut nodes, RunUntil::Quiesce { max: budget })?;
-        total.merge(&report);
-        for nd in nodes {
-            ids.extend_from_slice(&nd.path);
-            off.push(u32::try_from(ids.len()).expect("ancestor ids exceed u32"));
+    let mut total = 0u32;
+    for hops in &coll.hops {
+        for &d in hops {
+            total = total.checked_add(depth(d)).expect("ancestor ids exceed u32");
+            off.push(total);
         }
     }
-    Ok((AncestorLists { n, off, ids }, total))
+    let mut ids = vec![NO_SUCC; total as usize];
+    let mut ids_rest = &mut ids[..];
+    let mut nodes: Vec<AncestorNode<W>> = Vec::with_capacity(n);
+    for v in 0..n as NodeId {
+        let cells = &off[v as usize * s..=(v as usize + 1) * s];
+        let neighbors = topo.neighbors(v);
+        let (mine, rest) =
+            std::mem::take(&mut ids_rest).split_at_mut((cells[s] - cells[0]) as usize);
+        ids_rest = rest;
+        let mut node = AncestorNode {
+            coll,
+            ids: mine,
+            off: cells,
+            queues: vec![VecDeque::new(); neighbors.len()],
+            queued: 0,
+        };
+        // A root's stream is its own id alone.
+        for si in (0..s as u32).filter(|&si| coll.sources[si as usize] == v) {
+            node.forward(v, neighbors, si, v);
+        }
+        nodes.push(node);
+    }
+    let report = Engine::new(topo, sim).run(&mut nodes, tree_budget(coll))?;
+    drop(nodes);
+    Ok((AncestorLists { s, off, ids }, report))
 }
 
 #[cfg(test)]
@@ -496,9 +580,10 @@ mod tests {
     use super::*;
     use crate::config::Charging;
     use crate::csssp::build_csssp;
-    use congest_graph::generators::{broom, gnm_connected, path, WeightDist};
+    use congest_graph::generators::{broom, gnm_connected, path, star, WeightDist};
     use congest_graph::seq::Direction;
     use congest_graph::Graph;
+    use congest_sim::primitives::build_bfs_tree;
     use congest_sim::Recorder;
 
     /// The h-hop out-trees of every node of `g`.
@@ -659,6 +744,61 @@ mod tests {
         assert_eq!(none, None);
     }
 
+    /// The communication graph's diameter: the tallest BFS tree.
+    fn diameter(topo: &Topology) -> u64 {
+        let height = |root| build_bfs_tree(topo, SimConfig::default(), root).unwrap().0.height();
+        (0..topo.n() as NodeId).map(height).max().unwrap_or(0)
+    }
+
+    /// The max-flood returns what flooding every positive score returned:
+    /// the maximum, ties to the smaller id, `None` when every score is 0.
+    /// It ends within D + 2 rounds, and each channel carries strictly
+    /// increasing pairs, so no more messages than positive scores times
+    /// directed channels.
+    #[test]
+    fn max_flood_finds_the_maximum_in_diameter_rounds() {
+        let graphs = [
+            ("path", path(5, true, WeightDist::Unit, 0)),
+            ("star", star(12, true, WeightDist::Unit, 0)),
+            ("broom", broom(24, true, WeightDist::Uniform(1, 5), 3)),
+            ("gnm", gnm_connected(18, 40, true, WeightDist::Uniform(0, 7), 7)),
+        ];
+        for (name, g) in graphs {
+            let topo = Topology::from_graph(&g);
+            let n = topo.n();
+            let d = diameter(&topo);
+            let vs = 0..n as u64;
+            let patterns: [(&str, Vec<u64>); 5] = [
+                ("zero", vec![0; n]),
+                ("one", vs.clone().map(|v| u64::from(v == n as u64 / 2)).collect()),
+                ("ties", vs.clone().map(|v| v % 3 * 4).collect()),
+                ("ascending", vs.clone().collect()),
+                ("scattered", vs.map(|v| v * 7919 % 11).collect()),
+            ];
+            for (pattern, scores) in patterns {
+                let (best, report) =
+                    flood_scores(&topo, SimConfig::default(), |v| scores[v]).unwrap();
+                let want = (0..n)
+                    .map(|v| (scores[v], v as NodeId))
+                    .filter(|&(sc, _)| sc > 0)
+                    .max_by_key(|&(sc, v)| (sc, Reverse(v)));
+                assert_eq!(best, want, "{name} {pattern}");
+                assert!(
+                    report.rounds <= d + 2,
+                    "{name} {pattern}: {} rounds, D = {d}",
+                    report.rounds
+                );
+                let positive = scores.iter().filter(|&&sc| sc > 0).count() as u64;
+                assert!(
+                    report.messages <= positive * topo.channels() as u64,
+                    "{name} {pattern}: {} messages",
+                    report.messages
+                );
+                assert_eq!(report.payload_words, 2 * report.messages, "{name} {pattern}");
+            }
+        }
+    }
+
     /// The subtree of node 5 in every tree where it is a member.
     fn remove_node_5() -> (Topology, SsspCollection<u64>, TreeState, Vec<(NodeId, usize)>) {
         let (topo, coll) = build(16, 30, 3, 3);
@@ -701,6 +841,65 @@ mod tests {
         remove_subtrees(&topo, SimConfig::default(), &coll, &mut state, &roots).unwrap();
         assert!(state.removed(7, 0), "a call adds to the set and never clears it");
         assert!(state.removed(3, 3));
+    }
+
+    /// Every tree streams at once: the collection ends within the largest
+    /// number of ids one channel carries plus 2h + 8 rounds, a member at
+    /// depth d receives d messages, and each message is a 2-word `(tree,
+    /// id)` pair.
+    #[test]
+    fn ancestors_pipeline_across_trees() {
+        let h = 4;
+        for (name, g) in [
+            ("broom", broom(24, true, WeightDist::Uniform(1, 5), 3)),
+            ("path", path(24, true, WeightDist::Unit, 0)),
+        ] {
+            let (topo, coll) = collection(&g, h);
+            let depth = |v: NodeId, si: usize| u64::from(coll.hops[v as usize][si]);
+            let mut per_channel = std::collections::HashMap::new();
+            let mut depths = 0;
+            for si in 0..coll.sources.len() {
+                for v in (0..coll.n() as NodeId).filter(|&v| coll.is_member(v, si)) {
+                    depths += depth(v, si);
+                    for &c in coll.children(v, si) {
+                        *per_channel.entry((v, c)).or_insert(0) += depth(c, si);
+                    }
+                }
+            }
+            let busiest = per_channel.values().copied().max().unwrap_or(0);
+            let (_, report) = collect_ancestors(&topo, SimConfig::default(), &coll).unwrap();
+            assert!(
+                report.rounds <= busiest + 2 * h as u64 + 8,
+                "{name}: {} rounds, busiest channel carries {busiest} ids",
+                report.rounds
+            );
+            assert_eq!(report.messages, depths, "{name}");
+            assert_eq!(report.payload_words, 2 * report.messages, "{name}");
+            assert_eq!(report.max_msg_words, 2, "{name}");
+        }
+    }
+
+    /// A lost `(tree, id)` message shortens the paths at and below its
+    /// receiver: each path keeps the ids that arrived, in root-path order.
+    #[test]
+    fn lost_ancestor_ids_shorten_paths() {
+        let (topo, coll) = build(15, 30, 3, 11);
+        let sim = SimConfig { fault: Some(congest_sim::fault::FaultSpec::seeded(1).drops(20_000)) };
+        let (anc, report) = collect_ancestors(&topo, sim, &coll).unwrap();
+        assert!(report.faults.dropped > 0, "the plan drops no id");
+        let mut short = 0;
+        for v in 0..15u32 {
+            for si in 0..coll.sources.len() {
+                let mut path: Vec<NodeId> = coll.root_path(v, si).unwrap_or_default();
+                path.reverse();
+                path.pop(); // root..parent
+                let got = anc.get(v, si);
+                let mut rest = path.iter();
+                assert!(got.iter().all(|id| rest.any(|x| x == id)), "v={v} si={si}: {got:?}");
+                short += usize::from(got.len() < path.len());
+            }
+        }
+        assert!(short > 0, "a lost id shortens some path");
     }
 
     #[test]

@@ -46,10 +46,14 @@ fn assert_walkable(g: &Graph<u64>, dist: &DistMatrix<u64>, alg: Algorithm) {
     }
 }
 
-/// Runs the three algorithms on `g`, checks each against Dijkstra and
-/// walks its successor plane.
-fn check(name: &str, g: &Graph<u64>) {
+/// `(|Q|, rounds, messages)` of one solve.
+type Counts = (usize, u64, u64);
+
+/// Runs Ar20, Ar18 and Naive on `g`, checks each against Dijkstra and
+/// walks its successor plane. Returns their counts in that order.
+fn check(name: &str, g: &Graph<u64>) -> Vec<Counts> {
     let oracle = apsp_dijkstra(g);
+    let mut counts = Vec::new();
     for alg in [Algorithm::Ar20, Algorithm::Ar18, Algorithm::Naive] {
         let t = Instant::now();
         let out = Solver::builder(g).algorithm(alg).run().unwrap();
@@ -62,13 +66,17 @@ fn check(name: &str, g: &Graph<u64>) {
             out.recorder.total_rounds(),
             out.recorder.total_messages()
         );
+        counts.push((out.meta.q.len(), out.recorder.total_rounds(), out.recorder.total_messages()));
     }
+    counts
 }
 
 #[test]
 #[ignore = "n = 512 in release: run with --ignored"]
 fn hop_deep_512_is_exact() {
-    check("hop_deep(512, 1)", &hop_deep(512, 1));
+    let counts = check("hop_deep(512, 1)", &hop_deep(512, 1));
+    // Ar20 then Ar18; every protocol is deterministic.
+    assert_eq!(counts[..2], [(34, 100_556, 5_382_969), (12, 73_710, 4_411_576)]);
 }
 
 #[test]
@@ -81,5 +89,7 @@ fn gnm_512_is_exact() {
 #[test]
 #[ignore = "n = 512 in release: run with --ignored"]
 fn sparse_random_512_is_exact() {
-    check("sparse_random(512, 1)", &sparse_random(512, 1));
+    let counts = check("sparse_random(512, 1)", &sparse_random(512, 1));
+    // Ar20 then Ar18; every protocol is deterministic.
+    assert_eq!(counts[..2], [(74, 89_112, 21_602_771), (0, 49_152, 4_122_567)]);
 }
