@@ -590,7 +590,7 @@ pub fn f4() -> ExperimentOutput {
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
         let sim = SimConfig::default();
         let plain = SsspCollection::from_trees(g.n(), &sources, 3, Direction::Out, |s| {
-            run_bf(&g, &topo, s, Direction::Out, 3, None, false, sim, Charging::Quiesce)
+            run_bf(&g, &topo, s, Direction::Out, 3, None, None, sim, Charging::Quiesce)
                 .map(|(res, _)| res)
         })
         .unwrap();

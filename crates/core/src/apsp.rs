@@ -143,7 +143,7 @@ pub(crate) fn run_ar20<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("step3: h-in-SSSP({c})"),
             sim,
-            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, false, sim, cfg.charging),
+            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, None, sim, cfg.charging),
             |res| sentinels::bounded_tree(c, h as u64, res),
         )?;
         rec.record(format!("step3: h-in-SSSP({c})"), rep);

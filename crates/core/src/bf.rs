@@ -17,14 +17,23 @@
 //! (the news would need R+1 rounds), so v's recorded parent linkage became
 //! stale. Such v provably has a true shortest path longer than R hops
 //! (p's improvement plus one edge undercuts v's entry), so Definition A.3
-//! does not require keeping it in an (R/2)-truncated tree. We therefore run
-//! three extra sub-phases, all within O(h) rounds: **adopt** (children
-//! notification), **confirm** (each node tells neighbors its final entry;
-//! one round), and **detach** (nodes whose recorded parent state does not
-//! match the parent's final state drop out and cascade the drop to their
-//! subtree). The resulting forest is internally consistent, which
-//! `SsspCollection::check_consistency` verifies against the sequential
-//! oracle.
+//! does not require keeping it in an (R/2)-truncated tree.
+//!
+//! A caller that keeps its tree to depth k (`repair: Some(k)`, the CSSSP
+//! construction with k = h and R = 2h) therefore runs three sub-phases
+//! after relaxation, each sending only to a reader within depth k:
+//! **adopt** (round R: every member within k hops notifies its parent),
+//! **confirm** (round R+1: every node tells the children that adopted it
+//! its final entry — whatever its own depth, since the stale parent is
+//! exactly one whose final entry sits at R hops) and **detach** (rounds
+//! R+2 to R+k+1: a child whose record of its parent does not match the
+//! confirmation drops out and cascades the drop to its own adopters, one
+//! level a round, down to depth k). The run ends after R + k + 2 rounds
+//! and returns no entry deeper than k; the kept forest is internally
+//! consistent, which `SsspCollection::check_consistency` verifies against
+//! the sequential oracle. A raw run (`repair: None`: Steps 3 and 7, full
+//! SSSPs) sends nothing after relaxation, ends after R + 1 rounds and
+//! carries no children.
 
 use crate::config::Charging;
 use congest_graph::seq::Direction;
@@ -83,9 +92,11 @@ pub struct BfTreeResult<W> {
     /// Direction: `Out` = shortest paths from the source; `In` = shortest
     /// paths *to* the source (the paper's in-SSSP).
     pub dir: Direction,
-    /// Per-node entry. Detached nodes read as unreached.
+    /// Per-node entry. Detached nodes, and in a repaired run every node
+    /// deeper than the repair depth, read as unreached.
     pub entries: Vec<BfEntry<W>>,
-    /// Per-node sorted children lists (derived from surviving parents).
+    /// Per-node sorted children lists (derived from surviving parents);
+    /// empty throughout a raw run, which sends no adoptions.
     pub children: Vec<Vec<NodeId>>,
 }
 
@@ -99,7 +110,7 @@ enum BfMsg<W> {
     Relax { dist: W, hops: u32, first: NodeId },
     /// Post-run child adoption notification.
     Adopt,
-    /// Final-entry confirmation broadcast to neighbors.
+    /// Final-entry confirmation to a child that adopted the sender.
     Confirm { dist: W, hops: u32 },
     /// Horizon-repair cascade: the sender's subtree is leaving the tree.
     Detach,
@@ -117,13 +128,15 @@ struct BfNode<W> {
     rev_edges: Vec<(NodeId, W)>,
     dirty: bool,
     relax_rounds: u64,
-    detach_deadline: u64,
+    /// Last round the node steps: R + k + 1 when repairing to depth k,
+    /// R otherwise.
+    end: u64,
+    /// The neighbors that adopted this node as their parent.
     children: Vec<NodeId>,
     detached: bool,
     detach_sent: bool,
-    /// Whether the horizon-repair phase runs (off for seeded extension
-    /// runs, whose output is distances only).
-    repair: bool,
+    /// The depth the caller keeps, when the horizon-repair phase runs.
+    repair: Option<u64>,
     /// Whether relax messages carry (and entries record) first hops: true
     /// exactly for out-direction runs.
     track: bool,
@@ -133,6 +146,12 @@ struct BfNode<W> {
 impl<W: Weight> BfNode<W> {
     fn rev_weight(&self, from: NodeId) -> Option<W> {
         self.rev_edges.binary_search_by_key(&from, |&(t, _)| t).ok().map(|i| self.rev_edges[i].1)
+    }
+
+    fn send_to_children(&self, env: &NodeEnv<'_>, out: &mut Outbox<'_, BfMsg<W>>, msg: &BfMsg<W>) {
+        for &c in &self.children {
+            out.send_nbr(env.neighbor_index(c).expect("child is a neighbor"), msg.clone());
+        }
     }
 }
 
@@ -161,11 +180,10 @@ impl<W: Weight> NodeLogic for BfNode<W> {
                 }
                 BfMsg::Adopt => self.children.push(e.from),
                 BfMsg::Confirm { dist, hops } => {
-                    if self.repair && Some(e.from) == self.entry.parent {
-                        let w = self.rev_weight(e.from).expect("parent is a rev neighbor");
-                        if self.entry.dist != dist.plus(w) || self.entry.hops != hops + 1 {
-                            self.detached = true;
-                        }
+                    // Only the adopted parent confirms to this node.
+                    let w = self.rev_weight(e.from).expect("parent is a rev neighbor");
+                    if self.entry.dist != dist.plus(w) || self.entry.hops != hops + 1 {
+                        self.detached = true;
                     }
                 }
                 BfMsg::Detach => {
@@ -189,28 +207,26 @@ impl<W: Weight> NodeLogic for BfNode<W> {
                 }
                 self.dirty = false;
             }
-        } else if r == relax_end {
-            // Entries are final. Notify the parent (children discovery).
-            if let Some(p) = self.entry.parent {
-                let ni = env.neighbor_index(p).expect("parent is a neighbor");
-                out.send_nbr(ni, BfMsg::Adopt);
-            }
-        } else if r == relax_end + 1 {
-            // Confirm final entries to all neighbors (1 msg per channel).
-            if self.repair && self.entry.reached() {
-                out.broadcast(BfMsg::Confirm { dist: self.entry.dist, hops: self.entry.hops });
-            }
-        } else if r >= relax_end + 2 && r <= self.detach_deadline {
-            // Detach cascade: one wave per round down the tree.
-            if self.repair && self.detached && !self.detach_sent {
-                for i in 0..self.children.len() {
-                    let ni = env.neighbor_index(self.children[i]).expect("child is a neighbor");
-                    out.send_nbr(ni, BfMsg::Detach);
+        } else if let Some(k) = self.repair {
+            if r == relax_end {
+                // Entries are final. A member within the kept depth
+                // notifies its parent (children discovery).
+                if let Some(p) = self.entry.parent.filter(|_| u64::from(self.entry.hops) <= k) {
+                    let ni = env.neighbor_index(p).expect("parent is a neighbor");
+                    out.send_nbr(ni, BfMsg::Adopt);
                 }
+            } else if r == relax_end + 1 {
+                // Confirm the final entry to each adopter, the only
+                // neighbors that read it.
+                let msg = BfMsg::Confirm { dist: self.entry.dist, hops: self.entry.hops };
+                self.send_to_children(env, out, &msg);
+            } else if self.detached && !self.detach_sent {
+                // Detach cascade: one level a round down the adopters.
+                self.send_to_children(env, out, &BfMsg::Detach);
                 self.detach_sent = true;
             }
         }
-        if r >= self.detach_deadline {
+        if r >= self.end {
             self.finished = true;
         }
     }
@@ -245,14 +261,20 @@ fn dedup_min_edges<W: Weight>(iter: impl Iterator<Item = (NodeId, W)>) -> Vec<(N
 }
 
 /// Runs synchronous Bellman–Ford from `source` for exactly `rounds`
-/// relaxation rounds (so distances are `δ_rounds`), followed by the O(1)
-/// adopt/confirm and — when `repair` is set — the ≤`rounds` detach repair
-/// sub-phase. `init` optionally seeds distances (h-hop extension, §5),
-/// each annotated with the first hop of the path its value summarizes.
+/// relaxation rounds (so distances are `δ_rounds`). `init` optionally
+/// seeds distances (h-hop extension, §5), each annotated with the first
+/// hop of the path its value summarizes.
 ///
-/// Pass `repair: true` only when the *tree structure* will be consumed
-/// (CSSSP construction): distances are horizon-correct either way, but
-/// parent pointers can go stale at the relaxation horizon (module docs).
+/// `repair` is the depth the caller keeps. Pass `Some(k)` only when the
+/// *tree structure* will be consumed (CSSSP construction, k = h):
+/// distances are horizon-correct either way, but parent pointers can go
+/// stale at the relaxation horizon (module docs). Then every member within
+/// k hops adopts its parent, every node confirms its final entry to its
+/// adopters, and stale members detach down to depth k: the run ends after
+/// `rounds + k + 2` rounds and returns no entry deeper than k, with the
+/// children of every survivor. With `None` the run ends after
+/// `rounds + 1` rounds, keeps every entry and carries no children.
+/// `Charging::WorstCase` charges one delivery round more in both cases.
 ///
 /// An out-direction run threads first hops through the relaxation (one
 /// extra id word per relax message): every reached entry then reports in
@@ -271,15 +293,14 @@ pub fn run_bf<W: Weight>(
     dir: Direction,
     rounds: u64,
     init: Option<BfSeeds<'_, W>>,
-    repair: bool,
+    repair: Option<u64>,
     sim: SimConfig,
     charging: Charging,
 ) -> Result<(BfTreeResult<W>, PhaseReport), SimError> {
     let n = g.n();
     let engine = Engine::new(topo, sim);
-    let repair = repair && init.is_none();
     let track = dir == Direction::Out;
-    let detach_deadline = if repair { 2 * rounds + 2 } else { rounds };
+    let end = rounds + repair.map_or(0, |k| k + 1);
     let mut nodes: Vec<BfNode<W>> = (0..n as NodeId)
         .map(|v| {
             let mut entry = BfEntry::unreached();
@@ -310,7 +331,7 @@ pub fn run_bf<W: Weight>(
                 fwd_edges: fwd,
                 rev_edges: rev,
                 relax_rounds: rounds,
-                detach_deadline,
+                end,
                 children: Vec::new(),
                 detached: false,
                 detach_sent: false,
@@ -320,21 +341,20 @@ pub fn run_bf<W: Weight>(
             }
         })
         .collect();
-    let report = engine.run(&mut nodes, charging.until(detach_deadline + 2))?;
-    let mut entries = Vec::with_capacity(n);
-    for nd in &mut nodes {
-        if nd.detached {
-            entries.push(BfEntry::unreached());
-        } else {
-            entries.push(nd.entry.clone());
-        }
-    }
-    // Children derived from surviving parent pointers (each node's Adopt
-    // notifications already paid the communication cost).
+    let report = engine.run(&mut nodes, charging.until(end + 2))?;
+    let entries: Vec<BfEntry<W>> = nodes
+        .into_iter()
+        .map(|nd| match repair {
+            Some(k) if nd.detached || u64::from(nd.entry.hops) > k => BfEntry::unreached(),
+            _ => nd.entry,
+        })
+        .collect();
+    // Children derived from surviving parent pointers (each member's Adopt
+    // already paid the communication cost); a raw run adopted nobody.
     let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for v in 0..n {
-        if let Some(p) = entries[v].parent {
-            if entries[v].reached() {
+    if repair.is_some() {
+        for (v, e) in entries.iter().enumerate() {
+            if let Some(p) = e.parent {
                 children[p as usize].push(v as NodeId);
             }
         }
@@ -362,7 +382,7 @@ pub fn run_full_sssp<W: Weight>(
     sim: SimConfig,
     charging: Charging,
 ) -> Result<(BfTreeResult<W>, PhaseReport), SimError> {
-    run_bf(g, topo, source, dir, g.n() as u64 - 1, None, false, sim, charging)
+    run_bf(g, topo, source, dir, g.n() as u64 - 1, None, None, sim, charging)
 }
 
 #[cfg(test)]
@@ -388,7 +408,7 @@ mod tests {
                     Direction::Out,
                     h,
                     None,
-                    true,
+                    Some(h),
                     SimConfig::default(),
                     Charging::Quiesce,
                 )
@@ -423,7 +443,7 @@ mod tests {
             Direction::In,
             3,
             None,
-            true,
+            Some(3),
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -472,7 +492,7 @@ mod tests {
             Direction::Out,
             h,
             None,
-            true,
+            Some(h),
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -497,7 +517,7 @@ mod tests {
                 Direction::Out,
                 4,
                 None,
-                true,
+                Some(4),
                 SimConfig::default(),
                 Charging::Quiesce,
             )
@@ -524,6 +544,25 @@ mod tests {
         }
     }
 
+    /// The horizon artifact inside the kept depth: in the in-tree of node 5
+    /// at h = 3 (R = 6), node 2 sits at depth 3 under node 4, whose entry
+    /// improves in the last round to a 6-hop path. Node 4 lies deeper than
+    /// h, yet it must confirm to its adopter, which then drops out.
+    #[test]
+    fn a_kept_node_under_a_horizon_parent_detaches() {
+        let g = gnm_connected(12, 24, true, WeightDist::Uniform(1, 20), 3);
+        let topo = setup(&g);
+        let run = |repair| {
+            let sim = SimConfig::default();
+            run_bf(&g, &topo, 5, Direction::In, 6, None, repair, sim, Charging::Quiesce).unwrap().0
+        };
+        let (raw, kept) = (run(None), run(Some(3)));
+        assert_eq!((raw.entries[2].hops, raw.entries[2].parent), (3, Some(4)));
+        assert_eq!(raw.entries[4].hops, 6, "the parent's final entry sits at 2h hops");
+        assert!(!kept.entries[2].reached(), "node 2 hangs on a stale parent link");
+        assert!(!kept.children.iter().flatten().any(|&c| c == 2));
+    }
+
     #[test]
     fn children_match_parents_exactly() {
         let g = gnm_connected(15, 30, false, WeightDist::Uniform(1, 6), 2);
@@ -535,7 +574,7 @@ mod tests {
             Direction::Out,
             4,
             None,
-            true,
+            Some(4),
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -565,7 +604,7 @@ mod tests {
             Direction::Out,
             1,
             Some(BfSeeds { dist: &init, first: &[congest_graph::NO_SUCC; 4] }),
-            false,
+            None,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -576,22 +615,28 @@ mod tests {
 
     #[test]
     fn worst_case_charging_exact_rounds() {
-        let g = path(6, true, WeightDist::Unit, 0);
+        let g = path(9, true, WeightDist::Unit, 0);
         let topo = setup(&g);
-        let (_, report) = run_bf(
-            &g,
-            &topo,
-            0,
-            Direction::Out,
-            5,
-            None,
-            true,
-            SimConfig::default(),
-            Charging::WorstCase,
-        )
-        .unwrap();
-        // 5 relax + adopt + confirm + 5 detach window + 2 delivery slack
-        assert_eq!(report.rounds, 5 + 2 + 5 + 2);
+        let rounds = |repair, charging| {
+            let run = run_bf(
+                &g,
+                &topo,
+                0,
+                Direction::Out,
+                8,
+                None,
+                repair,
+                SimConfig::default(),
+                charging,
+            );
+            run.unwrap().1.rounds
+        };
+        // 8 relax + adopt + confirm + 4 detach levels (+ 1 delivery slack)
+        assert_eq!(rounds(Some(4), Charging::Quiesce), 8 + 2 + 4);
+        assert_eq!(rounds(Some(4), Charging::WorstCase), 8 + 2 + 4 + 1);
+        // A raw run: 8 relax + the last receipt round (+ 1 delivery slack)
+        assert_eq!(rounds(None, Charging::Quiesce), 8 + 1);
+        assert_eq!(rounds(None, Charging::WorstCase), 8 + 1 + 1);
     }
 
     #[test]
@@ -613,7 +658,7 @@ mod tests {
             Direction::Out,
             2,
             None,
-            true,
+            Some(2),
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -666,7 +711,7 @@ mod tests {
         let g = gnm_connected(18, 40, true, WeightDist::Uniform(0, 9), 4);
         let topo = setup(&g);
         let run = |dir: Direction| {
-            run_bf(&g, &topo, 0, dir, 4, None, true, SimConfig::default(), Charging::Quiesce)
+            run_bf(&g, &topo, 0, dir, 4, None, Some(4), SimConfig::default(), Charging::Quiesce)
                 .unwrap()
         };
         let (out, rep_out) = run(Direction::Out);
@@ -701,7 +746,7 @@ mod tests {
             Direction::Out,
             1,
             Some(BfSeeds { dist: &init, first: &first }),
-            false,
+            None,
             SimConfig::default(),
             Charging::Quiesce,
         )
@@ -727,7 +772,7 @@ mod tests {
             Direction::Out,
             1,
             None,
-            true,
+            Some(1),
             SimConfig::default(),
             Charging::Quiesce,
         )

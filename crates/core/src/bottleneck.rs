@@ -34,7 +34,8 @@ pub struct BottleneckResult {
 /// `n·√|Q|` (passed in so experiments can sweep it).
 ///
 /// # Errors
-/// Propagates engine errors.
+/// Propagates engine errors. Under a fault plan, [`SimError::Incomplete`]
+/// when node 0 learns no maximum or a removed node is picked again.
 pub fn compute_bottlenecks<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
@@ -62,10 +63,21 @@ pub fn compute_bottlenecks<W: Weight>(
         if congestion_after <= threshold {
             break;
         }
-        assert!(b.len() < cap + n, "bottleneck loop failed to converge");
         // Step 4: max-flood of (total_count, id); O(D) rounds.
         let (best, report) = flood_scores(topo, sim, |v| totals[v])?;
         rec.record(format!("bottleneck: count broadcast #{}", b.len()), report);
+        if sim.fault.is_some() {
+            // Lost messages can hide every maximum from node 0, or, were a
+            // removed pick's count left standing, name a pick twice. Either
+            // leaves the run to the caller's retry; without faults both are
+            // protocol bugs and panic below.
+            match best {
+                None => return Err(SimError::Incomplete { node: 0 }),
+                Some((_, node)) if b.contains(&node) => return Err(SimError::Incomplete { node }),
+                Some(_) => {}
+            }
+        }
+        assert!(b.len() < cap + n, "bottleneck loop failed to converge");
         let (_, node) = best.expect("threshold exceeded, so counts exist");
         b.push(node);
         // Step 6: remove node's subtrees everywhere, then refresh counts
@@ -170,6 +182,28 @@ mod tests {
         assert!(res.congestion_after <= threshold);
         // Lemma A.16 bound (loose on small instances)
         assert!(res.b.len() <= 5);
+    }
+
+    /// Under faults a lost removal token once left a removed pick counting,
+    /// so it was picked until the loop's cap tripped, and a crashed node 0
+    /// can miss every maximum. Neither may panic on the host: the run ends
+    /// with its result or a typed, retryable error.
+    #[test]
+    fn lost_messages_end_the_run_with_a_typed_error() {
+        use congest_sim::fault::FaultSpec;
+        let g = gnm_connected(18, 40, true, WeightDist::Uniform(0, 7), 4);
+        let sources: Vec<NodeId> = (0..18).step_by(3).collect();
+        let (topo, coll) = in_coll(&g, &sources, 4);
+        let run = |spec: FaultSpec| {
+            let sim = SimConfig { fault: Some(spec) };
+            compute_bottlenecks(&topo, sim, &coll, 0, &mut Recorder::new())
+        };
+        match run(FaultSpec::seeded(47).drops(20_000)) {
+            Ok(res) => assert_eq!(res.congestion_after, 0),
+            Err(e) => assert!(matches!(e, SimError::Incomplete { .. }), "{e}"),
+        }
+        let hidden = run(FaultSpec::seeded(132).crashes(20_000, 3)).map(|res| res.b);
+        assert_eq!(hidden, Err(SimError::Incomplete { node: 0 }));
     }
 }
 

@@ -19,7 +19,9 @@ pub enum Charging {
     /// quiescence).
     WorstCase,
     /// Stop a phase as soon as no messages are in flight and all nodes are
-    /// idle — practical accounting. Same messages, fewer idle rounds.
+    /// idle — practical accounting. Same messages, fewer idle rounds;
+    /// except in a Bellman–Ford run, whose nodes stay active to the end of
+    /// its window, so there it saves only the last delivery round.
     Quiesce,
 }
 

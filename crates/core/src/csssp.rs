@@ -256,7 +256,10 @@ impl<W: Weight> SsspCollection<W> {
 
 /// Builds the h-CSSSP for `sources` by running 2h-hop Bellman–Ford per
 /// source in sequence and truncating at depth h (Lemma A.4; O(|S|·h)
-/// rounds). Phases are recorded into `rec` (one merged entry).
+/// rounds). Each tree repairs its parent links to depth h only (see
+/// [`crate::bf`]), so it costs 3h + 2 rounds: 2h of relaxation, one to
+/// adopt, one to confirm and h for the detach cascade. Phases are recorded
+/// into `rec` (one merged entry).
 ///
 /// Out-direction runs thread first hops through the relaxation (one extra
 /// id word per relax message) and the collection's `first` plane reports,
@@ -265,8 +268,8 @@ impl<W: Weight> SsspCollection<W> {
 ///
 /// Every per-source tree runs through `rc` as its own recoverable phase
 /// (sentinel: [`sentinels::repaired_tree`] — the repair sub-phase restores
-/// full parent telescoping, so damage to any surviving entry is locally
-/// detectable).
+/// parent telescoping at every kept entry, so damage to any of them is
+/// locally detectable).
 ///
 /// # Errors
 /// Propagates engine errors; [`SolverError::Unrecoverable`] when a tree
@@ -290,7 +293,7 @@ pub fn build_csssp<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("{label} [tree {s}]"),
             sim,
-            |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, true, sim, charging),
+            |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, Some(h as u64), sim, charging),
             |res| sentinels::repaired_tree(g, dir, s, res),
         )?;
         total.merge(&rep);
@@ -330,6 +333,91 @@ mod tests {
             let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
             let c = build(&g, &sources, 3, Direction::Out);
             c.check_consistency(&g).unwrap_or_else(|e| panic!("{}: {e}", fam.name()));
+        }
+    }
+
+    /// A member's `(dist, hops, first, parent)`.
+    type Cell = (u64, u32, NodeId, Option<NodeId>);
+
+    /// The sequential reference of one tree, one cell per member: 2h
+    /// synchronous Bellman–Ford rounds under the `(dist, hops, parent)`
+    /// tie-break, then the telescoping detach (a node leaves when its
+    /// parent's final entry does not extend to its own, and so does
+    /// everything below it), then the cut at depth h.
+    fn reference_tree(g: &Graph<u64>, s: NodeId, h: usize, dir: Direction) -> Vec<Option<Cell>> {
+        let n = g.n();
+        let fwd = |u: NodeId| -> Vec<(NodeId, u64)> {
+            match dir {
+                Direction::Out => g.out_edges(u).collect(),
+                Direction::In => g.in_edges(u).collect(),
+            }
+        };
+        let mut cur = vec![None; n];
+        cur[s as usize] = Some((0u64, 0u32, NO_SUCC, None));
+        for _ in 0..2 * h {
+            let prev = cur.clone();
+            for u in 0..n as NodeId {
+                let Some((d, k, f, _)) = prev[u as usize] else { continue };
+                for (t, w) in fwd(u) {
+                    let first = match dir {
+                        Direction::Out if f == NO_SUCC => t,
+                        Direction::Out => f,
+                        Direction::In => NO_SUCC,
+                    };
+                    let cand = (d + w, k + 1, first, Some(u));
+                    let worse = |&(cd, ck, _, cp): &Cell| (cand.0, cand.1, cand.3) < (cd, ck, cp);
+                    if cur[t as usize].as_ref().is_none_or(worse) {
+                        cur[t as usize] = Some(cand);
+                    }
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).filter(|&v| cur[v].is_some()).collect();
+        order.sort_by_key(|&v| cur[v].map(|c| c.1));
+        let mut alive = vec![false; n];
+        for v in order {
+            let (d, k, _, p) = cur[v].unwrap();
+            alive[v] = p.is_none_or(|p| {
+                let (pd, pk, _, _) = cur[p as usize].unwrap();
+                let w = fwd(p).into_iter().filter(|&(t, _)| t as usize == v).map(|(_, w)| w).min();
+                alive[p as usize] && Some(d) == w.map(|w| pd + w) && k == pk + 1
+            });
+        }
+        (0..n).map(|v| cur[v].filter(|c| alive[v] && c.1 as usize <= h)).collect()
+    }
+
+    /// Every cell of `build_csssp` (dist, hops, first hop, parent and
+    /// children) equals the sequential reference, in both directions on
+    /// every family; `check_consistency` alone would tolerate a dropped
+    /// node.
+    #[test]
+    fn matches_a_sequential_reference() {
+        for fam in Family::ALL {
+            for (h, seed) in [(1, 5u64), (3, 13)] {
+                let g = fam.build(20, true, WeightDist::Uniform(0, 6), seed);
+                let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
+                for dir in [Direction::Out, Direction::In] {
+                    let c = build(&g, &sources, h, dir);
+                    for (si, &s) in sources.iter().enumerate() {
+                        let want = reference_tree(&g, s, h, dir);
+                        let at =
+                            |v: usize| format!("{} {dir:?} h={h} tree {s} node {v}", fam.name());
+                        for v in 0..g.n() {
+                            let got = c.is_member(v as NodeId, si).then(|| {
+                                let parent = c.parent(v as NodeId, si);
+                                (c.dist[v][si], c.hops[v][si], c.first[v][si], parent)
+                            });
+                            assert_eq!(got, want[v], "{}", at(v));
+                            let kids: Vec<NodeId> = (0..g.n() as NodeId)
+                                .filter(|&u| {
+                                    want[u as usize].is_some_and(|c| c.3 == Some(v as NodeId))
+                                })
+                                .collect();
+                            assert_eq!(c.children(v as NodeId, si), kids, "{} children", at(v));
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -466,8 +554,8 @@ mod tests {
             "csssp",
         )
         .unwrap();
-        // Exact charging: per source 2h relax + adopt/confirm + 2h detach
-        // window + delivery slack = 4h + 4 rounds.
-        assert_eq!(rec.total_rounds(), 20 * (4 * h as u64 + 4));
+        // Exact charging: per source 2h relax + adopt/confirm + h detach
+        // levels + delivery slack = 3h + 3 rounds.
+        assert_eq!(rec.total_rounds(), 20 * (3 * h as u64 + 3));
     }
 }

@@ -78,7 +78,7 @@ pub fn extend_all_sources<W: Weight>(
             SimConfig::default(),
             |sim| {
                 let seeds = BfSeeds { dist: &init, first: &init_first };
-                run_bf(g, topo, x, Direction::Out, h, Some(seeds), false, sim, cfg.charging)
+                run_bf(g, topo, x, Direction::Out, h, Some(seeds), None, sim, cfg.charging)
             },
             |res| sentinels::exact_row(g, Direction::Out, x, |t| res.entries[t].dist),
         )?;

@@ -147,9 +147,12 @@ impl<W: Weight> NodeLogic for ConvTreeNode<'_, W> {
     ) {
         for e in inbox {
             let (si, val) = e.msg;
+            // A cell that waits for no report hears one only when a lost
+            // removal token left a child live below it: it keeps its count.
+            let Some(left) = self.pending[si as usize].checked_sub(1) else { continue };
             self.acc[si as usize] += val;
-            self.pending[si as usize] -= 1;
-            if self.pending[si as usize] == 0 {
+            self.pending[si as usize] = left;
+            if left == 0 {
                 self.ready(env.id, env.neighbors, si);
             }
         }

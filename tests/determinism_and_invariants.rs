@@ -100,13 +100,13 @@ fn per_step_counts_are_pinned() {
             hop_deep(64, 1),
             Algorithm::Ar20,
             &[
-                ("step1", [1216, 9408, 20586]),
+                ("step1", [896, 6496, 15222]),
                 ("step2", [2504, 36875, 65927]),
-                ("step3", [54, 284, 468]),
+                ("step3", [45, 184, 368]),
                 ("step4", [33, 1575, 4725]),
                 ("step5", [0, 0, 0]),
-                ("step6", [1870, 33468, 84625]),
-                ("step7", [384, 10973, 28633]),
+                ("step6", [1713, 32263, 82660]),
+                ("step7", [320, 8830, 26490]),
             ],
             (
                 &[30, 7, 14, 21, 25, 3, 10, 17, 26],
@@ -119,9 +119,9 @@ fn per_step_counts_are_pinned() {
             hop_deep(64, 1),
             Algorithm::Ar18,
             &[
-                ("step1", [2240, 13528, 29666]),
+                ("step1", [1664, 9080, 21594]),
                 ("step2", [419, 6541, 9400]),
-                ("step3", [650, 1890, 3780]),
+                ("step3", [640, 1260, 3150]),
                 ("step4", [316, 20160, 80640]),
                 ("step5", [0, 0, 0]),
             ],
@@ -132,13 +132,13 @@ fn per_step_counts_are_pinned() {
             sparse_random(64, 1),
             Algorithm::Ar20,
             &[
-                ("step1", [1216, 51764, 123532]),
+                ("step1", [896, 29376, 80130]),
                 ("step2", [2457, 107728, 181657]),
-                ("step3", [120, 5124, 9051]),
+                ("step3", [100, 3927, 7854]),
                 ("step4", [393, 74153, 222459]),
                 ("step5", [0, 0, 0]),
-                ("step6", [1793, 28531, 62507]),
-                ("step7", [384, 17516, 50554]),
+                ("step6", [1453, 22391, 50227]),
+                ("step7", [320, 16519, 49557]),
             ],
             (
                 &[58, 25, 57, 51, 55, 36, 46, 31, 8, 29, 18, 6, 40, 2, 49, 54, 47, 33, 24, 15],
@@ -151,9 +151,9 @@ fn per_step_counts_are_pinned() {
             sparse_random(64, 1),
             Algorithm::Ar18,
             &[
-                ("step1", [2240, 52208, 124880]),
+                ("step1", [1664, 32466, 85443]),
                 ("step2", [232, 7758, 10172]),
-                ("step3", [390, 2713, 6230]),
+                ("step3", [384, 2335, 5852]),
                 ("step4", [190, 36495, 145980]),
                 ("step5", [0, 0, 0]),
             ],
