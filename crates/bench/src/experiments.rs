@@ -15,9 +15,7 @@ use congest_apsp::pipeline::{
     propagate_to_blockers_with, propagate_trivial_broadcast, PushDiscipline, RoutedTable,
     Step6Stats,
 };
-use congest_apsp::{
-    Algorithm, ApspConfig, BlockerParams, Charging, Selection, Solver, SolverBuilder,
-};
+use congest_apsp::{Algorithm, ApspConfig, BlockerParams, Selection, Solver, SolverBuilder};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, dijkstra, Direction};
 use congest_graph::{DistMatrix, Graph, NodeId};
@@ -140,7 +138,6 @@ fn all_sources_csssp(g: &Graph<u64>, h: usize) -> (Topology, SsspCollection<u64>
         h,
         Direction::Out,
         SimConfig::default(),
-        Charging::Quiesce,
         &mut Recorder::new(),
         &mut congest_apsp::Recovery::disabled(),
         "csssp",
@@ -208,7 +205,7 @@ fn exponents<const K: usize>(rounds: &[(usize, [u64; K])]) -> [f64; K] {
 
 /// T1 — the empiricized Table 1: measured rounds per algorithm vs n.
 #[must_use]
-pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
+pub fn t1(big: bool) -> ExperimentOutput {
     const COLS: &[Col] = &[
         col("n", "n", 5),
         col("this-paper", "paper_det", 12),
@@ -218,22 +215,19 @@ pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
         col("|Q|paper", "q_paper", 9),
         col("|Q|ar18", "q_ar18", 9),
     ];
-    let mut t = Table::new(
-        &format!(
-            "T1 (Table 1 empiricized): measured rounds, {charging:?} charging, G(n, m=3n) weighted digraphs"
-        ),
-        COLS,
-    );
+    let mut t =
+        Table::new("T1 (Table 1 empiricized): measured rounds, G(n, m=3n) weighted digraphs", COLS);
     let mut rows: Vec<(usize, [u64; 4])> = Vec::new();
     for n in t1_sizes(big) {
         let g = sparse_random(n, 1000 + n as u64);
         let oracle = apsp_dijkstra(&g);
-        let run = |b: SolverBuilder<'_, u64>| solved(&oracle, b.charging(charging));
-        let (paper, q_paper) = run(Solver::builder(&g));
-        let (rand, _) =
-            run(Solver::builder(&g).selection(Selection::Randomized { seed: 0xC0FFEE }));
-        let (ar18, q_ar18) = run(Solver::builder(&g).algorithm(Algorithm::Ar18));
-        let (naive, _) = run(Solver::builder(&g).algorithm(Algorithm::Naive));
+        let (paper, q_paper) = solved(&oracle, Solver::builder(&g));
+        let (rand, _) = solved(
+            &oracle,
+            Solver::builder(&g).selection(Selection::Randomized { seed: 0xC0FFEE }),
+        );
+        let (ar18, q_ar18) = solved(&oracle, Solver::builder(&g).algorithm(Algorithm::Ar18));
+        let (naive, _) = solved(&oracle, Solver::builder(&g).algorithm(Algorithm::Naive));
         t.row(&[&n, &paper, &rand, &ar18, &naive, &q_paper, &q_ar18]);
         rows.push((n, [paper, rand, ar18, naive]));
     }
@@ -261,10 +255,7 @@ pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
             "  projected paper-vs-AR18 crossover at n ≈ {cross:.0} (beyond simulable range, as the paper's polylog constants predict)"
         );
     }
-    t.finish(match charging {
-        Charging::Quiesce => "t1",
-        Charging::WorstCase => "t1wc",
-    })
+    t.finish("t1")
 }
 
 /// T1-deep — the same comparison on hop-deep workloads (brooms), where
@@ -590,8 +581,7 @@ pub fn f4() -> ExperimentOutput {
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
         let sim = SimConfig::default();
         let plain = SsspCollection::from_trees(g.n(), &sources, 3, Direction::Out, |s| {
-            run_bf(&g, &topo, s, Direction::Out, 3, None, None, sim, Charging::Quiesce)
-                .map(|(res, _)| res)
+            run_bf(&g, &topo, s, Direction::Out, 3, None, None, sim).map(|(res, _)| res)
         })
         .unwrap();
         if plain.check_consistency(&g).is_err() {
@@ -610,8 +600,7 @@ pub fn f4() -> ExperimentOutput {
 }
 
 /// Every id [`run`] accepts. `all` runs each of the others.
-pub const IDS: [&str; 11] =
-    ["t1", "t1wc", "t1deep", "t2", "f2", "t3", "f3", "t4", "t5", "f4", "all"];
+pub const IDS: [&str; 10] = ["t1", "t1deep", "t2", "f2", "t3", "f3", "t4", "t5", "f4", "all"];
 
 /// Runs one experiment by id.
 ///
@@ -621,8 +610,7 @@ pub const IDS: [&str; 11] =
 #[must_use]
 pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
     match id {
-        "t1" => vec![t1(big, Charging::Quiesce)],
-        "t1wc" => vec![t1(false, Charging::WorstCase)],
+        "t1" => vec![t1(big)],
         "t1deep" => vec![t1_deep(big)],
         "t2" => vec![t2(64)],
         "f2" => vec![f2()],

@@ -18,7 +18,7 @@ fn assert_rejected(test: &str, args: &[&str]) {
     assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
-    assert!(stderr.contains("t1 t1wc t1deep t2 f2 t3 f3 t4 t5 f4 all"), "{args:?}: {stderr}");
+    assert!(stderr.contains("t1 t1deep t2 f2 t3 f3 t4 t5 f4 all"), "{args:?}: {stderr}");
     assert!(!dir.join("results").exists(), "{args:?}: an experiment ran before the check");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -103,18 +103,8 @@ pub(crate) fn run_ar20<W: Weight>(
     // Step 1: h-CSSSP for V (its out-trees thread first hops — the
     // extension seeds reuse them).
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
-    let coll = build_csssp(
-        g,
-        topo,
-        &sources,
-        h,
-        Direction::Out,
-        sim,
-        cfg.charging,
-        rec,
-        rc,
-        "step1: h-CSSSP for V",
-    )?;
+    let coll =
+        build_csssp(g, topo, &sources, h, Direction::Out, sim, rec, rc, "step1: h-CSSSP for V")?;
 
     // Step 2: blocker set (a multi-engine phase: recoverable as one unit,
     // with the covering property — every full root-to-leaf path hits Q —
@@ -140,13 +130,14 @@ pub(crate) fn run_ar20<W: Weight>(
         // Sentinel note: these trees run without the repair sub-phase, so
         // only the hop budget and the root entry are checkable — stale
         // parents are legitimate at a truncated horizon (see crate::bf).
+        let label = format!("step3: h-in-SSSP({c})");
         let (res, rep) = rc.phase(
-            &format!("step3: h-in-SSSP({c})"),
+            &label,
             sim,
-            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, None, sim, cfg.charging),
+            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, None, sim),
             |res| sentinels::bounded_tree(c, h as u64, res),
         )?;
-        rec.record(format!("step3: h-in-SSSP({c})"), rep);
+        rec.record(label, rep);
         to_q.push(res.entries.iter().map(|e| e.dist).collect());
         to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
     }
@@ -171,13 +162,14 @@ pub(crate) fn run_ar20<W: Weight>(
         // A dropped frame starves every log behind it without any local
         // symptom, so the sentinel demands complete logs everywhere.
         let expected: usize = initial.iter().map(Vec::len).sum();
+        let label = "step4: QxQ matrix broadcast";
         let (_, rep) = rc.phase(
-            "step4: QxQ matrix broadcast",
+            label,
             sim,
             |sim| all_to_all_broadcast(topo, sim, initial.clone(), 3, key),
             |logs| sentinels::flood_complete(logs, expected),
         )?;
-        rec.record("step4: QxQ matrix broadcast", rep);
+        rec.record(label, rep);
     }
 
     // Step 5 (local): min-plus closure of the Q×Q matrix, then
@@ -254,7 +246,7 @@ pub(crate) fn run_ar20<W: Weight>(
     meta.step6 = Some(stats);
 
     // Step 7: h-hop extension per source (assembles the successor plane).
-    let dist = extend_all_sources(g, topo, cfg, &coll, &q, &at_blocker, rec, rc)?;
+    let dist = extend_all_sources(g, topo, &coll, &q, &at_blocker, rec, rc)?;
     Ok((dist, meta))
 }
 

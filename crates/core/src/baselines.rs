@@ -7,19 +7,20 @@
 //! * `Ar18` — a same-framework reconstruction of Agarwal, Ramachandran,
 //!   King & Pontecorvi (PODC 2018): h = √n CSSSP, greedy blocker set
 //!   (O(nh + n|Q|)), one full in- and out-SSSP per blocker (O(n|Q|)), one
-//!   O(n|Q|)-round broadcast of the (x, c) distance table, local combine.
+//!   O(n|Q|)-round broadcast of the (x, c) distance table, local combine —
+//!   the last three are Step 6's relay construction
+//!   ([`crate::pipeline::Relays`]) with Q as the relays.
 //!   Measured rounds scale as Θ̃(n^{3/2}) — the bound the paper improves
 //!   to Õ(n^{4/3}).
 
 use crate::apsp::ApspMeta;
 use crate::bf::run_full_sssp;
 use crate::blocker::greedy_blocker;
-use crate::config::ApspConfig;
 use crate::csssp::build_csssp;
+use crate::pipeline::Relays;
 use crate::recovery::{sentinels, Recovery, SolverError};
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
-use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
 
@@ -32,7 +33,6 @@ use std::time::Instant;
 pub(crate) fn run_naive<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
-    cfg: &ApspConfig,
     rec: &mut Recorder,
     rc: &mut Recovery,
 ) -> Result<(DistMatrix<W>, ApspMeta), SolverError> {
@@ -41,16 +41,17 @@ pub(crate) fn run_naive<W: Weight>(
     for x in 0..n as NodeId {
         // A full-horizon SSSP admits a complete certificate: realizable
         // parents (telescoping) plus the relaxation fixed point.
+        let label = format!("naive: SSSP({x})");
         let (res, rep) = rc.phase(
-            &format!("naive: SSSP({x})"),
+            &label,
             SimConfig::default(),
-            |sim| run_full_sssp(g, topo, x, Direction::Out, sim, cfg.charging),
+            |sim| run_full_sssp(g, topo, x, Direction::Out, sim),
             |res| {
                 sentinels::repaired_tree(g, Direction::Out, x, res)?;
                 sentinels::exact_row(g, Direction::Out, x, |t| res.entries[t].dist)
             },
         )?;
-        rec.record(format!("naive: SSSP({x})"), rep);
+        rec.record(label, rep);
         for t in 0..n {
             dist[x as usize][t] = res.entries[t].dist;
             dist.set_successor(x, t as NodeId, res.entries[t].first.unwrap_or(NO_SUCC));
@@ -64,7 +65,6 @@ pub(crate) fn run_naive<W: Weight>(
 pub(crate) fn run_ar18<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
-    cfg: &ApspConfig,
     rec: &mut Recorder,
     rc: &mut Recovery,
 ) -> Result<(DistMatrix<W>, ApspMeta), SolverError> {
@@ -85,7 +85,6 @@ pub(crate) fn run_ar18<W: Weight>(
         h,
         Direction::Out,
         sim,
-        cfg.charging,
         rec,
         rc,
         "ar18/step1: sqrt(n)-CSSSP",
@@ -102,66 +101,12 @@ pub(crate) fn run_ar18<W: Weight>(
     )?;
     meta.q = q.clone();
 
-    // Step 3: full in-SSSP and out-SSSP per blocker (O(n) rounds each).
-    // For successor tracking, an in-SSSP parent at x doubles as x's next
-    // hop toward the blocker, and the out-SSSP threads first hops so a
-    // blocker source x = c knows its own first hop toward every sink.
-    let mut to_q: Vec<Vec<W>> = Vec::with_capacity(q.len()); // δ(x, c) at x
-    let mut to_q_next: Vec<Vec<NodeId>> = Vec::with_capacity(q.len()); // next hop at x
-    let mut from_q: Vec<Vec<W>> = Vec::with_capacity(q.len()); // δ(c, t) at t
-    let mut from_q_first: Vec<Vec<NodeId>> = Vec::with_capacity(q.len()); // c's first hop
-    for &c in &q {
-        let full_cert = |dir: Direction| {
-            move |res: &crate::bf::BfTreeResult<W>| {
-                sentinels::repaired_tree(g, dir, c, res)?;
-                sentinels::exact_row(g, dir, c, |t| res.entries[t].dist)
-            }
-        };
-        let (res, rep) = rc.phase(
-            &format!("ar18/step3: in-SSSP({c})"),
-            sim,
-            |sim| run_full_sssp(g, topo, c, Direction::In, sim, cfg.charging),
-            full_cert(Direction::In),
-        )?;
-        rec.record(format!("ar18/step3: in-SSSP({c})"), rep);
-        to_q.push(res.entries.iter().map(|e| e.dist).collect());
-        to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
-        let (res, rep) = rc.phase(
-            &format!("ar18/step3: out-SSSP({c})"),
-            sim,
-            |sim| run_full_sssp(g, topo, c, Direction::Out, sim, cfg.charging),
-            full_cert(Direction::Out),
-        )?;
-        rec.record(format!("ar18/step3: out-SSSP({c})"), rep);
-        from_q.push(res.entries.iter().map(|e| e.dist).collect());
-        from_q_first.push(res.entries.iter().map(|e| e.first.unwrap_or(NO_SUCC)).collect());
-    }
-
-    // Step 4: broadcast the n×|Q| table (O(n·|Q|) rounds, Lemma A.2), one
-    // (x, qi, δ(x, c), x's next hop toward c) item per cell, keyed by the
-    // cell: the sink t needs the hop for its successor in Step 5, and only
-    // x holds it.
-    let qn = q.len();
-    if qn > 0 {
-        type Item<W> = (NodeId, u32, W, NodeId);
-        let initial: Vec<Vec<Item<W>>> = (0..n)
-            .map(|x| {
-                (0..qn)
-                    .filter(|&qi| !to_q[qi][x].is_inf())
-                    .map(|qi| (x as NodeId, qi as u32, to_q[qi][x], to_q_next[qi][x]))
-                    .collect()
-            })
-            .collect();
-        let key = move |&(x, qi, _, _): &Item<W>| x as usize * qn + qi as usize;
-        let expected: usize = initial.iter().map(Vec::len).sum();
-        let (_, rep) = rc.phase(
-            "ar18/step4: (x, c) table broadcast",
-            sim,
-            |sim| all_to_all_broadcast(topo, sim, initial.clone(), 4, key),
-            |logs| sentinels::flood_complete(logs, expected),
-        )?;
-        rec.record("ar18/step4: (x, c) table broadcast", rep);
-    }
+    // Steps 3-4: Q is the relay set — a full in- and out-SSSP per blocker
+    // (O(n) rounds each), then the n×|Q| table flood (O(n·|Q|) rounds,
+    // Lemma A.2) with x's next hop toward c, which the sink t needs for its
+    // successor in Step 5 and only x holds.
+    let labels = ["ar18/step3", "ar18/step4: (x, c) table broadcast"];
+    let relays = Relays::run(g, topo, &q, sim, rec, rc, labels)?;
 
     // Step 5 (local at every sink t): δ(x,t) = min(δ_h(x,t),
     // min_c δ(x,c) + δ(c,t)), tracking the first hop of the winning
@@ -170,29 +115,13 @@ pub(crate) fn run_ar18<W: Weight>(
     let mut dist = DistMatrix::square(n, W::INF).with_empty_successors();
     for x in 0..n {
         for t in 0..n {
-            let mut best = if x == t { W::ZERO } else { coll.dist[t][x] };
-            let mut first = if x == t { NO_SUCC } else { coll.first[t][x] };
-            for qi in 0..q.len() {
-                let a = to_q[qi][x];
-                let b = from_q[qi][t];
-                if a.is_inf() || b.is_inf() {
-                    continue;
-                }
-                let via = a.plus(b);
-                if via < best {
-                    best = via;
-                    // Path x →(in-tree) c →(out-tree) t starts on the
-                    // in-tree segment unless x is the blocker itself.
-                    first =
-                        if q[qi] as usize == x { from_q_first[qi][t] } else { to_q_next[qi][x] };
-                }
-            }
-            dist[x][t] = best;
-            dist.set_successor(
-                x as NodeId,
-                t as NodeId,
-                if best.is_inf() { NO_SUCC } else { first },
-            );
+            // A non-member's cell is (INF, NO_SUCC), and no relay routes
+            // a pair to INF, so an unreachable pair keeps no successor.
+            let mut cell =
+                if x == t { (W::ZERO, NO_SUCC) } else { (coll.dist[t][x], coll.first[t][x]) };
+            relays.route(x, t, &mut cell);
+            dist[x][t] = cell.0;
+            dist.set_successor(x as NodeId, t as NodeId, cell.1);
         }
     }
     rec.record_local("ar18/step5: local combine", step5.elapsed());

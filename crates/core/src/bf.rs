@@ -35,11 +35,11 @@
 //! SSSPs) sends nothing after relaxation, ends after R + 1 rounds and
 //! carries no children.
 
-use crate::config::Charging;
 use congest_graph::seq::Direction;
 use congest_graph::{Graph, NodeId, Weight, NO_SUCC};
 use congest_sim::{
-    Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, SimConfig, SimError, Topology,
+    Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, RunUntil, SimConfig, SimError,
+    Topology,
 };
 
 /// Per-node outcome of one Bellman–Ford run.
@@ -274,7 +274,6 @@ fn dedup_min_edges<W: Weight>(iter: impl Iterator<Item = (NodeId, W)>) -> Vec<(N
 /// `rounds + k + 2` rounds and returns no entry deeper than k, with the
 /// children of every survivor. With `None` the run ends after
 /// `rounds + 1` rounds, keeps every entry and carries no children.
-/// `Charging::WorstCase` charges one delivery round more in both cases.
 ///
 /// An out-direction run threads first hops through the relaxation (one
 /// extra id word per relax message): every reached entry then reports in
@@ -295,7 +294,6 @@ pub fn run_bf<W: Weight>(
     init: Option<BfSeeds<'_, W>>,
     repair: Option<u64>,
     sim: SimConfig,
-    charging: Charging,
 ) -> Result<(BfTreeResult<W>, PhaseReport), SimError> {
     let n = g.n();
     let engine = Engine::new(topo, sim);
@@ -341,7 +339,7 @@ pub fn run_bf<W: Weight>(
             }
         })
         .collect();
-    let report = engine.run(&mut nodes, charging.until(end + 2))?;
+    let report = engine.run(&mut nodes, RunUntil::Quiesce { max: 4 * (end + 2) + 64 })?;
     let entries: Vec<BfEntry<W>> = nodes
         .into_iter()
         .map(|nd| match repair {
@@ -380,9 +378,8 @@ pub fn run_full_sssp<W: Weight>(
     source: NodeId,
     dir: Direction,
     sim: SimConfig,
-    charging: Charging,
 ) -> Result<(BfTreeResult<W>, PhaseReport), SimError> {
-    run_bf(g, topo, source, dir, g.n() as u64 - 1, None, None, sim, charging)
+    run_bf(g, topo, source, dir, g.n() as u64 - 1, None, None, sim)
 }
 
 #[cfg(test)]
@@ -401,18 +398,9 @@ mod tests {
             let g = fam.build(20, true, WeightDist::Uniform(0, 9), 3);
             let topo = setup(&g);
             for h in [1u64, 2, 4] {
-                let (res, _) = run_bf(
-                    &g,
-                    &topo,
-                    0,
-                    Direction::Out,
-                    h,
-                    None,
-                    Some(h),
-                    SimConfig::default(),
-                    Charging::Quiesce,
-                )
-                .unwrap();
+                let (res, _) =
+                    run_bf(&g, &topo, 0, Direction::Out, h, None, Some(h), SimConfig::default())
+                        .unwrap();
                 let oracle = hop_limited_distances(&g, 0, h as usize, Direction::Out);
                 let exact = dijkstra(&g, 0, Direction::Out);
                 for v in 0..g.n() {
@@ -436,18 +424,8 @@ mod tests {
     fn in_direction_matches_oracle() {
         let g = gnm_connected(18, 40, true, WeightDist::Uniform(0, 7), 5);
         let topo = setup(&g);
-        let (res, _) = run_bf(
-            &g,
-            &topo,
-            4,
-            Direction::In,
-            3,
-            None,
-            Some(3),
-            SimConfig::default(),
-            Charging::Quiesce,
-        )
-        .unwrap();
+        let (res, _) =
+            run_bf(&g, &topo, 4, Direction::In, 3, None, Some(3), SimConfig::default()).unwrap();
         let oracle = hop_limited_distances(&g, 4, 3, Direction::In);
         let exact = dijkstra(&g, 4, Direction::In);
         for v in 0..g.n() {
@@ -464,15 +442,8 @@ mod tests {
         for seed in 0..4 {
             let g = gnm_connected(22, 50, true, WeightDist::Uniform(0, 11), seed);
             let topo = setup(&g);
-            let (res, _) = run_full_sssp(
-                &g,
-                &topo,
-                2,
-                Direction::Out,
-                SimConfig::default(),
-                Charging::Quiesce,
-            )
-            .unwrap();
+            let (res, _) =
+                run_full_sssp(&g, &topo, 2, Direction::Out, SimConfig::default()).unwrap();
             let oracle = dijkstra(&g, 2, Direction::Out);
             for v in 0..g.n() {
                 assert_eq!(res.entries[v].dist, oracle[v]);
@@ -485,18 +456,8 @@ mod tests {
         let g = gnm_connected(16, 36, true, WeightDist::Uniform(1, 4), 8);
         let topo = setup(&g);
         let h = 6;
-        let (res, _) = run_bf(
-            &g,
-            &topo,
-            1,
-            Direction::Out,
-            h,
-            None,
-            Some(h),
-            SimConfig::default(),
-            Charging::Quiesce,
-        )
-        .unwrap();
+        let (res, _) =
+            run_bf(&g, &topo, 1, Direction::Out, h, None, Some(h), SimConfig::default()).unwrap();
         let min_hops = hop_limited_min_hops(&g, 1, h as usize, Direction::Out);
         for v in 0..g.n() {
             if res.entries[v].reached() {
@@ -510,18 +471,9 @@ mod tests {
         for seed in 0..12 {
             let g = gnm_connected(20, 44, true, WeightDist::Uniform(0, 9), seed);
             let topo = setup(&g);
-            let (res, _) = run_bf(
-                &g,
-                &topo,
-                0,
-                Direction::Out,
-                4,
-                None,
-                Some(4),
-                SimConfig::default(),
-                Charging::Quiesce,
-            )
-            .unwrap();
+            let (res, _) =
+                run_bf(&g, &topo, 0, Direction::Out, 4, None, Some(4), SimConfig::default())
+                    .unwrap();
             for v in 0..g.n() as NodeId {
                 let e = &res.entries[v as usize];
                 if !e.reached() {
@@ -554,7 +506,7 @@ mod tests {
         let topo = setup(&g);
         let run = |repair| {
             let sim = SimConfig::default();
-            run_bf(&g, &topo, 5, Direction::In, 6, None, repair, sim, Charging::Quiesce).unwrap().0
+            run_bf(&g, &topo, 5, Direction::In, 6, None, repair, sim).unwrap().0
         };
         let (raw, kept) = (run(None), run(Some(3)));
         assert_eq!((raw.entries[2].hops, raw.entries[2].parent), (3, Some(4)));
@@ -567,18 +519,8 @@ mod tests {
     fn children_match_parents_exactly() {
         let g = gnm_connected(15, 30, false, WeightDist::Uniform(1, 6), 2);
         let topo = setup(&g);
-        let (res, _) = run_bf(
-            &g,
-            &topo,
-            3,
-            Direction::Out,
-            4,
-            None,
-            Some(4),
-            SimConfig::default(),
-            Charging::Quiesce,
-        )
-        .unwrap();
+        let (res, _) =
+            run_bf(&g, &topo, 3, Direction::Out, 4, None, Some(4), SimConfig::default()).unwrap();
         let mut derived: Vec<Vec<NodeId>> = vec![Vec::new(); g.n()];
         for v in 0..g.n() as NodeId {
             if res.entries[v as usize].reached() {
@@ -606,37 +548,25 @@ mod tests {
             Some(BfSeeds { dist: &init, first: &[congest_graph::NO_SUCC; 4] }),
             None,
             SimConfig::default(),
-            Charging::Quiesce,
         )
         .unwrap();
         assert_eq!(res.entries[3].dist, 11);
         assert_eq!(res.entries[1].dist, 1); // from the true source
     }
 
+    /// The rounds a run is charged: it stops once its last message lands.
     #[test]
     fn worst_case_charging_exact_rounds() {
         let g = path(9, true, WeightDist::Unit, 0);
         let topo = setup(&g);
-        let rounds = |repair, charging| {
-            let run = run_bf(
-                &g,
-                &topo,
-                0,
-                Direction::Out,
-                8,
-                None,
-                repair,
-                SimConfig::default(),
-                charging,
-            );
+        let rounds = |repair| {
+            let run = run_bf(&g, &topo, 0, Direction::Out, 8, None, repair, SimConfig::default());
             run.unwrap().1.rounds
         };
-        // 8 relax + adopt + confirm + 4 detach levels (+ 1 delivery slack)
-        assert_eq!(rounds(Some(4), Charging::Quiesce), 8 + 2 + 4);
-        assert_eq!(rounds(Some(4), Charging::WorstCase), 8 + 2 + 4 + 1);
-        // A raw run: 8 relax + the last receipt round (+ 1 delivery slack)
-        assert_eq!(rounds(None, Charging::Quiesce), 8 + 1);
-        assert_eq!(rounds(None, Charging::WorstCase), 8 + 1 + 1);
+        // 8 relax + adopt + confirm + 4 detach levels
+        assert_eq!(rounds(Some(4)), 8 + 2 + 4);
+        // A raw run: 8 relax + the last receipt round
+        assert_eq!(rounds(None), 8 + 1);
     }
 
     #[test]
@@ -651,18 +581,8 @@ mod tests {
             ],
         );
         let topo = setup(&g);
-        let (res, _) = run_bf(
-            &g,
-            &topo,
-            0,
-            Direction::Out,
-            2,
-            None,
-            Some(2),
-            SimConfig::default(),
-            Charging::Quiesce,
-        )
-        .unwrap();
+        let (res, _) =
+            run_bf(&g, &topo, 0, Direction::Out, 2, None, Some(2), SimConfig::default()).unwrap();
         assert_eq!(res.entries[2].dist, 0);
         // min-hop tie-break: direct edge (1 hop) preferred over 2-hop
         assert_eq!(res.entries[2].hops, 1);
@@ -674,15 +594,8 @@ mod tests {
         for seed in 0..6 {
             let g = gnm_connected(20, 44, true, WeightDist::Uniform(0, 9), seed);
             let topo = setup(&g);
-            let (res, _) = run_full_sssp(
-                &g,
-                &topo,
-                0,
-                Direction::Out,
-                SimConfig::default(),
-                Charging::Quiesce,
-            )
-            .unwrap();
+            let (res, _) =
+                run_full_sssp(&g, &topo, 0, Direction::Out, SimConfig::default()).unwrap();
             let from0 = dijkstra(&g, 0, Direction::Out);
             assert!(res.entries[0].first.is_none(), "source has no first hop");
             for v in 1..g.n() {
@@ -711,8 +624,7 @@ mod tests {
         let g = gnm_connected(18, 40, true, WeightDist::Uniform(0, 9), 4);
         let topo = setup(&g);
         let run = |dir: Direction| {
-            run_bf(&g, &topo, 0, dir, 4, None, Some(4), SimConfig::default(), Charging::Quiesce)
-                .unwrap()
+            run_bf(&g, &topo, 0, dir, 4, None, Some(4), SimConfig::default()).unwrap()
         };
         let (out, rep_out) = run(Direction::Out);
         let (inn, rep_in) = run(Direction::In);
@@ -748,7 +660,6 @@ mod tests {
             Some(BfSeeds { dist: &init, first: &first }),
             None,
             SimConfig::default(),
-            Charging::Quiesce,
         )
         .unwrap();
         assert_eq!(res.entries[3].dist, 11);
@@ -765,18 +676,8 @@ mod tests {
             vec![congest_graph::Edge::new(0, 1, 9u64), congest_graph::Edge::new(0, 1, 2)],
         );
         let topo = setup(&g);
-        let (res, _) = run_bf(
-            &g,
-            &topo,
-            0,
-            Direction::Out,
-            1,
-            None,
-            Some(1),
-            SimConfig::default(),
-            Charging::Quiesce,
-        )
-        .unwrap();
+        let (res, _) =
+            run_bf(&g, &topo, 0, Direction::Out, 1, None, Some(1), SimConfig::default()).unwrap();
         assert_eq!(res.entries[1].dist, 2);
     }
 }

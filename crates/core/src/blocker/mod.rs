@@ -124,7 +124,6 @@ pub fn is_valid_blocker<W: Weight>(coll: &SsspCollection<W>, q: &[NodeId]) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Charging;
     use crate::csssp::build_csssp;
     use congest_graph::generators::{gnm_connected, WeightDist};
     use congest_graph::seq::Direction;
@@ -147,7 +146,6 @@ mod tests {
             h,
             Direction::Out,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut crate::recovery::Recovery::disabled(),
             "csssp",

@@ -95,7 +95,6 @@ pub fn compute_bottlenecks<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Charging;
     use crate::csssp::build_csssp;
     use congest_graph::generators::{gnm_connected, star, WeightDist};
     use congest_graph::seq::Direction;
@@ -114,7 +113,6 @@ mod tests {
             h,
             Direction::In,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut crate::recovery::Recovery::disabled(),
             "cq",
@@ -210,7 +208,6 @@ mod tests {
 #[cfg(test)]
 mod threshold_sweep_tests {
     use super::*;
-    use crate::config::Charging;
     use crate::csssp::build_csssp;
     use congest_graph::generators::{broom, WeightDist};
     use congest_graph::seq::Direction;
@@ -230,7 +227,6 @@ mod threshold_sweep_tests {
             8,
             Direction::In,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut crate::recovery::Recovery::disabled(),
             "cq",

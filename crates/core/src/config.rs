@@ -1,50 +1,18 @@
 //! Shared configuration for the distributed APSP algorithms.
+//!
+//! No knob here changes how rounds are counted: every phase stops at
+//! quiescence (no message in flight, no node active), and its analytical
+//! bound serves only as a safety budget, so a recorded round count is
+//! what the protocol used.
 
 use congest_derand::BlockerParams;
 use congest_sim::fault::FaultSpec;
-use congest_sim::RunUntil;
-
-/// How phase durations are charged.
-///
-/// Only the Bellman–Ford runs of [`crate::bf`] read the mode: the CSSSP
-/// trees, every SSSP and Step 7's extensions. Every other phase stops at
-/// quiescence under either mode: floods, tree convergecasts, subtree
-/// removals, ancestor collection, Algorithm 2's aggregations and Step 6's
-/// round-robin push. So a `WorstCase` total undercounts the paper's
-/// worst-case accounting.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Charging {
-    /// Run each Bellman–Ford phase for its analytical round budget — the
-    /// faithful CONGEST accounting (nodes cannot detect global
-    /// quiescence).
-    WorstCase,
-    /// Stop a phase as soon as no messages are in flight and all nodes are
-    /// idle — practical accounting. Same messages, fewer idle rounds;
-    /// except in a Bellman–Ford run, whose nodes stay active to the end of
-    /// its window, so there it saves only the last delivery round.
-    Quiesce,
-}
-
-impl Charging {
-    /// Builds the [`RunUntil`] for a phase with analytical bound
-    /// `worst_case` rounds. In quiescence mode the bound (padded) still
-    /// serves as the safety budget.
-    #[must_use]
-    pub fn until(self, worst_case: u64) -> RunUntil {
-        match self {
-            Charging::WorstCase => RunUntil::Exact(worst_case),
-            Charging::Quiesce => RunUntil::Quiesce { max: 4 * worst_case + 64 },
-        }
-    }
-}
 
 /// Top-level configuration for the APSP algorithms.
 #[derive(Copy, Clone, Debug)]
 pub struct ApspConfig {
     /// Hop parameter h; `None` means the paper's h = ⌈n^{1/3}⌉.
     pub h: Option<usize>,
-    /// Round-charging mode.
-    pub charging: Charging,
     /// Blocker-set constants ε, δ: Ar20's Step 2 and Step 6's Q′.
     pub blocker: BlockerParams,
     /// Optional fault-injection plan: every pipeline phase runs under this
@@ -60,13 +28,7 @@ pub struct ApspConfig {
 
 impl Default for ApspConfig {
     fn default() -> Self {
-        ApspConfig {
-            h: None,
-            charging: Charging::Quiesce,
-            blocker: BlockerParams::default(),
-            fault: None,
-            max_phase_retries: 4,
-        }
+        ApspConfig { h: None, blocker: BlockerParams::default(), fault: None, max_phase_retries: 4 }
     }
 }
 
@@ -109,11 +71,5 @@ mod tests {
     fn hop_sq_capped_by_n() {
         let cfg = ApspConfig { h: Some(10), ..Default::default() };
         assert_eq!(cfg.hop_param_sq(20), 19);
-    }
-
-    #[test]
-    fn charging_until() {
-        assert!(matches!(Charging::WorstCase.until(10), RunUntil::Exact(10)));
-        assert!(matches!(Charging::Quiesce.until(10), RunUntil::Quiesce { max: 104 }));
     }
 }

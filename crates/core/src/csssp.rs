@@ -9,7 +9,6 @@
 //! [`SsspCollection::check_consistency`] verifies this (used by tests).
 
 use crate::bf::{run_bf, BfTreeResult};
-use crate::config::Charging;
 use crate::recovery::{sentinels, Recovery, SolverError};
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
@@ -282,7 +281,6 @@ pub fn build_csssp<W: Weight>(
     h: usize,
     dir: Direction,
     sim: SimConfig,
-    charging: Charging,
     rec: &mut Recorder,
     rc: &mut Recovery,
     label: &str,
@@ -293,7 +291,7 @@ pub fn build_csssp<W: Weight>(
         let (res, rep) = rc.phase(
             &format!("{label} [tree {s}]"),
             sim,
-            |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, Some(h as u64), sim, charging),
+            |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, Some(h as u64), sim),
             |res| sentinels::repaired_tree(g, dir, s, res),
         )?;
         total.merge(&rep);
@@ -318,7 +316,6 @@ mod tests {
             h,
             dir,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut Recovery::disabled(),
             "csssp",
@@ -434,7 +431,6 @@ mod tests {
             3,
             Direction::Out,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut Recovery::disabled(),
             "csssp",
@@ -548,14 +544,13 @@ mod tests {
             h,
             Direction::Out,
             SimConfig::default(),
-            Charging::WorstCase,
             &mut rec,
             &mut Recovery::disabled(),
             "csssp",
         )
         .unwrap();
-        // Exact charging: per source 2h relax + adopt/confirm + h detach
-        // levels + delivery slack = 3h + 3 rounds.
-        assert_eq!(rec.total_rounds(), 20 * (3 * h as u64 + 3));
+        // Per source 2h relax + adopt/confirm + h detach levels = 3h + 2
+        // rounds.
+        assert_eq!(rec.total_rounds(), 20 * (3 * h as u64 + 2));
     }
 }

@@ -15,7 +15,6 @@
 //! no reverse-BFS post-pass anywhere.
 
 use crate::bf::{run_bf, BfSeeds};
-use crate::config::ApspConfig;
 use crate::csssp::SsspCollection;
 use crate::pipeline::RoutedTable;
 use crate::recovery::{sentinels, Recovery, SolverError};
@@ -41,11 +40,9 @@ use congest_sim::{Recorder, SimConfig, Topology};
 /// # Errors
 /// Propagates engine errors; [`SolverError::Unrecoverable`] when a source
 /// exhausts the retry budget.
-#[allow(clippy::too_many_arguments)]
 pub fn extend_all_sources<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
-    cfg: &ApspConfig,
     coll: &SsspCollection<W>,
     q: &[NodeId],
     at_blocker: &RoutedTable<W>,
@@ -73,16 +70,17 @@ pub fn extend_all_sources<W: Weight>(
                 init_first[t] = coll.first[t][xi];
             }
         }
+        let label = format!("step7: extension from {x}");
         let (res, rep) = rc.phase(
-            &format!("step7: extension from {x}"),
+            &label,
             SimConfig::default(),
             |sim| {
                 let seeds = BfSeeds { dist: &init, first: &init_first };
-                run_bf(g, topo, x, Direction::Out, h, Some(seeds), None, sim, cfg.charging)
+                run_bf(g, topo, x, Direction::Out, h, Some(seeds), None, sim)
             },
             |res| sentinels::exact_row(g, Direction::Out, x, |t| res.entries[t].dist),
         )?;
-        rec.record(format!("step7: extension from {x}"), rep);
+        rec.record(label, rep);
         for t in 0..n {
             dist[xi][t] = res.entries[t].dist;
             // Target-major aggregation: x's successor toward t.
@@ -95,7 +93,6 @@ pub fn extend_all_sources<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Charging;
     use crate::csssp::build_csssp;
     use congest_graph::generators::{gnm_connected, WeightDist};
     use congest_graph::seq::apsp_dijkstra;
@@ -111,7 +108,6 @@ mod tests {
         let topo = Topology::from_graph(&g);
         // This harness feeds oracle distances without first hops, so only
         // the distances are checked.
-        let cfg = ApspConfig { h: Some(2), ..Default::default() };
         let mut rec = Recorder::new();
         let sources: Vec<NodeId> = (0..n as NodeId).collect();
         let coll = build_csssp(
@@ -121,7 +117,6 @@ mod tests {
             2,
             congest_graph::seq::Direction::Out,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut Recovery::disabled(),
             "csssp",
@@ -136,7 +131,6 @@ mod tests {
         let dist = extend_all_sources(
             &g,
             &topo,
-            &cfg,
             &coll,
             &q,
             &at_blocker,
@@ -153,7 +147,6 @@ mod tests {
         let g = gnm_connected(n, 24, true, WeightDist::Uniform(1, 7), 6);
         let topo = Topology::from_graph(&g);
         let h = 3;
-        let cfg = ApspConfig { h: Some(h), ..Default::default() };
         let mut rec = Recorder::new();
         let sources: Vec<NodeId> = (0..n as NodeId).collect();
         let coll = build_csssp(
@@ -163,24 +156,15 @@ mod tests {
             h,
             congest_graph::seq::Direction::Out,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut Recovery::disabled(),
             "csssp",
         )
         .unwrap();
         let empty = RoutedTable::new(congest_graph::DistMatrix::filled(0, n, u64::INF));
-        let dist = extend_all_sources(
-            &g,
-            &topo,
-            &cfg,
-            &coll,
-            &[],
-            &empty,
-            &mut rec,
-            &mut Recovery::disabled(),
-        )
-        .unwrap();
+        let dist =
+            extend_all_sources(&g, &topo, &coll, &[], &empty, &mut rec, &mut Recovery::disabled())
+                .unwrap();
         // with no blockers, result must be within [δ, δ_2h]: at least the
         // h-hop reachability of the CSSSP extended by h more hops.
         let exact = apsp_dijkstra(&g);

@@ -21,6 +21,8 @@
 //! // The paper's deterministic Õ(n^{4/3}) configuration is the default.
 //! let out = Solver::builder(&g).run().unwrap();
 //! assert_eq!(out.dist, congest_graph::seq::apsp_dijkstra(&g));
+//! // One line per phase: the rounds it ran until quiescence, its
+//! // messages and payload words.
 //! println!("{}", out.recorder.table());
 //!
 //! // Every knob is an explicit builder method.
@@ -137,7 +139,7 @@ pub mod solver;
 pub mod trees;
 
 pub use apsp::{ApspMeta, ApspOutcome};
-pub use config::{ApspConfig, Charging};
+pub use config::ApspConfig;
 pub use congest_derand::{BlockerParams, Selection};
 pub use recovery::{FaultReport, Recovery, SolverError};
 pub use solver::{Algorithm, Solver, SolverBuilder};

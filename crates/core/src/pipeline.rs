@@ -7,7 +7,7 @@
 //! * **Far case** (Algorithm 8, hops > n^{2/3}): a second-level blocker
 //!   set Q′ over the n^{2/3}-in-CSSSP of Q; full SSSPs from each c′ ∈ Q′
 //!   and one broadcast of the (x, c′) table let each c combine
-//!   δ(x,c′) + δ(c′,c) locally.
+//!   δ(x,c′) + δ(c′,c) locally ([`Relays`]).
 //! * **Near case** (Algorithm 9, hops ≤ n^{2/3}): prune bottleneck nodes B
 //!   (Algorithm 13) so per-node congestion drops to n·√|Q|, handle pruned
 //!   sources via B exactly like the far case, then push the remaining
@@ -16,18 +16,22 @@
 //!   frames/stages are the analysis; we instrument the run with
 //!   per-checkpoint "active tree" counts to reproduce the Lemma 4.8
 //!   progress measure (experiment F3).
+//!
+//! [`Relays`] is also AR18's Steps 3–5, where every blocker is a relay.
 
 use crate::bf::run_full_sssp;
 use crate::blocker::alg2_blocker;
 use crate::bottleneck::{compute_bottlenecks, BottleneckResult};
-use crate::config::{ApspConfig, Charging};
+use crate::config::ApspConfig;
 use crate::csssp::build_csssp;
+use crate::recovery::{sentinels, Recovery, SolverError};
 use congest_derand::Selection;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
-use congest_sim::primitives::all_to_all_broadcast;
+use congest_sim::primitives::{all_to_all_broadcast, FloodLogs};
 use congest_sim::{
-    Engine, Envelope, NodeEnv, NodeLogic, Outbox, Recorder, RunUntil, SimConfig, SimError, Topology,
+    Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, Recorder, RunUntil, SimConfig,
+    SimError, Topology,
 };
 use std::collections::VecDeque;
 
@@ -160,10 +164,13 @@ impl<W: Weight> NodeLogic for RrNode<W> {
             let RrMsg { qi, x, dist, first } = e.msg;
             if self.root_of[qi as usize] {
                 self.received.push((qi, x, dist, first));
-            } else {
+            } else if self.parent_ni[qi as usize].is_some() {
                 self.queues[qi as usize].push_back((x, dist, first));
                 self.outstanding += 1;
             }
+            // Otherwise a lost removal token left a child's cell live below
+            // this removed one: the value is dropped, and the fault that
+            // lost the token has the attempt rejected.
         }
         if env.round.is_power_of_two() || env.round == 0 {
             let active = self.queues.iter().filter(|q| !q.is_empty()).count();
@@ -250,29 +257,21 @@ pub fn propagate_to_blockers_with<W: Weight>(
         return Ok((out, stats));
     }
     let h2 = cfg.hop_param_sq(n);
+    // Recovery is disabled here on purpose: the solver retries Step 6 as
+    // one compound unit, so nested per-phase retries would only skew the
+    // per-attempt fault accounting. Without a plan only the engine fails.
+    let mut rc = Recovery::disabled();
+    let engine_error = |e| match e {
+        SolverError::Sim(e) => e,
+        other => unreachable!("with recovery disabled only the engine can fail: {other}"),
+    };
 
     // Shared substrate: the n^{2/3}-in-CSSSP for source set Q (Alg 8
     // Step 1 / Alg 9 input). In-direction trees carry no first hops: the
     // push below forwards the origin's first hop verbatim.
-    // Recovery is disabled here on purpose: the solver retries Step 6 as
-    // one compound unit, so nested per-tree retries would only skew the
-    // per-attempt fault accounting.
-    let cq = build_csssp(
-        g,
-        topo,
-        q,
-        h2,
-        Direction::In,
-        sim,
-        cfg.charging,
-        rec,
-        &mut crate::recovery::Recovery::disabled(),
-        "step6: n^{2/3}-in-CSSSP for Q",
-    )
-    .map_err(|e| match e {
-        crate::recovery::SolverError::Sim(e) => e,
-        other => unreachable!("with recovery disabled only the engine can fail: {other}"),
-    })?;
+    let label = "step6: n^{2/3}-in-CSSSP for Q";
+    let cq = build_csssp(g, topo, q, h2, Direction::In, sim, rec, &mut rc, label)
+        .map_err(engine_error)?;
 
     // ---------------- Algorithm 8 (far case) ----------------
     let mut qp_rec = Recorder::new();
@@ -280,7 +279,8 @@ pub fn propagate_to_blockers_with<W: Weight>(
         alg2_blocker(topo, sim, &cq, cfg.blocker, Selection::Derandomized, &mut qp_rec)?;
     rec.absorb("step6/alg8: Q' ", qp_rec);
     stats.q_prime_size = q_prime.len();
-    apply_relay_set(g, topo, cfg.charging, sim, q, &q_prime, &mut out, rec, "alg8")?;
+    let labels = ["step6/alg8", "step6/alg8: (x, r) table broadcast"];
+    let far = Relays::run(g, topo, &q_prime, sim, rec, &mut rc, labels).map_err(engine_error)?;
 
     // ---------------- Algorithm 9 (near case) ----------------
     // Step 1: bottleneck nodes with the paper's n√|Q| threshold.
@@ -291,7 +291,20 @@ pub fn propagate_to_blockers_with<W: Weight>(
     stats.congestion_before = congestion_before;
     stats.congestion_after = congestion_after;
     // Steps 2-4: SSSPs + broadcast for each b ∈ B.
-    apply_relay_set(g, topo, cfg.charging, sim, q, &b, &mut out, rec, "alg9-B")?;
+    let labels = ["step6/alg9-B", "step6/alg9-B: (x, r) table broadcast"];
+    let near = Relays::run(g, topo, &b, sim, rec, &mut rc, labels).map_err(engine_error)?;
+    // Each blocker c combines δ(x, r) + δ(r, c) over Q′, then over B (the
+    // orchestrator mirrors what c knows once both floods have delivered
+    // their tables everywhere).
+    for (qi, &c) in q.iter().enumerate() {
+        for x in 0..n {
+            let mut cell = (out.dist[qi][x], out.first_at(qi, x));
+            far.route(x, c as usize, &mut cell);
+            near.route(x, c as usize, &mut cell);
+            out.dist.set(qi, x, cell.0);
+            out.set_first(qi, x, cell.1);
+        }
+    }
 
     // Steps 6-9: round-robin push along the pruned trees.
     let engine = Engine::new(topo, sim);
@@ -359,105 +372,119 @@ pub fn propagate_to_blockers_with<W: Weight>(
     Ok((out, stats))
 }
 
-/// Shared far-case/bottleneck relay machinery (Alg 8 Steps 3-5, Alg 9
-/// Steps 2-4): for each relay r, run full in- and out-SSSP, broadcast
-/// every (x, r, δ(x,r)) and let each blocker c combine δ(x,r) + δ(r,c).
+/// The relay construction of Algorithm 8 Steps 3–5 and Algorithm 9
+/// Steps 2–4, which AR18 runs with its whole blocker set: one full in- and
+/// out-SSSP per relay r, one Lemma A.2 flood of the
+/// `(x, r, δ(x, r), x's next hop)` table, then a local x → r → t combine
+/// ([`Relays::route`]).
 ///
-/// The broadcast items also carry x's next hop toward the relay (its
-/// in-SSSP parent — local knowledge at x), so each blocker learns the
-/// *routed* value. When x is the relay itself the combined path starts on
-/// the relay's out-tree, whose first hops the out-SSSP threads.
-#[allow(clippy::too_many_arguments)]
-fn apply_relay_set<W: Weight>(
-    g: &Graph<W>,
-    topo: &Topology,
-    charging: Charging,
-    sim: SimConfig,
-    q: &[NodeId],
-    relays: &[NodeId],
-    out: &mut RoutedTable<W>,
-    rec: &mut Recorder,
-    label: &str,
-) -> Result<(), SimError> {
-    if relays.is_empty() {
-        return Ok(());
-    }
-    let n = g.n();
-    // δ(x, r) and x's next hop at x (in-SSSP), δ(r, c) and r's first hop
-    // at c (out-SSSP), r in sequence.
-    let mut to_relay: Vec<Vec<W>> = Vec::with_capacity(relays.len()); // [ri][x]
-    let mut to_relay_next: Vec<Vec<NodeId>> = Vec::with_capacity(relays.len()); // [ri][x]
-    let mut from_relay: Vec<Vec<W>> = Vec::with_capacity(relays.len()); // [ri][v]
-    let mut from_relay_first: Vec<Vec<NodeId>> = Vec::with_capacity(relays.len()); // [ri][v]
-    for &r in relays {
-        let (res_in, rep) = run_full_sssp(g, topo, r, Direction::In, sim, charging)?;
-        rec.record(format!("step6/{label}: in-SSSP({r})"), rep);
-        to_relay.push(res_in.entries.iter().map(|e| e.dist).collect());
-        let (res_out, rep) = run_full_sssp(g, topo, r, Direction::Out, sim, charging)?;
-        rec.record(format!("step6/{label}: out-SSSP({r})"), rep);
-        from_relay.push(res_out.entries.iter().map(|e| e.dist).collect());
-        to_relay_next.push(res_in.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
-        from_relay_first.push(res_out.entries.iter().map(|e| e.first.unwrap_or(NO_SUCC)).collect());
-    }
-    // Broadcast (x, ri, δ(x, r_ri)) plus x's next hop toward the relay:
-    // n·|relays| values in O(n·|relays|) rounds (Lemma A.2 / Alg 8 Step 4).
-    let initial: Vec<Vec<BroadcastItem<W>>> = (0..n)
-        .map(|x| {
-            (0..relays.len())
-                .filter(|&ri| !to_relay[ri][x].is_inf())
-                .map(|ri| BroadcastItem {
-                    x: x as NodeId,
-                    ri: ri as u32,
-                    dist: to_relay[ri][x],
-                    first: to_relay_next[ri][x],
-                })
-                .collect()
-        })
-        .collect();
-    let nr = relays.len();
-    let key = move |it: &BroadcastItem<W>| it.x as usize * nr + it.ri as usize;
-    let (_, rep) = all_to_all_broadcast(topo, sim, initial, 4, key)?;
-    rec.record(format!("step6/{label}: (x, r) table broadcast"), rep);
-    // Local combine at each blocker (the orchestrator mirrors what node c
-    // now knows: the broadcast delivered the full table everywhere).
-    for (qi, &c) in q.iter().enumerate() {
+/// x's next hop toward r is its in-SSSP parent, local knowledge at x that
+/// rides the flood so the combine can name the *routed* first hop; the
+/// out-SSSP threads r's own first hops for the paths that start at r.
+#[derive(Debug)]
+pub struct Relays<W> {
+    relays: Vec<NodeId>,
+    /// δ(x, r) at `[x · |R| + ri]`, and x's next hop toward r.
+    to: Vec<W>,
+    to_next: Vec<NodeId>,
+    /// δ(r, t) at `[t · |R| + ri]`, and r's first hop toward t.
+    from: Vec<W>,
+    from_first: Vec<NodeId>,
+}
+
+impl<W: Weight> Relays<W> {
+    /// Runs every relay's full in- and out-SSSP, then floods the table,
+    /// each as one phase of `rc` (sentinels: [`sentinels::repaired_tree`]
+    /// and [`sentinels::exact_row`] for the SSSPs,
+    /// [`sentinels::flood_complete`] for the flood). `labels` are the
+    /// SSSPs' label prefix and the flood's label. No relays run nothing
+    /// and record nothing.
+    ///
+    /// # Errors
+    /// As [`Recovery::phase`].
+    pub fn run(
+        g: &Graph<W>,
+        topo: &Topology,
+        relays: &[NodeId],
+        sim: SimConfig,
+        rec: &mut Recorder,
+        rc: &mut Recovery,
+        labels: [&str; 2],
+    ) -> Result<Self, SolverError> {
+        let (n, nr) = (g.n(), relays.len());
+        let mut tables = Relays {
+            relays: relays.to_vec(),
+            to: vec![W::INF; n * nr],
+            to_next: vec![NO_SUCC; n * nr],
+            from: vec![W::INF; n * nr],
+            from_first: vec![NO_SUCC; n * nr],
+        };
         for (ri, &r) in relays.iter().enumerate() {
-            let rc = from_relay[ri][c as usize];
-            if rc.is_inf() {
-                continue;
-            }
-            for x in 0..n {
-                let xr = to_relay[ri][x];
-                if xr.is_inf() {
-                    continue;
-                }
-                let via = xr.plus(rc);
-                if via < out.dist[qi][x] {
-                    out.dist[qi][x] = via;
-                    // Path x →(in-tree) r →(out-tree) c: it starts on the
-                    // in-tree segment unless x is the relay itself.
-                    let f = if x == r as usize {
-                        from_relay_first[ri][c as usize]
+            for (dir, name) in [(Direction::In, "in"), (Direction::Out, "out")] {
+                let label = format!("{}: {name}-SSSP({r})", labels[0]);
+                let (res, rep) = rc.phase(
+                    &label,
+                    sim,
+                    |sim| run_full_sssp(g, topo, r, dir, sim),
+                    |res| {
+                        sentinels::repaired_tree(g, dir, r, res)?;
+                        sentinels::exact_row(g, dir, r, |v| res.entries[v].dist)
+                    },
+                )?;
+                rec.record(label, rep);
+                for (v, e) in res.entries.iter().enumerate() {
+                    let i = v * nr + ri;
+                    if dir == Direction::In {
+                        (tables.to[i], tables.to_next[i]) = (e.dist, e.parent.unwrap_or(NO_SUCC));
                     } else {
-                        to_relay_next[ri][x]
-                    };
-                    out.set_first(qi, x, f);
+                        (tables.from[i], tables.from_first[i]) =
+                            (e.dist, e.first.unwrap_or(NO_SUCC));
+                    }
                 }
             }
         }
+        if nr > 0 {
+            // A dropped frame starves every log behind it without any local
+            // symptom, so the sentinel demands complete logs everywhere.
+            let expected = tables.to.iter().filter(|d| !d.is_inf()).count();
+            let (_, rep) = rc.phase(
+                labels[1],
+                sim,
+                |sim| {
+                    flood_table(topo, sim, nr, |x, ri| {
+                        (tables.to[x * nr + ri], tables.to_next[x * nr + ri])
+                    })
+                },
+                |logs| sentinels::flood_complete(logs, expected),
+            )?;
+            rec.record(labels[1], rep);
+        }
+        Ok(tables)
     }
-    Ok(())
-}
 
-/// Flood payload: one (source, relay, distance, first hop) table entry,
-/// keyed by its (x, ri) cell.
-#[derive(Clone, Debug)]
-struct BroadcastItem<W: Weight> {
-    x: NodeId,
-    ri: u32,
-    dist: W,
-    /// First hop from `x` ([`NO_SUCC`] for a zero-length path).
-    first: NodeId,
+    /// Routes the pair x → t through the relays: `cell` holds the pair's
+    /// distance and x's first hop, and each relay r in order replaces it
+    /// when δ(x, r) + δ(r, t) is strictly shorter. The path x → r → t
+    /// starts on r's in-tree at x's next hop, or on r's out-tree when x is
+    /// r itself.
+    pub fn route(&self, x: usize, t: usize, cell: &mut (W, NodeId)) {
+        let nr = self.relays.len();
+        for (ri, &r) in self.relays.iter().enumerate() {
+            let (xr, rt) = (self.to[x * nr + ri], self.from[t * nr + ri]);
+            if xr.is_inf() || rt.is_inf() {
+                continue;
+            }
+            let via = xr.plus(rt);
+            if via < cell.0 {
+                let first = if r as usize == x {
+                    self.from_first[t * nr + ri]
+                } else {
+                    self.to_next[x * nr + ri]
+                };
+                *cell = (via, first);
+            }
+        }
+    }
 }
 
 /// Trivial deterministic alternative to Algorithms 8+9: broadcast all
@@ -473,35 +500,45 @@ pub fn propagate_trivial_broadcast<W: Weight>(
     dvals: &RoutedTable<W>,
     rec: &mut Recorder,
 ) -> Result<RoutedTable<W>, SimError> {
-    let n = topo.n();
-    let initial: Vec<Vec<BroadcastItem<W>>> = (0..n)
-        .map(|x| {
-            (0..q.len())
-                .filter(|&qi| !dvals.dist[x][qi].is_inf())
-                .map(|qi| BroadcastItem {
-                    x: x as NodeId,
-                    ri: qi as u32,
-                    dist: dvals.dist[x][qi],
-                    first: dvals.first_at(x, qi),
-                })
-                .collect()
-        })
-        .collect();
-    let qn = q.len();
-    let key = move |it: &BroadcastItem<W>| it.x as usize * qn + it.ri as usize;
-    let (logs, rep) = all_to_all_broadcast(topo, sim, initial, 4, key)?;
+    let (logs, rep) =
+        flood_table(topo, sim, q.len(), |x, qi| (dvals.dist[x][qi], dvals.first_at(x, qi)))?;
     rec.record("step6-trivial: full broadcast", rep);
-    let mut out = RoutedTable::new(DistMatrix::filled(q.len(), n, W::INF));
+    let mut out = RoutedTable::new(DistMatrix::filled(q.len(), topo.n(), W::INF));
     for (qi, &c) in q.iter().enumerate() {
         out.dist[qi][c as usize] = W::ZERO;
-        for item in logs.log(c) {
-            if item.ri as usize == qi && item.dist < out.dist[qi][item.x as usize] {
-                out.dist[qi][item.x as usize] = item.dist;
-                out.set_first(qi, item.x as usize, item.first);
+        for &(x, j, dist, first) in logs.log(c) {
+            if j as usize == qi && dist < out.dist[qi][x as usize] {
+                out.dist[qi][x as usize] = dist;
+                out.set_first(qi, x as usize, first);
             }
         }
     }
     Ok(out)
+}
+
+/// One flooded table cell: `(x, column, value, x's first hop)`.
+type TableItem<W> = (NodeId, u32, W, NodeId);
+
+/// Floods the finite cells of the n × `k` table `cell(x, column)` as
+/// 4-word [`TableItem`]s keyed by their cell: n·k values in O(n·k) rounds
+/// (Lemma A.2).
+fn flood_table<W: Weight>(
+    topo: &Topology,
+    sim: SimConfig,
+    k: usize,
+    cell: impl Fn(usize, usize) -> (W, NodeId),
+) -> Result<(FloodLogs<TableItem<W>>, PhaseReport), SimError> {
+    let initial = (0..topo.n())
+        .map(|x| {
+            (0..k)
+                .map(|j| (x as NodeId, j as u32, cell(x, j)))
+                .filter(|(_, _, (dist, _))| !dist.is_inf())
+                .map(|(x, j, (dist, first))| (x, j, dist, first))
+                .collect()
+        })
+        .collect();
+    let key = move |&(x, j, _, _): &TableItem<W>| x as usize * k + j as usize;
+    all_to_all_broadcast(topo, sim, initial, 4, key)
 }
 
 #[cfg(test)]
@@ -679,6 +716,82 @@ mod tests {
         if let (Some(first), Some(last)) = (stats.progress.first(), stats.progress.last()) {
             assert!(last.1 <= first.1.max(1));
         }
+    }
+
+    /// A lost removal token leaves a child's cell live below a removed
+    /// one, so the removed node receives a value in a tree where it has
+    /// no parent. It drops the value (this plan once panicked the push
+    /// with `SimError::NodePanic`), and the injected drops have the
+    /// attempt rejected.
+    #[test]
+    fn a_value_below_a_removed_cell_is_dropped() {
+        let n = 18;
+        let g = gnm_connected(n, 40, true, WeightDist::Uniform(0, 9), 3);
+        let topo = Topology::from_graph(&g);
+        // The blocker set Ar20 picks on this graph.
+        let q: Vec<NodeId> = vec![7, 3, 0, 4, 6];
+        let exact = apsp_dijkstra(&g);
+        let dvals = RoutedTable::new(DistMatrix::from_rows(
+            (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
+        ));
+        let sim = SimConfig { fault: Some(congest_sim::fault::FaultSpec::seeded(34).drops(2_000)) };
+        let mut rec = Recorder::new();
+        let res =
+            propagate_to_blockers(&g, &topo, &ApspConfig::default(), sim, &q, &dvals, &mut rec);
+        assert!(res.is_ok(), "{:?}", res.err());
+        assert!(rec.total_faults().dropped > 0, "the plan drops no message");
+    }
+
+    /// Every node a relay: routing each pair from (INF, NO_SUCC) gives
+    /// Dijkstra's distance with a first hop that telescopes, and a pair
+    /// whose source is the first relay takes that relay's out-tree hop.
+    #[test]
+    fn relays_route_every_pair_exactly() {
+        let n = 10;
+        let g = gnm_connected(n, 20, true, WeightDist::Uniform(0, 9), 7);
+        let topo = Topology::from_graph(&g);
+        let all: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut rec = Recorder::new();
+        let labels = ["relay", "relay: table broadcast"];
+        let sim = SimConfig::default();
+        let relays =
+            Relays::run(&g, &topo, &all, sim, &mut rec, &mut Recovery::disabled(), labels).unwrap();
+        assert_eq!(rec.phases().len(), 2 * n + 1, "two SSSPs per relay and one flood");
+        let exact = apsp_dijkstra(&g);
+        let (out0, _) = run_full_sssp(&g, &topo, 0, Direction::Out, sim).unwrap();
+        for x in 0..n {
+            for t in (0..n).filter(|&t| t != x) {
+                let mut cell = (u64::INF, NO_SUCC);
+                relays.route(x, t, &mut cell);
+                let (d, f) = cell;
+                assert_eq!(d, exact[x][t], "δ({x}, {t})");
+                if d.is_inf() {
+                    assert_eq!(f, NO_SUCC, "({x}, {t})");
+                    continue;
+                }
+                let w = g.out_edges(x as NodeId).filter(|&(v, _)| v == f).map(|(_, w)| w).min();
+                let w = w.unwrap_or_else(|| panic!("({x}, {t}): first hop {f} is no out-neighbor"));
+                assert_eq!(d, w.plus(exact[f as usize][t]), "({x}, {t}): {f} does not telescope");
+                if x == 0 {
+                    assert_eq!(Some(f), out0.entries[t].first, "(0, {t}): relay 0's out-tree hop");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_relays_run_nothing_and_route_nothing() {
+        let g = gnm_connected(8, 16, true, WeightDist::Uniform(1, 9), 2);
+        let topo = Topology::from_graph(&g);
+        let mut rec = Recorder::new();
+        let labels = ["relay", "relay: table broadcast"];
+        let sim = SimConfig::default();
+        let relays =
+            Relays::run(&g, &topo, &[], sim, &mut rec, &mut Recovery::disabled(), labels).unwrap();
+        assert!(rec.phases().is_empty());
+        let mut cell = (5u64, 3);
+        relays.route(1, 2, &mut cell);
+        assert_eq!(cell, (5, 3));
     }
 }
 

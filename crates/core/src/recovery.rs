@@ -116,16 +116,19 @@ impl From<SimError> for SolverError {
 /// configured (or none of its decisions hit).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultReport {
-    /// Faults injected across *all* attempts, including rejected ones.
-    /// (Accepted attempts are fault-free by the accept rule, so everything
-    /// here was absorbed by recovery.)
+    /// Faults injected into every attempt that ran to its end, rejected
+    /// ones included. (Accepted attempts are fault-free by the accept rule,
+    /// so everything here was absorbed by recovery.) An attempt the engine
+    /// aborted with a [`SimError`] adds nothing: its counters are lost
+    /// with the run.
     pub faults: FaultCounters,
     /// Number of phases that needed at least one retry.
     pub phases_retried: u64,
     /// Total retries across all phases.
     pub retries: u64,
-    /// Simulated rounds spent on rejected attempts — the round-complexity
-    /// price of recovery.
+    /// Simulated rounds spent on attempts that ran to their end and were
+    /// rejected — the round-complexity price of recovery. An attempt the
+    /// engine aborted adds nothing here either.
     pub rounds_lost: u64,
     /// Number of attempts rejected by a sentinel (as opposed to the fault
     /// counters alone).
@@ -594,7 +597,6 @@ mod tests {
             3,
             Direction::Out,
             SimConfig::default(),
-            crate::config::Charging::Quiesce,
             &mut Recorder::new(),
             &mut Recovery::disabled(),
             "c",

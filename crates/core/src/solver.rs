@@ -24,7 +24,7 @@
 
 use crate::apsp::{run_ar20, ApspOutcome};
 use crate::baselines::{run_ar18, run_naive};
-use crate::config::{ApspConfig, Charging};
+use crate::config::ApspConfig;
 use crate::recovery::{final_certificate, Recovery, SolverError};
 use congest_derand::{BlockerParams, Selection};
 use congest_graph::{Graph, Weight};
@@ -74,13 +74,6 @@ impl<'g, W: Weight> SolverBuilder<'g, W> {
     #[must_use]
     pub fn hop_param(mut self, h: usize) -> Self {
         self.solver.cfg.h = Some(h);
-        self
-    }
-
-    /// Sets the round-charging mode (default [`Charging::Quiesce`]).
-    #[must_use]
-    pub fn charging(mut self, charging: Charging) -> Self {
-        self.solver.cfg.charging = charging;
         self
     }
 
@@ -141,7 +134,7 @@ pub struct Solver<'g, W: Weight> {
 
 impl<'g, W: Weight> Solver<'g, W> {
     /// Starts a builder over `g` with the paper's headline defaults:
-    /// `Ar20` / `Derandomized`, h = ⌈n^{1/3}⌉, quiescence charging.
+    /// `Ar20` / `Derandomized`, h = ⌈n^{1/3}⌉.
     #[must_use]
     pub fn builder(g: &'g Graph<W>) -> SolverBuilder<'g, W> {
         SolverBuilder {
@@ -188,8 +181,8 @@ impl<'g, W: Weight> Solver<'g, W> {
             let (mut rec, mut rc) = (Recorder::new(), Recovery::from_config(cfg));
             let (dist, meta) = match self.algorithm {
                 Algorithm::Ar20 => run_ar20(g, &topo, cfg, self.selection, &mut rec, &mut rc),
-                Algorithm::Ar18 => run_ar18(g, &topo, cfg, &mut rec, &mut rc),
-                Algorithm::Naive => run_naive(g, &topo, cfg, &mut rec, &mut rc),
+                Algorithm::Ar18 => run_ar18(g, &topo, &mut rec, &mut rc),
+                Algorithm::Naive => run_naive(g, &topo, &mut rec, &mut rc),
             }?;
             // Whole-matrix certificate (fault-active runs only): zero
             // diagonal, relaxation fixed point, successor telescoping.
@@ -220,7 +213,6 @@ impl<'g, W: Weight> Solver<'g, W> {
             ("selection".to_string(), format!("{:?}", self.selection)),
             ("n".to_string(), self.g.n().to_string()),
             ("h".to_string(), out.meta.h.to_string()),
-            ("charging".to_string(), format!("{:?}", self.cfg.charging)),
             ("retries".to_string(), fr.retries.to_string()),
             ("sentinel_trips".to_string(), fr.sentinel_trips.to_string()),
         ];
@@ -266,15 +258,12 @@ mod tests {
         let g = graph();
         let solver = Solver::builder(&g)
             .hop_param(2)
-            .charging(Charging::WorstCase)
             .selection(Selection::Randomized { seed: 7 })
             .blocker_params(BlockerParams { eps: 0.05, delta: 0.05 })
             .build();
         let out = solver.run().unwrap();
         assert_eq!(out.meta.h, 2);
         assert_eq!(out.dist, apsp_dijkstra(&g));
-        let quiesce = Solver::builder(&g).hop_param(2).run().unwrap();
-        assert!(out.recorder.total_rounds() > quiesce.recorder.total_rounds(), "worst case");
     }
 
     /// The frame checks Ar20's constants before connectivity, and only

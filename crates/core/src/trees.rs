@@ -581,7 +581,6 @@ pub fn collect_ancestors<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Charging;
     use crate::csssp::build_csssp;
     use congest_graph::generators::{broom, gnm_connected, path, star, WeightDist};
     use congest_graph::seq::Direction;
@@ -601,7 +600,6 @@ mod tests {
             h,
             Direction::Out,
             SimConfig::default(),
-            Charging::Quiesce,
             &mut rec,
             &mut crate::recovery::Recovery::disabled(),
             "csssp",

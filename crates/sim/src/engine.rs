@@ -287,11 +287,11 @@ pub trait NodeLogic {
 #[derive(Copy, Clone, Debug)]
 pub enum RunUntil {
     /// Run exactly this many rounds; error if the protocol is still busy
-    /// afterwards. Used for worst-case round charging: the caller passes
-    /// the analytical bound and the engine verifies the protocol met it.
+    /// afterwards, so a test can check a protocol against an analytical
+    /// bound.
     Exact(u64),
     /// Run until no messages are in flight and no node is active, erroring
-    /// at `max` rounds. Used for practical round accounting.
+    /// at `max` rounds: how every pipeline phase runs.
     Quiesce {
         /// Safety budget.
         max: u64,

@@ -378,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn respects_worst_case_charging() {
+    fn finishes_within_its_analytical_budget() {
         // Exact-mode run with the analytical budget must succeed.
         let g = path(6, false, WeightDist::Unit, 0);
         let topo = Topology::from_graph(&g);

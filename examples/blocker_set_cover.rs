@@ -11,7 +11,7 @@
 
 use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx};
 use congest_apsp::csssp::build_csssp;
-use congest_apsp::{BlockerParams, Charging, Selection};
+use congest_apsp::{BlockerParams, Selection};
 use congest_derand::{brs_cover, greedy_cover, verify_cover};
 use congest_graph::generators::{broom, WeightDist};
 use congest_graph::seq::Direction;
@@ -34,7 +34,6 @@ fn main() {
         h,
         Direction::Out,
         SimConfig::default(),
-        Charging::Quiesce,
         &mut rec,
         &mut congest_apsp::Recovery::disabled(),
         "csssp",

@@ -72,14 +72,6 @@ fn exact_with_h_override_sweep() {
 }
 
 #[test]
-fn exact_under_worst_case_charging() {
-    use congest_apsp::Charging;
-    let g = Family::SparseRandom.build(12, true, WeightDist::Uniform(0, 9), 37);
-    let out = Solver::builder(&g).charging(Charging::WorstCase).run().unwrap();
-    assert_eq!(out.dist, apsp_dijkstra(&g));
-}
-
-#[test]
 fn unreachable_pairs_are_inf() {
     use congest_graph::{Edge, Weight};
     // Directed path: communication is bidirectional but edges are one-way,

@@ -3,7 +3,7 @@
 //! local Step 5, blocker validity through the public API, congestion
 //! bounds, and randomized-variant stability across seeds.
 
-use congest_apsp::{Algorithm, ApspOutcome, Charging, Selection, Solver};
+use congest_apsp::{Algorithm, ApspOutcome, Selection, Solver};
 use congest_bench::workloads::{hop_deep, sparse_random};
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
@@ -239,7 +239,6 @@ fn blocker_set_reported_in_meta_is_valid() {
         out.meta.h,
         Direction::Out,
         SimConfig::default(),
-        Charging::Quiesce,
         &mut rec,
         &mut congest_apsp::Recovery::disabled(),
         "csssp",
@@ -263,13 +262,4 @@ fn step6_congestion_bound_holds() {
             );
         }
     }
-}
-
-#[test]
-fn quiesce_never_slower_than_worst_case() {
-    let g = Family::SparseRandom.build(12, true, WeightDist::Uniform(1, 9), 3);
-    let quiesce = Solver::builder(&g).run().unwrap();
-    let worst = Solver::builder(&g).charging(Charging::WorstCase).run().unwrap();
-    assert_eq!(quiesce.dist, worst.dist);
-    assert!(quiesce.recorder.total_rounds() <= worst.recorder.total_rounds());
 }

@@ -14,7 +14,7 @@
 
 use congest_apsp::blocker::{alg2_blocker, Alg2Stats, PathCtx};
 use congest_apsp::csssp::{build_csssp, SsspCollection};
-use congest_apsp::{BlockerParams, Charging, Recovery, Selection, Solver};
+use congest_apsp::{BlockerParams, Recovery, Selection, Solver};
 use congest_derand::brs_cover;
 use congest_graph::generators::{broom, gnm_connected, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, Direction};
@@ -131,7 +131,6 @@ fn step1(g: &Graph<u64>, h: usize) -> (Topology, SsspCollection<u64>) {
         h,
         Direction::Out,
         SimConfig::default(),
-        Charging::Quiesce,
         &mut Recorder::new(),
         &mut Recovery::disabled(),
         "csssp",

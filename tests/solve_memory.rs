@@ -20,7 +20,7 @@
 //! Every result is checked complete, so no bound is met by dropping data.
 
 use congest_apsp::csssp::build_csssp;
-use congest_apsp::{Charging, Recovery, Solver};
+use congest_apsp::{Recovery, Solver};
 use congest_bench::workloads::sparse_random;
 use congest_graph::generators::{broom, gnm_connected, WeightDist};
 use congest_graph::seq::Direction;
@@ -105,7 +105,6 @@ fn floods_and_collections_stay_within_their_bounds() {
         h,
         Direction::Out,
         SimConfig::default(),
-        Charging::Quiesce,
         &mut rec,
         &mut rc,
         "csssp",
