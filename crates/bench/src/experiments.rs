@@ -12,8 +12,7 @@ use congest_apsp::bf::run_bf;
 use congest_apsp::blocker::{alg2_blocker, greedy_blocker, is_valid_blocker, PathCtx};
 use congest_apsp::csssp::{build_csssp, SsspCollection};
 use congest_apsp::pipeline::{
-    propagate_to_blockers_with, propagate_trivial_broadcast, PushDiscipline, RoutedTable,
-    Step6Stats,
+    propagate_to_blockers, propagate_trivial_broadcast, RoutedTable, Step6Stats,
 };
 use congest_apsp::{Algorithm, ApspConfig, BlockerParams, Selection, Solver, SolverBuilder};
 use congest_graph::generators::{Family, WeightDist};
@@ -166,19 +165,18 @@ fn blocker(
     (q.len(), rec.total_rounds())
 }
 
-/// Runs Step 6 under queue discipline `d` on the input an exact Step 5
-/// leaves (δ(x, c) at every x for each blocker c in `q`, from Dijkstra),
-/// and asserts that every blocker receives its exact in-distances.
-/// Returns that input, the stats and the rounds.
-fn step6(g: &Graph<u64>, q: &[NodeId], d: PushDiscipline) -> (RoutedTable<u64>, Step6Stats, u64) {
+/// Runs Step 6 on the input an exact Step 5 leaves (δ(x, c) at every x
+/// for each blocker c in `q`, from Dijkstra), and asserts that every
+/// blocker receives its exact in-distances. Returns that input, the stats
+/// and the rounds.
+fn step6(g: &Graph<u64>, q: &[NodeId]) -> (RoutedTable<u64>, Step6Stats, u64) {
     let exact = apsp_dijkstra(g);
     let dvals = RoutedTable::new(DistMatrix::from_rows(
         (0..g.n()).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
     ));
     let (topo, cfg, sim, mut rec) =
         (Topology::from_graph(g), ApspConfig::default(), SimConfig::default(), Recorder::new());
-    let (out, stats) =
-        propagate_to_blockers_with(g, &topo, &cfg, sim, q, &dvals, d, &mut rec).unwrap();
+    let (out, stats) = propagate_to_blockers(g, &topo, &cfg, sim, q, &dvals, &mut rec).unwrap();
     for (qi, &c) in q.iter().enumerate() {
         assert_eq!(&out.dist[qi], &dijkstra(g, c, Direction::In)[..], "delivery to {c}");
     }
@@ -400,7 +398,7 @@ pub fn t3() -> ExperimentOutput {
         let seed = 400 + n as u64;
         let g = if wname == "rand" { sparse_random(n, seed) } else { hop_deep(n, seed) };
         let q: Vec<NodeId> = (0..n as NodeId).step_by(5).collect();
-        let (dvals, stats, rounds) = step6(&g, &q, PushDiscipline::RoundRobin);
+        let (dvals, stats, rounds) = step6(&g, &q);
         let (topo, mut trec) = (Topology::from_graph(&g), Recorder::new());
         let _ = propagate_trivial_broadcast(&topo, SimConfig::default(), &q, &dvals, &mut trec)
             .unwrap();
@@ -432,7 +430,7 @@ pub fn f3() -> ExperimentOutput {
     let n = 104;
     let g = sparse_random(n, 17);
     let q: Vec<NodeId> = (0..n as NodeId).step_by(4).collect();
-    let (_, stats, _) = step6(&g, &q, PushDiscipline::RoundRobin);
+    let (_, stats, _) = step6(&g, &q);
     let mut table = String::new();
     let mut csv = String::from("round,max_active_queues\n");
     let _ = writeln!(
@@ -539,33 +537,13 @@ pub fn t5() -> ExperimentOutput {
     t.finish("t5")
 }
 
-/// F4 — ablations: (a) Step-9 queue discipline; (b) CSSSP 2h-truncation vs
-/// plain h-hop trees (consistency violations).
+/// F4 — ablation: CSSSP 2h-truncation vs plain h-hop trees (consistency
+/// violations).
 #[must_use]
 pub fn f4() -> ExperimentOutput {
     let mut table = String::new();
     let mut csv = String::from("ablation,config,value\n");
-    // (a) queue discipline
-    let n = 80;
-    let g = sparse_random(n, 9);
-    let q: Vec<NodeId> = (0..n as NodeId).step_by(4).collect();
-    let _ = writeln!(table, "F4a: Step-9 queue discipline ablation (n={n}, |Q|={})", q.len());
-    for (name, d) in [
-        ("round-robin (paper)", PushDiscipline::RoundRobin),
-        ("fixed-priority", PushDiscipline::FixedPriority),
-        ("longest-first", PushDiscipline::LongestFirst),
-    ] {
-        let (_, stats, rounds) = step6(&g, &q, d);
-        let _ = writeln!(
-            table,
-            "  {name:<22} push rounds = {:>6}, total step-6 rounds = {rounds:>6}",
-            stats.round_robin_rounds
-        );
-        let _ = writeln!(csv, "discipline,{name},{}", stats.round_robin_rounds);
-    }
-    // (b) CSSSP construction ablation
-    let _ =
-        writeln!(table, "\nF4b: CSSSP 2h+truncate vs plain h-hop BF trees (consistency checker)");
+    let _ = writeln!(table, "F4: CSSSP 2h+truncate vs plain h-hop BF trees (consistency checker)");
     let mut plain_fail = 0;
     let mut csssp_fail = 0;
     let trials = 20;

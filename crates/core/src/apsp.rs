@@ -8,18 +8,22 @@
 //! 5. local min-plus closure at every node      → zero rounds
 //! 6. reversed q-sink propagation               → [`crate::pipeline`]
 //! 7. h-hop extension per source                → [`crate::extension`]
+//!
+//! Steps 3–5 (`dist_to_blockers`) run on Step 6's relay parts, with Q
+//! as the relays ([`Relays`]): the in-trees fill the to-table, the flood
+//! is the one Lemma A.2 table flood, the closure fills the from-table and
+//! [`Relays::route`] combines x → c′ → c.
 
 use crate::bf::run_bf;
 use crate::blocker::{alg2_blocker, Alg2Stats};
 use crate::config::ApspConfig;
 use crate::csssp::build_csssp;
 use crate::extension::extend_all_sources;
-use crate::pipeline::{propagate_to_blockers, RoutedTable, Step6Stats};
+use crate::pipeline::{flood_table, propagate_to_blockers, Relays, RoutedTable, Step6Stats};
 use crate::recovery::{sentinels, FaultReport, Recovery, SolverError};
 use congest_derand::Selection;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
-use congest_sim::primitives::all_to_all_broadcast;
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
 
@@ -69,15 +73,6 @@ impl<W: Weight> ApspOutcome<W> {
     pub fn n(&self) -> usize {
         self.dist.n()
     }
-
-    /// Consumes the outcome, handing the n² distance arena to a consumer
-    /// (e.g. the `congest_oracle` serving layer) without cloning it; the
-    /// recorder and metadata are dropped. For the one-line compute→serve
-    /// handoff use `congest_oracle::IntoOracle::into_oracle` instead.
-    #[must_use]
-    pub fn into_dist(self) -> DistMatrix<W> {
-        self.dist
-    }
 }
 
 /// Runs Algorithm 1 (the paper's Õ(n^{4/3}) APSP) inside the frame of
@@ -120,117 +115,8 @@ pub(crate) fn run_ar20<W: Weight>(
     meta.blocker_stats = Some(stats);
     meta.q = q.clone();
 
-    // Step 3: h-in-SSSP per blocker; to_q[qi][x] = δ_h(x, q_qi) at x. An
-    // in-direction parent pointer *is* the next hop from x toward the
-    // blocker, so successor tracking needs no extra message traffic here —
-    // each node keeps its local parent as routing state.
-    let mut to_q: Vec<Vec<W>> = Vec::with_capacity(q.len());
-    let mut to_q_next: Vec<Vec<NodeId>> = Vec::with_capacity(q.len());
-    for &c in &q {
-        // Sentinel note: these trees run without the repair sub-phase, so
-        // only the hop budget and the root entry are checkable — stale
-        // parents are legitimate at a truncated horizon (see crate::bf).
-        let label = format!("step3: h-in-SSSP({c})");
-        let (res, rep) = rc.phase(
-            &label,
-            sim,
-            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, None, sim),
-            |res| sentinels::bounded_tree(c, h as u64, res),
-        )?;
-        rec.record(label, rep);
-        to_q.push(res.entries.iter().map(|e| e.dist).collect());
-        to_q_next.push(res.entries.iter().map(|e| e.parent.unwrap_or(NO_SUCC)).collect());
-    }
-
-    // Step 4: every c broadcasts (c, c', δ_h(c, c')) — |Q|² values, each
-    // keyed by its (from, to) blocker pair.
-    let qn = q.len();
-    if qn > 0 {
-        let initial: Vec<Vec<(u32, u32, W)>> = (0..n)
-            .map(|v| {
-                if let Some(qi) = q.iter().position(|&c| c as usize == v) {
-                    (0..qn)
-                        .filter(|&qj| !to_q[qj][v].is_inf())
-                        .map(|qj| (qi as u32, qj as u32, to_q[qj][v]))
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let key = move |&(qi, qj, _): &(u32, u32, W)| qi as usize * qn + qj as usize;
-        // A dropped frame starves every log behind it without any local
-        // symptom, so the sentinel demands complete logs everywhere.
-        let expected: usize = initial.iter().map(Vec::len).sum();
-        let label = "step4: QxQ matrix broadcast";
-        let (_, rep) = rc.phase(
-            label,
-            sim,
-            |sim| all_to_all_broadcast(topo, sim, initial.clone(), 3, key),
-            |logs| sentinels::flood_complete(logs, expected),
-        )?;
-        rec.record(label, rep);
-    }
-
-    // Step 5 (local): min-plus closure of the Q×Q matrix, then
-    // dvals[x][qi] = δ(x, q_qi). Every node performs the same closure on
-    // the broadcast matrix; the orchestrator mirrors it once. The closure
-    // also carries first-hop provenance:
-    // `closure_fh[i][j]` is the first *graph* hop out of node q_i on the
-    // realizing path toward q_j — local knowledge at q_i (its Step-3
-    // parents) combined with the broadcast matrix, so every node can still
-    // compute its own rows without extra communication.
-    let step5 = Instant::now();
-    let mut closure = vec![vec![W::INF; qn]; qn];
-    let mut closure_fh = vec![vec![NO_SUCC; qn]; qn];
-    for qi in 0..qn {
-        closure[qi][qi] = W::ZERO;
-        for qj in 0..qn {
-            let d = to_q[qj][q[qi] as usize];
-            if d < closure[qi][qj] {
-                closure[qi][qj] = d;
-                closure_fh[qi][qj] = to_q_next[qj][q[qi] as usize];
-            }
-        }
-    }
-    for k in 0..qn {
-        for i in 0..qn {
-            if closure[i][k].is_inf() {
-                continue;
-            }
-            for j in 0..qn {
-                let via = closure[i][k].plus(closure[k][j]);
-                if via < closure[i][j] {
-                    closure[i][j] = via;
-                    closure_fh[i][j] = closure_fh[i][k];
-                }
-            }
-        }
-    }
-    let mut dvals = RoutedTable::new(DistMatrix::filled(n, qn, W::INF));
-    for x in 0..n {
-        for qi in 0..qn {
-            let mut best = to_q[qi][x];
-            let mut first = to_q_next[qi][x];
-            for qj in 0..qn {
-                let seg = to_q[qj][x];
-                if seg.is_inf() {
-                    continue;
-                }
-                let via = seg.plus(closure[qj][qi]);
-                if via < best {
-                    best = via;
-                    // The combined path starts with the δ_h(x, q_j)
-                    // segment, unless x *is* q_j — then it starts inside
-                    // the closure.
-                    first = if q[qj] as usize == x { closure_fh[qj][qi] } else { to_q_next[qj][x] };
-                }
-            }
-            dvals.dist.set(x, qi, best);
-            dvals.set_first(x, qi, first);
-        }
-    }
-    rec.record_local("step5: local closure over Q", step5.elapsed());
+    // Steps 3-5: δ(x, c) at every x for every blocker c.
+    let dvals = dist_to_blockers(g, topo, h, &q, rec, rc)?;
 
     // Step 6: reversed q-sink propagation. Step 6 only *routes* the
     // locally known-exact dvals table, so the sentinel can demand the
@@ -248,6 +134,110 @@ pub(crate) fn run_ar20<W: Weight>(
     // Step 7: h-hop extension per source (assembles the successor plane).
     let dist = extend_all_sources(g, topo, &coll, &q, &at_blocker, rec, rc)?;
     Ok((dist, meta))
+}
+
+/// Algorithm 1's Steps 3–5: returns the routed n × |Q| table of δ(x, c)
+/// for every node x and blocker `c = q[qi]`, with x's first hop toward c.
+/// They run on [`Relays`], with Q as the relays:
+///
+/// 3. each blocker's h-hop in-tree fills the to-table with δ_h(x, c′) and
+///    x's parent, its next hop toward c′ (local routing state, so it costs
+///    no message);
+/// 4. the blockers' rows of that table, the Q×Q δ_h matrix, are flooded
+///    as 3-word items (c, c′, δ_h(c, c′)): c's own parent rides along but
+///    only c reads it;
+/// 5. every node closes the matrix with Floyd–Warshall into the
+///    from-table (one row per target blocker c: δ(c′, c) with c′'s first
+///    hop, known at c′ from its own parents), and routes each
+///    x → c′ → c with [`Relays::route`]; the orchestrator mirrors it once.
+///
+/// Each tree and the flood is one phase of `rc`, on the fault-free config.
+///
+/// # Errors
+/// As [`Recovery::phase`].
+pub(crate) fn dist_to_blockers<W: Weight>(
+    g: &Graph<W>,
+    topo: &Topology,
+    h: usize,
+    q: &[NodeId],
+    rec: &mut Recorder,
+    rc: &mut Recovery,
+) -> Result<RoutedTable<W>, SolverError> {
+    let (n, qn) = (g.n(), q.len());
+    let sim = SimConfig::default();
+    let table = |rows| RoutedTable::new(DistMatrix::filled(rows, qn, W::INF));
+    let mut relays = Relays { relays: q.to_vec(), to: table(n), from: table(qn) };
+    for (qi, &c) in q.iter().enumerate() {
+        // Sentinel note: these trees run without the repair sub-phase, so
+        // only the hop budget and the root entry are checkable — stale
+        // parents are legitimate at a truncated horizon (see crate::bf).
+        let label = format!("step3: h-in-SSSP({c})");
+        let (res, rep) = rc.phase(
+            &label,
+            sim,
+            |sim| run_bf(g, topo, c, Direction::In, h as u64, None, None, sim),
+            |res| sentinels::bounded_tree(c, h as u64, res),
+        )?;
+        rec.record(label, rep);
+        for (x, e) in res.entries.iter().enumerate() {
+            relays.to.set(x, qi, (e.dist, e.parent.unwrap_or(NO_SUCC)));
+        }
+    }
+
+    if qn > 0 {
+        let label = "step4: QxQ matrix broadcast";
+        let blocker_row = |x: usize, j| {
+            if q.contains(&(x as NodeId)) {
+                relays.to.get(x, j)
+            } else {
+                (W::INF, NO_SUCC)
+            }
+        };
+        let (_, rep) = rc.phase(
+            label,
+            sim,
+            |sim| flood_table(topo, sim, qn, 3, blocker_row),
+            sentinels::flood_complete,
+        )?;
+        rec.record(label, rep);
+    }
+
+    // Step 5 (local): `from` holds δ(c_i, c_j) at (j, i).
+    let step5 = Instant::now();
+    let from = &mut relays.from;
+    for (i, &c) in q.iter().enumerate() {
+        from.set(i, i, (W::ZERO, NO_SUCC));
+        for j in 0..qn {
+            let cell = relays.to.get(c as usize, j);
+            if cell.0 < from.dist[j][i] {
+                from.set(j, i, cell);
+            }
+        }
+    }
+    for k in 0..qn {
+        for i in 0..qn {
+            let (ik, first) = from.get(k, i);
+            if ik.is_inf() {
+                continue;
+            }
+            for j in 0..qn {
+                let via = ik.plus(from.dist[j][k]);
+                if via < from.dist[j][i] {
+                    from.set(j, i, (via, first));
+                }
+            }
+        }
+    }
+    let mut dvals = table(n);
+    for x in 0..n {
+        for qi in 0..qn {
+            let mut cell = relays.to.get(x, qi);
+            relays.route(x, qi, &mut cell);
+            dvals.set(x, qi, cell);
+        }
+    }
+    rec.record_local("step5: local closure over Q", step5.elapsed());
+    Ok(dvals)
 }
 
 #[cfg(test)]
@@ -322,6 +312,42 @@ mod tests {
             }
         }
         assert!(BlockerParams::default().in_range());
+    }
+
+    /// Steps 3–5 give every node its exact distance to every blocker,
+    /// with a first hop that telescopes, on a graph where Q is large and
+    /// on a hop-deep one (Q as Ar20's Step 2 picks it).
+    #[test]
+    fn steps_3_to_5_route_every_blocker_exactly() {
+        let cases = [
+            (gnm_connected(64, 128, true, WeightDist::Uniform(0, 100), 1), 20),
+            (congest_graph::generators::broom(64, true, WeightDist::Uniform(1, 20), 1), 9),
+        ];
+        for (g, qn) in cases {
+            let q = Solver::builder(&g).run().unwrap().meta.q;
+            assert_eq!(q.len(), qn);
+            let (topo, h) = (Topology::from_graph(&g), ApspConfig::default().hop_param(g.n()));
+            let mut rc = Recovery::disabled();
+            let dvals = dist_to_blockers(&g, &topo, h, &q, &mut Recorder::new(), &mut rc).unwrap();
+            let exact = apsp_dijkstra(&g);
+            for x in 0..g.n() {
+                for (qi, &c) in q.iter().enumerate() {
+                    let c = c as usize;
+                    let (d, f) = dvals.get(x, qi);
+                    assert_eq!(d, exact[x][c], "δ({x}, {c})");
+                    if x == c || d.is_inf() {
+                        continue;
+                    }
+                    let w = g.out_edges(x as NodeId).filter(|&(v, _)| v == f).map(|(_, w)| w).min();
+                    let w = w.unwrap_or_else(|| panic!("({x}, {c}): {f} is no out-neighbor"));
+                    assert_eq!(
+                        d,
+                        w.plus(exact[f as usize][c]),
+                        "({x}, {c}): {f} does not telescope"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,11 +87,6 @@ pub struct BfSeeds<'a, W> {
 /// Result of a single-source run.
 #[derive(Clone, Debug)]
 pub struct BfTreeResult<W> {
-    /// Source (tree root).
-    pub source: NodeId,
-    /// Direction: `Out` = shortest paths from the source; `In` = shortest
-    /// paths *to* the source (the paper's in-SSSP).
-    pub dir: Direction,
     /// Per-node entry. Detached nodes, and in a repaired run every node
     /// deeper than the repair depth, read as unreached.
     pub entries: Vec<BfEntry<W>>,
@@ -357,7 +352,7 @@ pub fn run_bf<W: Weight>(
             }
         }
     }
-    Ok((BfTreeResult { source, dir, entries, children }, report))
+    Ok((BfTreeResult { entries, children }, report))
 }
 
 /// Full (unbounded-hop) SSSP: n-1 relaxation rounds. δ_{n-1} = δ, so

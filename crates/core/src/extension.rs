@@ -60,8 +60,7 @@ pub fn extend_all_sources<W: Weight>(
         let mut init = vec![W::INF; n];
         let mut init_first = vec![NO_SUCC; n];
         for (qi, &c) in q.iter().enumerate() {
-            init[c as usize] = at_blocker.dist[qi][xi];
-            init_first[c as usize] = at_blocker.first_at(qi, xi);
+            (init[c as usize], init_first[c as usize]) = at_blocker.get(qi, xi);
         }
         for t in 0..n {
             let d = coll.dist[t][xi];

@@ -240,9 +240,10 @@ impl Recovery {
         &mut self,
         name: &str,
         base: SimConfig,
-        attempt: impl FnMut(SimConfig) -> Result<(T, PhaseReport), SimError>,
+        mut attempt: impl FnMut(SimConfig) -> Result<(T, PhaseReport), SimError>,
         sentinel: impl Fn(&T) -> Result<(), String>,
     ) -> Result<(T, PhaseReport), SolverError> {
+        let attempt = |sim| attempt(sim).map_err(SolverError::Sim);
         self.retry(name, base, attempt, |rep| (rep.faults, rep.rounds), sentinel)
     }
 
@@ -251,17 +252,19 @@ impl Recovery {
     /// sub-phases into a scratch [`Recorder`]; only an accepted attempt's
     /// recording is absorbed into `rec` (under `prefix`), so rejected
     /// attempts never pollute the run's accounting — under faults, the
-    /// final recorder equals the fault-free run's recorder exactly.
+    /// final recorder equals the fault-free run's recorder exactly. The
+    /// attempt's error is a [`SimError`] or a [`SolverError`]; an engine
+    /// error is retried, any other is returned at once.
     ///
     /// # Errors
     /// As [`Recovery::phase`].
-    pub fn compound<T>(
+    pub fn compound<T, E: Into<SolverError>>(
         &mut self,
         name: &str,
         prefix: &str,
         base: SimConfig,
         rec: &mut Recorder,
-        mut attempt: impl FnMut(SimConfig, &mut Recorder) -> Result<T, SimError>,
+        mut attempt: impl FnMut(SimConfig, &mut Recorder) -> Result<T, E>,
         sentinel: impl Fn(&T) -> Result<(), String>,
     ) -> Result<T, SolverError> {
         let (t, scratch) = self.retry(
@@ -269,7 +272,7 @@ impl Recovery {
             base,
             |sim| {
                 let mut scratch = Recorder::new();
-                attempt(sim, &mut scratch).map(|t| (t, scratch))
+                attempt(sim, &mut scratch).map(|t| (t, scratch)).map_err(Into::into)
             },
             |scratch| (scratch.total_faults(), scratch.total_rounds()),
             sentinel,
@@ -286,12 +289,12 @@ impl Recovery {
         &mut self,
         name: &str,
         base: SimConfig,
-        mut attempt: impl FnMut(SimConfig) -> Result<(T, R), SimError>,
+        mut attempt: impl FnMut(SimConfig) -> Result<(T, R), SolverError>,
         tally: impl Fn(&R) -> (FaultCounters, u64),
         sentinel: impl Fn(&T) -> Result<(), String>,
     ) -> Result<(T, R), SolverError> {
         if self.spec.is_none() {
-            return Ok(attempt(base)?);
+            return attempt(base);
         }
         let seq = self.seq;
         self.seq += 1;
@@ -305,7 +308,8 @@ impl Recovery {
                 note_retry(name, attempt_no);
             }
             match attempt(self.salted(seq, attempt_no)) {
-                Err(e) => last_error = Some(e),
+                Err(SolverError::Sim(e)) => last_error = Some(e),
+                Err(e) => return Err(e),
                 Ok((t, ran)) => {
                     let (faults, rounds) = tally(&ran);
                     self.report.faults.merge(&faults);
@@ -498,14 +502,16 @@ pub mod sentinels {
         Ok(())
     }
 
-    /// Sentinel for an all-to-all flood (Step 4): every node's log holds
-    /// exactly the number of items fed in — a lost frame starves the
-    /// subtree behind it. Complete for drops (the flood pipeline delivers
-    /// each item once per node on exactly one path).
+    /// Sentinel for an all-to-all flood (Step 4, the relay tables): every
+    /// node's log holds every item the flood was seeded with. A lost frame
+    /// starves the subtree behind it without any local symptom, so every
+    /// log must be complete. Complete for drops (the flood pipeline
+    /// delivers each item once per node on exactly one path).
     ///
     /// # Errors
     /// Names the first starved node.
-    pub fn flood_complete<T>(logs: &FloodLogs<T>, expected: usize) -> Result<(), String> {
+    pub fn flood_complete<T>(logs: &FloodLogs<T>) -> Result<(), String> {
+        let expected = logs.item_count();
         for v in 0..logs.n() as NodeId {
             if logs.log_len(v) != expected {
                 return Err(format!("node {v} logged {} of {expected} items", logs.log_len(v)));
@@ -738,7 +744,7 @@ mod tests {
                 calls += 1;
                 let (_, rep) = ok_phase(5, u64::from(calls == 1));
                 scratch.record(format!("sub{calls}"), rep);
-                Ok(calls)
+                Ok::<_, SimError>(calls)
             },
             |_| Ok(()),
         );

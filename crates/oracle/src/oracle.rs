@@ -79,7 +79,7 @@ pub enum Cores {
 
 /// A compact distance + successor oracle over a fixed graph snapshot.
 ///
-/// Built once from an APSP solution ([`Oracle::from_outcome`] /
+/// Built once from an APSP solution ([`IntoOracle::into_oracle`] /
 /// [`Oracle::from_dist`]), then serves `distance`, `path` and `k_nearest`
 /// queries with no further access to the graph. All storage is two flat
 /// arenas: `n²` distances and `n²` successor ids.
@@ -94,18 +94,6 @@ pub struct Oracle<W> {
 }
 
 impl<W: Weight> Oracle<W> {
-    /// Builds an oracle from a distributed APSP run, consuming the outcome.
-    /// The n² distance arena is *moved* out of the outcome — no per-row
-    /// allocation and no n² copy happens on this path.
-    ///
-    /// # Panics
-    /// Panics if `out` was not computed on `g` (dimension or diagonal
-    /// mismatch, or distances inconsistent with `g`'s adjacency).
-    #[must_use]
-    pub fn from_outcome(g: &Graph<W>, out: ApspOutcome<W>) -> Self {
-        Self::from_dist(g, out.into_dist())
-    }
-
     /// Builds an oracle from an exact distance matrix for `g`
     /// (`dist[u][v] = δ(u, v)`, `W::INF` when unreachable), consuming the
     /// matrix: its flat arena becomes the oracle's distance storage by
@@ -412,7 +400,7 @@ pub trait IntoOracle<W: Weight> {
 
 impl<W: Weight> IntoOracle<W> for ApspOutcome<W> {
     fn into_oracle(self, g: &Graph<W>) -> Oracle<W> {
-        Oracle::from_outcome(g, self)
+        Oracle::from_dist(g, self.dist)
     }
 }
 

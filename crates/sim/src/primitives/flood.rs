@@ -89,6 +89,13 @@ impl<T> FloodLogs<T> {
     pub fn log_len(&self, v: NodeId) -> usize {
         self.seen[v as usize].count()
     }
+
+    /// Number of distinct items the flood was seeded with, the length of
+    /// a complete log.
+    #[must_use]
+    pub fn item_count(&self) -> usize {
+        self.items.len()
+    }
 }
 
 struct FloodNode {

@@ -116,10 +116,11 @@ impl<T: Clone + 'static> NodeLogic for StreamNode<T> {
         inbox: &[Envelope<(u32, T)>],
         out: &mut Outbox<'_, (u32, T)>,
     ) {
+        // Fault-free, items arrive in index order. A lost one shifts every
+        // later item, and the fault counters reject that run: no check here,
+        // so a faulted run ends alike in debug and release builds.
         for e in inbox {
-            let (idx, item) = e.msg.clone();
-            debug_assert_eq!(idx as usize, self.received.len(), "in-order stream");
-            self.received.push(item);
+            self.received.push(e.msg.1.clone());
         }
         if self.next_fwd < self.received.len() && !self.children_ni.is_empty() {
             let item = self.received[self.next_fwd].clone();

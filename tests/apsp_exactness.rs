@@ -1,6 +1,7 @@
 //! End-to-end exactness: every distributed APSP algorithm must reproduce
 //! the sequential Dijkstra matrix on every workload family, directed and
-//! undirected, with integer, zero-inflated and real weights (Theorem 1.1).
+//! undirected, with integer, zero-inflated and dyadic real weights
+//! (Theorem 1.1).
 
 use congest_apsp::{Algorithm, Selection, Solver};
 use congest_graph::generators::{Family, WeightDist};
@@ -52,7 +53,8 @@ fn exact_with_unit_weights() {
 
 #[test]
 fn exact_with_real_weights() {
-    // f64 weights exercise the "arbitrary non-negative weights" claim.
+    // Dyadic f64 weights (w/8), on which every path sum is exact; other
+    // reals round (see `congest_graph::F64`).
     let gu = Family::SparseRandom.build(13, true, WeightDist::Uniform(0, 1000), 35);
     let g = gu.map_weights(|w| F64::new(w as f64 / 8.0));
     let oracle = apsp_dijkstra(&g);

@@ -15,8 +15,23 @@ use congest_apsp::{Algorithm, FaultReport, Solver, SolverError};
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::NodeId;
 use congest_sim::fault::FaultSpec;
+use std::fmt::Write as _;
 
 const SEEDS: [u64; 4] = [3, 17, 71, 104_729];
+
+/// The four fault kinds of the matrix.
+const KINDS: [&str; 4] = ["drop", "corrupt", "crash", "flap"];
+
+/// The plan of fault kind `kind` on the matrix graph of `seed`.
+fn spec(kind: &str, seed: u64) -> FaultSpec {
+    match kind {
+        "drop" => FaultSpec::seeded(seed ^ 0xD0).drops(150),
+        "corrupt" => FaultSpec::seeded(seed ^ 0xC0).corruption(150),
+        "crash" => FaultSpec::seeded(seed ^ 0xCA).crashes(4_000, 64),
+        "flap" => FaultSpec::seeded(seed ^ 0xF1).flaps(4_000, 64),
+        other => unreachable!("no fault kind {other}"),
+    }
+}
 
 /// Runs the solver clean and under `spec` on the same graph, asserting
 /// the recover-or-refuse contract. Returns `true` when the faulted run
@@ -80,32 +95,75 @@ fn recovered_or_refused(algorithm: Algorithm, seed: u64, spec: FaultSpec) -> boo
 /// Asserts the contract across all seeds and that at least one seed
 /// actually exercised the fault plane (otherwise the rates are too low
 /// and the matrix proves nothing).
-fn run_matrix(kind: &str, spec_for: impl Fn(u64) -> FaultSpec) {
+fn run_matrix(kind: &str) {
     let mut exercised = false;
     for seed in SEEDS {
-        exercised |= recovered_or_refused(Algorithm::Ar20, seed, spec_for(seed));
+        exercised |= recovered_or_refused(Algorithm::Ar20, seed, spec(kind, seed));
     }
     assert!(exercised, "{kind}: no seed injected a single fault — raise the rates");
 }
 
 #[test]
 fn fault_matrix_drop() {
-    run_matrix("drop", |seed| FaultSpec::seeded(seed ^ 0xD0).drops(150));
+    run_matrix("drop");
 }
 
 #[test]
 fn fault_matrix_corrupt() {
-    run_matrix("corrupt", |seed| FaultSpec::seeded(seed ^ 0xC0).corruption(150));
+    run_matrix("corrupt");
 }
 
 #[test]
 fn fault_matrix_crash() {
-    run_matrix("crash", |seed| FaultSpec::seeded(seed ^ 0xCA).crashes(4_000, 64));
+    run_matrix("crash");
 }
 
 #[test]
 fn fault_matrix_flap() {
-    run_matrix("flap", |seed| FaultSpec::seeded(seed ^ 0xF1).flaps(4_000, 64));
+    run_matrix("flap");
+}
+
+/// What recovery absorbed is pinned run by run: Ar20, Ar18 and Naive on
+/// every matrix graph under every fault kind, at retry budgets 8 and 1,
+/// one line per run (its `FaultReport`, or the phase that refused and its
+/// attempts). A change that moves a report on purpose regenerates
+/// `tests/golden/fault_reports.txt` from the lines this test prints
+/// (`cargo test --test fault_matrix fault_reports_are_pinned --
+/// --nocapture`) and says why.
+#[test]
+fn fault_reports_are_pinned() {
+    let mut lines = String::new();
+    for seed in SEEDS {
+        let g = gnm_connected(18, 40, true, WeightDist::Uniform(0, 9), seed);
+        for algorithm in [Algorithm::Ar20, Algorithm::Ar18, Algorithm::Naive] {
+            for kind in KINDS {
+                for retries in [8, 1] {
+                    let run = Solver::builder(&g)
+                        .algorithm(algorithm)
+                        .fault_plan(spec(kind, seed))
+                        .max_phase_retries(retries)
+                        .run();
+                    let what = match run {
+                        Ok(out) => format!("{:?}", out.fault_report),
+                        Err(SolverError::Unrecoverable { phase, attempts, .. }) => {
+                            format!("unrecoverable in {phase:?} after {attempts} attempts")
+                        }
+                        Err(e) => panic!("{algorithm:?} seed {seed} {kind}: {e}"),
+                    };
+                    let _ = writeln!(
+                        lines,
+                        "{algorithm:?} seed {seed} {kind} retries {retries}: {what}"
+                    );
+                }
+            }
+        }
+    }
+    print!("{lines}");
+    let golden = include_str!("golden/fault_reports.txt");
+    assert_eq!(lines.lines().count(), golden.lines().count(), "run count");
+    for (got, want) in lines.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
 }
 
 /// A mixed plan across the other two algorithm engines: the contract is
