@@ -18,6 +18,7 @@ use congest_apsp::{Algorithm, ApspConfig, BlockerParams, Selection, Solver, Solv
 use congest_graph::generators::{Family, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, dijkstra, Direction};
 use congest_graph::{DistMatrix, Graph, NodeId};
+use congest_sim::primitives::{build_bfs_tree, BfsTree};
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::fmt::{Display, Write as _};
 use std::fs;
@@ -145,6 +146,15 @@ fn all_sources_csssp(g: &Graph<u64>, h: usize) -> (Topology, SsspCollection<u64>
     (topo, coll)
 }
 
+/// The leader's BFS tree of `topo`, its build recorded in `rec`: a caller
+/// that runs Algorithm 2/2′ or Step 6 alone pays for the tree that Ar20
+/// builds once in Step 2.
+fn leader_tree(topo: &Topology, rec: &mut Recorder) -> BfsTree {
+    let (tree, rep) = build_bfs_tree(topo, SimConfig::default(), 0).unwrap();
+    rec.record("alg2: leader BFS tree", rep);
+    tree
+}
+
 /// Builds a blocker set for `coll`, greedy's for `None` and Algorithm
 /// 2/2′'s for `Some(selection)`, asserts that it covers every full path,
 /// and returns |Q| and its rounds.
@@ -156,7 +166,9 @@ fn blocker(
     let (mut rec, sim) = (Recorder::new(), SimConfig::default());
     let q = match selection {
         Some(sel) => {
-            alg2_blocker(topo, sim, coll, BlockerParams::default(), sel, &mut rec).map(|(q, _)| q)
+            let tree = leader_tree(topo, &mut rec);
+            let params = BlockerParams::default();
+            alg2_blocker(topo, sim, coll, &tree, params, sel, &mut rec).map(|(q, _)| q)
         }
         None => greedy_blocker(topo, sim, coll, &mut rec),
     }
@@ -176,7 +188,9 @@ fn step6(g: &Graph<u64>, q: &[NodeId]) -> (RoutedTable<u64>, Step6Stats, u64) {
     ));
     let (topo, cfg, sim, mut rec) =
         (Topology::from_graph(g), ApspConfig::default(), SimConfig::default(), Recorder::new());
-    let (out, stats) = propagate_to_blockers(g, &topo, &cfg, sim, q, &dvals, &mut rec).unwrap();
+    let tree = leader_tree(&topo, &mut rec);
+    let (out, stats) =
+        propagate_to_blockers(g, &topo, &cfg, sim, q, &dvals, &tree, &mut rec).unwrap();
     for (qi, &c) in q.iter().enumerate() {
         assert_eq!(&out.dist[qi], &dijkstra(g, c, Direction::In)[..], "delivery to {c}");
     }

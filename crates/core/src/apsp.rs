@@ -4,10 +4,16 @@
 //! 1. h-CSSSP for S = V, h = n^{1/3}           → [`crate::csssp`]
 //! 2. blocker set Q                             → [`crate::blocker`]
 //! 3. h-in-SSSP per c ∈ Q                       → [`crate::bf`]
-//! 4. broadcast of the Q×Q δ_h matrix           → flooding (Lemma A.2)
+//! 4. broadcast of the Q×Q δ_h matrix           → flooding over the leader
+//!    tree (Lemma A.2)
 //! 5. local min-plus closure at every node      → zero rounds
 //! 6. reversed q-sink propagation               → [`crate::pipeline`]
 //! 7. h-hop extension per source                → [`crate::extension`]
+//!
+//! Step 2 opens with the leader's BFS tree (Algorithm 7 Step 2), built
+//! once per run: Algorithm 2/2′ aggregates over it, Step 6's Q′ reuses it,
+//! and the Lemma A.2 table floods of Steps 4 and 6 run over its channels,
+//! so each item crosses each tree edge once.
 //!
 //! Steps 3–5 (`dist_to_blockers`) run on Step 6's relay parts, with Q
 //! as the relays ([`Relays`]): the in-trees fill the to-table, the flood
@@ -24,6 +30,7 @@ use crate::recovery::{sentinels, FaultReport, Recovery, SolverError};
 use congest_derand::Selection;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
+use congest_sim::primitives::build_bfs_tree;
 use congest_sim::{Recorder, SimConfig, Topology};
 use std::time::Instant;
 
@@ -101,6 +108,18 @@ pub(crate) fn run_ar20<W: Weight>(
     let coll =
         build_csssp(g, topo, &sources, h, Direction::Out, sim, rec, rc, "step1: h-CSSSP for V")?;
 
+    // Step 2 opens with the leader's BFS tree (Algorithm 7 Step 2), the
+    // one tree of the run: Step 2 and Step 6's Q′ aggregate over it, and
+    // the table floods of Steps 4 and 6 run over its channels.
+    let label = "step2: leader BFS tree";
+    let (tree, rep) = rc.phase(
+        label,
+        sim,
+        |sim| build_bfs_tree(topo, sim, 0),
+        |tree| sentinels::spanning_tree(topo, tree),
+    )?;
+    rec.record(label, rep);
+
     // Step 2: blocker set (a multi-engine phase: recoverable as one unit,
     // with the covering property — every full root-to-leaf path hits Q —
     // as the sentinel).
@@ -109,14 +128,14 @@ pub(crate) fn run_ar20<W: Weight>(
         "step2/",
         sim,
         rec,
-        |sim, brec| alg2_blocker(topo, sim, &coll, cfg.blocker, selection, brec),
+        |sim, brec| alg2_blocker(topo, sim, &coll, &tree, cfg.blocker, selection, brec),
         |(q, _)| sentinels::blocker_covers(&coll, q),
     )?;
     meta.blocker_stats = Some(stats);
     meta.q = q.clone();
 
     // Steps 3-5: δ(x, c) at every x for every blocker c.
-    let dvals = dist_to_blockers(g, topo, h, &q, rec, rc)?;
+    let dvals = dist_to_blockers(g, topo, &tree.channels(), h, &q, rec, rc)?;
 
     // Step 6: reversed q-sink propagation. Step 6 only *routes* the
     // locally known-exact dvals table, so the sentinel can demand the
@@ -126,7 +145,7 @@ pub(crate) fn run_ar20<W: Weight>(
         "",
         sim,
         rec,
-        |sim, srec| propagate_to_blockers(g, topo, cfg, sim, &q, &dvals, srec),
+        |sim, srec| propagate_to_blockers(g, topo, cfg, sim, &q, &dvals, &tree, srec),
         |(out, _)| sentinels::transposed_delivery(&out.dist, &dvals.dist),
     )?;
     meta.step6 = Some(stats);
@@ -144,8 +163,9 @@ pub(crate) fn run_ar20<W: Weight>(
 ///    x's parent, its next hop toward c′ (local routing state, so it costs
 ///    no message);
 /// 4. the blockers' rows of that table, the Q×Q δ_h matrix, are flooded
-///    as 3-word items (c, c′, δ_h(c, c′)): c's own parent rides along but
-///    only c reads it;
+///    over `flood`'s channels (Ar20 passes its leader tree's) as 3-word
+///    items (c, c′, δ_h(c, c′)): c's own parent rides along but only c
+///    reads it;
 /// 5. every node closes the matrix with Floyd–Warshall into the
 ///    from-table (one row per target blocker c: δ(c′, c) with c′'s first
 ///    hop, known at c′ from its own parents), and routes each
@@ -158,6 +178,7 @@ pub(crate) fn run_ar20<W: Weight>(
 pub(crate) fn dist_to_blockers<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
+    flood: &Topology,
     h: usize,
     q: &[NodeId],
     rec: &mut Recorder,
@@ -196,7 +217,7 @@ pub(crate) fn dist_to_blockers<W: Weight>(
         let (_, rep) = rc.phase(
             label,
             sim,
-            |sim| flood_table(topo, sim, qn, 3, blocker_row),
+            |sim| flood_table(flood, sim, qn, 3, blocker_row),
             sentinels::flood_complete,
         )?;
         rec.record(label, rep);
@@ -328,7 +349,9 @@ mod tests {
             assert_eq!(q.len(), qn);
             let (topo, h) = (Topology::from_graph(&g), ApspConfig::default().hop_param(g.n()));
             let mut rc = Recovery::disabled();
-            let dvals = dist_to_blockers(&g, &topo, h, &q, &mut Recorder::new(), &mut rc).unwrap();
+            let tree = build_bfs_tree(&topo, SimConfig::default(), 0).unwrap().0;
+            let (flood, mut rec) = (tree.channels(), Recorder::new());
+            let dvals = dist_to_blockers(&g, &topo, &flood, h, &q, &mut rec, &mut rc).unwrap();
             let exact = apsp_dijkstra(&g);
             for x in 0..g.n() {
                 for (qi, &c) in q.iter().enumerate() {

@@ -104,9 +104,10 @@ pub(crate) fn run_ar18<W: Weight>(
     // Steps 3-4: Q is the relay set — a full in- and out-SSSP per blocker
     // (O(n) rounds each), then the n×|Q| table flood (O(n·|Q|) rounds,
     // Lemma A.2) with x's next hop toward c, which the sink t needs for its
-    // successor in Step 5 and only x holds.
+    // successor in Step 5 and only x holds. The flood uses every channel:
+    // Ar18 builds no leader tree, and one would cost D + 2 rounds.
     let labels = ["ar18/step3", "ar18/step4: (x, c) table broadcast"];
-    let relays = Relays::run(g, topo, &q, sim, rec, rc, labels)?;
+    let relays = Relays::run(g, topo, topo, &q, sim, rec, rc, labels)?;
 
     // Step 5 (local at every sink t): δ(x,t) = min(δ_h(x,t),
     // min_c δ(x,c) + δ(c,t)), tracking the first hop of the winning

@@ -23,8 +23,15 @@
 //! * Compute-Pi / Compute-Pij (Algorithms 3–4) — realized by the
 //!   ancestor-collection of Algorithm 7 Step 1 plus node-local checks
 //!   against Vi's member ids (same information, same O(|S|·h) cost);
-//! * Compute-|Pij| (Algorithm 5) — pipelined aggregation to the leader
-//!   over a BFS tree (Algorithms 11/12) and a broadcast back;
+//! * Compute-|Pij| (Algorithm 5) — one (j, count) pair per node: the
+//!   largest j of its paths and how many of them reach it, combined up the
+//!   leader's BFS tree (Algorithms 11/12) by keeping the larger j and
+//!   summing the counts at equal j. That is exact because Pi,j ⊇ Pi,j+1,
+//!   and the leader publishes the one pair it ends with, so a selection
+//!   step pays O(height) each way, not O(height + jmax). The sampled-set
+//!   checks aggregate their coverage totals the same way and keep them at
+//!   the leader, which publishes only its verdict: Algorithm 2's good-set
+//!   test, or Algorithm 2′'s good point of a scanned block, if any;
 //! * Remove-Subtrees (Algorithm 6) — [`crate::trees::remove_subtrees`].
 //!
 //! One deliberate deviation from the paper's text: the biased
@@ -38,8 +45,7 @@ use crate::trees::{flood_scores, remove_subtrees, subtree_sums};
 use congest_derand::{AffineSpace, BlockerParams, Selection};
 use congest_graph::{NodeId, Weight};
 use congest_sim::primitives::{
-    all_to_all_broadcast, broadcast_stream, build_bfs_tree, convergecast_budget, convergecast_sum,
-    BfsTree,
+    all_to_all_broadcast, broadcast_stream, convergecast_budget, convergecast_sum, BfsTree,
 };
 use congest_sim::{BitSet, PhaseReport, Recorder, RunUntil, SimConfig, SimError, Topology};
 use rand::{Rng, SeedableRng};
@@ -70,7 +76,8 @@ struct Driver<'a, W: Weight> {
     sim: SimConfig,
     coll: &'a SsspCollection<W>,
     ctx: PathCtx<'a, W>,
-    bfs: BfsTree,
+    /// The leader's BFS tree (Algorithm 7 Step 2), rooted at node 0.
+    bfs: &'a BfsTree,
     params: BlockerParams,
     /// Each node's own score from the last convergecast: node-local, read
     /// only to decide what that node floods.
@@ -146,41 +153,45 @@ impl<'a, W: Weight> Driver<'a, W> {
         ViView { mask, list, paths }
     }
 
-    /// Aggregates per-node vectors at the leader and publishes the totals
-    /// (Algorithm 5 / Algorithms 11–12 + Lemma A.1 broadcast).
-    fn aggregate_publish(
-        &mut self,
-        vals: Vec<Vec<u64>>,
+    /// Combines per-node vectors at the leader under `combine` (Algorithms
+    /// 11–12). The leader draws `verdict` from the totals and broadcasts it
+    /// as one item (Lemma A.1); the totals stay at the leader.
+    fn leader_verdict<T: Copy + 'static, V: Clone + 'static>(
+        &self,
+        vals: Vec<Vec<T>>,
+        combine: fn(T, T) -> T,
+        verdict: impl FnOnce(&[T]) -> V,
         rec: &mut Recorder,
         label: &str,
-    ) -> Result<Vec<u64>, SimError> {
+    ) -> Result<V, SimError> {
         let k = vals.first().map(Vec::len).unwrap_or(0);
-        let until = RunUntil::Quiesce { max: convergecast_budget(&self.bfs, k) };
-        let (totals, rep) = convergecast_sum(self.topo, self.sim, &self.bfs, vals, until)?;
+        let until = RunUntil::Quiesce { max: convergecast_budget(self.bfs, k) };
+        let (totals, rep) = convergecast_sum(self.topo, self.sim, self.bfs, vals, combine, until)?;
         rec.record(format!("{label}: aggregate"), rep);
-        let (_, rep) = broadcast_stream(self.topo, self.sim, &self.bfs, totals.clone())?;
+        let v = verdict(&totals);
+        let (_, rep) = broadcast_stream(self.topo, self.sim, self.bfs, vec![v.clone()])?;
         rec.record(format!("{label}: publish"), rep);
-        Ok(totals)
+        Ok(v)
     }
 
-    /// |Pij| for every j in 1..=jmax under the current Vi (Algorithm 5).
-    fn pij_sizes(
-        &mut self,
+    /// The largest j in 1..=jmax whose Pij is nonempty under the current
+    /// Vi, with |Pij|, or (0, 0) when Pi is empty (Algorithm 5).
+    fn pij_size(
+        &self,
         vi: &ViView,
         jmax: usize,
         rec: &mut Recorder,
-    ) -> Result<Vec<u64>, SimError> {
+    ) -> Result<(u32, u64), SimError> {
         let one_eps = 1.0 + self.params.eps;
-        let n = self.coll.n();
-        let mut vals = vec![vec![0u64; jmax]; n];
+        let mut vals = vec![vec![(0, 0)]; self.coll.n()];
         for &(v, _, nvi) in &vi.paths {
-            for j in 1..=jmax {
-                if f64::from(nvi) >= one_eps.powi(j as i32 - 1) {
-                    vals[v as usize][j - 1] += 1;
-                }
+            let top = (1..=jmax).rev().find(|&j| f64::from(nvi) >= one_eps.powi(j as i32 - 1));
+            if let Some(j) = top {
+                let own = &mut vals[v as usize][0];
+                *own = larger_j(*own, (j as u32, 1));
             }
         }
-        self.aggregate_publish(vals, rec, "alg2: |Pij| sizes")
+        self.leader_verdict(vals, larger_j, |totals| totals[0], rec, "alg2: |Pij| sizes")
     }
 
     /// score_ij at every node, and Vi's maximum score_ij with its node,
@@ -213,15 +224,18 @@ impl<'a, W: Weight> Driver<'a, W> {
         Ok(best.unwrap_or((0, vi.list[0])))
     }
 
-    /// Coverage of candidate set A over Pi and Pij (leaf-local counts,
-    /// aggregated at the leader, verdict published).
-    fn coverage(
-        &mut self,
+    /// Whether candidate set A is good at stage i (Definition 3.1):
+    /// leaf-local coverage counts over Pi and Pij, summed at the leader,
+    /// which publishes the verdict.
+    fn covers_enough(
+        &self,
         a: &[NodeId],
         vi: &ViView,
+        i: i32,
         thr_j: f64,
+        pij_size: u64,
         rec: &mut Recorder,
-    ) -> Result<(u64, u64), SimError> {
+    ) -> Result<bool, SimError> {
         let n = self.coll.n();
         let mut in_a = vec![false; n];
         for &v in a {
@@ -240,8 +254,8 @@ impl<'a, W: Weight> Driver<'a, W> {
                 }
             }
         }
-        let totals = self.aggregate_publish(vals, rec, "alg2: coverage check")?;
-        Ok((totals[0], totals[1]))
+        let good = |t: &[u64]| self.is_good(a.len(), t[0], t[1], i, pij_size);
+        self.leader_verdict(vals, |x, y| x + y, good, rec, "alg2: coverage check")
     }
 
     fn is_good(&self, a_len: usize, cov_pi: u64, cov_pij: u64, i: i32, pij: u64) -> bool {
@@ -328,15 +342,14 @@ impl<'a, W: Weight> Driver<'a, W> {
                 for _ in 0..64 {
                     let mu = self.rng.as_mut().unwrap().gen_range(0..space.len());
                     self.stats.sample_points_examined += 1;
-                    let (_, rep) = broadcast_stream(self.topo, self.sim, &self.bfs, vec![mu])?;
+                    let (_, rep) = broadcast_stream(self.topo, self.sim, self.bfs, vec![mu])?;
                     rec.record("alg2: sample point broadcast", rep);
                     let a: Vec<NodeId> =
                         space.selected(mu).into_iter().map(|idx| vi.list[idx as usize]).collect();
                     // Step 13: members of A announce themselves.
                     let (_, rep) = self.flood_ids(|v| a.contains(&v))?;
                     rec.record("alg2: A-id broadcast", rep);
-                    let (cov_pi, cov_pij) = self.coverage(&a, vi, thr_j, rec)?;
-                    if self.is_good(a.len(), cov_pi, cov_pij, i, pij_size) {
+                    if self.covers_enough(&a, vi, i, thr_j, pij_size, rec)? {
                         found = Some(a);
                         break;
                     }
@@ -345,12 +358,14 @@ impl<'a, W: Weight> Driver<'a, W> {
             }
             None => {
                 // Algorithm 2′/7: scan the space in blocks of n points;
-                // each block is one pipelined ν-aggregation (Algs 11/12).
+                // each block is one pipelined ν-aggregation (Algs 11/12),
+                // after which the leader publishes the block's first good
+                // point, if any (Alg 7 Step 5).
                 let n = self.coll.n();
                 let block = n as u64;
                 let max_blocks = 8u64.min(space.len().div_ceil(block));
                 let mut found = None;
-                'blocks: for b in 0..max_blocks {
+                for b in 0..max_blocks {
                     self.stats.blocks_scanned += 1;
                     let lo = b * block;
                     let hi = (lo + block).min(space.len());
@@ -378,23 +393,21 @@ impl<'a, W: Weight> Driver<'a, W> {
                             }
                         }
                     }
-                    let totals = self.aggregate_publish(vals, rec, "alg2: block ν-aggregation")?;
-                    for (k, mu) in (lo..hi).enumerate() {
-                        self.stats.sample_points_examined += 1;
-                        let a_len = space.selected(mu).len();
-                        if self.is_good(a_len, totals[2 * k], totals[2 * k + 1], i, pij_size) {
-                            // Step 5 of Alg 7: publish the good point.
-                            let (_, rep) =
-                                broadcast_stream(self.topo, self.sim, &self.bfs, vec![mu])?;
-                            rec.record("alg2: good point broadcast", rep);
-                            let a: Vec<NodeId> = space
-                                .selected(mu)
-                                .into_iter()
-                                .map(|idx| vi.list[idx as usize])
-                                .collect();
-                            found = Some(a);
-                            break 'blocks;
-                        }
+                    let mut examined = 0;
+                    let good_point = |totals: &[u64]| {
+                        (lo..hi).zip(totals.chunks_exact(2)).find_map(|(mu, t)| {
+                            examined += 1;
+                            let a_len = space.selected(mu).len();
+                            self.is_good(a_len, t[0], t[1], i, pij_size).then_some(mu)
+                        })
+                    };
+                    let label = "alg2: block ν-aggregation";
+                    let good = self.leader_verdict(vals, |x, y| x + y, good_point, rec, label)?;
+                    self.stats.sample_points_examined += examined;
+                    if let Some(mu) = good {
+                        let a = space.selected(mu).into_iter().map(|idx| vi.list[idx as usize]);
+                        found = Some(a.collect());
+                        break;
                     }
                 }
                 found
@@ -418,9 +431,22 @@ impl<'a, W: Weight> Driver<'a, W> {
     }
 }
 
+/// Compute-|Pij|'s combine of two (j, |Pij|) pairs: the larger j with its
+/// count, or the summed counts at equal j. Exact because Pi,j ⊇ Pi,j+1: a
+/// path counted at a smaller j is outside the larger j's Pij.
+fn larger_j(a: (u32, u64), b: (u32, u64)) -> (u32, u64) {
+    if a.0 == b.0 {
+        (a.0, a.1 + b.1)
+    } else {
+        a.max(b)
+    }
+}
+
 /// Runs Algorithm 2 (randomized) or Algorithm 2′ (derandomized) on the
-/// collection. Returns the blocker set in insertion order, deduplicated,
-/// and the lemma counters; round accounting lands in `rec`.
+/// collection. `bfs` is the leader's BFS tree of `topo` (Algorithm 7
+/// Step 2, rooted at node 0): the caller builds it, once per run in Ar20,
+/// whose Step 6 reuses it. Returns the blocker set in insertion order,
+/// deduplicated, and the lemma counters; round accounting lands in `rec`.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -428,6 +454,7 @@ pub fn alg2_blocker<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
     coll: &SsspCollection<W>,
+    bfs: &BfsTree,
     params: BlockerParams,
     selection: Selection,
     rec: &mut Recorder,
@@ -436,8 +463,6 @@ pub fn alg2_blocker<W: Weight>(
 
     let (ctx, report) = PathCtx::build(topo, sim, coll)?;
     rec.record("alg2: ancestors (Alg 7 Step 1)", report);
-    let (bfs, report) = build_bfs_tree(topo, sim, 0)?;
-    rec.record("alg2: leader BFS tree", report);
 
     let n = coll.n();
     let mut driver = Driver {
@@ -477,13 +502,13 @@ pub fn alg2_blocker<W: Weight>(
         rec.record("alg2: stage entry: score flood (Vi ids)", report);
         while !list.is_empty() {
             let vi = driver.vi_view(&list);
-            let sizes = driver.pij_sizes(&vi, jmax, rec)?;
             // Work at the largest j whose Pij is nonempty (the paper's
             // descending phase order reaches exactly this j next).
-            let Some(j) = (1..=jmax).rev().find(|&j| sizes[j - 1] > 0) else {
+            let (j, pij_size) = driver.pij_size(&vi, jmax, rec)?;
+            if j == 0 {
                 break; // Pi empty for this stage
-            };
-            let (picks, label) = driver.selection_step(i, j as i32, &vi, sizes[j - 1], rec)?;
+            }
+            let (picks, label) = driver.selection_step(i, j as i32, &vi, pij_size, rec)?;
             list = driver.commit(&picks, &vi, vi_threshold, rec, label)?;
         }
         // The next stage to enter; stage 1's Vi held every positive score.
@@ -506,6 +531,12 @@ mod tests {
     use crate::blocker::is_valid_blocker;
     use crate::blocker::tests::build_collection;
     use congest_sim::fault::FaultSpec;
+    use congest_sim::primitives::build_bfs_tree;
+
+    /// The leader's BFS tree, built fault-free.
+    fn leader_tree(topo: &Topology) -> BfsTree {
+        build_bfs_tree(topo, SimConfig::default(), 0).unwrap().0
+    }
 
     #[test]
     fn derandomized_valid_and_deterministic() {
@@ -515,6 +546,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
+            &leader_tree(&topo),
             BlockerParams::default(),
             Selection::Derandomized,
             &mut rec1,
@@ -526,6 +558,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
+            &leader_tree(&topo),
             BlockerParams::default(),
             Selection::Derandomized,
             &mut rec2,
@@ -545,6 +578,7 @@ mod tests {
                 &topo,
                 SimConfig::default(),
                 &coll,
+                &leader_tree(&topo),
                 BlockerParams::default(),
                 Selection::Randomized { seed },
                 &mut rec,
@@ -562,6 +596,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
+            &leader_tree(&topo),
             BlockerParams::default(),
             Selection::Derandomized,
             &mut rec,
@@ -586,6 +621,7 @@ mod tests {
                 &topo,
                 sim,
                 &coll,
+                &leader_tree(&topo),
                 BlockerParams::default(),
                 Selection::Derandomized,
                 &mut rec,
@@ -599,6 +635,61 @@ mod tests {
         }
     }
 
+    /// Compute-|Pij|'s pair convergecast against the jmax-vector one it
+    /// replaces, on random per-node paths: the pair is the largest j with a
+    /// nonzero sum and that sum, sent in n − 1 messages within height + 2
+    /// rounds.
+    #[test]
+    fn the_pij_pair_equals_the_jmax_vector_convergecast() {
+        use congest_graph::generators::{gnm_connected, WeightDist};
+        let (jmax, sim) = (25, SimConfig::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for (n, extra, seed) in [(30, 40, 1), (64, 128, 2), (40, 0, 3)] {
+            let g = gnm_connected(n, extra, false, WeightDist::Unit, seed);
+            let topo = Topology::from_graph(&g);
+            let tree = leader_tree(&topo);
+            for round in 0..12u32 {
+                // Each node's paths by their largest j (0: in no Pij), up
+                // to a cap that grows with the round: early rounds leave
+                // most of the jmax-vector zero, late ones reach jmax.
+                let cap = (round + 1) * jmax / 12;
+                let tops: Vec<Vec<u32>> = (0..n)
+                    .map(|_| (0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..=cap)).collect())
+                    .collect();
+                let vectors: Vec<Vec<u64>> = tops
+                    .iter()
+                    .map(|t| (1..=jmax).map(|j| t.iter().filter(|&&tj| tj >= j).count() as u64))
+                    .map(Iterator::collect)
+                    .collect();
+                let pairs: Vec<Vec<(u32, u64)>> = tops
+                    .iter()
+                    .map(|t| {
+                        vec![t.iter().filter(|&&j| j > 0).fold((0, 0), |p, &j| larger_j(p, (j, 1)))]
+                    })
+                    .collect();
+                let until = |k| RunUntil::Quiesce { max: convergecast_budget(&tree, k) };
+                let (sums, _) = convergecast_sum(
+                    &topo,
+                    sim,
+                    &tree,
+                    vectors,
+                    |a, b| a + b,
+                    until(jmax as usize),
+                )
+                .unwrap();
+                let (pair, rep) =
+                    convergecast_sum(&topo, sim, &tree, pairs, larger_j, until(1)).unwrap();
+                let want = (1..=jmax)
+                    .rev()
+                    .find(|&j| sums[j as usize - 1] > 0)
+                    .map_or((0, 0), |j| (j, sums[j as usize - 1]));
+                assert_eq!(pair, [want], "n = {n}, round {round}");
+                assert_eq!(rep.messages, n as u64 - 1, "n = {n}, round {round}");
+                assert!(rep.rounds <= tree.height() + 2, "n = {n}: {} rounds", rep.rounds);
+            }
+        }
+    }
+
     #[test]
     fn empty_collection_yields_empty_q() {
         let (_, topo, coll) = build_collection(10, 40, 8, 3);
@@ -607,6 +698,7 @@ mod tests {
             &topo,
             SimConfig::default(),
             &coll,
+            &leader_tree(&topo),
             BlockerParams::default(),
             Selection::Derandomized,
             &mut rec,

@@ -22,6 +22,11 @@
 //! in-trees fill its to-table, Step 4 floods the blockers' rows
 //! (`flood_table`) and Step 5's closure over Q fills its from-table.
 //! [`Relays::route`] is the one x → r → t combine of all three uses.
+//!
+//! Algorithm 1 builds one BFS tree rooted at the leader, in Step 2, and
+//! Step 6 reuses it: for Q′, and as the channels its two relay tables
+//! flood over, like Step 4's Q×Q matrix (Lemma A.2 pipelines over a BFS
+//! tree, so each item crosses each tree edge once).
 
 use crate::bf::run_full_sssp;
 use crate::blocker::alg2_blocker;
@@ -32,7 +37,7 @@ use crate::recovery::{sentinels, Recovery, SolverError};
 use congest_derand::Selection;
 use congest_graph::seq::Direction;
 use congest_graph::{DistMatrix, Graph, NodeId, Weight, NO_SUCC};
-use congest_sim::primitives::{all_to_all_broadcast, FloodLogs};
+use congest_sim::primitives::{all_to_all_broadcast, BfsTree, FloodLogs};
 use congest_sim::{
     Engine, Envelope, NodeEnv, NodeLogic, Outbox, PhaseReport, Recorder, RunUntil, SimConfig,
     SimError, Topology,
@@ -164,6 +169,9 @@ impl<W: Weight> NodeLogic for RrNode<W> {
             let active = self.queues.iter().filter(|q| !q.is_empty()).count();
             self.checkpoints.push((env.round, active));
         }
+        if self.outstanding == 0 {
+            return; // every queue is empty: nothing to scan for
+        }
         // One unsent message per round: the first nonempty queue at or
         // after the cyclic pointer (Steps 7-9).
         let k = self.queues.len();
@@ -194,9 +202,13 @@ impl<W: Weight> NodeLogic for RrNode<W> {
 /// plus the stats.
 ///
 /// Every phase runs on `sim`; Q′ is built with `cfg.blocker`'s constants.
+/// `tree` is the leader's BFS tree of `topo` (Ar20 builds it in Step 2):
+/// Q′'s Algorithm 2′ aggregates over it, and both relay tables flood over
+/// its channels.
 ///
 /// # Errors
 /// Propagates engine errors as [`SolverError::Sim`].
+#[allow(clippy::too_many_arguments)]
 pub fn propagate_to_blockers<W: Weight>(
     g: &Graph<W>,
     topo: &Topology,
@@ -204,6 +216,7 @@ pub fn propagate_to_blockers<W: Weight>(
     sim: SimConfig,
     q: &[NodeId],
     dvals: &RoutedTable<W>,
+    tree: &BfsTree,
     rec: &mut Recorder,
 ) -> Result<(RoutedTable<W>, Step6Stats), SolverError> {
     let n = g.n();
@@ -231,12 +244,13 @@ pub fn propagate_to_blockers<W: Weight>(
 
     // ---------------- Algorithm 8 (far case) ----------------
     let mut qp_rec = Recorder::new();
-    let (q_prime, _) =
-        alg2_blocker(topo, sim, &cq, cfg.blocker, Selection::Derandomized, &mut qp_rec)?;
+    let selection = Selection::Derandomized;
+    let (q_prime, _) = alg2_blocker(topo, sim, &cq, tree, cfg.blocker, selection, &mut qp_rec)?;
     rec.absorb("step6/alg8: Q' ", qp_rec);
     stats.q_prime_size = q_prime.len();
+    let flood = tree.channels();
     let labels = ["step6/alg8", "step6/alg8: (x, r) table broadcast"];
-    let far = Relays::run(g, topo, &q_prime, sim, rec, &mut rc, labels)?;
+    let far = Relays::run(g, topo, &flood, &q_prime, sim, rec, &mut rc, labels)?;
 
     // ---------------- Algorithm 9 (near case) ----------------
     // Step 1: bottleneck nodes with the paper's n√|Q| threshold.
@@ -248,7 +262,7 @@ pub fn propagate_to_blockers<W: Weight>(
     stats.congestion_after = congestion_after;
     // Steps 2-4: SSSPs + broadcast for each b ∈ B.
     let labels = ["step6/alg9-B", "step6/alg9-B: (x, r) table broadcast"];
-    let near = Relays::run(g, topo, &b, sim, rec, &mut rc, labels)?;
+    let near = Relays::run(g, topo, &flood, &b, sim, rec, &mut rc, labels)?;
     // Each blocker c combines δ(x, r) + δ(r, c) over Q′, then over B (the
     // orchestrator mirrors what c knows once both floods have delivered
     // their tables everywhere).
@@ -350,18 +364,23 @@ pub struct Relays<W> {
 }
 
 impl<W: Weight> Relays<W> {
-    /// Runs every relay's full in- and out-SSSP, then floods the table,
-    /// each as one phase of `rc` (sentinels: [`sentinels::repaired_tree`]
-    /// and [`sentinels::exact_row`] for the SSSPs,
-    /// [`sentinels::flood_complete`] for the flood). `labels` are the
+    /// Runs every relay's full in- and out-SSSP over `topo`, then floods
+    /// the table over `flood`'s channels, each as one phase of `rc`
+    /// (sentinels: [`sentinels::repaired_tree`] and
+    /// [`sentinels::exact_row`] for the SSSPs,
+    /// [`sentinels::flood_complete`] for the flood). Step 6 passes the
+    /// leader tree's channels ([`BfsTree::channels`]); AR18, which builds
+    /// no leader tree, passes `topo` (see `flood_table`). `labels` are the
     /// SSSPs' label prefix and the flood's label. No relays run nothing
     /// and record nothing.
     ///
     /// # Errors
     /// As [`Recovery::phase`].
+    #[allow(clippy::too_many_arguments)]
     pub fn run(
         g: &Graph<W>,
         topo: &Topology,
+        flood: &Topology,
         relays: &[NodeId],
         sim: SimConfig,
         rec: &mut Recorder,
@@ -397,7 +416,7 @@ impl<W: Weight> Relays<W> {
             let (_, rep) = rc.phase(
                 labels[1],
                 sim,
-                |sim| flood_table(topo, sim, nr, 4, |x, ri| tables.to.get(x, ri)),
+                |sim| flood_table(flood, sim, nr, 4, |x, ri| tables.to.get(x, ri)),
                 sentinels::flood_complete,
             )?;
             rec.record(labels[1], rep);
@@ -456,9 +475,20 @@ type TableItem<W> = (NodeId, u32, W, NodeId);
 
 /// Floods the finite cells of the n × `k` table `cell(x, column)` as
 /// [`TableItem`]s of `words` words each, keyed by their cell and numbered
-/// node by node and column by column: n·k values in O(n·k) rounds (Lemma
-/// A.2). A 3-word item leaves x's first hop off the wire, for tables whose
-/// readers need only their own.
+/// node by node and column by column, over `topo`'s channels: K values in
+/// O(K + D) rounds (Lemma A.2). A 3-word item leaves x's first hop off the
+/// wire, for tables whose readers need only their own.
+///
+/// Ar20 passes its leader tree's channels ([`BfsTree::channels`]) for Step
+/// 4's Q×Q matrix and Step 6's two relay tables: each item then crosses
+/// each tree edge once, K·(n − 1) messages within K + 2·height + O(1)
+/// rounds, where a flood over every channel sends an item across each
+/// channel up to once per direction. Every channel stays in use where
+/// there is no leader tree or a tree costs rounds: AR18's (x, c) table
+/// (Ar18 builds no tree, and one would cost D + 2 rounds, wasted on a
+/// graph that is already a tree), the trivial Step-6 broadcast, and
+/// Algorithm 2's Vi-id and max floods, which carry few items, so their
+/// rounds follow the path lengths that a tree stretches.
 pub(crate) fn flood_table<W: Weight>(
     topo: &Topology,
     sim: SimConfig,
@@ -484,20 +514,36 @@ mod tests {
     use super::*;
     use congest_graph::generators::{gnm_connected, WeightDist};
     use congest_graph::seq::{apsp_dijkstra, dijkstra};
+    use congest_sim::primitives::build_bfs_tree;
+
+    /// The leader's BFS tree, built fault-free.
+    fn tree(topo: &Topology) -> BfsTree {
+        build_bfs_tree(topo, SimConfig::default(), 0).unwrap().0
+    }
+
+    /// Step 6 with the default constants, over a fault-free leader tree.
+    fn propagate(
+        g: &Graph<u64>,
+        topo: &Topology,
+        sim: SimConfig,
+        q: &[NodeId],
+        dvals: &RoutedTable<u64>,
+        rec: &mut Recorder,
+    ) -> Result<(RoutedTable<u64>, Step6Stats), SolverError> {
+        propagate_to_blockers(g, topo, &ApspConfig::default(), sim, q, dvals, &tree(topo), rec)
+    }
 
     /// Oracle-driven harness: feed exact δ(x,c) values and verify delivery.
     fn run_case(n: usize, extra: usize, seed: u64, q: Vec<NodeId>) {
         let g = gnm_connected(n, extra, true, WeightDist::Uniform(0, 9), seed);
         let topo = Topology::from_graph(&g);
-        let cfg = ApspConfig::default();
         let exact = apsp_dijkstra(&g);
         let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut rec = Recorder::new();
         let (out, stats) =
-            propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec)
-                .unwrap();
+            propagate(&g, &topo, SimConfig::default(), &q, &dvals, &mut rec).unwrap();
         for (qi, &c) in q.iter().enumerate() {
             let oracle = dijkstra(&g, c, Direction::In);
             for x in 0..n {
@@ -537,7 +583,6 @@ mod tests {
         let n = 16;
         let g = gnm_connected(n, 34, true, WeightDist::Uniform(0, 9), 12);
         let topo = Topology::from_graph(&g);
-        let cfg = ApspConfig::default();
         let q: Vec<NodeId> = vec![2, 7, 11];
         let exact = apsp_dijkstra(&g);
         let min_edge = |u: usize, f: NodeId| {
@@ -584,8 +629,7 @@ mod tests {
             }
         };
         let sim = SimConfig::default();
-        let (out, _) =
-            propagate_to_blockers(&g, &topo, &cfg, sim, &q, &dvals, &mut Recorder::new()).unwrap();
+        let (out, _) = propagate(&g, &topo, sim, &q, &dvals, &mut Recorder::new()).unwrap();
         telescopes(&out, "pipelined");
         let out =
             propagate_trivial_broadcast(&topo, sim, &q, &dvals, &mut Recorder::new()).unwrap();
@@ -596,18 +640,10 @@ mod tests {
     fn empty_q_is_noop() {
         let g = gnm_connected(8, 16, true, WeightDist::Unit, 1);
         let topo = Topology::from_graph(&g);
-        let cfg = ApspConfig::default();
         let mut rec = Recorder::new();
-        let (out, stats) = propagate_to_blockers::<u64>(
-            &g,
-            &topo,
-            &cfg,
-            SimConfig::default(),
-            &[],
-            &RoutedTable::new(DistMatrix::filled(8, 0, u64::INF)),
-            &mut rec,
-        )
-        .unwrap();
+        let dvals = RoutedTable::new(DistMatrix::filled(8, 0, u64::INF));
+        let (out, stats) =
+            propagate(&g, &topo, SimConfig::default(), &[], &dvals, &mut rec).unwrap();
         assert_eq!(out.dist.rows(), 0);
         assert_eq!(stats.round_robin_rounds, 0);
     }
@@ -637,16 +673,13 @@ mod tests {
         let n = 16;
         let g = gnm_connected(n, 32, true, WeightDist::Uniform(1, 9), 8);
         let topo = Topology::from_graph(&g);
-        let cfg = ApspConfig::default();
         let q: Vec<NodeId> = vec![1, 5, 9, 13];
         let exact = apsp_dijkstra(&g);
         let dvals = RoutedTable::new(DistMatrix::from_rows(
             (0..n).map(|x| q.iter().map(|&c| exact[x][c as usize]).collect()).collect(),
         ));
         let mut rec = Recorder::new();
-        let (_, stats) =
-            propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec)
-                .unwrap();
+        let (_, stats) = propagate(&g, &topo, SimConfig::default(), &q, &dvals, &mut rec).unwrap();
         // the max active-tree count must never increase over checkpoints
         // beyond its starting value's neighborhood (weak monotonicity: the
         // final checkpoint is 0 or the run ended early)
@@ -673,8 +706,7 @@ mod tests {
         ));
         let sim = SimConfig { fault: Some(congest_sim::fault::FaultSpec::seeded(34).drops(2_000)) };
         let mut rec = Recorder::new();
-        let res =
-            propagate_to_blockers(&g, &topo, &ApspConfig::default(), sim, &q, &dvals, &mut rec);
+        let res = propagate(&g, &topo, sim, &q, &dvals, &mut rec);
         assert!(res.is_ok(), "{:?}", res.err());
         assert!(rec.total_faults().dropped > 0, "the plan drops no message");
     }
@@ -692,7 +724,8 @@ mod tests {
         let labels = ["relay", "relay: table broadcast"];
         let sim = SimConfig::default();
         let relays =
-            Relays::run(&g, &topo, &all, sim, &mut rec, &mut Recovery::disabled(), labels).unwrap();
+            Relays::run(&g, &topo, &topo, &all, sim, &mut rec, &mut Recovery::disabled(), labels)
+                .unwrap();
         assert_eq!(rec.phases().len(), 2 * n + 1, "two SSSPs per relay and one flood");
         let exact = apsp_dijkstra(&g);
         let (out0, _) = run_full_sssp(&g, &topo, 0, Direction::Out, sim).unwrap();
@@ -716,6 +749,39 @@ mod tests {
         }
     }
 
+    /// A table flood over the leader tree's channels delivers every item
+    /// to every node across each tree edge once: K·(n − 1) messages,
+    /// within K + 2·height + 2 rounds. On `sparse_random(64, 1)`'s graph
+    /// and a denser one, with every third node's row filled, like Step
+    /// 4's blocker rows.
+    #[test]
+    fn a_table_flood_over_the_leader_tree_crosses_each_edge_once() {
+        let graphs = [
+            gnm_connected(64, 128, true, WeightDist::Uniform(0, 100), 1),
+            gnm_connected(48, 300, true, WeightDist::Uniform(1, 9), 4),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.n();
+            let topo = Topology::from_graph(g);
+            let bfs = tree(&topo);
+            let channels = bfs.channels();
+            for k in [1, 5, 12] {
+                // Only every third node's row, like Step 4's blocker rows.
+                let cell = |x: usize, j: usize| {
+                    let d = if x.is_multiple_of(3) { (x * k + j) as u64 } else { u64::INF };
+                    (d, NO_SUCC)
+                };
+                let (logs, rep) = flood_table(&channels, SimConfig::default(), k, 3, cell).unwrap();
+                let items = logs.item_count();
+                assert_eq!(items, n.div_ceil(3) * k, "graph {gi}, k = {k}");
+                assert!((0..n as NodeId).all(|v| logs.log_len(v) == items), "graph {gi}, k = {k}");
+                assert_eq!(rep.messages, (items * (n - 1)) as u64, "graph {gi}, k = {k}");
+                let bound = items as u64 + 2 * bfs.height() + 2;
+                assert!(rep.rounds <= bound, "graph {gi}, k = {k}: {} > {bound}", rep.rounds);
+            }
+        }
+    }
+
     #[test]
     fn no_relays_run_nothing_and_route_nothing() {
         let g = gnm_connected(8, 16, true, WeightDist::Uniform(1, 9), 2);
@@ -724,7 +790,8 @@ mod tests {
         let labels = ["relay", "relay: table broadcast"];
         let sim = SimConfig::default();
         let relays =
-            Relays::run(&g, &topo, &[], sim, &mut rec, &mut Recovery::disabled(), labels).unwrap();
+            Relays::run(&g, &topo, &topo, &[], sim, &mut rec, &mut Recovery::disabled(), labels)
+                .unwrap();
         assert!(rec.phases().is_empty());
         let mut cell = (5u64, 3);
         relays.route(1, 2, &mut cell);

@@ -361,7 +361,8 @@ pub(crate) fn final_certificate<W: Weight>(
 pub mod sentinels {
     use super::{Direction, DistMatrix, Graph, NodeId, SsspCollection, Weight};
     use crate::bf::BfTreeResult;
-    use congest_sim::primitives::FloodLogs;
+    use congest_sim::primitives::{BfsTree, FloodLogs};
+    use congest_sim::Topology;
 
     /// The minimum weight of the direction-appropriate edge `p → v`
     /// (`None` if absent).
@@ -502,6 +503,49 @@ pub mod sentinels {
         Ok(())
     }
 
+    /// Sentinel for the leader's BFS tree (Ar20's Step 2): it spans
+    /// `topo` from its root. The root has no parent and depth 0; every
+    /// other node has a parent that is its neighbor, one level above it,
+    /// so every parent chain ends at the root; and the children lists are
+    /// exactly the inverse of the parents, which is what the tree's
+    /// channels ([`BfsTree::channels`]) and the convergecasts read.
+    /// Complete for what its readers need (depths are not rechecked to be
+    /// BFS distances).
+    ///
+    /// # Errors
+    /// Names the first node that breaks the tree.
+    pub fn spanning_tree(topo: &Topology, tree: &BfsTree) -> Result<(), String> {
+        let n = topo.n();
+        let sizes = [tree.parent.len(), tree.depth.len(), tree.children.len()];
+        if sizes != [n; 3] {
+            return Err(format!("the tree holds {sizes:?} entries for {n} nodes"));
+        }
+        let root = tree.root as usize;
+        if root >= n || tree.parent[root].is_some() || tree.depth[root] != 0 {
+            return Err(format!("root {root} has a parent or a nonzero depth"));
+        }
+        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for v in 0..n as NodeId {
+            if v == tree.root {
+                continue;
+            }
+            let Some(p) = tree.parent[v as usize] else {
+                return Err(format!("node {v} is not in the tree"));
+            };
+            if topo.neighbors(v).binary_search(&p).is_err() {
+                return Err(format!("node {v}: parent {p} is not a neighbor"));
+            }
+            if tree.depth[p as usize].checked_add(1) != Some(tree.depth[v as usize]) {
+                return Err(format!("node {v}: depth does not extend parent {p}"));
+            }
+            children[p as usize].push(v);
+        }
+        match (0..n).find(|&v| tree.children[v] != children[v]) {
+            Some(v) => Err(format!("node {v}: children do not invert the parents")),
+            None => Ok(()),
+        }
+    }
+
     /// Sentinel for an all-to-all flood (Step 4, the relay tables): every
     /// node's log holds every item the flood was seeded with. A lost frame
     /// starves the subtree behind it without any local symptom, so every
@@ -618,6 +662,52 @@ mod tests {
         for q in [1, 2, 3] {
             assert_eq!(sentinels::blocker_covers(&coll, &[q]), Ok(()), "q = {q}");
         }
+    }
+
+    /// The leader-tree sentinel passes the tree `build_bfs_tree` returns
+    /// and rejects one that misses a node, one whose parent is no
+    /// neighbor and one whose children lists do not invert its parents.
+    #[test]
+    fn spanning_tree_sentinel_rejects_broken_trees() {
+        use congest_graph::generators::{gnm_connected, WeightDist};
+        use congest_sim::primitives::build_bfs_tree;
+        let g = gnm_connected(24, 30, false, WeightDist::Unit, 5);
+        let topo = congest_sim::Topology::from_graph(&g);
+        let (tree, _) = build_bfs_tree(&topo, SimConfig::default(), 0).unwrap();
+        assert_eq!(sentinels::spanning_tree(&topo, &tree), Ok(()));
+        // A leaf, its parent, and a node that is no neighbor of the leaf.
+        let leaf = (0..24).find(|&v| tree.children[v].is_empty()).unwrap();
+        let p = tree.parent[leaf].unwrap();
+        let stranger = (1..24u32)
+            .find(|&u| {
+                u as usize != leaf && topo.neighbors(leaf as NodeId).binary_search(&u).is_err()
+            })
+            .unwrap();
+
+        let mut missing = tree.clone();
+        missing.parent[leaf] = None;
+        missing.children[p as usize].retain(|&c| c as usize != leaf);
+        assert_eq!(
+            sentinels::spanning_tree(&topo, &missing),
+            Err(format!("node {leaf} is not in the tree"))
+        );
+        let mut short = tree.clone();
+        short.parent.pop();
+        assert!(sentinels::spanning_tree(&topo, &short).is_err());
+
+        let mut far = tree.clone();
+        far.parent[leaf] = Some(stranger);
+        assert_eq!(
+            sentinels::spanning_tree(&topo, &far),
+            Err(format!("node {leaf}: parent {stranger} is not a neighbor"))
+        );
+
+        let mut orphaned = tree.clone();
+        orphaned.children[p as usize].retain(|&c| c as usize != leaf);
+        assert_eq!(
+            sentinels::spanning_tree(&topo, &orphaned),
+            Err(format!("node {p}: children do not invert the parents"))
+        );
     }
 
     #[test]

@@ -76,8 +76,12 @@ impl Topology {
         Self::from_adjacency(g.n(), |v| g.comm_neighbors(v))
     }
 
-    /// Builds a topology from any sorted-adjacency accessor.
-    fn from_adjacency<'a>(n: usize, neighbors_of: impl Fn(NodeId) -> &'a [NodeId]) -> Self {
+    /// Builds a topology from any sorted, symmetric adjacency accessor
+    /// (a graph's, or a spanning tree's: [`crate::primitives::BfsTree::channels`]).
+    pub(crate) fn from_adjacency<'a>(
+        n: usize,
+        neighbors_of: impl Fn(NodeId) -> &'a [NodeId],
+    ) -> Self {
         let mut off = Vec::with_capacity(n + 1);
         off.push(0u32);
         let mut adj: Vec<NodeId> = Vec::new();

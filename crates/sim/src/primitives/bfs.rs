@@ -30,6 +30,25 @@ impl BfsTree {
     pub fn height(&self) -> u64 {
         self.depth.iter().copied().max().unwrap_or(0)
     }
+
+    /// The tree's own channels, each node's parent and children, as a
+    /// [`Topology`]: a protocol run on it sends along tree edges only, so
+    /// a flood crosses each of the n − 1 edges once per item.
+    ///
+    /// # Panics
+    /// Panics if the children lists do not invert the parents.
+    #[must_use]
+    pub fn channels(&self) -> Topology {
+        let rows: Vec<Vec<NodeId>> = (0..self.parent.len())
+            .map(|v| {
+                let mut row = self.children[v].clone();
+                row.extend(self.parent[v]);
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        Topology::from_adjacency(rows.len(), |v| &rows[v as usize])
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -182,6 +201,20 @@ mod tests {
         }
         let total_children: usize = tree.children.iter().map(Vec::len).sum();
         assert_eq!(total_children, 39);
+    }
+
+    #[test]
+    fn channels_are_the_tree_edges() {
+        let g = gnm_connected(40, 80, false, WeightDist::Unit, 3);
+        let (tree, _) = build_bfs_tree(&topo_of(&g), SimConfig::default(), 7).unwrap();
+        let ch = tree.channels();
+        assert_eq!(ch.channels(), 2 * 39);
+        for v in 0..40u32 {
+            let mut want = tree.children[v as usize].clone();
+            want.extend(tree.parent[v as usize]);
+            want.sort_unstable();
+            assert_eq!(ch.neighbors(v), &want[..], "node {v}");
+        }
     }
 
     #[test]

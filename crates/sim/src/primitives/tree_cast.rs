@@ -2,7 +2,8 @@
 //!
 //! These implement the communication skeletons of Algorithms 11/12
 //! (Appendix A.5): a *k-vector convergecast* — every node holds a vector of
-//! k numbers and the root learns the component-wise sum in O(height + k)
+//! k values and the root learns their component-wise combination (a sum,
+//! or any other associative and commutative operation) in O(height + k)
 //! rounds — and the symmetric *stream broadcast* down the tree in
 //! O(height + k) rounds. Each round a node forwards at most one component
 //! per channel, which is what makes the paper's O(n)-round bound for n
@@ -14,30 +15,32 @@ use crate::metrics::PhaseReport;
 use crate::primitives::bfs::BfsTree;
 use congest_graph::NodeId;
 
-struct ConvNode {
+struct ConvNode<T> {
     /// Channel index of the parent (precomputed; `None` at the root).
     parent_ni: Option<usize>,
     n_children: usize,
-    /// Running partial sums; own contribution pre-loaded.
-    acc: Vec<u64>,
+    /// Running partial combinations; own contribution pre-loaded.
+    acc: Vec<T>,
     /// How many children have reported each component.
     reported: Vec<usize>,
     next_send: usize,
+    combine: fn(T, T) -> T,
 }
 
-impl NodeLogic for ConvNode {
-    type Msg = (u32, u64);
+impl<T: Copy + 'static> NodeLogic for ConvNode<T> {
+    type Msg = (u32, T);
 
     fn on_round(
         &mut self,
         _env: &NodeEnv<'_>,
-        inbox: &[Envelope<(u32, u64)>],
-        out: &mut Outbox<'_, (u32, u64)>,
+        inbox: &[Envelope<(u32, T)>],
+        out: &mut Outbox<'_, (u32, T)>,
     ) {
         for e in inbox {
             let (mu, partial) = e.msg;
-            self.acc[mu as usize] += partial;
-            self.reported[mu as usize] += 1;
+            let mu = mu as usize;
+            self.acc[mu] = (self.combine)(self.acc[mu], partial);
+            self.reported[mu] += 1;
         }
         if let Some(ni) = self.parent_ni {
             if self.next_send < self.acc.len() && self.reported[self.next_send] == self.n_children {
@@ -52,29 +55,35 @@ impl NodeLogic for ConvNode {
     }
 
     fn msg_words(&self, _msg: &Self::Msg) -> u32 {
-        2 // component index + partial sum
+        // Component index + a one-word partial; a single component needs
+        // no index, so a two-word partial such as a (j, count) pair fits
+        // the same two words.
+        2
     }
 }
 
-/// Convergecast: component-wise sum of each node's `vals` vector, delivered
-/// at the tree root. All vectors must share one length k; the run takes
-/// O(height + k) rounds.
+/// Convergecast: the component-wise `combine` of each node's `vals`
+/// vector, delivered at the tree root. `combine` must be associative and
+/// commutative (a sum, a maximum, ...). All vectors must share one length
+/// k; the run takes O(height + k) rounds and sends k messages per tree
+/// edge.
 ///
 /// # Errors
 /// Propagates engine errors.
-pub fn convergecast_sum(
+pub fn convergecast_sum<T: Copy + 'static>(
     topo: &Topology,
     cfg: SimConfig,
     tree: &BfsTree,
-    vals: Vec<Vec<u64>>,
+    vals: Vec<Vec<T>>,
+    combine: fn(T, T) -> T,
     until: RunUntil,
-) -> Result<(Vec<u64>, PhaseReport), SimError> {
+) -> Result<(Vec<T>, PhaseReport), SimError> {
     let n = topo.n();
     assert_eq!(vals.len(), n);
     let k = vals.first().map(Vec::len).unwrap_or(0);
     assert!(vals.iter().all(|v| v.len() == k), "all vectors must have length k");
     let engine = Engine::new(topo, cfg);
-    let mut nodes: Vec<ConvNode> = vals
+    let mut nodes: Vec<ConvNode<T>> = vals
         .into_iter()
         .enumerate()
         .map(|(i, v)| ConvNode {
@@ -85,6 +94,7 @@ pub fn convergecast_sum(
             acc: v,
             reported: vec![0; k],
             next_send: 0,
+            combine,
         })
         .collect();
     let report = engine.run(&mut nodes, until)?;
@@ -199,6 +209,7 @@ mod tests {
             SimConfig::default(),
             &tree,
             vals,
+            |a, b| a + b,
             RunUntil::Quiesce { max: budget },
         )
         .unwrap();
@@ -219,6 +230,7 @@ mod tests {
             SimConfig::default(),
             &tree,
             vals,
+            |a, b| a + b,
             RunUntil::Quiesce { max: convergecast_budget(&tree, k) },
         )
         .unwrap();
@@ -239,6 +251,7 @@ mod tests {
             SimConfig::default(),
             &tree,
             vals,
+            |a, b| a + b,
             RunUntil::Quiesce { max: 64 },
         )
         .unwrap();

@@ -16,6 +16,7 @@ use congest_derand::{brs_cover, greedy_cover, verify_cover};
 use congest_graph::generators::{broom, WeightDist};
 use congest_graph::seq::Direction;
 use congest_graph::NodeId;
+use congest_sim::primitives::build_bfs_tree;
 use congest_sim::{Recorder, SimConfig, Topology};
 
 fn main() {
@@ -48,12 +49,18 @@ fn main() {
     assert!(is_valid_blocker(&coll, &gres));
     println!("greedy [2]          : |Q| = {:2}, rounds = {:6}", gres.len(), grec.total_rounds());
 
+    // Algorithm 2/2′ aggregate over the leader's BFS tree; each run's
+    // rounds include building it.
+    let (tree, tree_report) = build_bfs_tree(&topo, SimConfig::default(), 0).unwrap();
+
     // Randomized Algorithm 2.
     let mut rrec = Recorder::new();
+    rrec.record("alg2: leader BFS tree", tree_report.clone());
     let (rres, rstats) = alg2_blocker(
         &topo,
         SimConfig::default(),
         &coll,
+        &tree,
         BlockerParams::default(),
         Selection::Randomized { seed: 1 },
         &mut rrec,
@@ -71,10 +78,12 @@ fn main() {
 
     // Derandomized Algorithm 2′.
     let mut drec = Recorder::new();
+    drec.record("alg2: leader BFS tree", tree_report);
     let (dres, dstats) = alg2_blocker(
         &topo,
         SimConfig::default(),
         &coll,
+        &tree,
         BlockerParams::default(),
         Selection::Derandomized,
         &mut drec,

@@ -13,6 +13,7 @@ use congest_apsp::ApspConfig;
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, dijkstra, Direction};
 use congest_graph::{DistMatrix, NodeId};
+use congest_sim::primitives::build_bfs_tree;
 use congest_sim::{Recorder, SimConfig, Topology};
 
 fn main() {
@@ -30,10 +31,14 @@ fn main() {
     ));
     println!("n = {n}, |Q| = {} blockers, {} (x, c) values to deliver\n", q.len(), n * q.len());
 
-    // Paper pipeline (Algorithms 8 + 9).
+    // Paper pipeline (Algorithms 8 + 9), over the leader's BFS tree (Ar20
+    // builds it in Step 2; run alone, Step 6 pays for it here).
     let mut rec = Recorder::new();
+    let (tree, report) = build_bfs_tree(&topo, SimConfig::default(), 0).unwrap();
+    rec.record("leader BFS tree", report);
+    let sim = SimConfig::default();
     let (out, stats) =
-        propagate_to_blockers(&g, &topo, &cfg, SimConfig::default(), &q, &dvals, &mut rec).unwrap();
+        propagate_to_blockers(&g, &topo, &cfg, sim, &q, &dvals, &tree, &mut rec).unwrap();
     for (qi, &c) in q.iter().enumerate() {
         let oracle = dijkstra(&g, c, Direction::In);
         assert_eq!(&out.dist[qi], &oracle[..], "delivery to blocker {c} incomplete");

@@ -101,11 +101,11 @@ fn per_step_counts_are_pinned() {
             Algorithm::Ar20,
             &[
                 ("step1", [896, 6496, 15222]),
-                ("step2", [2504, 36875, 65927]),
+                ("step2", [2198, 17597, 27371]),
                 ("step3", [45, 184, 368]),
                 ("step4", [33, 1575, 4725]),
                 ("step5", [0, 0, 0]),
-                ("step6", [1713, 32263, 82660]),
+                ("step6", [1541, 23506, 65335]),
                 ("step7", [320, 8830, 26490]),
             ],
             (
@@ -133,11 +133,11 @@ fn per_step_counts_are_pinned() {
             Algorithm::Ar20,
             &[
                 ("step1", [896, 29376, 80130]),
-                ("step2", [2457, 107728, 181657]),
+                ("step2", [1777, 64888, 95977]),
                 ("step3", [100, 3927, 7854]),
-                ("step4", [393, 74153, 222459]),
+                ("step4", [395, 24633, 73899]),
                 ("step5", [0, 0, 0]),
-                ("step6", [1453, 22391, 50227]),
+                ("step6", [1446, 21958, 49794]),
                 ("step7", [320, 16519, 49557]),
             ],
             (

@@ -19,6 +19,7 @@ use congest_derand::brs_cover;
 use congest_graph::generators::{broom, gnm_connected, WeightDist};
 use congest_graph::seq::{apsp_dijkstra, Direction};
 use congest_graph::{DistMatrix, Edge, Graph, NodeId, Weight};
+use congest_sim::primitives::{build_bfs_tree, BfsTree};
 use congest_sim::{Recorder, SimConfig, Topology};
 
 /// Teeth of the comb.
@@ -106,7 +107,7 @@ fn derandomized_selection_picks_a_sampled_set_deterministically() {
     assert!(stats.sample_points_examined > 0, "{stats:?}");
     assert_eq!(q.len(), 128, "{stats:?}");
     // Golden totals: the whole Ar20 run, good-set commits included.
-    assert_eq!((rounds, messages), (9_675, 362_679), "{stats:?}");
+    assert_eq!((rounds, messages), (9_124, 223_671), "{stats:?}");
     let again = solve(&g, Selection::Derandomized);
     assert_eq!((&q, rounds, messages), (&again.0, again.1, again.2), "2′ is deterministic");
 }
@@ -117,7 +118,15 @@ fn randomized_selection_picks_a_sampled_set() {
     let (_, rounds, messages, stats) = solve(&g, Selection::Randomized { seed: 0xC0FFEE });
     assert_eq!(stats.good_set_sizes.len() as u64, stats.set_picks, "{stats:?}");
     // Golden totals at seed 0xC0FFEE.
-    assert_eq!((rounds, messages), (8_458, 345_885), "{stats:?}");
+    assert_eq!((rounds, messages), (7_565, 118_301), "{stats:?}");
+}
+
+/// The leader's BFS tree that Algorithm 2/2′ aggregates over, its build
+/// recorded in `rec` beside the blocker's phases.
+fn leader_tree(topo: &Topology, rec: &mut Recorder) -> BfsTree {
+    let (tree, report) = build_bfs_tree(topo, SimConfig::default(), 0).unwrap();
+    rec.record("alg2: leader BFS tree", report);
+    tree
 }
 
 /// The all-sources h-hop collection of `g`, as Ar20's Step 1 builds it.
@@ -155,15 +164,11 @@ fn the_selection_seed_reaches_algorithm_2() {
             .blocker_params(SAMPLING)
             .run()
             .unwrap();
-        let (q, _) = alg2_blocker(
-            &topo,
-            SimConfig::default(),
-            &coll,
-            SAMPLING,
-            selection,
-            &mut Recorder::new(),
-        )
-        .unwrap();
+        let mut rec = Recorder::new();
+        let tree = leader_tree(&topo, &mut rec);
+        let (q, _) =
+            alg2_blocker(&topo, SimConfig::default(), &coll, &tree, SAMPLING, selection, &mut rec)
+                .unwrap();
         assert_eq!(solved.meta.q, q, "seed {seed:#x}");
         picks.push(q);
     }
@@ -179,9 +184,10 @@ fn assert_matches_brs(g: &Graph<u64>, h: usize, params: BlockerParams) -> Alg2St
     let sim = SimConfig::default();
     let (ctx, _) = PathCtx::build(&topo, sim, &coll).unwrap();
     let (cover, brs) = brs_cover(&ctx.hypergraph(g.n()), params, Selection::Derandomized);
+    let mut rec = Recorder::new();
+    let tree = leader_tree(&topo, &mut rec);
     let (q, alg2) =
-        alg2_blocker(&topo, sim, &coll, params, Selection::Derandomized, &mut Recorder::new())
-            .unwrap();
+        alg2_blocker(&topo, sim, &coll, &tree, params, Selection::Derandomized, &mut rec).unwrap();
     assert_eq!(q, cover, "h = {h}, {params:?}");
     assert_eq!(
         (alg2.selection_steps, alg2.singleton_picks, alg2.set_picks, alg2.sample_points_examined),
